@@ -42,6 +42,8 @@ from .states import PairParams, momentum_dispersion, position_dispersion
 DX_TOLERANCE = 1e-3  # relative, closed form vs quadrature
 CM_TOLERANCE = 1e-4  # absolute, entrywise
 NORM_TOLERANCE = 1e-10
+DEFAULT_TIMES = (0.0, 0.5, 1.0)  # protocol and oracle-check measurement times
+EXIT_CODES = {DomainError: 2, GridError: 3, FitError: 4}
 
 
 def _fmt(value) -> str:
@@ -50,6 +52,11 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return "" if math.isnan(value) else f"{value:.9g}"
     return str(value)
+
+
+def _inf_str(value: float):
+    """JSON has no infinity: echo it as the string "inf"."""
+    return "inf" if math.isinf(value) else value
 
 
 def _parse_b(text: str) -> float:
@@ -110,7 +117,7 @@ def cmd_simon(args) -> int:
     params = PairParams(a=args.a, b=args.b)
     general = simon_invariant(covariance_matrix(params))
     closed = simon_invariant_closed_form(params)
-    config = {"command": "simon", "a": args.a, "b": "inf" if math.isinf(args.b) else args.b}
+    config = {"command": "simon", "a": args.a, "b": _inf_str(args.b)}
     results = {
         "I_general": general.invariant_I,
         "I_closed": closed,
@@ -123,26 +130,20 @@ def cmd_simon(args) -> int:
 
 def cmd_dispersion_curve(args) -> int:
     times = np.linspace(args.t_min, args.t_max, args.t_steps)
-    rows = []
-    for t in times:
-        t = float(t)
-        dx_sep = predicted_dispersion_separable(args.u, t)
-        if args.offset > 0:
-            dx_ent = (
-                predicted_dispersion_entangled(args.u, args.b, t - args.offset)
-                if t >= args.offset
-                else math.nan
-            )
-        else:
-            dx_ent = predicted_dispersion_entangled(args.u, args.b, t)
-        rows.append((t, dx_sep, dx_ent))
+    dx_sep = predicted_dispersion_separable(args.u, times)
+    # the entangled pair exists only from the offset on; NaN (empty cell) before
+    offset = args.offset if args.offset > 0 else 0.0
+    produced = times >= offset
+    dx_ent = np.full_like(times, math.nan)
+    dx_ent[produced] = predicted_dispersion_entangled(args.u, args.b, times[produced] - offset)
+    rows = list(zip(times.tolist(), dx_sep.tolist(), dx_ent.tolist()))
     crossing = None
     if args.offset > 0:
         found = crossing_times(args.u, args.b, args.offset)
         crossing = {"lab": found.lab, "entangled_clock": found.entangled_clock}
     config = {
         "command": "dispersion-curve",
-        "u": args.u, "b": "inf" if math.isinf(args.b) else args.b,
+        "u": args.u, "b": _inf_str(args.b),
         "t_min": args.t_min, "t_max": args.t_max, "t_steps": args.t_steps,
         "offset": args.offset,
     }
@@ -166,7 +167,7 @@ def cmd_dispersion_curve(args) -> int:
 def _verdict_dict(verdict) -> dict:
     return {
         "classification": verdict.classification,
-        "b_hat": "inf" if math.isinf(verdict.b_hat) else verdict.b_hat,
+        "b_hat": _inf_str(verdict.b_hat),
         "confidence": verdict.confidence,
     }
 
@@ -179,7 +180,7 @@ def cmd_protocol(args) -> int:
     else:
         raise DomainError("provide the source width via --a or --u")
     scenario = HiddenScenario(params=PairParams(a=a, b=args.b, k_c=args.kc), t0=args.t0)
-    times = args.times if args.times is not None else [0.0, 0.5, 1.0]
+    times = args.times
     trials = []
     for trial in range(args.trials):
         if args.mode == 1:
@@ -236,7 +237,7 @@ def cmd_protocol(args) -> int:
     config = {
         "command": "protocol",
         "mode": args.mode,
-        "a": a, "b": "inf" if math.isinf(args.b) else args.b,
+        "a": a, "b": _inf_str(args.b),
         "kc": args.kc, "t0": args.t0,
         "times": times, "n_samples": args.n_samples, "trials": args.trials,
         "threshold_sigmas": args.threshold_sigmas, "noiseless": args.noiseless,
@@ -258,7 +259,7 @@ def cmd_protocol(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     params = PairParams(a=args.a, b=args.b, k_c=args.kc)
-    times = args.times if args.times is not None else [0.0, 0.5, 1.0]
+    times = args.times
     t_max = max(times)
     grid0 = initial_grid(params, n=args.grid_n, extent=args.grid_L, t_max=t_max)
     checks = []
@@ -292,7 +293,7 @@ def cmd_oracle_check(args) -> int:
     ok = ok and cm_delta < CM_TOLERANCE
     config = {
         "command": "oracle-check",
-        "a": args.a, "b": "inf" if math.isinf(args.b) else args.b, "kc": args.kc,
+        "a": args.a, "b": _inf_str(args.b), "kc": args.kc,
         "times": times, "grid_n": args.grid_n, "grid_L": args.grid_L,
     }
     results = {"checks": checks, "cm_max_abs_delta": cm_delta, "pass": ok}
@@ -358,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=_parse_b, required=True)
     p.add_argument("--kc", type=float, default=0.0)
     p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--times", type=_parse_times, default=None,
+    p.add_argument("--times", type=_parse_times, default=DEFAULT_TIMES,
                    help="comma-separated measurement times (mode 1 uses the first)")
     p.add_argument("--n-samples", type=int, default=10000)
     p.add_argument("--trials", type=int, default=1)
@@ -372,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=_parse_b, required=True)
     p.add_argument("--kc", type=float, default=0.0)
-    p.add_argument("--times", type=_parse_times, default=None)
+    p.add_argument("--times", type=_parse_times, default=DEFAULT_TIMES)
     p.add_argument("--grid-n", type=int, default=512)
     p.add_argument("--grid-L", type=float, default=None)
     common(p)
@@ -388,15 +389,9 @@ def main(argv=None) -> int:
         args.format = args.default_format
     try:
         return args.func(args)
-    except DomainError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GridError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except FitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

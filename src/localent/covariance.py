@@ -179,8 +179,8 @@ def standard_form(params: PairParams) -> StandardForm:
 
     The scaling diag(s, 1/s, s, 1/s) with s = (4 hbar^2 f2 / a^4)^(1/4)
     equalizes the diagonal to n = hbar f1 / sqrt(f2) and leaves
-    k_x = k_p = hbar a^2 / (b^2 sqrt(f2)).  The congruence is verified
-    numerically against the expected pattern before returning.
+    k_x = k_p = hbar a^2 / (b^2 sqrt(f2)).  Only (n, k) are evaluated here;
+    the test suite checks the congruence across the parameter range.
     """
     h = params.constants.hbar
     f1 = entanglement_factor(1, params)
@@ -188,19 +188,6 @@ def standard_form(params: PairParams) -> StandardForm:
     sqrt_f2 = math.sqrt(f2)
     n = h * f1 / sqrt_f2
     k = h * (params.a / params.b) ** 2 / sqrt_f2
-    s = (4.0 * h * h * f2 / params.a**4) ** 0.25
-    scale = np.diag([s, 1.0 / s, s, 1.0 / s])
-    gamma0 = scale @ covariance_matrix(params).matrix @ scale.T
-    expected = np.array(
-        [
-            [n, 0.0, k, 0.0],
-            [0.0, n, 0.0, -k],
-            [k, 0.0, n, 0.0],
-            [0.0, -k, 0.0, n],
-        ]
-    )
-    if not np.allclose(gamma0, expected, rtol=0.0, atol=1e-12 * max(1.0, n)):
-        raise RuntimeError("local scaling failed to produce the standard-form pattern")
     return StandardForm(n=n, k_x=k, k_p=k)
 
 

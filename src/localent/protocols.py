@@ -25,15 +25,14 @@ by execution order.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from .errors import DomainError, FitError
 from .states import (
     PairParams,
+    _dispersion_curve,
     marginal_momentum,
     marginal_position,
     momentum_dispersion,
@@ -80,6 +79,10 @@ INCONCLUSIVE = "inconclusive"
 
 # z-test floor so exactly noiseless fits (sigma_alpha == 0) classify sanely
 _SIGMA_FLOOR = 1e-9
+
+# Gauss-Newton refinement: stop once every step is below this relative size
+_REFINE_TOL = 1e-10
+_REFINE_MAX_ITER = 50
 
 
 def _require_unit_constants(params: PairParams) -> None:
@@ -244,13 +247,10 @@ def estimate_dispersion(samples: np.ndarray) -> tuple[float, float]:
 # --- closed-form protocol curves ----------------------------------------------
 
 
-def predicted_dispersion_separable(u: float, t: float) -> float:
-    """Position dispersion of a separable source with momentum dispersion u."""
-    if not u > 0:
-        raise DomainError(f"momentum dispersion u must be positive, got {u}")
-    if t < 0:
-        raise DomainError(f"time must be nonnegative, got {t}")
-    return math.sqrt(1.0 + 4.0 * u**4 * t * t) / (2.0 * u)
+def predicted_dispersion_separable(u: float, t: float | np.ndarray) -> float | np.ndarray:
+    """Position dispersion of a separable source with momentum dispersion u,
+    at scalar or array t."""
+    return predicted_dispersion_entangled(u, math.inf, t)
 
 
 def entangled_alpha(u: float, b: float) -> float:
@@ -272,11 +272,12 @@ def entangled_alpha(u: float, b: float) -> float:
     return ub4 / (ub4 - 1.0)
 
 
-def predicted_dispersion_entangled(u: float, b: float, t: float) -> float:
-    """Position dispersion of an entangled source with momentum dispersion u."""
-    if t < 0:
-        raise DomainError(f"time must be nonnegative, got {t}")
-    return math.sqrt(entangled_alpha(u, b) + 4.0 * u**4 * t * t) / (2.0 * u)
+def predicted_dispersion_entangled(
+    u: float, b: float, t: float | np.ndarray
+) -> float | np.ndarray:
+    """Position dispersion of an entangled source with momentum dispersion u,
+    at scalar or array t."""
+    return _dispersion_curve(u, entangled_alpha(u, b), t)
 
 
 def width_from_momentum_dispersion(u: float, b: float = math.inf) -> float:
@@ -441,8 +442,7 @@ def fit_dispersion_curve(
         a_lo, b_lo, _ = _linear_fit(u_hat - h, t, dx, stderr)
         grad = np.array([(a_hi - a_lo) / (2.0 * h), (b_hi - b_lo) / (2.0 * h)])
         cov = cov + np.outer(grad, grad) * u_stderr * u_stderr
-    arg = np.maximum(alpha + 4.0 * u_hat**4 * (t + beta) ** 2, 0.0)
-    model_dx = np.sqrt(arg) / (2.0 * u_hat)
+    model_dx = _dispersion_curve(u_hat, alpha, np.abs(t + beta))
     residual_rms = float(np.sqrt(np.mean((model_dx - dx) ** 2)))
     return FitOutcome(
         u_hat=u_hat, alpha=alpha, beta=beta, param_cov=cov, residual_rms=residual_rms
@@ -452,31 +452,28 @@ def fit_dispersion_curve(
 def refine_dispersion_fit(
     u_hat: float, series: DispersionSeries, start: FitOutcome
 ) -> tuple[float, float]:
-    """Levenberg-Marquardt refinement of (alpha, beta) on the un-squared curve.
+    """Gauss-Newton refinement of (alpha, beta) on the un-squared curve.
 
-    Cross-check path for the linear solution; on noiseless data the two
-    agree to better than 1e-6.
+    Cross-check path for the linear solution, weighted by the standard errors
+    when every point has one; on noiseless data the two agree to better than
+    1e-6.  Raises FitError when the iteration does not converge.
     """
-
-    def model(t, alpha, beta):
-        return np.sqrt(alpha + 4.0 * u_hat**4 * (t + beta) ** 2) / (2.0 * u_hat)
-
+    t = series.times
     stderr = series.stderr
-    use_sigma = bool(np.all(stderr > 0))
-    with warnings.catch_warnings():
-        # an exact (noiseless) fit makes the LM covariance singular; only the
-        # refined parameters are used here
-        warnings.simplefilter("ignore", OptimizeWarning)
-        popt, _ = curve_fit(
-            model,
-            series.times,
-            series.dx,
-            p0=[start.alpha, start.beta],
-            sigma=stderr if use_sigma else None,
-            absolute_sigma=use_sigma,
-            method="lm",
-        )
-    return float(popt[0]), float(popt[1])
+    weights = 1.0 / stderr if np.all(stderr > 0) else np.ones_like(t)
+    params = np.array([start.alpha, start.beta])
+    for _ in range(_REFINE_MAX_ITER):
+        alpha, beta = params
+        if not alpha > 0:  # diverged: the model would vanish where t = -beta
+            break
+        shifted = t + beta
+        model = _dispersion_curve(u_hat, alpha, np.abs(shifted))
+        jac = np.column_stack([1.0 / (8.0 * u_hat**2 * model), u_hat**2 * shifted / model])
+        step = np.linalg.lstsq(jac * weights[:, None], (series.dx - model) * weights, rcond=None)[0]
+        params = params + step
+        if np.all(np.abs(step) <= _REFINE_TOL * (np.abs(params) + _REFINE_TOL)):
+            return float(params[0]), float(params[1])
+    raise FitError("Gauss-Newton refinement of the dispersion fit did not converge")
 
 
 def entanglement_width_from_alpha(alpha: float, u: float) -> float:
@@ -544,11 +541,10 @@ def measure_position_series(
 
 def exact_position_series(scenario: HiddenScenario, times) -> DispersionSeries:
     """Closed-form series (stderr = 0), for noiseless end-to-end checks."""
-    points = tuple(
-        SeriesPoint(float(tm), position_dispersion(float(tm) + scenario.t0, scenario.params), 0.0, 0)
-        for tm in times
-    )
-    return DispersionSeries(points)
+    times = np.asarray(times, dtype=float)
+    dx = position_dispersion(times + scenario.t0, scenario.params)
+    zeros = np.zeros_like(times)
+    return DispersionSeries.from_arrays(times, dx, zeros, zeros)
 
 
 @dataclass(frozen=True)

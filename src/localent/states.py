@@ -128,16 +128,36 @@ def drift_velocity(params: PairParams) -> float:
     return c.hbar * params.k_c / c.mass
 
 
-def position_dispersion(t: float, params: PairParams) -> float:
-    """Standard deviation of particle 1's position at time t.
+def _dispersion_curve(u: float, alpha: float, t, hbar: float = 1.0, mass: float = 1.0):
+    """sqrt(alpha hbar^2 + 4 u^4 t^2 / m^2) / (2u) at scalar or array t >= 0.
+
+    The family's position-dispersion curve in the observer's coordinates: u is
+    the momentum dispersion, alpha = f1^2 / f2 the constant term (1 when
+    separable).  The radicand is clamped at 0 so that a fitted alpha below the
+    physical floor still gives a finite model.  Returns a float for scalar t.
+    """
+    t = np.asarray(t, dtype=float)[()]  # scalar t as a numpy scalar: cheaper arithmetic
+    if (t < 0).any():
+        raise DomainError(f"time must be nonnegative, got {float(np.extract(t < 0, t)[0])}")
+    with np.errstate(over="ignore"):  # huge t spreads to inf, as float arithmetic does
+        radicand = alpha * hbar**2 + 4.0 * u**4 * t * t / mass**2
+    dx = np.sqrt(np.maximum(radicand, 0.0)) / (2.0 * u)
+    return dx if np.ndim(dx) else float(dx)
+
+
+def position_dispersion(t: float | np.ndarray, params: PairParams) -> float | np.ndarray:
+    """Standard deviation of particle 1's position at time t (scalar or array).
 
     Separable pairs spread as (a/2) sqrt(1 + F(t)); entangled pairs start
     narrower by sqrt(f1/f2) and spread faster by the factor f2 inside the
-    square root.  The two expressions coincide exactly at b = inf.
+    square root.  The two expressions coincide exactly at b = inf.  In terms
+    of u = momentum_dispersion(params) this is the protocols' curve with
+    constant term f1^2 / f2.
     """
     f1 = entanglement_factor(1, params)
     f2 = entanglement_factor(2, params)
-    return 0.5 * params.a * math.sqrt((f1 / f2) * (1.0 + f2 * spreading_factor(t, params)))
+    c = params.constants
+    return _dispersion_curve(momentum_dispersion(params), f1 * f1 / f2, t, c.hbar, c.mass)
 
 
 def momentum_dispersion(params: PairParams) -> float:

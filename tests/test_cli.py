@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import localent
 from localent.cli import main
 
 try:
@@ -229,3 +234,13 @@ def test_b_hat_matches_scenario_inversion(capsys):
     assert code == 0
     assert payload["config"]["a"] == pytest.approx(7.053456158585982, rel=1e-9)
     assert math.isclose(payload["results"]["trials"][0]["verdict"]["b_hat"], 1.0, rel_tol=1e-6)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(localent.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", "import localent.cli, sys; assert 'scipy' not in sys.modules"],
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+    )

@@ -21,6 +21,7 @@ from localent.covariance import (
 )
 from localent.errors import DomainError
 from localent.states import PairParams
+from localent.states import PhysicalConstants
 
 INF = math.inf
 
@@ -143,6 +144,27 @@ def test_standard_form_scaling_factor():
     assert gamma0[1, 1] == pytest.approx(sf.n, rel=1e-12)
     assert gamma0[0, 2] == pytest.approx(sf.k_x, rel=1e-12)
     assert gamma0[1, 3] == pytest.approx(-sf.k_p, rel=1e-12)
+
+
+@pytest.mark.parametrize("hbar, mass", [(1.0, 1.0), (0.3, 2.5), (4.0, 0.2)])
+def test_standard_form_congruence(hbar, mass):
+    # diag(s, 1/s, s, 1/s) with s = (4 hbar^2 f2 / a^4)^(1/4) carries the
+    # correlation matrix onto the pattern of the (n, k) standard_form reports
+    constants = PhysicalConstants(hbar=hbar, mass=mass)
+    for a in np.logspace(-3.0, 3.0, 7):
+        for b in [*(a / np.logspace(-4.0, 4.0, 9)), INF]:
+            p = PairParams(a=float(a), b=float(b), constants=constants)
+            f2 = 1.0 + 2.0 * (p.a / p.b) ** 2
+            s = (4.0 * hbar * hbar * f2 / p.a**4) ** 0.25
+            scale = np.diag([s, 1.0 / s, s, 1.0 / s])
+            gamma0 = scale @ covariance_matrix(p).matrix @ scale.T
+            sf = standard_form(p)
+            assert sf.k_x == sf.k_p
+            n, k = sf.n, sf.k_x
+            expected = np.array(
+                [[n, 0.0, k, 0.0], [0.0, n, 0.0, -k], [k, 0.0, n, 0.0], [0.0, -k, 0.0, n]]
+            )
+            assert np.abs(gamma0 - expected).max() <= 1e-12 * max(1.0, n), (a, b)
 
 
 def test_standard_form_separable():

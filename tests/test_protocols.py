@@ -1,5 +1,6 @@
 """Measurement protocols: curves, timing, estimation, fits and verdicts."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -108,6 +109,22 @@ def test_curves_match_state_family():
             assert predicted_dispersion_separable(u, t) == pytest.approx(
                 position_dispersion(t, p_sep), rel=1e-12
             )
+
+
+def test_curves_accept_time_arrays():
+    times = np.array([0.0, 0.3, 1.7, 12.0])
+    scaled = PairParams(a=0.8, b=2.0, constants=PhysicalConstants(hbar=0.5, mass=3.0))
+    curves = [
+        lambda t: position_dispersion(t, scaled),
+        lambda t: predicted_dispersion_separable(U_REF, t),
+        lambda t: predicted_dispersion_entangled(U_REF, B_REF, t),
+    ]
+    for curve in curves:
+        scalars = [curve(float(t)) for t in times]
+        assert all(type(value) is float for value in scalars)
+        assert curve(times).tolist() == scalars
+        with pytest.raises(DomainError):
+            curve(np.array([0.0, 1.0, -1e-9]))
 
 
 def test_critical_time():
@@ -339,6 +356,20 @@ def test_refinement_agrees_with_linear_fit():
     alpha, beta = refine_dispersion_fit(U_REF, series, fit)
     assert abs(alpha - fit.alpha) < 1e-6 * max(1.0, abs(fit.alpha))
     assert abs(beta - fit.beta) < 1e-6
+
+
+def test_refinement_on_sampled_series():
+    # every point carries a standard error, so the refinement is weighted
+    result = run_blind_trial(
+        entangled_scenario(t0=0.5), [0.0, 0.3, 0.6, 0.9, 1.2], n_samples=10_000, seed=11
+    )
+    fit = result.fit
+    assert np.all(result.series.stderr > 0)
+    alpha, beta = refine_dispersion_fit(result.u_hat, result.series, fit)
+    assert abs(alpha - fit.alpha) < 2.0 * fit.alpha_sigma
+    assert abs(beta - fit.beta) < 2.0 * math.sqrt(fit.param_cov[1, 1])
+    with pytest.raises(FitError):  # a start with alpha <= 0 has no model to refine
+        refine_dispersion_fit(result.u_hat, result.series, dataclasses.replace(fit, alpha=-1.0))
 
 
 def test_fit_u_uncertainty_inflates_alpha_sigma():

@@ -22,9 +22,11 @@ from .covariance import (
 )
 from .errors import DomainError, FitError, GridError
 from .protocols import (
+    BlindBatch,
     DispersionSeries,
     FitOutcome,
     HiddenScenario,
+    KnownOriginBatch,
     SeriesPoint,
     Verdict,
     ambiguity_time,
@@ -39,7 +41,9 @@ from .protocols import (
     mimic_width,
     predicted_dispersion_entangled,
     predicted_dispersion_separable,
+    run_blind_batch,
     run_blind_trial,
+    run_known_origin_batch,
     run_known_origin_trial,
     width_from_momentum_dispersion,
 )

@@ -3,7 +3,8 @@
 Subcommands emit analysis tables and protocol runs as CSV or JSON:
 ``eof-surface``, ``simon``, ``dispersion-curve``, ``protocol`` and
 ``oracle-check``.  All runs are deterministic given their flags and seed;
-JSON payloads carry a config echo plus {seed, version} metadata, CSV runs
+JSON payloads carry a config echo plus {seed, version} metadata, and
+``protocol`` adds ``rng``, the label of its random-stream scheme.  CSV runs
 echo the config to stderr.  Exit codes: 0 ok, 2 domain violation,
 3 oracle-check tolerance failure (or grid error), 4 ill-conditioned fit.
 """
@@ -29,12 +30,13 @@ from .errors import DomainError, FitError, GridError
 from .oracle import evolve, initial_grid, momentum_marginal, numeric_covariance_matrix
 from .oracle import marginal_sigma as grid_sigma
 from .protocols import (
+    RNG_SCHEME,
     HiddenScenario,
     crossing_times,
     predicted_dispersion_entangled,
     predicted_dispersion_separable,
-    run_blind_trial,
-    run_known_origin_trial,
+    run_blind_batch,
+    run_known_origin_batch,
     width_from_momentum_dispersion,
 )
 from .states import PairParams, momentum_dispersion, position_dispersion
@@ -69,13 +71,12 @@ def _parse_times(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip() != ""]
 
 
-def _emit(args, config: dict, results, csv_table=None) -> None:
+def _emit(args, config: dict, results, csv_table=None, rng: str | None = None) -> None:
     if args.format == "json":
-        payload = {
-            "config": config,
-            "results": results,
-            "metadata": {"seed": getattr(args, "seed", None), "version": __version__},
-        }
+        metadata = {"seed": getattr(args, "seed", None), "version": __version__}
+        if rng is not None:
+            metadata["rng"] = rng
+        payload = {"config": config, "results": results, "metadata": metadata}
         text = json.dumps(payload, indent=2) + "\n"
     else:
         if csv_table is None:
@@ -164,12 +165,8 @@ def cmd_dispersion_curve(args) -> int:
     return 0
 
 
-def _verdict_dict(verdict) -> dict:
-    return {
-        "classification": verdict.classification,
-        "b_hat": _inf_str(verdict.b_hat),
-        "confidence": verdict.confidence,
-    }
+def _verdict_dict(classification: str, b_hat: float, confidence: float) -> dict:
+    return {"classification": classification, "b_hat": _inf_str(b_hat), "confidence": confidence}
 
 
 def cmd_protocol(args) -> int:
@@ -181,56 +178,57 @@ def cmd_protocol(args) -> int:
         raise DomainError("provide the source width via --a or --u")
     scenario = HiddenScenario(params=PairParams(a=a, b=args.b, k_c=args.kc), t0=args.t0)
     times = args.times
-    trials = []
-    for trial in range(args.trials):
-        if args.mode == 1:
-            result = run_known_origin_trial(
-                scenario,
-                t_meas=times[0],
-                n_samples=args.n_samples,
-                seed=args.seed,
-                trial=trial,
-                tolerance_sigmas=args.threshold_sigmas,
-                noiseless=args.noiseless,
+    if not times:
+        raise DomainError("provide at least one measurement time")
+    run = {"n_samples": args.n_samples, "seed": args.seed, "trials": args.trials,
+           "noiseless": args.noiseless}
+    if args.mode == 1:
+        batch = run_known_origin_batch(
+            scenario, t_meas=times[0], tolerance_sigmas=args.threshold_sigmas, **run
+        )
+        columns = (batch.classification, batch.b_hat, batch.confidence, batch.u_hat,
+                   batch.dx_hat, batch.stderr, batch.predicted_separable)
+        trials = [
+            {
+                "verdict": _verdict_dict(c, b, conf),
+                "u_hat": u_hat,
+                "t_known": batch.t_known,
+                "dx_hat": dx_hat,
+                "stderr": stderr,
+                "predicted_separable": predicted,
+            }
+            for c, b, conf, u_hat, dx_hat, stderr, predicted in zip(
+                *(column.tolist() for column in columns)
             )
-            trials.append(
-                {
-                    "verdict": _verdict_dict(result.verdict),
-                    "u_hat": result.u_hat,
-                    "t_known": result.t_known,
-                    "dx_hat": result.dx_hat,
-                    "stderr": result.stderr,
-                    "predicted_separable": result.predicted_separable,
-                }
-            )
-        else:
-            result = run_blind_trial(
-                scenario,
-                times=times,
-                n_samples=args.n_samples,
-                seed=args.seed,
-                trial=trial,
-                threshold_sigmas=args.threshold_sigmas,
-                noiseless=args.noiseless,
-            )
-            trials.append(
-                {
-                    "verdict": _verdict_dict(result.verdict),
-                    "u_hat": result.u_hat,
-                    "u_stderr": result.u_stderr,
-                    "fit": {
-                        "alpha": result.fit.alpha,
-                        "beta": result.fit.beta,
-                        "alpha_sigma": result.fit.alpha_sigma,
-                        "param_cov": result.fit.param_cov.tolist(),
-                        "residual_rms": result.fit.residual_rms,
-                    },
-                    "series": [
-                        {"t": p.t, "dx_hat": p.dx_hat, "stderr": p.stderr, "n_samples": p.n_samples}
-                        for p in result.series.points
-                    ],
-                }
-            )
+        ]
+    else:
+        batch = run_blind_batch(
+            scenario, times=times, threshold_sigmas=args.threshold_sigmas, **run
+        )
+        columns = (batch.classification, batch.b_hat, batch.confidence, batch.u_hat,
+                   batch.u_stderr, batch.alpha, batch.beta, batch.alpha_sigma,
+                   batch.param_cov, batch.residual_rms, batch.dx_hat, batch.stderr)
+        t_list = batch.times.tolist()
+        trials = [
+            {
+                "verdict": _verdict_dict(c, b, conf),
+                "u_hat": u_hat,
+                "u_stderr": u_stderr,
+                "fit": {
+                    "alpha": alpha,
+                    "beta": beta,
+                    "alpha_sigma": alpha_sigma,
+                    "param_cov": cov,
+                    "residual_rms": rms,
+                },
+                "series": [
+                    {"t": t, "dx_hat": d, "stderr": s, "n_samples": batch.n_samples}
+                    for t, d, s in zip(t_list, dx_row, stderr_row)
+                ],
+            }
+            for c, b, conf, u_hat, u_stderr, alpha, beta, alpha_sigma, cov, rms, dx_row,
+            stderr_row in zip(*(column.tolist() for column in columns))
+        ]
     counts = {"separable": 0, "entangled": 0, "inconclusive": 0}
     for entry in trials:
         counts[entry["verdict"]["classification"]] += 1
@@ -253,7 +251,7 @@ def cmd_protocol(args) -> int:
             for p in entry["series"]
         ]
         csv_rows = (header, flat)
-    _emit(args, config, results, csv_table=csv_rows)
+    _emit(args, config, results, csv_table=csv_rows, rng=RNG_SCHEME)
     return 0
 
 

@@ -16,10 +16,15 @@ u^4 b^4 / (u^4 b^4 - 1) > 1.  Two classifiers exploit this:
   where alpha = 1 marks separability, alpha > 1 yields b, and beta recovers
   the hidden production-to-measurement offset.
 
-Everything in this module works in hbar = m = 1 units.  Sampling is ideal
-Born-rule draws from the Gaussian marginals; runs are bit-reproducible from
-(seed, trial index) because random substreams are assigned by index, never
-by execution order.
+Everything in this module works in hbar = m = 1 units.  The simulation
+drivers run whole batches of trials as arrays.  A trial needs only the sample
+dispersion of each Gaussian sub-ensemble of n Born-rule draws, and
+(n - 1) s^2 / sigma^2 is exactly chi-square distributed with n - 1 degrees
+of freedom, so each sub-ensemble costs one chi-square variate instead of n
+normals.  Trial k of seed s draws from its own Philox stream keyed by
+(s, k) (scheme ``RNG_SCHEME``), so a trial is bit-reproducible whatever
+batch it runs in.  The per-sample Born-rule samplers stay as the reference
+that the tests check this against.
 """
 
 from __future__ import annotations
@@ -51,6 +56,9 @@ __all__ = [
     "CrossingTimes",
     "BlindTrialResult",
     "KnownOriginTrialResult",
+    "BlindBatch",
+    "KnownOriginBatch",
+    "RNG_SCHEME",
     "sample_momentum",
     "sample_position",
     "estimate_dispersion",
@@ -71,14 +79,22 @@ __all__ = [
     "exact_position_series",
     "run_blind_trial",
     "run_known_origin_trial",
+    "run_blind_batch",
+    "run_known_origin_batch",
 ]
 
 SEPARABLE = "separable"
 ENTANGLED = "entangled"
 INCONCLUSIVE = "inconclusive"
 
+# Random streams: trial k of seed s draws from Philox with key words (s, k),
+# one chi-square(n - 1) variate per sub-ensemble.
+RNG_SCHEME = "philox-chi2-v1"
+
 # z-test floor so exactly noiseless fits (sigma_alpha == 0) classify sanely
 _SIGMA_FLOOR = 1e-9
+# the fit refuses a weighted design matrix with a larger condition number
+_MAX_CONDITION = 1e10
 
 # Gauss-Newton refinement: stop once every step is below this relative size
 _REFINE_TOL = 1e-10
@@ -345,10 +361,46 @@ def crossing_times(u: float, b: float, offset: float) -> CrossingTimes:
 
 
 # --- classification -----------------------------------------------------------
+#
+# The classifiers and the fit run on arrays with one entry (or row) per
+# trial; the single-trial functions below are batches of one.
 
 
-def _confidence(z: float) -> float:
-    return min(math.erf(abs(z) / math.sqrt(2.0)), 1.0)
+def _confidence(z: np.ndarray) -> np.ndarray:
+    return np.array([min(math.erf(abs(v) / math.sqrt(2.0)), 1.0) for v in z.tolist()])
+
+
+def _verdicts(z, entangled, separable, alpha, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(classification, b_hat, confidence) arrays from the per-trial masks.
+
+    Entangled trials invert their alpha into b; the others report b = inf.
+    """
+    confidence = _confidence(z)
+    classification = np.where(entangled, ENTANGLED, np.where(separable, SEPARABLE, INCONCLUSIVE))
+    confidence = np.where(entangled, confidence, np.where(separable, 1.0 - confidence, 0.0))
+    b_hat = np.full(z.shape, math.inf)
+    b_hat[entangled] = entanglement_width_from_alpha(alpha[entangled], u[entangled])
+    if not np.isfinite(b_hat[entangled]).all():
+        raise DomainError("b_hat must be finite exactly for entangled verdicts")
+    return classification, b_hat, confidence
+
+
+def _verdict(classification, b_hat, confidence, row: int = 0) -> Verdict:
+    return Verdict(str(classification[row]), float(b_hat[row]), float(confidence[row]))
+
+
+def _known_origin_verdicts(u, t_known, dx, stderr, u_stderr, tolerance_sigmas):
+    """(predicted, z, verdict arrays) of protocol 1 for arrays of trials."""
+    predicted = _dispersion_curve(u, 1.0, t_known)
+    spread = 4.0 * u**4 * t_known * t_known
+    # d predicted / du, which carries the sampling error of u into sigma
+    slope = (spread - 1.0) / (2.0 * u * u * np.sqrt(1.0 + spread))
+    sigma = np.maximum(np.hypot(stderr, slope * u_stderr), 1e-12 * np.maximum(1.0, dx))
+    z = (dx - predicted) / sigma
+    separable = np.abs(z) <= tolerance_sigmas
+    alpha_implied = (2.0 * u * dx) ** 2 - spread
+    entangled = ~separable & (alpha_implied >= 1.0)
+    return predicted, z, _verdicts(z, entangled, separable, alpha_implied, u)
 
 
 def classify_known_origin(
@@ -357,6 +409,7 @@ def classify_known_origin(
     dx_hat: float,
     stderr: float,
     tolerance_sigmas: float = 3.0,
+    u_stderr: float = 0.0,
 ) -> Verdict:
     """One-shot verdict when the time since pair production is known.
 
@@ -365,59 +418,81 @@ def classify_known_origin(
     with b recovered from the implied alpha = (2 u dx)^2 - 4 u^4 t^2.  Below
     the separable floor (implied alpha < 1) -> inconclusive, since no source
     in the family produces such a value and noise is the only explanation.
+    The tolerance band combines ``stderr`` with the sampling error
+    ``u_stderr`` of u_hat, propagated through d dx_sep / du.
     """
     if t_known < 0:
         raise DomainError(f"known production time must be nonnegative, got {t_known}")
-    predicted = predicted_dispersion_separable(u_hat, t_known)
-    sigma = max(stderr, 1e-12 * max(1.0, dx_hat))
-    z = (dx_hat - predicted) / sigma
-    if abs(z) <= tolerance_sigmas:
-        return Verdict(SEPARABLE, math.inf, 1.0 - _confidence(z))
-    alpha_implied = (2.0 * u_hat * dx_hat) ** 2 - 4.0 * u_hat**4 * t_known * t_known
-    if alpha_implied < 1.0:
-        return Verdict(INCONCLUSIVE, math.inf, 0.0)
-    return Verdict(
-        ENTANGLED,
-        entanglement_width_from_alpha(alpha_implied, u_hat),
-        _confidence(z),
+    _, _, verdicts = _known_origin_verdicts(
+        np.array([u_hat]), t_known, np.array([dx_hat]), np.array([stderr]),
+        np.array([u_stderr]), tolerance_sigmas,
     )
+    return _verdict(*verdicts)
 
 
-def _linear_fit(u: float, t: np.ndarray, dx: np.ndarray, stderr: np.ndarray):
-    """Weighted linear fit of (2 u dx)^2 - 4 u^4 t^2 = c0 + c1 t.
+def _linear_fit(u: np.ndarray, t: np.ndarray, dx: np.ndarray, stderr: np.ndarray):
+    """Weighted linear fit of (2 u dx)^2 - 4 u^4 t^2 = c0 + c1 t, row by row.
 
-    Squaring turns the dispersion curve into a polynomial whose t^2
-    coefficient is fixed by u, so the two free parameters enter linearly and
-    the noiseless fit is exact.  Returns (alpha, beta, cov(alpha, beta)).
+    ``dx`` and ``stderr`` hold one row per trial, ``u`` one entry per trial,
+    and the times ``t`` are shared.  Squaring turns the dispersion curve into
+    a polynomial whose t^2 coefficient is fixed by u, so the two free
+    parameters enter linearly and the noiseless fit is exact.  A row whose
+    every point has a standard error is weighted by its propagated errors;
+    any other row (a noiseless series) gets unit weights and a covariance
+    scaled by its residual variance.  The 2x2 normal equations are solved
+    about the weighted mean time, so their determinant S0 sum w (t - t_mean)^2
+    is never formed as the cancellation S0 S2 - S1^2.  Returns (alpha, beta,
+    cov(alpha, beta)) with one entry (2x2 block) per row.
     """
+    u = u[:, None]
     u4 = u**4
-    y = (2.0 * u * dx) ** 2
-    z = y - 4.0 * u4 * t * t
-    design = np.column_stack([np.ones_like(t), t])
-    weighted = bool(np.all(stderr > 0))
-    if weighted:
-        sigma_z = 8.0 * u * u * dx * stderr  # first-order error propagation of the squaring
-        design_w = design / sigma_z[:, None]
-        z_w = z / sigma_z
-    else:
-        design_w = design
-        z_w = z
-    singular = np.linalg.svd(design_w, compute_uv=False)
-    if singular[-1] <= 0 or singular[0] / singular[-1] > 1e10:
+    z = (2.0 * u * dx) ** 2 - 4.0 * u4 * t * t
+    weighted = np.all(stderr > 0, axis=1)
+    sigma_z = 8.0 * u * u * dx * stderr  # first-order error propagation of the squaring
+    with np.errstate(divide="ignore"):
+        w = np.where(weighted[:, None], 1.0 / (sigma_z * sigma_z), 1.0)
+    s0 = w.sum(axis=1)
+    t_mean = (w * t).sum(axis=1) / s0
+    tc = t - t_mean[:, None]
+    s_tt = (w * tc * tc).sum(axis=1)
+    # condition number of the weighted design matrix [1, t]: the largest
+    # eigenvalue of its Gram matrix over the root of the determinant
+    s2 = s_tt + s0 * t_mean * t_mean
+    lam_max = 0.5 * (s0 + s2) + np.hypot(0.5 * (s0 - s2), s0 * t_mean)
+    if not np.all(lam_max <= _MAX_CONDITION * np.sqrt(s0 * s_tt)):
         raise FitError("measurement times too close together: fit is ill conditioned")
-    coef, _, _, _ = np.linalg.lstsq(design_w, z_w, rcond=None)
-    c0, c1 = float(coef[0]), float(coef[1])
-    beta = c1 / (8.0 * u4)
-    alpha = c0 - 4.0 * u4 * beta * beta
-    gram_inv = np.linalg.inv(design_w.T @ design_w)
-    if not weighted:
-        dof = len(t) - 2
-        resid = z_w - design_w @ coef
-        scale = float(resid @ resid) / dof if dof > 0 else 0.0
-        gram_inv = gram_inv * scale
-    jac = np.array([[1.0, -beta], [0.0, 1.0 / (8.0 * u4)]])
-    cov = jac @ gram_inv @ jac.T
+    z_mean = (w * z).sum(axis=1) / s0
+    zc = z - z_mean[:, None]
+    c1 = (w * tc * zc).sum(axis=1) / s_tt
+    c0 = z_mean - c1 * t_mean
+    resid = zc - c1[:, None] * tc
+    scale = np.where(weighted, 1.0, (resid * resid).sum(axis=1) / (t.size - 2))
+    gain = 1.0 / (8.0 * u4[:, 0])
+    beta = c1 * gain
+    alpha = c0 - 4.0 * u4[:, 0] * beta * beta
+    var_c1 = scale / s_tt
+    lever = t_mean + beta
+    cov = np.empty((alpha.size, 2, 2))
+    cov[:, 0, 0] = scale / s0 + lever * lever * var_c1
+    cov[:, 0, 1] = cov[:, 1, 0] = -gain * lever * var_c1
+    cov[:, 1, 1] = gain * gain * var_c1
     return alpha, beta, cov
+
+
+def _fit_rows(u, t, dx, stderr, u_stderr):
+    """(alpha, beta, param_cov, residual_rms) of every row; see fit_dispersion_curve."""
+    if t.size < 3:
+        raise FitError(f"need at least 3 measurement times, got {t.size}")
+    alpha, beta, cov = _linear_fit(u, t, dx, stderr)
+    if np.any(u_stderr > 0):
+        h = 1e-6 * u
+        a_hi, b_hi, _ = _linear_fit(u + h, t, dx, stderr)
+        a_lo, b_lo, _ = _linear_fit(u - h, t, dx, stderr)
+        grad = np.stack([a_hi - a_lo, b_hi - b_lo], axis=1) / (2.0 * h[:, None])
+        cov = cov + grad[:, :, None] * grad[:, None, :] * (u_stderr * u_stderr)[:, None, None]
+    model_dx = _dispersion_curve(u[:, None], alpha[:, None], np.abs(t + beta[:, None]))
+    residual_rms = np.sqrt(np.mean((model_dx - dx) ** 2, axis=1))
+    return alpha, beta, cov, residual_rms
 
 
 def fit_dispersion_curve(
@@ -430,22 +505,16 @@ def fit_dispersion_curve(
     is folded into the parameter covariance via the finite-difference
     sensitivity of (alpha, beta) to u_hat.  Needs >= 3 distinct times.
     """
-    if len(series) < 3:
-        raise FitError(f"need at least 3 measurement times, got {len(series)}")
-    t = series.times
-    dx = series.dx
-    stderr = series.stderr
-    alpha, beta, cov = _linear_fit(u_hat, t, dx, stderr)
-    if u_stderr > 0:
-        h = 1e-6 * u_hat
-        a_hi, b_hi, _ = _linear_fit(u_hat + h, t, dx, stderr)
-        a_lo, b_lo, _ = _linear_fit(u_hat - h, t, dx, stderr)
-        grad = np.array([(a_hi - a_lo) / (2.0 * h), (b_hi - b_lo) / (2.0 * h)])
-        cov = cov + np.outer(grad, grad) * u_stderr * u_stderr
-    model_dx = _dispersion_curve(u_hat, alpha, np.abs(t + beta))
-    residual_rms = float(np.sqrt(np.mean((model_dx - dx) ** 2)))
+    alpha, beta, cov, residual_rms = _fit_rows(
+        np.array([u_hat]), series.times, series.dx[None, :], series.stderr[None, :],
+        np.array([u_stderr]),
+    )
     return FitOutcome(
-        u_hat=u_hat, alpha=alpha, beta=beta, param_cov=cov, residual_rms=residual_rms
+        u_hat=u_hat,
+        alpha=float(alpha[0]),
+        beta=float(beta[0]),
+        param_cov=cov[0],
+        residual_rms=float(residual_rms[0]),
     )
 
 
@@ -481,14 +550,26 @@ def entanglement_width_from_alpha(alpha: float, u: float) -> float:
 
     b = (alpha / (u^4 (alpha - 1)))^(1/4) for alpha > 1; alpha = 1 is the
     separable limit (b = inf); alpha < 1 has no preimage in the family.
+    Scalars give a float; arrays of alpha and u give an array.
     """
-    if not u > 0:
+    alpha = np.asarray(alpha, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if not np.all(u > 0):
         raise DomainError(f"momentum dispersion u must be positive, got {u}")
-    if alpha < 1.0:
+    if np.any(alpha < 1.0):
         raise DomainError(f"alpha must be >= 1 to invert, got {alpha}")
-    if alpha == 1.0:
-        return math.inf
-    return (alpha / (u**4 * (alpha - 1.0))) ** 0.25
+    with np.errstate(divide="ignore"):  # alpha = 1 gives b = inf
+        b = np.sqrt(np.sqrt(alpha / (u**4 * (alpha - 1.0))))
+    return b if b.ndim else float(b)
+
+
+def _blind_verdicts(u, alpha, alpha_sigma, threshold_sigmas):
+    """(z, verdict arrays) of the blind z-test of alpha against 1."""
+    sigma = np.maximum(alpha_sigma, _SIGMA_FLOOR * np.maximum(1.0, np.abs(alpha)))
+    z = (alpha - 1.0) / sigma
+    entangled = z > threshold_sigmas
+    separable = ~entangled & (z >= -threshold_sigmas)
+    return z, _verdicts(z, entangled, separable, alpha, u)
 
 
 def classify_blind(
@@ -505,23 +586,13 @@ def classify_blind(
     unphysically under the separable floor, so the run is inconclusive.
     """
     fit = fit_dispersion_curve(u_hat, series, u_stderr)
-    sigma = max(fit.alpha_sigma, _SIGMA_FLOOR * max(1.0, abs(fit.alpha)))
-    z = (fit.alpha - 1.0) / sigma
-    if z > threshold_sigmas:
-        b_hat = entanglement_width_from_alpha(fit.alpha, u_hat)
-        return Verdict(ENTANGLED, b_hat, _confidence(z)), fit
-    if z >= -threshold_sigmas:
-        return Verdict(SEPARABLE, math.inf, 1.0 - _confidence(z)), fit
-    return Verdict(INCONCLUSIVE, math.inf, 0.0), fit
+    _, verdicts = _blind_verdicts(
+        np.array([u_hat]), np.array([fit.alpha]), np.array([fit.alpha_sigma]), threshold_sigmas
+    )
+    return _verdict(*verdicts), fit
 
 
 # --- simulation drivers --------------------------------------------------------
-
-
-def _trial_streams(seed: int, trial: int, count: int) -> list[np.random.Generator]:
-    """Independent generators keyed by (seed, trial, substream index)."""
-    root = np.random.SeedSequence(entropy=[int(seed), int(trial)])
-    return [np.random.default_rng(child) for child in root.spawn(count)]
 
 
 def measure_position_series(
@@ -547,6 +618,44 @@ def exact_position_series(scenario: HiddenScenario, times) -> DispersionSeries:
     return DispersionSeries.from_arrays(times, dx, zeros, zeros)
 
 
+def _chi2_draws(seed: int, first_trial: int, trials: int, size: int, n: int) -> np.ndarray:
+    """(trials, size) chi-square(n - 1) variates; row k comes from the stream
+    of trial first_trial + k alone, so it never depends on the batch."""
+    draws = np.empty((trials, size))
+    for row in range(trials):
+        stream = np.random.Philox(key=seed + ((first_trial + row) << 64))
+        draws[row] = np.random.Generator(stream).chisquare(n - 1, size=size)
+    return draws
+
+
+def _trial_dispersions(scenario, times, n, seed, first_trial, trials, noiseless):
+    """(u_hat, u_stderr, dx_hat, stderr) of each trial: the momentum
+    sub-ensemble, then one position sub-ensemble per time, sampled or exact."""
+    seed, first_trial, trials = int(seed), int(first_trial), int(trials)
+    if not 0 <= seed < 1 << 64:
+        raise DomainError(f"seed must lie in [0, 2^64), got {seed}")
+    if trials < 0:
+        raise DomainError(f"number of trials must be nonnegative, got {trials}")
+    if not 0 <= first_trial <= (1 << 64) - trials:
+        raise DomainError(f"trial indices must lie in [0, 2^64), got first trial {first_trial}")
+    if not noiseless:
+        if n < 2:
+            raise DomainError(f"need at least 2 samples, got {n}")
+        if np.any(times < 0):
+            raise DomainError(f"measurement time must be nonnegative, got {times.min()}")
+    params = scenario.params
+    sigma = np.concatenate(
+        [[momentum_dispersion(params)], position_dispersion(times + scenario.t0, params)]
+    )
+    if noiseless:
+        dx = np.tile(sigma, (trials, 1))
+        stderr = np.zeros_like(dx)
+    else:
+        dx = sigma * np.sqrt(_chi2_draws(seed, first_trial, trials, sigma.size, n) / (n - 1))
+        stderr = dx / math.sqrt(2.0 * (n - 1))
+    return dx[:, 0], stderr[:, 0], dx[:, 1:], stderr[:, 1:]
+
+
 @dataclass(frozen=True)
 class BlindTrialResult:
     verdict: Verdict
@@ -566,6 +675,139 @@ class KnownOriginTrialResult:
     predicted_separable: float
 
 
+@dataclass(frozen=True)
+class BlindBatch:
+    """Blind campaigns of consecutive trials, one array entry (or row) per trial.
+
+    ``dx_hat`` and ``stderr`` are (trials, times); ``n_samples`` is the
+    sub-ensemble size, 0 for exact series; ``z`` is the z-score of alpha
+    against 1.
+    """
+
+    times: np.ndarray
+    n_samples: int
+    u_hat: np.ndarray
+    u_stderr: np.ndarray
+    dx_hat: np.ndarray
+    stderr: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    param_cov: np.ndarray
+    alpha_sigma: np.ndarray
+    residual_rms: np.ndarray
+    z: np.ndarray
+    classification: np.ndarray
+    b_hat: np.ndarray
+    confidence: np.ndarray
+
+    def result(self, row: int) -> BlindTrialResult:
+        """Row ``row`` as a single-trial result."""
+        u_hat = float(self.u_hat[row])
+        fit = FitOutcome(
+            u_hat=u_hat,
+            alpha=float(self.alpha[row]),
+            beta=float(self.beta[row]),
+            param_cov=self.param_cov[row].copy(),
+            residual_rms=float(self.residual_rms[row]),
+        )
+        counts = np.full(self.times.size, self.n_samples)
+        series = DispersionSeries.from_arrays(
+            self.times, self.dx_hat[row], self.stderr[row], counts
+        )
+        verdict = _verdict(self.classification, self.b_hat, self.confidence, row)
+        return BlindTrialResult(verdict, fit, series, u_hat, float(self.u_stderr[row]))
+
+
+@dataclass(frozen=True)
+class KnownOriginBatch:
+    """Known-origin campaigns of consecutive trials, one array entry per trial.
+
+    ``z`` is the z-score of dx_hat against the separable prediction.
+    """
+
+    t_known: float
+    u_hat: np.ndarray
+    u_stderr: np.ndarray
+    dx_hat: np.ndarray
+    stderr: np.ndarray
+    predicted_separable: np.ndarray
+    z: np.ndarray
+    classification: np.ndarray
+    b_hat: np.ndarray
+    confidence: np.ndarray
+
+    def result(self, row: int) -> KnownOriginTrialResult:
+        """Entry ``row`` as a single-trial result."""
+        return KnownOriginTrialResult(
+            verdict=_verdict(self.classification, self.b_hat, self.confidence, row),
+            u_hat=float(self.u_hat[row]),
+            t_known=self.t_known,
+            dx_hat=float(self.dx_hat[row]),
+            stderr=float(self.stderr[row]),
+            predicted_separable=float(self.predicted_separable[row]),
+        )
+
+
+def run_blind_batch(
+    scenario: HiddenScenario,
+    times,
+    n_samples: int,
+    seed: int = 0,
+    first_trial: int = 0,
+    trials: int = 1,
+    threshold_sigmas: float = 3.0,
+    noiseless: bool = False,
+) -> BlindBatch:
+    """Blind campaigns of trials first_trial, ..., first_trial + trials - 1;
+    row k of the result is trial first_trial + k.
+
+    Each trial estimates u from a momentum sub-ensemble and the dispersion
+    from one sub-ensemble per time, then fits and classifies; all trials run
+    as arrays.  Raises DomainError unless 0 <= seed < 2^64 and the trial
+    indices are nonnegative.
+    """
+    times = np.array(times, dtype=float)
+    if np.any(np.diff(times) <= 0):
+        raise DomainError("measurement times must be strictly increasing")
+    u_hat, u_stderr, dx_hat, stderr = _trial_dispersions(
+        scenario, times, n_samples, seed, first_trial, trials, noiseless
+    )
+    alpha, beta, cov, residual_rms = _fit_rows(u_hat, times, dx_hat, stderr, u_stderr)
+    alpha_sigma = np.sqrt(np.maximum(cov[:, 0, 0], 0.0))
+    z, verdicts = _blind_verdicts(u_hat, alpha, alpha_sigma, threshold_sigmas)
+    return BlindBatch(
+        times, 0 if noiseless else n_samples, u_hat, u_stderr, dx_hat, stderr,
+        alpha, beta, cov, alpha_sigma, residual_rms, z, *verdicts,
+    )
+
+
+def run_known_origin_batch(
+    scenario: HiddenScenario,
+    t_meas: float,
+    n_samples: int,
+    seed: int = 0,
+    first_trial: int = 0,
+    trials: int = 1,
+    tolerance_sigmas: float = 3.0,
+    noiseless: bool = False,
+) -> KnownOriginBatch:
+    """Known-origin campaigns of trials first_trial, ..., first_trial + trials - 1.
+
+    The observer knows t0, hence the lab time; the verdict propagates the
+    sampling error of u_hat.  Same stream and range rules as
+    :func:`run_blind_batch`.
+    """
+    t_known = float(t_meas) + scenario.t0
+    u_hat, u_stderr, dx_hat, stderr = _trial_dispersions(
+        scenario, np.array([float(t_meas)]), n_samples, seed, first_trial, trials, noiseless
+    )
+    dx_hat, stderr = dx_hat[:, 0], stderr[:, 0]
+    predicted, z, verdicts = _known_origin_verdicts(
+        u_hat, t_known, dx_hat, stderr, u_stderr, tolerance_sigmas
+    )
+    return KnownOriginBatch(t_known, u_hat, u_stderr, dx_hat, stderr, predicted, z, *verdicts)
+
+
 def run_blind_trial(
     scenario: HiddenScenario,
     times,
@@ -575,20 +817,12 @@ def run_blind_trial(
     threshold_sigmas: float = 3.0,
     noiseless: bool = False,
 ) -> BlindTrialResult:
-    """One full blind campaign: momentum sub-ensemble, position series, fit."""
-    times = [float(tm) for tm in times]
-    if noiseless:
-        u_hat = momentum_dispersion(scenario.params)
-        u_stderr = 0.0
-        series = exact_position_series(scenario, times)
-    else:
-        rngs = _trial_streams(seed, trial, 1 + len(times))
-        u_hat, u_stderr = estimate_dispersion(sample_momentum(scenario, n_samples, rngs[0]))
-        series = measure_position_series(scenario, times, n_samples, rngs[1:])
-    verdict, fit = classify_blind(series, u_hat, u_stderr, threshold_sigmas)
-    return BlindTrialResult(
-        verdict=verdict, fit=fit, series=series, u_hat=u_hat, u_stderr=u_stderr
-    )
+    """One full blind campaign: momentum sub-ensemble, position series, fit.
+
+    The batch of :func:`run_blind_batch` over this one trial.
+    """
+    batch = run_blind_batch(scenario, times, n_samples, seed, trial, 1, threshold_sigmas, noiseless)
+    return batch.result(0)
 
 
 def run_known_origin_trial(
@@ -600,23 +834,11 @@ def run_known_origin_trial(
     tolerance_sigmas: float = 3.0,
     noiseless: bool = False,
 ) -> KnownOriginTrialResult:
-    """One known-origin campaign; the observer knows t0, hence the lab time."""
-    t_known = float(t_meas) + scenario.t0
-    if noiseless:
-        u_hat = momentum_dispersion(scenario.params)
-        dx_hat = position_dispersion(t_known, scenario.params)
-        stderr = 0.0
-    else:
-        rngs = _trial_streams(seed, trial, 2)
-        u_hat, _ = estimate_dispersion(sample_momentum(scenario, n_samples, rngs[0]))
-        samples = sample_position(scenario, float(t_meas), n_samples, rngs[1])
-        dx_hat, stderr = estimate_dispersion(samples)
-    verdict = classify_known_origin(u_hat, t_known, dx_hat, stderr, tolerance_sigmas)
-    return KnownOriginTrialResult(
-        verdict=verdict,
-        u_hat=u_hat,
-        t_known=t_known,
-        dx_hat=dx_hat,
-        stderr=stderr,
-        predicted_separable=predicted_dispersion_separable(u_hat, t_known),
+    """One known-origin campaign; the observer knows t0, hence the lab time.
+
+    The batch of :func:`run_known_origin_batch` over this one trial.
+    """
+    batch = run_known_origin_batch(
+        scenario, t_meas, n_samples, seed, trial, 1, tolerance_sigmas, noiseless
     )
+    return batch.result(0)

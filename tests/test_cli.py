@@ -244,3 +244,34 @@ def test_cli_import_leaves_scipy_unloaded():
         env=dict(os.environ, PYTHONPATH=path),
         check=True,
     )
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--seed", "-1"),
+        ("--seed", str(2**64)),
+        ("--trials", "-3"),
+        ("--mode", "1", "--times", ""),
+    ],
+)
+def test_protocol_input_escapes_exit_2(capsys, extra):
+    code, out, err = run_cli(
+        capsys, "protocol", "--mode", "2", "--a", "1", "--b", "2", "--n-samples", "100", *extra
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_protocol_metadata_names_rng_scheme(capsys):
+    _, payload = run_json(
+        capsys, "protocol", "--mode", "1", "--a", "1", "--b", "2", "--n-samples", "100"
+    )
+    assert payload["metadata"]["rng"] == "philox-chi2-v1"
+    if ENVELOPE_SCHEMA is not None:  # the schema requires the label on protocol runs
+        del payload["metadata"]["rng"]
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(payload, ENVELOPE_SCHEMA)
+    _, payload = run_json(capsys, "simon", "--a", "1", "--b", "2")
+    assert "rng" not in payload["metadata"]

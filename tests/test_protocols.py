@@ -28,7 +28,9 @@ from localent.protocols import (
     predicted_dispersion_entangled,
     predicted_dispersion_separable,
     refine_dispersion_fit,
+    run_blind_batch,
     run_blind_trial,
+    run_known_origin_batch,
     run_known_origin_trial,
     sample_momentum,
     sample_position,
@@ -417,8 +419,8 @@ def test_known_origin_monte_carlo():
         for k in range(100)
     )
     assert hits >= 99
-    # the tolerance band covers position noise only, so the separable side
-    # runs a little hotter than the nominal 3-sigma rate; still mostly right
+    # the tolerance band covers the position and momentum sampling errors,
+    # so the separable side sits near the nominal 3-sigma rate
     hits = sum(
         run_known_origin_trial(
             separable_scenario(), t_meas=1.0, n_samples=10_000, seed=43, trial=k
@@ -507,3 +509,125 @@ def test_verdict_invariants():
         Verdict("entangled", INF, 0.5)
     with pytest.raises(DomainError):
         Verdict("maybe", INF, 0.5)
+
+
+# --- batched engine ----------------------------------------------------------------
+
+
+def _ks_statistic(x, y):
+    """Two-sample Kolmogorov-Smirnov distance between the empirical CDFs."""
+    pooled = np.sort(np.concatenate([x, y]))
+    cdf_x = np.searchsorted(np.sort(x), pooled, side="right") / x.size
+    cdf_y = np.searchsorted(np.sort(y), pooled, side="right") / y.size
+    return float(np.max(np.abs(cdf_x - cdf_y)))
+
+
+def test_chi2_dispersions_match_born_reference():
+    # n = 20 is far from the large-n regime, so the exact chi-square law shows
+    n, trials, t_meas = 20, 4000, 0.7
+    scenario = entangled_scenario(t0=0.3, k_c=0.8)
+    batch = run_known_origin_batch(scenario, t_meas, n, seed=2024, trials=trials)
+    rng = np.random.default_rng(2025)
+    born_u = np.array([estimate_dispersion(sample_momentum(scenario, n, rng))[0]
+                       for _ in range(trials)])
+    born_dx = np.array([estimate_dispersion(sample_position(scenario, t_meas, n, rng))[0]
+                        for _ in range(trials)])
+    ks_critical = 1.95 * math.sqrt(2.0 / trials)  # two-sample KS at the 0.1% level
+    assert _ks_statistic(batch.u_hat, born_u) < ks_critical
+    assert _ks_statistic(batch.dx_hat, born_dx) < ks_critical
+    # E[s^2] = sigma^2, with Var(s^2 / sigma^2) = 2 / (n - 1)
+    tolerance = 4.0 * math.sqrt(2.0 / (n - 1) / trials)
+    sigma_u = momentum_dispersion(scenario.params)
+    sigma_x = position_dispersion(t_meas + scenario.t0, scenario.params)
+    assert abs(np.mean(batch.u_hat**2) / sigma_u**2 - 1.0) < tolerance
+    assert abs(np.mean(batch.dx_hat**2) / sigma_x**2 - 1.0) < tolerance
+    assert np.array_equal(batch.stderr, batch.dx_hat / math.sqrt(2.0 * (n - 1)))
+
+
+@pytest.mark.parametrize("trial", [0, 5, 150])
+def test_trials_are_bit_identical_whatever_the_batch(trial):
+    times = [0.0, 0.6, 1.2, 1.9]
+    scenario = entangled_scenario(t0=0.5)
+    alone = run_blind_batch(scenario, times, 10_000, seed=77, first_trial=trial, trials=1)
+    start = max(trial - 3, 0)
+    seven = run_blind_batch(scenario, times, 10_000, seed=77, first_trial=start, trials=7)
+    many = run_blind_batch(scenario, times, 10_000, seed=77, first_trial=0, trials=200)
+    for batch, row in ((seven, trial - start), (many, trial)):
+        for field in ("u_hat", "u_stderr", "dx_hat", "stderr", "alpha", "beta", "param_cov",
+                      "alpha_sigma", "residual_rms", "z", "classification", "b_hat",
+                      "confidence"):
+            assert np.array_equal(getattr(batch, field)[row], getattr(alone, field)[0]), field
+    single = run_blind_trial(scenario, times, 10_000, seed=77, trial=trial)
+    assert single.fit.alpha == alone.alpha[0]
+    assert single.series.dx.tolist() == alone.dx_hat[0].tolist()
+
+    known = run_known_origin_batch(scenario, 1.0, 10_000, seed=78, first_trial=start, trials=7)
+    one = run_known_origin_trial(scenario, 1.0, 10_000, seed=78, trial=trial)
+    assert (one.u_hat, one.dx_hat) == (known.u_hat[trial - start], known.dx_hat[trial - start])
+
+
+def test_noiseless_batches_draw_nothing(monkeypatch):
+    def no_streams(*args, **kwargs):
+        raise AssertionError("a noiseless run drew random numbers")
+
+    monkeypatch.setattr(np.random, "Philox", no_streams)
+    blind = run_blind_batch(entangled_scenario(t0=1.0), [0.0, 0.5, 1.0], 0, trials=3,
+                            noiseless=True)
+    assert set(blind.classification) == {"entangled"}
+    assert blind.n_samples == 0 and not blind.stderr.any()
+    known = run_known_origin_batch(separable_scenario(), 1.0, 0, trials=2, noiseless=True)
+    assert set(known.classification) == {"separable"}
+
+
+@pytest.mark.parametrize(
+    "seed, first_trial, trials",
+    [(-1, 0, 1), (2**64, 0, 1), (0, -1, 1), (0, 0, -3), (0, 2**64 - 1, 2)],
+)
+def test_stream_keys_out_of_range(seed, first_trial, trials):
+    with pytest.raises(DomainError):
+        run_blind_batch(separable_scenario(), [0.0, 1.0, 2.0], 100, seed=seed,
+                        first_trial=first_trial, trials=trials)
+
+
+def test_normal_equations_match_lstsq_reference():
+    # the design-matrix least squares the closed form replaces
+    times = np.linspace(0.0, 2.4, 6)
+    for seed, scenario in ((1, entangled_scenario(t0=0.5)), (2, separable_scenario(t0=1.5))):
+        rngs = [np.random.default_rng([seed, i]) for i in range(len(times))]
+        series = measure_position_series(scenario, times, 2000, rngs)
+        fit = fit_dispersion_curve(U_REF, series)
+        sigma_z = 8.0 * U_REF**2 * series.dx * series.stderr
+        design = np.column_stack([np.ones_like(times), times]) / sigma_z[:, None]
+        target = ((2.0 * U_REF * series.dx) ** 2 - 4.0 * U_REF**4 * times**2) / sigma_z
+        (c0, c1), *_ = np.linalg.lstsq(design, target, rcond=None)
+        beta = c1 / (8.0 * U_REF**4)
+        jac = np.array([[1.0, -beta], [0.0, 1.0 / (8.0 * U_REF**4)]])
+        cov = jac @ np.linalg.inv(design.T @ design) @ jac.T
+        assert fit.beta == pytest.approx(beta, rel=1e-9)
+        assert fit.alpha == pytest.approx(c0 - 4.0 * U_REF**4 * beta**2, rel=1e-9)
+        np.testing.assert_allclose(fit.param_cov, cov, rtol=1e-9)
+
+
+def test_known_origin_band_includes_u_error():
+    t, u, stderr, u_stderr = 3.0, U_REF, 0.01, 0.005
+    slope = (4 * u**4 * t * t - 1) / (2 * u * u * math.sqrt(1 + 4 * u**4 * t * t))
+    sigma = math.hypot(stderr, slope * u_stderr)
+    dx = predicted_dispersion_separable(u, t) + 3.5 * stderr
+    assert sigma > 3.5 * stderr / 3.0
+    assert classify_known_origin(u, t, dx, stderr).classification == "entangled"
+    verdict = classify_known_origin(u, t, dx, stderr, u_stderr=u_stderr)
+    assert verdict.classification == "separable"
+    assert verdict.confidence == pytest.approx(1.0 - math.erf(3.5 * stderr / sigma / math.sqrt(2)))
+
+
+def test_classifiers_are_calibrated():
+    # z-scores of a separable source have unit spread, so the 3-sigma bands
+    # give their nominal false-alarm rates
+    scenario = separable_scenario(t0=0.5)
+    times = np.linspace(0.0, critical_time(U_REF, B_REF), 5)
+    blind = run_blind_batch(scenario, times, 10_000, seed=31, trials=2000)
+    assert 0.9 <= np.std(blind.z) <= 1.1
+    for seed, t_meas in ((32, 0.25), (33, 1.0), (34, 3.0)):
+        known = run_known_origin_batch(separable_scenario(), t_meas, 10_000, seed=seed,
+                                       trials=2000)
+        assert 0.9 <= np.std(known.z) <= 1.1, t_meas

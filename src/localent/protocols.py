@@ -391,6 +391,8 @@ def _verdict(classification, b_hat, confidence, row: int = 0) -> Verdict:
 
 def _known_origin_verdicts(u, t_known, dx, stderr, u_stderr, tolerance_sigmas):
     """(predicted, z, verdict arrays) of protocol 1 for arrays of trials."""
+    if not tolerance_sigmas > 0:  # NaN fails too
+        raise DomainError(f"tolerance must be a positive number of sigmas, got {tolerance_sigmas}")
     predicted = _dispersion_curve(u, 1.0, t_known)
     spread = 4.0 * u**4 * t_known * t_known
     # d predicted / du, which carries the sampling error of u into sigma
@@ -565,6 +567,8 @@ def entanglement_width_from_alpha(alpha: float, u: float) -> float:
 
 def _blind_verdicts(u, alpha, alpha_sigma, threshold_sigmas):
     """(z, verdict arrays) of the blind z-test of alpha against 1."""
+    if not threshold_sigmas > 0:  # NaN fails too
+        raise DomainError(f"threshold must be a positive number of sigmas, got {threshold_sigmas}")
     sigma = np.maximum(alpha_sigma, _SIGMA_FLOOR * np.maximum(1.0, np.abs(alpha)))
     z = (alpha - 1.0) / sigma
     entangled = z > threshold_sigmas

@@ -1,14 +1,20 @@
 """Command-line interface: values, formats, determinism and exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import localent
 from localent.cli import main
@@ -275,3 +281,96 @@ def test_protocol_metadata_names_rng_scheme(capsys):
             jsonschema.validate(payload, ENVELOPE_SCHEMA)
     _, payload = run_json(capsys, "simon", "--a", "1", "--b", "2")
     assert "rng" not in payload["metadata"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "eof-surface --a-steps -1",
+        "dispersion-curve --u 1 --b 2 --t-steps -1",
+        "eof-surface --a-steps 2 --b-steps 2 --b-min 1e-200",
+        "simon --a 1 --b 1e-200",
+        "simon --a 1e200 --b 1",
+        "oracle-check --a 1 --b 2 --times ,",
+        "protocol --mode 1 --a 1e-200 --b 2 --noiseless",
+        "protocol --mode 2 --a 1e200 --b 2 --noiseless",
+        "protocol --mode 2 --a 1 --b inf --times 0,1,2 --noiseless --threshold-sigmas -1",
+        "protocol --mode 1 --a 1 --b 2 --noiseless --threshold-sigmas -1",
+        "protocol --mode 1 --a 1 --b 2 --noiseless --threshold-sigmas 0",
+        "protocol --mode 2 --a 1 --b 2 --n-samples 100 --threshold-sigmas nan",
+        "simon --a nan --b 2 --format csv",
+    ],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_escapes_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+_FLOATS = st.one_of(
+    st.builds(lambda sign, exponent: sign * 10.0**exponent,
+              st.sampled_from((1.0, -1.0)), st.floats(-300.0, 300.0)),
+    st.sampled_from((0.0, math.inf, math.nan)),
+)
+_COUNTS = st.integers(-3, 12)
+
+
+@st.composite
+def _fuzz_argv(draw):
+    def opt(name, values=_FLOATS):
+        return f"--{name}={draw(values)}"
+
+    command = draw(st.sampled_from(("simon", "eof-surface", "dispersion-curve", "protocol")))
+    if command == "simon":
+        argv = [opt("a"), opt("b")]
+    elif command == "eof-surface":
+        argv = [opt(name, _COUNTS if name.endswith("steps") else _FLOATS)
+                for name in ("a-min", "a-max", "a-steps", "b-min", "b-max", "b-steps")]
+    elif command == "dispersion-curve":
+        argv = [opt(name, _COUNTS if name == "t-steps" else _FLOATS)
+                for name in ("u", "b", "t-min", "t-max", "t-steps", "offset")]
+    else:
+        times = ",".join(repr(t) for t in draw(st.lists(_FLOATS, max_size=4)))
+        argv = [opt("mode", st.sampled_from((1, 2))), opt(draw(st.sampled_from(("a", "u")))),
+                opt("b"), opt("kc"), opt("t0"), f"--times={times}",
+                opt("n-samples", st.one_of(_COUNTS, st.just(10_000))), opt("trials", _COUNTS),
+                opt("seed", _COUNTS), opt("threshold-sigmas")]
+        argv += ["--noiseless"] if draw(st.booleans()) else []
+    return [command, *argv, opt("format", st.sampled_from(("json", "csv")))]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite intermediates are expected
+@given(argv=_fuzz_argv())
+@settings(max_examples=300, deadline=None)
+def test_cli_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), err.getvalue()
+    if code == 0 and "--format=json" in argv:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    if code in (2, 4):
+        assert out.getvalue() == ""
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    joined = re.sub(r"\\\n\s*", " ", block)
+    return [line for line in joined.splitlines() if line.startswith("localent ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_examples_run(tmp_path, capsys, line):
+    argv = shlex.split(line)[1:]
+    if "--out" in argv:
+        at = argv.index("--out") + 1
+        argv[at] = str(tmp_path / argv[at])
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err

@@ -60,6 +60,13 @@ def test_covariance_matrix_is_physical():
             check_physical(covariance_matrix(PairParams(a=a, b=b)), hbar=1.0)
 
 
+def test_covariance_matrix_is_physical_over_the_family():
+    # the CLI's simon skips the check on the family's own matrices
+    for a in np.logspace(-3.0, 3.0, 7):
+        for b in [*(a / np.logspace(-4.0, 4.0, 9)), INF]:
+            check_physical(covariance_matrix(PairParams(a=float(a), b=float(b))), hbar=1.0)
+
+
 def test_check_physical_rejects_sub_vacuum():
     bad = CovMatrix4(A=np.diag([0.1, 0.1]), B=np.diag([0.1, 0.1]), C=np.zeros((2, 2)))
     with pytest.raises(DomainError):

@@ -631,3 +631,16 @@ def test_classifiers_are_calibrated():
         known = run_known_origin_batch(separable_scenario(), t_meas, 10_000, seed=seed,
                                        trials=2000)
         assert 0.9 <= np.std(known.z) <= 1.1, t_meas
+
+
+@pytest.mark.parametrize("sigmas", [-1.0, 0.0, math.nan])
+def test_non_positive_thresholds_are_rejected(sigmas):
+    series = exact_position_series(separable_scenario(t0=2.0), [0.0, 1.0, 2.0])
+    with pytest.raises(DomainError):
+        classify_blind(series, u_hat=U_REF, threshold_sigmas=sigmas)
+    with pytest.raises(DomainError):
+        classify_known_origin(1.0, 1.0, math.sqrt(5.0) / 2.0, 0.0, tolerance_sigmas=sigmas)
+    with pytest.raises(DomainError):
+        run_blind_batch(separable_scenario(), [0.0, 1.0, 2.0], 100, threshold_sigmas=sigmas)
+    with pytest.raises(DomainError):
+        run_known_origin_batch(separable_scenario(), 1.0, 100, tolerance_sigmas=sigmas)

@@ -7,6 +7,12 @@ correlation-matrix entry is recomputed by midpoint quadrature.  Nothing here
 reuses the closed-form dispersions, which is what makes these numbers an
 independent check of them.
 
+Each grid transforms its amplitudes at most once: ``WaveGrid.spectrum`` and
+``WaveGrid.density`` are computed on first use and shared by every
+quadrature.  ``evolve`` multiplies the spectrum by the free phase, which
+factorises into one n-vector per particle, and hands the product to the
+evolved grid as that grid's own spectrum.
+
 Conventions: amplitudes[i, j] = psi(x1_i, x2_j) on the uniform axis
 [-L/2, L/2) with n points; wavenumbers follow numpy's FFT ordering.
 """
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,9 +69,25 @@ class WaveGrid:
     def k_axis(self) -> np.ndarray:
         return 2.0 * math.pi * np.fft.fftfreq(self.n, d=self.dx)
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """fft2 of the amplitudes (read-only), in numpy's FFT ordering."""
+        return _read_only(np.fft.fft2(self.amplitudes))
+
+    @cached_property
+    def density(self) -> np.ndarray:
+        """|psi|^2 on the grid points (read-only)."""
+        return _read_only(self.amplitudes.real ** 2 + self.amplitudes.imag ** 2)
+
     def norm(self) -> float:
         """Quadrature of |psi|^2 over the plane; 1 up to grid error."""
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.dx * self.dx)
+        return float(np.sum(self.density) * self.dx * self.dx)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, flagged so that no caller can corrupt a grid's cached copy."""
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -102,9 +125,8 @@ def default_extent(params: PairParams, t_max: float = 0.0) -> float:
 
 def boundary_leakage(grid: WaveGrid) -> float:
     """Probability mass in the outermost two cells along each edge."""
-    density = np.abs(grid.amplitudes) ** 2 * grid.dx * grid.dx
-    core = density[2:-2, 2:-2]
-    return float(density.sum() - core.sum())
+    density = grid.density
+    return float(density.sum() - density[2:-2, 2:-2].sum()) * grid.dx * grid.dx
 
 
 def initial_grid(
@@ -146,19 +168,23 @@ def initial_grid(
 def evolve(grid: WaveGrid, t: float) -> WaveGrid:
     """Advance the wavefunction by time t with the exact free propagator.
 
-    One FFT round-trip applies exp(-i hbar (k1^2 + k2^2) t / 2m); unitary up
-    to roundoff, so the norm is preserved to ~1e-15 per call.  Raises when
-    the evolved packet reaches the grid boundary.
+    The phase exp(-i hbar (k1^2 + k2^2) t / 2m) is the outer product of one
+    n-vector with itself, applied to ``grid.spectrum`` and followed by one
+    inverse FFT; the product is the evolved grid's own spectrum, so the
+    evolved grid needs no forward transform.  Unitary up to roundoff, so the
+    norm is preserved to ~1e-15 per call.  Raises when the evolved packet
+    reaches the grid boundary.
     """
     if t < 0:
         raise DomainError(f"time step must be nonnegative, got {t}")
     c = grid.params.constants
     k = grid.k_axis
-    k1 = k[:, None]
-    k2 = k[None, :]
-    phase = np.exp(-1j * c.hbar * (k1 * k1 + k2 * k2) * t / (2.0 * c.mass))
-    amp = np.fft.ifft2(np.fft.fft2(grid.amplitudes) * phase)
+    e = np.exp(-1j * c.hbar * k * k * t / (2.0 * c.mass))
+    phi = grid.spectrum * e[:, None]
+    phi *= e[None, :]
+    amp = np.fft.ifft2(phi)
     out = WaveGrid(n=grid.n, extent=grid.extent, amplitudes=amp, params=grid.params, t=grid.t + t)
+    vars(out)["spectrum"] = _read_only(phi)  # the cache slot cached_property reads
     leak = boundary_leakage(out)
     if leak > LEAKAGE_LIMIT:
         raise GridError(
@@ -177,7 +203,7 @@ def moments(grid: WaveGrid) -> MomentSet:
     x = grid.axis
     x1 = x[:, None]
     x2 = x[None, :]
-    w = np.abs(psi) ** 2 * dx2
+    w = grid.density * dx2
     norm = float(w.sum())
     mean_x1 = float((w * x1).sum()) / norm
     mean_x2 = float((w * x2).sum()) / norm
@@ -185,7 +211,7 @@ def moments(grid: WaveGrid) -> MomentSet:
     var_x2 = float((w * x2 * x2).sum()) / norm - mean_x2 * mean_x2
     cov_x1x2 = float((w * x1 * x2).sum()) / norm - mean_x1 * mean_x2
 
-    phi = np.fft.fft2(psi)
+    phi = grid.spectrum
     wk = np.abs(phi) ** 2
     wk = wk / wk.sum()
     k = grid.k_axis
@@ -244,14 +270,13 @@ def numeric_covariance_matrix(grid: WaveGrid) -> CovMatrix4:
 
 def position_marginal(grid: WaveGrid) -> tuple[np.ndarray, np.ndarray]:
     """Marginal density of x1, integrating |psi|^2 over x2 by midpoint rule."""
-    density = np.sum(np.abs(grid.amplitudes) ** 2, axis=1) * grid.dx
+    density = np.sum(grid.density, axis=1) * grid.dx
     return grid.axis.copy(), density
 
 
 def momentum_marginal(grid: WaveGrid) -> tuple[np.ndarray, np.ndarray]:
     """Marginal density of k1 from the spectral density, sorted by wavenumber."""
-    phi = np.fft.fft2(grid.amplitudes)
-    density = np.sum(np.abs(phi) ** 2, axis=1)
+    density = np.sum(np.abs(grid.spectrum) ** 2, axis=1)
     k = grid.k_axis
     order = np.argsort(k)
     k = k[order]

@@ -203,6 +203,9 @@ def initial_amplitude(x1, x2, params: PairParams):
     f2 = entanglement_factor(2, params)
     cross = 2.0 / (params.b * params.b)  # exactly 0.0 in the separable limit
     prefactor = math.sqrt(2.0 / (math.pi * a2)) * f2**0.25
-    phase = np.exp(1j * params.k_c * (x1 - x2))
+    # exp(i k_c (x1 - x2)) as a product: n + n exponentials on a broadcast grid
+    phase = np.exp(1j * params.k_c * x1) * np.exp(-1j * params.k_c * x2)
+    # the envelope stays one exponent: its factors could overflow or underflow
+    # where their product is finite
     envelope = np.exp(-(f1 / a2) * (x1 * x1 + x2 * x2) + cross * x1 * x2)
     return prefactor * phase * envelope

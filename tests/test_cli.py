@@ -9,9 +9,11 @@ import re
 import shlex
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -192,6 +194,63 @@ def test_oracle_check_passes(capsys):
         assert check["rel_dx"] < 1e-3
         assert check["rel_dp"] < 1e-3
         assert check["norm_drift"] < 1e-10
+
+
+ORACLE_ARGV = ("oracle-check", "--a", "1", "--b", "2", "--kc", "0.5", "--times", "0,0.5,1,2",
+               "--grid-n", "256")
+
+
+def test_oracle_check_makes_six_transforms(capsys, monkeypatch):
+    # one forward transform of the t = 0 grid, one inverse per evolution,
+    # two inverses in the covariance quadrature
+    calls = []
+
+    def counted(name):
+        transform = getattr(np.fft, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return transform(*args, **kwargs)
+
+        return call
+
+    for name in ("fft2", "ifft2"):
+        monkeypatch.setattr(np.fft, name, counted(name))
+    code, _, _ = run_cli(capsys, *ORACLE_ARGV)
+    assert code == 0
+    assert sorted(calls) == ["fft2"] + ["ifft2"] * 5
+
+
+def test_oracle_check_releases_each_evolved_grid(capsys, monkeypatch):
+    # a 1024 grid holds 40 MB of amplitudes, spectrum and density: keeping the
+    # previous one alive during the next evolution raises the peak memory
+    evolved = []
+
+    def tracked(grid, t):
+        assert all(ref() is None for ref in evolved), "an earlier evolved grid is still alive"
+        out = real_evolve(grid, t)
+        evolved.append(weakref.ref(out))
+        return out
+
+    real_evolve = localent.cli.evolve
+    monkeypatch.setattr(localent.cli, "evolve", tracked)
+    code, _, _ = run_cli(capsys, *ORACLE_ARGV)
+    assert code == 0
+    assert len(evolved) == 3
+
+
+def test_overflow_warnings_stay_off_stderr():
+    # numpy would warn about the overflowing intermediates before the error line
+    src = str(Path(localent.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "localent.cli", "protocol", "--mode", "2", "--a", "1e200",
+         "--b", "2", "--noiseless"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert re.fullmatch(r"error: [^\n]*\n", done.stderr)
 
 
 def test_oracle_check_grid_failure_exits_3(capsys):

@@ -83,6 +83,39 @@ def test_evolution_detects_boundary_hit():
         evolve(grid, 2.0)
 
 
+def _reference_evolve(psi: np.ndarray, k: np.ndarray, t: float) -> np.ndarray:
+    """The unfactorised propagator, transforming psi afresh (hbar = m = 1)."""
+    phase = np.exp(-1j * (k[:, None] ** 2 + k[None, :] ** 2) * t / 2.0)
+    return np.fft.ifft2(np.fft.fft2(psi) * phase)
+
+
+@pytest.mark.parametrize("b,k_c", [(2.0, 0.0), (INF, 0.7), (1.2, -1.3)])
+def test_factorised_cached_evolution_is_exact(b, k_c):
+    grid0 = initial_grid(PairParams(a=1.0, b=b, k_c=k_c), n=256, t_max=4.0)
+    for t in (0.5, 2.0):
+        evolved = evolve(grid0, t)
+        reference = _reference_evolve(grid0.amplitudes, grid0.k_axis, t)
+        assert np.abs(evolved.amplitudes - reference).max() < 1e-12 * np.abs(reference).max()
+        # the seeded spectrum is the evolved grid's own, not the t = 0 one
+        phi = np.fft.fft2(evolved.amplitudes)
+        assert np.abs(evolved.spectrum - phi).max() < 1e-12 * np.abs(phi).max()
+        twice = evolve(evolved, t)  # evolving from a seeded spectrum
+        reference = _reference_evolve(reference, grid0.k_axis, t)
+        assert np.abs(twice.amplitudes - reference).max() < 1e-12 * np.abs(reference).max()
+
+
+def test_grid_caches_are_exact_and_read_only():
+    grid0 = initial_grid(PairParams(a=1.0, b=2.0, k_c=0.5), n=128, t_max=1.0)
+    evolved = evolve(grid0, 1.0)
+    for grid in (grid0, evolved):
+        expected = np.abs(grid.amplitudes) ** 2
+        np.testing.assert_allclose(grid.density, expected, rtol=1e-15, atol=0.0)
+        assert grid.spectrum is grid.spectrum and grid.density is grid.density
+        for cached in (grid.spectrum, grid.density):
+            with pytest.raises(ValueError):
+                cached[0, 0] = 0.0
+
+
 def test_quadrature_dispersion_examples():
     sep = initial_grid(PairParams(a=1.0, b=INF), n=512, t_max=1.0)
     x, dens = position_marginal(evolve(sep, 1.0))

@@ -6,6 +6,10 @@ Subcommands emit analysis tables and protocol runs as CSV or JSON:
 JSON payloads carry a config echo plus {seed, version} metadata, and
 ``protocol`` adds ``rng``, the label of its random-stream scheme.  CSV runs
 echo the config (every option but ``--format`` and ``--out``) to stderr.
+JSON text is written by this module's own encoder with the bytes of
+``json.dumps(value, indent=2, allow_nan=False)``; ``protocol`` trials are
+rendered column by column straight from the batch arrays.  The argument
+parser is built once per process, on the first ``main`` call.
 Exit codes: 0 ok, 2 domain violation or a result that is not finite,
 3 oracle-check tolerance failure (or grid error), 4 ill-conditioned fit.
 """
@@ -13,9 +17,11 @@ Exit codes: 0 ok, 2 domain violation or a result that is not finite,
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import math
 import sys
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -65,11 +71,84 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json(value, indent=None) -> str:
-    try:
-        return json.dumps(value, indent=indent, allow_nan=False)
-    except ValueError:
-        raise DomainError(OUT_OF_RANGE) from None
+@dataclass(frozen=True)
+class _Records:
+    """A JSON array of ``count`` records of one shape.  ``skeleton`` is a
+    record whose leaves that vary are 1-D arrays, one entry per record (a
+    column); it is encoded once, as a template that each record's column
+    texts fill."""
+
+    skeleton: dict
+    count: int
+
+
+_SLOT = "\x00"  # a column leaf in a template; encoded strings escape it
+
+
+def _dumps(value, indent: str | None = "  ", pad: str = "", slots: list | None = None) -> str:
+    """``json.dumps(value, indent=len(indent), allow_nan=False)``, or the
+    one-line form with ", " and ": " separators when ``indent`` is None.
+
+    Also takes ``_Records``.  Keys must be strings.  A non-finite float
+    raises DomainError.  ``pad`` is the indent of the value's own line, and
+    ``slots`` collects the texts of the columns of a ``_Records`` skeleton.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise DomainError(OUT_OF_RANGE)
+        return float.__repr__(value)
+    if isinstance(value, np.ndarray):  # a column of a _Records skeleton
+        slots.append(_column_texts(value))
+        return _SLOT
+    inner = pad if indent is None else pad + indent
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{encode_basestring_ascii(key)}: {_dumps(item, indent, inner, slots)}"
+                 for key, item in value.items()]
+    elif isinstance(value, _Records):
+        brackets = "[]"
+        items = _record_texts(value, indent, inner)
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        items = [_dumps(item, indent, inner, slots) for item in value]
+    else:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    if indent is None:
+        return brackets[0] + ", ".join(items) + brackets[1]
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+
+
+def _record_texts(records: _Records, indent: str | None, pad: str) -> list[str]:
+    """One text per record: the skeleton's template filled row by row."""
+    if not records.count:
+        return []
+    slots: list[list[str]] = []
+    template = _dumps(records.skeleton, indent, pad, slots)
+    template = template.replace("%", "%%").replace(_SLOT, "%s")
+    rows = zip(*slots) if slots else [()] * records.count
+    return [template % row for row in rows]
+
+
+def _column_texts(column: np.ndarray) -> list[str]:
+    """The JSON texts of a column: a float column is checked for non-finite
+    entries once and written by ``float.__repr__`` as a whole."""
+    if column.dtype.kind == "f":
+        if not np.isfinite(column).all():
+            raise DomainError(OUT_OF_RANGE)
+        return list(map(float.__repr__, column.tolist()))
+    return [_dumps(value, None) for value in column.tolist()]
 
 
 def _inf_str(value: float):
@@ -109,14 +188,14 @@ def _emit(args, config: dict, results, records, columns, rng: str | None = None)
         if rng is not None:
             metadata["rng"] = rng
         payload = {"config": config, "results": results, "metadata": metadata}
-        text = _json(payload, indent=2) + "\n"
+        text = _dumps(payload) + "\n"
     else:
         if records is None:
             raise DomainError(f"command {args.command!r} has no CSV rendering")
         lines = [",".join(columns)]
         lines += [",".join(_fmt(record[c]) for c in columns) for record in records]
         text = "\n".join(lines) + "\n"
-        print(f"config: {_json(config)}", file=sys.stderr)
+        print(f"config: {_dumps(config, indent=None)}", file=sys.stderr)
     if args.out:
         with open(args.out, "w", newline="") as handle:
             handle.write(text)
@@ -174,8 +253,11 @@ def cmd_dispersion_curve(args) -> int:
     return 0
 
 
-def _verdict_dict(classification: str, b_hat: float, confidence: float) -> dict:
-    return {"classification": classification, "b_hat": _inf_str(b_hat), "confidence": confidence}
+def _verdict_columns(batch) -> dict:
+    b_hat = batch.b_hat.astype(object)
+    b_hat[np.isinf(batch.b_hat)] = "inf"  # as _inf_str
+    return {"classification": batch.classification, "b_hat": b_hat,
+            "confidence": batch.confidence}
 
 
 def cmd_protocol(args) -> int:
@@ -195,45 +277,35 @@ def cmd_protocol(args) -> int:
     if args.mode == 1:
         batch = run_known_origin_batch(scenario, t_meas=times[0],
                                        tolerance_sigmas=args.threshold_sigmas, **run)
-        columns = (batch.classification, batch.b_hat, batch.confidence, batch.u_hat,
-                   batch.dx_hat, batch.stderr, batch.predicted_separable)
-        trials = [
-            {"verdict": _verdict_dict(c, b, conf), "u_hat": u_hat, "t_known": batch.t_known,
-             "dx_hat": dx_hat, "stderr": stderr, "predicted_separable": predicted}
-            for c, b, conf, u_hat, dx_hat, stderr, predicted in zip(
-                *(column.tolist() for column in columns)
-            )
-        ]
+        trial = {"verdict": _verdict_columns(batch), "u_hat": batch.u_hat,
+                 "t_known": batch.t_known, "dx_hat": batch.dx_hat, "stderr": batch.stderr,
+                 "predicted_separable": batch.predicted_separable}
     else:
         batch = run_blind_batch(scenario, times=times, threshold_sigmas=args.threshold_sigmas,
                                 **run)
-        columns = (batch.classification, batch.b_hat, batch.confidence, batch.u_hat,
-                   batch.u_stderr, batch.alpha, batch.beta, batch.alpha_sigma,
-                   batch.param_cov, batch.residual_rms, batch.dx_hat, batch.stderr)
+        cov = batch.param_cov
         t_list = batch.times.tolist()
-        trials = [
-            {
-                "verdict": _verdict_dict(c, b, conf),
-                "u_hat": u_hat,
-                "u_stderr": u_stderr,
-                "fit": {"alpha": alpha, "beta": beta, "alpha_sigma": alpha_sigma,
-                        "param_cov": cov, "residual_rms": rms},
-                "series": [
-                    {"t": t, "dx_hat": d, "stderr": s, "n_samples": batch.n_samples}
-                    for t, d, s in zip(t_list, dx_row, stderr_row)
-                ],
-            }
-            for c, b, conf, u_hat, u_stderr, alpha, beta, alpha_sigma, cov, rms, dx_row,
-            stderr_row in zip(*(column.tolist() for column in columns))
-        ]
+        trial = {
+            "verdict": _verdict_columns(batch),
+            "u_hat": batch.u_hat,
+            "u_stderr": batch.u_stderr,
+            "fit": {"alpha": batch.alpha, "beta": batch.beta, "alpha_sigma": batch.alpha_sigma,
+                    "param_cov": [[cov[:, i, j] for j in range(2)] for i in range(2)],
+                    "residual_rms": batch.residual_rms},
+            "series": [{"t": t, "dx_hat": batch.dx_hat[:, j], "stderr": batch.stderr[:, j],
+                        "n_samples": batch.n_samples} for j, t in enumerate(t_list)],
+        }
         # a generator: only the CSV path walks it
-        records = ({"trial": i, **point} for i, entry in enumerate(trials)
-                   for point in entry["series"])
+        records = ({"trial": i, "t": t, "dx_hat": d, "stderr": s, "n_samples": batch.n_samples}
+                   for i, (dx_row, stderr_row) in enumerate(zip(batch.dx_hat.tolist(),
+                                                                batch.stderr.tolist()))
+                   for t, d, s in zip(t_list, dx_row, stderr_row))
     summary = {label: int(np.count_nonzero(batch.classification == label))
                for label in (SEPARABLE, ENTANGLED, INCONCLUSIVE)}
     config = _config(args, a=a)
     del config["u"]  # echoed as the width it implies
-    results = {"trials": trials, "summary": summary}
+    # the trial skeleton's array leaves are the batch columns, one entry per trial
+    results = {"trials": _Records(trial, batch.u_hat.size), "summary": summary}
     _emit(args, config, results, records, ("trial", "t", "dx_hat", "stderr", "n_samples"),
           rng=RNG_SCHEME)
     return 0
@@ -347,9 +419,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`build_parser`, built on first use and kept."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # overflowing intermediates end in a non-finite result, which exits 2
         # through _emit: numpy's warnings about them would only be noise

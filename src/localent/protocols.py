@@ -624,11 +624,20 @@ def exact_position_series(scenario: HiddenScenario, times) -> DispersionSeries:
 
 def _chi2_draws(seed: int, first_trial: int, trials: int, size: int, n: int) -> np.ndarray:
     """(trials, size) chi-square(n - 1) variates; row k comes from the stream
-    of trial first_trial + k alone, so it never depends on the batch."""
+    of trial first_trial + k alone, so it never depends on the batch.
+
+    One Philox serves the whole batch: before each row its state is reset to
+    the fresh stream ``Philox(key=seed + ((first_trial + k) << 64))`` would
+    start from (counter 0, key words (seed, first_trial + k), empty buffer).
+    """
     draws = np.empty((trials, size))
+    bit_generator = np.random.Philox(0)  # an integer seed reads no OS entropy
+    generator = np.random.Generator(bit_generator)
+    fresh = bit_generator.state  # counter 0 and an empty buffer; the key is set per row
     for row in range(trials):
-        stream = np.random.Philox(key=seed + ((first_trial + row) << 64))
-        draws[row] = np.random.Generator(stream).chisquare(n - 1, size=size)
+        fresh["state"]["key"] = np.array([seed, first_trial + row], dtype=np.uint64)
+        bit_generator.state = fresh
+        draws[row] = generator.chisquare(n - 1, size=size)
     return draws
 
 
@@ -767,10 +776,12 @@ def run_blind_batch(
 
     Each trial estimates u from a momentum sub-ensemble and the dispersion
     from one sub-ensemble per time, then fits and classifies; all trials run
-    as arrays.  Raises DomainError unless 0 <= seed < 2^64 and the trial
-    indices are nonnegative.
+    as arrays.  Raises DomainError unless 0 <= seed < 2^64, the trial
+    indices are nonnegative and the times are finite and strictly increasing.
     """
     times = np.array(times, dtype=float)
+    if not np.isfinite(times).all():
+        raise DomainError(f"measurement times must be finite, got {times.tolist()}")
     if np.any(np.diff(times) <= 0):
         raise DomainError("measurement times must be strictly increasing")
     u_hat, u_stderr, dx_hat, stderr = _trial_dispersions(
@@ -801,6 +812,8 @@ def run_known_origin_batch(
     sampling error of u_hat.  Same stream and range rules as
     :func:`run_blind_batch`.
     """
+    if not math.isfinite(t_meas):
+        raise DomainError(f"measurement time must be finite, got {t_meas}")
     t_known = float(t_meas) + scenario.t0
     u_hat, u_stderr, dx_hat, stderr = _trial_dispersions(
         scenario, np.array([float(t_meas)]), n_samples, seed, first_trial, trials, noiseless

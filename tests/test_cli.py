@@ -19,7 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import localent
-from localent.cli import main
+from localent import cli
+from localent.cli import DEFAULT_TIMES, build_parser, main
+from localent.errors import DomainError
+from localent.protocols import HiddenScenario, run_blind_batch, run_known_origin_batch
+from localent.states import PairParams
 
 try:
     from importlib.resources import files
@@ -358,6 +362,9 @@ def test_protocol_metadata_names_rng_scheme(capsys):
         "protocol --mode 1 --a 1 --b 2 --noiseless --threshold-sigmas 0",
         "protocol --mode 2 --a 1 --b 2 --n-samples 100 --threshold-sigmas nan",
         "simon --a nan --b 2 --format csv",
+        "protocol --mode 2 --a 1 --b 2 --times 0,nan,1 --noiseless",
+        "protocol --mode 2 --a 1 --b 2 --times 0,1,inf --noiseless",
+        "protocol --mode 2 --a 1 --b 2 --times 0,1,inf",
     ],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -433,3 +440,178 @@ def test_readme_cli_examples_run(tmp_path, capsys, line):
         argv[at] = str(tmp_path / argv[at])
     code, _, err = run_cli(capsys, *argv)
     assert code == 0, err
+
+
+# --- the JSON writer ----------------------------------------------------------------
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**200), 2**200),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((-0.0, 5e-324, 1e308, -1e308, 0.1, 1e16)),
+    st.text(),
+    st.sampled_from(("", "\x00\x1f\t\n\"\\/", "\u00e9\u2028\U0001f600", "%s %%", "inf")),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@given(value=_JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2, allow_nan=False)
+    assert cli._dumps(value, indent=None) == json.dumps(value, allow_nan=False)
+
+
+@given(key=st.text(), constant=_JSON_VALUES,
+       column=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_json_writer_records_match_their_rows(key, constant, column):
+    rows = [{f"k{key}": constant, "x": value} for value in column]
+    records = cli._Records({f"k{key}": constant, "x": np.array(column, dtype=float)}, len(column))
+    assert cli._dumps({"rows": records}) == json.dumps({"rows": rows}, indent=2)
+    assert cli._dumps({"rows": records}, indent=None) == json.dumps({"rows": rows})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_json_writer_rejects_non_finite_numbers(bad):
+    envelopes = [
+        bad,
+        [1, bad],
+        {"a": {"b": (0.5, bad)}},
+        {"rows": cli._Records({"x": np.array([0.0, bad]), "y": 1}, 2)},
+        {"rows": cli._Records({"x": np.array([0.0, 1.0]), "y": bad}, 2)},
+    ]
+    for value in envelopes:
+        for indent in ("  ", None):
+            with pytest.raises(DomainError):
+                cli._dumps(value, indent)
+
+
+def _reference_trials(batch, mode: int) -> list[dict]:
+    """The per-trial dicts the protocol command built before it wrote its
+    trials column by column."""
+
+    def verdict(classification, b_hat, confidence):
+        return {"classification": classification, "b_hat": "inf" if math.isinf(b_hat) else b_hat,
+                "confidence": confidence}
+
+    if mode == 1:
+        columns = (batch.classification, batch.b_hat, batch.confidence, batch.u_hat,
+                   batch.dx_hat, batch.stderr, batch.predicted_separable)
+        return [
+            {"verdict": verdict(c, b, conf), "u_hat": u_hat, "t_known": batch.t_known,
+             "dx_hat": dx_hat, "stderr": stderr, "predicted_separable": predicted}
+            for c, b, conf, u_hat, dx_hat, stderr, predicted in zip(
+                *(column.tolist() for column in columns)
+            )
+        ]
+    columns = (batch.classification, batch.b_hat, batch.confidence, batch.u_hat,
+               batch.u_stderr, batch.alpha, batch.beta, batch.alpha_sigma,
+               batch.param_cov, batch.residual_rms, batch.dx_hat, batch.stderr)
+    t_list = batch.times.tolist()
+    return [
+        {
+            "verdict": verdict(c, b, conf),
+            "u_hat": u_hat,
+            "u_stderr": u_stderr,
+            "fit": {"alpha": alpha, "beta": beta, "alpha_sigma": alpha_sigma,
+                    "param_cov": cov, "residual_rms": rms},
+            "series": [
+                {"t": t, "dx_hat": d, "stderr": s, "n_samples": batch.n_samples}
+                for t, d, s in zip(t_list, dx_row, stderr_row)
+            ],
+        }
+        for c, b, conf, u_hat, u_stderr, alpha, beta, alpha_sigma, cov, rms, dx_row,
+        stderr_row in zip(*(column.tolist() for column in columns))
+    ]
+
+
+@pytest.mark.parametrize("trials", [0, 1, 7, 200])
+@pytest.mark.parametrize("mode", [1, 2])
+@pytest.mark.parametrize("b", ["2", "inf"])
+@pytest.mark.parametrize("noiseless", [True, False])
+def test_protocol_output_matches_reference_dicts(capsys, trials, mode, b, noiseless):
+    times = [0.0, 0.7, 1.5]
+    noise = ["--noiseless"] if noiseless else ["--n-samples", "400", "--seed", "11"]
+    argv = ["protocol", "--mode", str(mode), "--a", "1", "--b", b, "--t0", "0.3",
+            "--times", "0,0.7,1.5", "--trials", str(trials), *noise]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    scenario = HiddenScenario(PairParams(a=1.0, b=float(b)), t0=0.3)
+    run = {"n_samples": 10_000 if noiseless else 400, "seed": 0 if noiseless else 11,
+           "trials": trials, "noiseless": noiseless}
+    if mode == 1:
+        batch = run_known_origin_batch(scenario, times[0], **run)
+    else:
+        batch = run_blind_batch(scenario, times, **run)
+    reference = _reference_trials(batch, mode)
+    payload = json.loads(out)
+    payload["results"]["trials"] = reference
+    assert out == json.dumps(payload, indent=2) + "\n"
+    if mode == 2:
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        rows = [(i, point["t"], point["dx_hat"], point["stderr"], point["n_samples"])
+                for i, trial in enumerate(reference) for point in trial["series"]]
+        lines = ["trial,t,dx_hat,stderr,n_samples"]
+        lines += [f"{i},{t:.9g},{d:.9g},{s:.9g},{n}" for i, t, d, s, n in rows]
+        assert out == "\n".join(lines) + "\n"
+
+
+# --- the parser -------------------------------------------------------------------
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    for argv in (["simon", "--a", "1", "--b", "2"], ["eof-surface", "--a-steps", "2"],
+                 ["simon", "--a", "1", "--b", "inf"]):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert len(built) == 1
+
+
+def test_cli_import_builds_no_parser():
+    src = str(Path(localent.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import localent.cli as cli; assert cli._parser.cache_info().currsize == 0"],
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+    )
+
+
+def test_parser_options_do_not_leak_between_calls(capsys):
+    _, first = run_json(capsys, "protocol", "--mode", "2", "--a", "1", "--b", "2",
+                        "--times", "0,2,4", "--noiseless")
+    assert first["config"]["times"] == [0.0, 2.0, 4.0]
+    assert first["config"]["noiseless"] is True
+    _, second = run_json(capsys, "protocol", "--mode", "2", "--a", "1", "--b", "2",
+                         "--n-samples", "100")
+    assert second["config"]["times"] == list(DEFAULT_TIMES)
+    assert second["config"]["noiseless"] is False
+
+
+def test_parser_survives_an_argparse_exit(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["protocol", "--mode", "3", "--a", "1", "--b", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, payload = run_json(capsys, "simon", "--a", "1", "--b", "2")
+    assert code == 0
+    assert payload["results"]["separable"] is False

@@ -36,6 +36,7 @@ from localent.protocols import (
     sample_position,
     width_from_momentum_dispersion,
 )
+from localent.protocols import _chi2_draws
 from localent.states import (
     PairParams,
     PhysicalConstants,
@@ -587,6 +588,26 @@ def test_stream_keys_out_of_range(seed, first_trial, trials):
     with pytest.raises(DomainError):
         run_blind_batch(separable_scenario(), [0.0, 1.0, 2.0], 100, seed=seed,
                         first_trial=first_trial, trials=trials)
+
+
+@pytest.mark.parametrize(
+    "seed, first_trial, trials",
+    [(2**64 - 1, 0, 3), (5, 2**64 - 4, 4), (2**64 - 1, 2**64 - 2, 2), (9, 2**32 + 5, 3)],
+)
+def test_stream_keys_at_their_edges(seed, first_trial, trials):
+    draws = _chi2_draws(seed, first_trial, trials, 4, 500)
+    for row in range(trials):
+        stream = np.random.Philox(key=seed + ((first_trial + row) << 64))
+        assert np.array_equal(draws[row], np.random.Generator(stream).chisquare(499, size=4))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("noiseless", [True, False])
+def test_non_finite_times_are_domain_errors(bad, noiseless):
+    with pytest.raises(DomainError, match="finite"):
+        run_blind_batch(separable_scenario(), [0.0, bad, 2.0], 100, noiseless=noiseless)
+    with pytest.raises(DomainError, match="finite"):
+        run_known_origin_batch(separable_scenario(), bad, 100, noiseless=noiseless)
 
 
 def test_normal_equations_match_lstsq_reference():

@@ -27,7 +27,6 @@ from .protocols import (
     FitOutcome,
     HiddenScenario,
     KnownOriginBatch,
-    SeriesPoint,
     Verdict,
     ambiguity_time,
     classify_blind,
@@ -36,7 +35,6 @@ from .protocols import (
     crossing_times,
     entangled_alpha,
     entanglement_width_from_alpha,
-    estimate_dispersion,
     fit_dispersion_curve,
     mimic_width,
     predicted_dispersion_entangled,

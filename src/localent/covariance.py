@@ -42,6 +42,9 @@ __all__ = [
 
 J_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
+_PHYSICAL_TOL = 1e-8  # check_physical: relative eigenvalue dip that rounding explains
+_STANDARD_FORM_ATOL = 1e-9  # standard_form_from_cm: relative size that counts as zero
+
 
 def symplectic_form() -> np.ndarray:
     """4x4 symplectic form, one J block per particle, ordering (X1,P1,X2,P2)."""
@@ -120,20 +123,19 @@ def covariance_matrix(params: PairParams) -> CovMatrix4:
     return CovMatrix4(A=A, B=A.copy(), C=C)
 
 
-def check_physical(cm: CovMatrix4, hbar: float, tol: float = 1e-8) -> None:
+def check_physical(cm: CovMatrix4, hbar: float) -> None:
     """Verify the uncertainty relation gamma + i*hbar*Omega >= 0.
 
-    Raises DomainError when the smallest eigenvalue dips below -tol relative
-    to the matrix scale (pure states sit exactly on the boundary, so a strict
-    check would reject them through rounding alone).
+    Raises DomainError when the smallest eigenvalue dips below -_PHYSICAL_TOL
+    relative to the matrix scale (pure states sit exactly on the boundary, so
+    a strict check would reject them through rounding alone).
     """
     gamma = cm.matrix
-    if not np.allclose(gamma, gamma.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(gamma).max()))):
-        raise DomainError("correlation matrix is not symmetric")
-    herm = gamma + 1j * hbar * symplectic_form()
-    eigs = np.linalg.eigvalsh(herm)
     scale = max(1.0, float(np.abs(gamma).max()))
-    if eigs.min() < -tol * scale:
+    if not np.allclose(gamma, gamma.T, rtol=0.0, atol=1e-12 * scale):
+        raise DomainError("correlation matrix is not symmetric")
+    eigs = np.linalg.eigvalsh(gamma + 1j * hbar * symplectic_form())
+    if eigs.min() < -_PHYSICAL_TOL * scale:
         raise DomainError(
             f"correlation matrix violates the uncertainty relation "
             f"(min eigenvalue {eigs.min():.3e})"
@@ -191,7 +193,7 @@ def standard_form(params: PairParams) -> StandardForm:
     return StandardForm(n=n, k_x=k, k_p=k)
 
 
-def standard_form_from_cm(cm: CovMatrix4, atol: float = 1e-9) -> StandardForm:
+def standard_form_from_cm(cm: CovMatrix4) -> StandardForm:
     """Recover (n, k_x, k_p) from a symmetric correlation matrix with diagonal blocks.
 
     Each party is rescaled by its own s = (A_pp/A_xx)^(1/4); works for any
@@ -200,11 +202,11 @@ def standard_form_from_cm(cm: CovMatrix4, atol: float = 1e-9) -> StandardForm:
     """
     for name, block in (("A", cm.A), ("B", cm.B), ("C", cm.C)):
         off = max(abs(float(block[0, 1])), abs(float(block[1, 0])))
-        if off > atol * max(1.0, float(np.abs(block).max())):
+        if off > _STANDARD_FORM_ATOL * max(1.0, float(np.abs(block).max())):
             raise DomainError(f"block {name} is not diagonal; cannot reduce to standard form")
     n_a = math.sqrt(_det2(cm.A))
     n_b = math.sqrt(_det2(cm.B))
-    if abs(n_a - n_b) > atol * max(1.0, n_a):
+    if abs(n_a - n_b) > _STANDARD_FORM_ATOL * max(1.0, n_a):
         raise DomainError("state is not symmetric: the two reduced blocks differ")
     s1 = (cm.A[1, 1] / cm.A[0, 0]) ** 0.25
     s2 = (cm.B[1, 1] / cm.B[0, 0]) ** 0.25

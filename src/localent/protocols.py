@@ -23,8 +23,9 @@ dispersion of each Gaussian sub-ensemble of n Born-rule draws, and
 of freedom, so each sub-ensemble costs one chi-square variate instead of n
 normals.  Trial k of seed s draws from its own Philox stream keyed by
 (s, k) (scheme ``RNG_SCHEME``), so a trial is bit-reproducible whatever
-batch it runs in.  The per-sample Born-rule samplers stay as the reference
-that the tests check this against.
+batch it runs in.  The single-trial functions are batches of one.  This
+is the only engine: the per-sample Born-rule reference it is checked against
+lives with the tests, in ``tests/born_reference.py``.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ from .errors import DomainError, FitError
 from .states import (
     PairParams,
     _dispersion_curve,
-    marginal_momentum,
-    marginal_position,
     momentum_dispersion,
     position_dispersion,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "ENTANGLED",
     "INCONCLUSIVE",
     "HiddenScenario",
-    "SeriesPoint",
     "DispersionSeries",
     "FitOutcome",
     "Verdict",
@@ -59,9 +57,6 @@ __all__ = [
     "BlindBatch",
     "KnownOriginBatch",
     "RNG_SCHEME",
-    "sample_momentum",
-    "sample_position",
-    "estimate_dispersion",
     "predicted_dispersion_separable",
     "predicted_dispersion_entangled",
     "entangled_alpha",
@@ -72,10 +67,8 @@ __all__ = [
     "crossing_times",
     "classify_known_origin",
     "fit_dispersion_curve",
-    "refine_dispersion_fit",
     "entanglement_width_from_alpha",
     "classify_blind",
-    "measure_position_series",
     "exact_position_series",
     "run_blind_trial",
     "run_known_origin_trial",
@@ -96,16 +89,6 @@ _SIGMA_FLOOR = 1e-9
 # the fit refuses a weighted design matrix with a larger condition number
 _MAX_CONDITION = 1e10
 
-# Gauss-Newton refinement: stop once every step is below this relative size
-_REFINE_TOL = 1e-10
-_REFINE_MAX_ITER = 50
-
-
-def _require_unit_constants(params: PairParams) -> None:
-    c = params.constants
-    if c.hbar != 1.0 or c.mass != 1.0:
-        raise DomainError("protocol closed forms assume hbar = mass = 1")
-
 
 @dataclass(frozen=True)
 class HiddenScenario:
@@ -117,63 +100,45 @@ class HiddenScenario:
     t0: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_unit_constants(self.params)
+        if self.params.constants.hbar != 1.0 or self.params.constants.mass != 1.0:
+            raise DomainError("protocol closed forms assume hbar = mass = 1")
         if self.t0 < 0:
             raise DomainError(f"production offset t0 must be nonnegative, got {self.t0}")
-
-
-@dataclass(frozen=True)
-class SeriesPoint:
-    t: float
-    dx_hat: float
-    stderr: float
-    n_samples: int
+        if not math.isfinite(self.t0):
+            raise DomainError(f"production offset t0 must be finite, got {self.t0}")
 
 
 @dataclass(frozen=True)
 class DispersionSeries:
     """Estimated position dispersions at strictly increasing measurement times.
 
-    Sampled points carry the sub-ensemble size (>= 2) and its standard error;
-    exact closed-form points are marked with stderr = 0 and n_samples = 0.
+    ``times``, ``dx`` and ``stderr`` are 1-D float arrays of one length.  A
+    sampled series carries the sub-ensemble size ``n_samples`` (>= 2) and a
+    standard error per point; an exact closed-form series has stderr = 0 and
+    n_samples = 0.
     """
 
-    points: tuple[SeriesPoint, ...]
+    times: np.ndarray
+    dx: np.ndarray
+    stderr: np.ndarray
+    n_samples: int = 0
 
     def __post_init__(self) -> None:
-        times = [p.t for p in self.points]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        for name in ("times", "dx", "stderr"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
+        times, dx, stderr = self.times, self.dx, self.stderr
+        if times.ndim != 1 or not times.shape == dx.shape == stderr.shape:
+            raise DomainError("times, dx and stderr must be 1-D arrays of one length")
+        if not np.isfinite(times).all():
+            raise DomainError(f"measurement times must be finite, got {times.tolist()}")
+        if np.any(np.diff(times) <= 0):
             raise DomainError("measurement times must be strictly increasing")
-        for p in self.points:
-            if not p.dx_hat > 0:
-                raise DomainError(f"dispersion estimates must be positive, got {p.dx_hat}")
-            if p.stderr < 0:
-                raise DomainError(f"standard errors must be nonnegative, got {p.stderr}")
-            if p.stderr > 0 and p.n_samples < 2:
-                raise DomainError("sampled points need at least 2 samples")
-
-    @classmethod
-    def from_arrays(cls, times, dx_hat, stderr, n_samples) -> "DispersionSeries":
-        pts = tuple(
-            SeriesPoint(float(t), float(d), float(s), int(m))
-            for t, d, s, m in zip(times, dx_hat, stderr, n_samples)
-        )
-        return cls(pts)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([p.t for p in self.points])
-
-    @property
-    def dx(self) -> np.ndarray:
-        return np.array([p.dx_hat for p in self.points])
-
-    @property
-    def stderr(self) -> np.ndarray:
-        return np.array([p.stderr for p in self.points])
+        if not np.all((dx > 0) & np.isfinite(dx)):
+            raise DomainError(f"dispersions must be positive and finite, got {dx.tolist()}")
+        if not np.all(stderr >= 0):  # NaN fails too
+            raise DomainError(f"standard errors must be nonnegative, got {stderr.tolist()}")
+        if np.any(stderr > 0) and self.n_samples < 2:
+            raise DomainError("sampled points need at least 2 samples")
 
 
 @dataclass(frozen=True)
@@ -216,48 +181,6 @@ class CrossingTimes:
 
     lab: float
     entangled_clock: float
-
-
-# --- sampling and estimation -------------------------------------------------
-
-
-def sample_momentum(scenario: HiddenScenario, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n Born-rule draws from particle 1's momentum marginal."""
-    if n < 2:
-        raise DomainError(f"need at least 2 samples, got {n}")
-    return marginal_momentum(scenario.params).sample(n, rng)
-
-
-def sample_position(
-    scenario: HiddenScenario, t_meas: float, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """n draws from particle 1's position marginal at observer time t_meas.
-
-    The state has evolved for t_meas + t0 since production; only that sum
-    enters the distribution.
-    """
-    if t_meas < 0:
-        raise DomainError(f"measurement time must be nonnegative, got {t_meas}")
-    if n < 2:
-        raise DomainError(f"need at least 2 samples, got {n}")
-    return marginal_position(t_meas + scenario.t0, scenario.params).sample(n, rng)
-
-
-def estimate_dispersion(samples: np.ndarray) -> tuple[float, float]:
-    """Sample dispersion and its standard error.
-
-    Returns (sqrt of the unbiased sample variance, dx_hat / sqrt(2(n-1)));
-    the standard error is the large-n Gaussian theory value.
-    """
-    samples = np.asarray(samples, dtype=float)
-    n = samples.size
-    if n < 2:
-        raise DomainError(f"need at least 2 samples, got {n}")
-    var = float(np.var(samples, ddof=1))
-    if var == 0.0:
-        raise DomainError("degenerate sample: all values equal, dispersion undefined")
-    dx_hat = math.sqrt(var)
-    return dx_hat, dx_hat / math.sqrt(2.0 * (n - 1))
 
 
 # --- closed-form protocol curves ----------------------------------------------
@@ -389,6 +312,17 @@ def _verdict(classification, b_hat, confidence, row: int = 0) -> Verdict:
     return Verdict(str(classification[row]), float(b_hat[row]), float(confidence[row]))
 
 
+def _check_estimates(u_hat, u_stderr, dx_hat, stderr, t_known: float = 0.0) -> None:
+    """Reject single-trial classifier inputs that no measurement yields; the
+    batch drivers make these values themselves and skip this check."""
+    for name, value in (("u_hat", u_hat), ("dx_hat", dx_hat)):
+        if not np.all(np.isfinite(value) & (np.asarray(value) > 0)):
+            raise DomainError(f"{name} must be finite and positive, got {value}")
+    for name, value in (("u_stderr", u_stderr), ("stderr", stderr), ("t_known", t_known)):
+        if not np.all(np.isfinite(value) & (np.asarray(value) >= 0)):
+            raise DomainError(f"{name} must be finite and nonnegative, got {value}")
+
+
 def _known_origin_verdicts(u, t_known, dx, stderr, u_stderr, tolerance_sigmas):
     """(predicted, z, verdict arrays) of protocol 1 for arrays of trials."""
     if not tolerance_sigmas > 0:  # NaN fails too
@@ -423,8 +357,7 @@ def classify_known_origin(
     The tolerance band combines ``stderr`` with the sampling error
     ``u_stderr`` of u_hat, propagated through d dx_sep / du.
     """
-    if t_known < 0:
-        raise DomainError(f"known production time must be nonnegative, got {t_known}")
+    _check_estimates(u_hat, u_stderr, dx_hat, stderr, t_known)
     _, _, verdicts = _known_origin_verdicts(
         np.array([u_hat]), t_known, np.array([dx_hat]), np.array([stderr]),
         np.array([u_stderr]), tolerance_sigmas,
@@ -507,6 +440,7 @@ def fit_dispersion_curve(
     is folded into the parameter covariance via the finite-difference
     sensitivity of (alpha, beta) to u_hat.  Needs >= 3 distinct times.
     """
+    _check_estimates(u_hat, u_stderr, series.dx, series.stderr)
     alpha, beta, cov, residual_rms = _fit_rows(
         np.array([u_hat]), series.times, series.dx[None, :], series.stderr[None, :],
         np.array([u_stderr]),
@@ -518,33 +452,6 @@ def fit_dispersion_curve(
         param_cov=cov[0],
         residual_rms=float(residual_rms[0]),
     )
-
-
-def refine_dispersion_fit(
-    u_hat: float, series: DispersionSeries, start: FitOutcome
-) -> tuple[float, float]:
-    """Gauss-Newton refinement of (alpha, beta) on the un-squared curve.
-
-    Cross-check path for the linear solution, weighted by the standard errors
-    when every point has one; on noiseless data the two agree to better than
-    1e-6.  Raises FitError when the iteration does not converge.
-    """
-    t = series.times
-    stderr = series.stderr
-    weights = 1.0 / stderr if np.all(stderr > 0) else np.ones_like(t)
-    params = np.array([start.alpha, start.beta])
-    for _ in range(_REFINE_MAX_ITER):
-        alpha, beta = params
-        if not alpha > 0:  # diverged: the model would vanish where t = -beta
-            break
-        shifted = t + beta
-        model = _dispersion_curve(u_hat, alpha, np.abs(shifted))
-        jac = np.column_stack([1.0 / (8.0 * u_hat**2 * model), u_hat**2 * shifted / model])
-        step = np.linalg.lstsq(jac * weights[:, None], (series.dx - model) * weights, rcond=None)[0]
-        params = params + step
-        if np.all(np.abs(step) <= _REFINE_TOL * (np.abs(params) + _REFINE_TOL)):
-            return float(params[0]), float(params[1])
-    raise FitError("Gauss-Newton refinement of the dispersion fit did not converge")
 
 
 def entanglement_width_from_alpha(alpha: float, u: float) -> float:
@@ -599,27 +506,11 @@ def classify_blind(
 # --- simulation drivers --------------------------------------------------------
 
 
-def measure_position_series(
-    scenario: HiddenScenario,
-    times,
-    n_per_point: int,
-    rngs: list[np.random.Generator],
-) -> DispersionSeries:
-    """Simulate one measurement campaign: a sub-ensemble per time point."""
-    points = []
-    for tm, rng in zip(times, rngs):
-        samples = sample_position(scenario, float(tm), n_per_point, rng)
-        dx_hat, stderr = estimate_dispersion(samples)
-        points.append(SeriesPoint(float(tm), dx_hat, stderr, n_per_point))
-    return DispersionSeries(tuple(points))
-
-
 def exact_position_series(scenario: HiddenScenario, times) -> DispersionSeries:
     """Closed-form series (stderr = 0), for noiseless end-to-end checks."""
     times = np.asarray(times, dtype=float)
     dx = position_dispersion(times + scenario.t0, scenario.params)
-    zeros = np.zeros_like(times)
-    return DispersionSeries.from_arrays(times, dx, zeros, zeros)
+    return DispersionSeries(times, dx, np.zeros_like(times))
 
 
 def _chi2_draws(seed: int, first_trial: int, trials: int, size: int, n: int) -> np.ndarray:
@@ -723,10 +614,7 @@ class BlindBatch:
             param_cov=self.param_cov[row].copy(),
             residual_rms=float(self.residual_rms[row]),
         )
-        counts = np.full(self.times.size, self.n_samples)
-        series = DispersionSeries.from_arrays(
-            self.times, self.dx_hat[row], self.stderr[row], counts
-        )
+        series = DispersionSeries(self.times, self.dx_hat[row], self.stderr[row], self.n_samples)
         verdict = _verdict(self.classification, self.b_hat, self.confidence, row)
         return BlindTrialResult(verdict, fit, series, u_hat, float(self.u_stderr[row]))
 

@@ -375,6 +375,16 @@ def test_cli_escapes_exit_2(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("t0", ["nan", "inf"])
+@pytest.mark.parametrize("mode", ["1", "2"])
+@pytest.mark.parametrize("noise", [["--noiseless"], ["--n-samples", "100"]])
+def test_non_finite_t0_exits_2_naming_it(capsys, t0, mode, noise):
+    code, out, err = run_cli(capsys, "protocol", "--mode", mode, "--u", "1.01", "--b", "1",
+                             "--t0", t0, "--times", "0,1,2", *noise)
+    assert (code, out) == (2, "")
+    assert err == f"error: production offset t0 must be finite, got {t0}\n"
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 

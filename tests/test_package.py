@@ -1,0 +1,46 @@
+"""The public surface: exported names and the README library example."""
+
+import contextlib
+import importlib
+import io
+import re
+from pathlib import Path
+
+import pytest
+
+import localent
+
+# the per-sample Born-rule path that lives in tests/born_reference.py
+REFERENCE_ONLY = ("SeriesPoint", "sample_momentum", "sample_position", "estimate_dispersion",
+                  "measure_position_series", "refine_dispersion_fit")
+
+
+@pytest.mark.parametrize("layer", ["states", "covariance", "protocols", "oracle"])
+def test_every_exported_name_resolves(layer):
+    module = importlib.import_module(f"localent.{layer}")
+    assert len(set(module.__all__)) == len(module.__all__)
+    for name in module.__all__:
+        assert getattr(module, name) is not None, name
+
+
+def test_reference_path_is_not_exported():
+    protocols = importlib.import_module("localent.protocols")
+    for name in REFERENCE_ONLY:
+        assert not hasattr(protocols, name), name
+        assert not hasattr(localent, name), name
+        assert name not in protocols.__all__
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library example\n.*?```python\n(.*?)```", readme, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    simon, eof, verdict, rate = out.getvalue().splitlines()
+    assert "separable=False" in simon
+    assert float(eof) == pytest.approx(0.0829971, abs=1e-7)
+    classification, b_hat = verdict.split()
+    assert classification == "entangled"
+    assert float(b_hat) == pytest.approx(1.0, abs=0.05)
+    assert float(rate) >= 0.99

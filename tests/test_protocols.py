@@ -8,11 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from born_reference import (
+    estimate_dispersion,
+    measure_position_series,
+    refine_dispersion_fit,
+    sample_momentum,
+    sample_position,
+)
 from localent.errors import DomainError, FitError
 from localent.protocols import (
     DispersionSeries,
     HiddenScenario,
-    SeriesPoint,
     ambiguity_time,
     classify_blind,
     classify_known_origin,
@@ -20,20 +26,15 @@ from localent.protocols import (
     crossing_times,
     entangled_alpha,
     entanglement_width_from_alpha,
-    estimate_dispersion,
     exact_position_series,
     fit_dispersion_curve,
-    measure_position_series,
     mimic_width,
     predicted_dispersion_entangled,
     predicted_dispersion_separable,
-    refine_dispersion_fit,
     run_blind_batch,
     run_blind_trial,
     run_known_origin_batch,
     run_known_origin_trial,
-    sample_momentum,
-    sample_position,
     width_from_momentum_dispersion,
 )
 from localent.protocols import _chi2_draws
@@ -293,13 +294,33 @@ def test_scenario_validation():
 
 def test_series_validation():
     with pytest.raises(DomainError):
-        DispersionSeries(
-            (SeriesPoint(1.0, 1.0, 0.0, 0), SeriesPoint(1.0, 1.1, 0.0, 0))
-        )  # duplicate times
+        DispersionSeries([1.0, 1.0], [1.0, 1.1], [0.0, 0.0])  # duplicate times
     with pytest.raises(DomainError):
-        DispersionSeries((SeriesPoint(0.0, -1.0, 0.0, 0),))
+        DispersionSeries([0.0], [-1.0], [0.0])
     with pytest.raises(DomainError):
-        DispersionSeries((SeriesPoint(0.0, 1.0, 0.1, 1),))  # sampled point needs n >= 2
+        DispersionSeries([0.0], [1.0], [0.1], 1)  # sampled point needs n >= 2
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="times must be finite"):
+            DispersionSeries([0.0, bad, 2.0], [1.0, 1.1, 1.2], [0.0, 0.0, 0.0])
+        with pytest.raises(DomainError, match="positive and finite"):
+            DispersionSeries([0.0, 1.0, 2.0], [1.0, bad, 1.2], [0.0, 0.0, 0.0])
+    with pytest.raises(DomainError, match="nonnegative"):
+        DispersionSeries([0.0, 1.0], [1.0, 1.1], [0.01, math.nan], 100)
+    with pytest.raises(DomainError, match="one length"):
+        DispersionSeries([0.0, 1.0, 2.0], [1.0, 1.1], [0.0, 0.0, 0.0])
+    with pytest.raises(DomainError, match="one length"):
+        DispersionSeries([0.0, 1.0], [1.0, 1.1], [0.0, 0.0, 0.0])
+    with pytest.raises(DomainError, match="1-D"):
+        DispersionSeries([[0.0, 1.0]], [[1.0, 1.1]], [[0.0, 0.0]])
+    series = DispersionSeries([0, 1, 2], [1, 2, 3], [0, 0, 0])
+    assert series.times.dtype == series.dx.dtype == series.stderr.dtype == float
+    assert series.n_samples == 0
+
+
+@pytest.mark.parametrize("t0", [math.nan, math.inf])
+def test_non_finite_production_offset_is_rejected(t0):
+    with pytest.raises(DomainError, match="t0 must be finite"):
+        HiddenScenario(PairParams(a=1.0, b=2.0), t0=t0)
 
 
 # --- curve fit -------------------------------------------------------------------
@@ -346,9 +367,7 @@ def test_fit_ill_conditioned_times():
     t0 = 1.0
     times = [t0, t0 + 5e-16, t0 + 1e-15]
     dx = [predicted_dispersion_separable(U_REF, t) for t in times]
-    series = DispersionSeries(
-        tuple(SeriesPoint(t, max(d, 1e-12), 0.0, 0) for t, d in zip(times, dx))
-    )
+    series = DispersionSeries(times, np.maximum(dx, 1e-12), np.zeros(len(times)))
     with pytest.raises(FitError):
         fit_dispersion_curve(U_REF, series)
 
@@ -480,11 +499,9 @@ def test_blind_monte_carlo_quick():
 def test_blind_inconclusive_below_separable_floor():
     # dispersions systematically below every curve in the family: alpha << 1
     times = [0.0, 1.0, 2.0]
-    points = tuple(
-        SeriesPoint(t, 0.8 * predicted_dispersion_separable(1.0, t), 0.001, 100)
-        for t in times
-    )
-    verdict, fit = classify_blind(DispersionSeries(points), u_hat=1.0)
+    dx = [0.8 * predicted_dispersion_separable(1.0, t) for t in times]
+    series = DispersionSeries(times, dx, [0.001] * len(times), 100)
+    verdict, fit = classify_blind(series, u_hat=1.0)
     assert fit.below_separable_floor()
     assert verdict.classification == "inconclusive"
     assert verdict.b_hat == INF
@@ -510,6 +527,48 @@ def test_verdict_invariants():
         Verdict("entangled", INF, 0.5)
     with pytest.raises(DomainError):
         Verdict("maybe", INF, 0.5)
+
+
+def _sampled_series(stderr=(0.001, 0.001, 0.001)):
+    times = [0.0, 1.0, 2.0]
+    return DispersionSeries(times, [predicted_dispersion_separable(1.0, t) for t in times],
+                            stderr, 100)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("u_hat", -1.0), ("u_hat", 0.0), ("u_hat", math.nan), ("u_hat", math.inf),
+     ("u_stderr", math.nan), ("u_stderr", -0.1), ("u_stderr", math.inf)],
+)
+def test_blind_classifier_rejects_impossible_estimates(field, value):
+    good = {"u_hat": 1.0, "u_stderr": 0.0}
+    series = _sampled_series()
+    assert classify_blind(series, **good)[0].classification == "separable"
+    with pytest.raises(DomainError, match=f"^{field} must be finite"):
+        classify_blind(series, **{**good, field: value})
+    with pytest.raises(DomainError, match=f"^{field} must be finite"):
+        fit_dispersion_curve(series=series, **{**good, field: value})
+
+
+def test_fit_rejects_infinite_standard_errors():
+    with pytest.raises(DomainError, match="^stderr must be finite"):
+        classify_blind(_sampled_series(stderr=[0.001, math.inf, 0.001]), u_hat=1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("u_hat", -1.0), ("u_hat", math.nan), ("u_hat", math.inf),
+     ("dx_hat", 0.0), ("dx_hat", math.nan), ("dx_hat", math.inf),
+     ("stderr", -0.1), ("stderr", math.nan), ("stderr", math.inf),
+     ("u_stderr", -0.1), ("u_stderr", math.nan), ("u_stderr", math.inf),
+     ("t_known", -1.0), ("t_known", math.nan), ("t_known", math.inf), ("t_known", -math.inf)],
+)
+def test_known_origin_classifier_rejects_impossible_estimates(field, value):
+    good = {"u_hat": 1.0, "t_known": 1.0, "dx_hat": math.sqrt(5.0) / 2.0, "stderr": 0.01,
+            "u_stderr": 0.001}
+    assert classify_known_origin(**good).classification == "separable"
+    with pytest.raises(DomainError, match=f"^{field} must be finite"):
+        classify_known_origin(**{**good, field: value})
 
 
 # --- batched engine ----------------------------------------------------------------

@@ -338,6 +338,8 @@ def cmd_oracle_check(args) -> int:
     times = args.times
     if not times:
         raise DomainError("provide at least one measurement time")
+    if not all(map(math.isfinite, times)):
+        raise DomainError(f"measurement times must be finite, got {times}")
     grid0 = initial_grid(params, n=args.grid_n, extent=args.grid_L, t_max=max(times))
     checks = [_oracle_row(grid0, float(t)) for t in times]
     cm_delta = float(

@@ -385,6 +385,25 @@ def test_non_finite_t0_exits_2_naming_it(capsys, t0, mode, noise):
     assert err == f"error: production offset t0 must be finite, got {t0}\n"
 
 
+@pytest.mark.parametrize(
+    "option,value,named",
+    [
+        ("--times", "nan", "measurement times must be finite, got [nan]"),
+        ("--times", "inf", "measurement times must be finite, got [inf]"),
+        # the first time once sized the grid, so the order decided the outcome
+        ("--times", "nan,1", "measurement times must be finite, got [nan, 1.0]"),
+        ("--times", "1,nan", "measurement times must be finite, got [1.0, nan]"),
+        ("--grid-L", "nan", "grid extent must be finite, got nan"),
+        ("--grid-L", "inf", "grid extent must be finite, got inf"),
+    ],
+)
+def test_oracle_check_non_finite_input_exits_2_naming_it(capsys, option, value, named):
+    code, out, err = run_cli(capsys, "oracle-check", "--a", "1", "--b", "2", "--grid-n", "64",
+                             f"{option}={value}")
+    assert (code, out) == (2, "")
+    assert err == f"error: {named}\n"
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 

@@ -1,13 +1,16 @@
 """Spectral-grid oracle vs closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from localent.covariance import covariance_matrix, simon_invariant
-from localent.errors import GridError
+from localent.errors import DomainError, GridError
 from localent.oracle import (
+    MomentSet,
+    WaveGrid,
     boundary_leakage,
     default_extent,
     evolve,
@@ -26,6 +29,7 @@ from localent.states import (
     momentum_dispersion,
     position_dispersion,
 )
+from oracle_reference import reference_moments
 
 INF = math.inf
 
@@ -110,10 +114,85 @@ def test_grid_caches_are_exact_and_read_only():
     for grid in (grid0, evolved):
         expected = np.abs(grid.amplitudes) ** 2
         np.testing.assert_allclose(grid.density, expected, rtol=1e-15, atol=0.0)
+        expected = np.abs(grid.spectrum) ** 2
+        np.testing.assert_allclose(grid.spectral_density, expected, rtol=1e-15, atol=0.0)
         assert grid.spectrum is grid.spectrum and grid.density is grid.density
-        for cached in (grid.spectrum, grid.density):
+        assert grid.spectral_density is grid.spectral_density
+        for cached in (grid.spectrum, grid.density, grid.spectral_density):
             with pytest.raises(ValueError):
                 cached[0, 0] = 0.0
+
+
+def test_spectral_quadratures_read_the_cached_spectral_density():
+    # seed the cache with the transposed spectral density, which swaps the
+    # particles: a quadrature that squares the spectrum afresh would not see it
+    grid = initial_grid(PairParams(a=1.0, b=2.0, k_c=0.5), n=128, extent=24.0)
+    own = grid.spectral_density
+    k, kdens = momentum_marginal(grid)
+    m = moments(grid)
+    vars(grid)["spectral_density"] = own.T
+    swapped_k, swapped_kdens = momentum_marginal(grid)
+    swapped = moments(grid)
+    np.testing.assert_array_equal(swapped_k, k)
+    assert marginal_sigma(k, swapped_kdens) == pytest.approx(marginal_sigma(k, kdens), rel=1e-12)
+    assert np.abs(swapped_kdens - kdens).max() > 1e-3 * kdens.max()  # k2's marginal drifts the other way
+    assert (swapped.mean_k1, swapped.mean_k2) == pytest.approx((m.mean_k2, m.mean_k1), rel=1e-12)
+    assert (swapped.var_k1, swapped.var_k2) == pytest.approx((m.var_k2, m.var_k1), rel=1e-12)
+    assert swapped.mean_x1 == m.mean_x1  # positions still read the density
+
+
+def _assert_moments_match(got, want):
+    for field in dataclasses.fields(MomentSet):
+        value, reference = getattr(got, field.name), getattr(want, field.name)
+        assert abs(value - reference) <= 1e-12 * max(1.0, abs(reference)), field.name
+
+
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("b", [2.0, INF])
+@pytest.mark.parametrize("k_c", [0.0, -1.3])
+def test_moments_match_full_grid_reference(n, b, k_c):
+    grid0 = initial_grid(PairParams(a=1.0, b=b, k_c=k_c), n=n, t_max=0.7)
+    evolved = evolve(grid0, 0.7)
+    for grid in (grid0, evolved):
+        _assert_moments_match(moments(grid), reference_moments(grid))
+    # the cross terms are ~0 at t = 0; only the evolved grid exercises them
+    assert abs(moments(evolved).sym_x1k1) > 0.1
+
+
+def test_moments_of_non_c_ordered_amplitudes():
+    grid0 = initial_grid(PairParams(a=1.0, b=2.0, k_c=0.5), n=128, t_max=0.7)
+    amp = evolve(grid0, 0.7).amplitudes
+    expected = reference_moments(WaveGrid(grid0.n, grid0.extent, amp, grid0.params, 0.7))
+    fortran = WaveGrid(grid0.n, grid0.extent, np.asfortranarray(amp), grid0.params, 0.7)
+    assert not fortran.amplitudes.flags.c_contiguous
+    _assert_moments_match(moments(fortran), expected)
+    # the transpose swaps the particles
+    swapped = WaveGrid(grid0.n, grid0.extent, amp.T, grid0.params, 0.7)
+    _assert_moments_match(moments(swapped), reference_moments(swapped))
+    assert moments(swapped).sym_x1k2 == pytest.approx(expected.sym_x2k1, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, INF])
+def test_non_finite_grid_inputs_raise(bad):
+    params = PairParams(a=1.0, b=2.0)
+    with pytest.raises(DomainError, match="extent"):
+        initial_grid(params, n=128, extent=bad)
+    with pytest.raises(DomainError, match="t_max"):
+        initial_grid(params, n=128, t_max=bad)
+    grid = initial_grid(params, n=128, t_max=1.0)
+    with pytest.raises(DomainError, match="time step"):
+        evolve(grid, bad)
+    # a finite t_max too large for the default extent to stay finite
+    with pytest.raises(DomainError, match="extent"):
+        initial_grid(params, n=128, t_max=1e300)
+
+
+def test_nan_amplitudes_fail_the_leakage_guard():
+    grid = initial_grid(PairParams(a=1.0, b=2.0), n=128, t_max=1.0)
+    amp = grid.amplitudes.copy()
+    amp[0, 0] = math.nan
+    with pytest.raises(GridError, match="leakage nan"):
+        evolve(WaveGrid(grid.n, grid.extent, amp, grid.params, 0.0), 0.5)
 
 
 def test_quadrature_dispersion_examples():

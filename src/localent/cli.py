@@ -8,8 +8,11 @@ JSON payloads carry a config echo plus {seed, version} metadata, and
 echo the config (every option but ``--format`` and ``--out``) to stderr.
 JSON text is written by this module's own encoder with the bytes of
 ``json.dumps(value, indent=2, allow_nan=False)``; ``protocol`` trials are
-rendered column by column straight from the batch arrays.  The argument
-parser is built once per process, on the first ``main`` call.
+rendered column by column straight from the batch arrays.  Every command
+hands its CSV table over as columns, and the table is written column by
+column: each float column is checked once and formatted in one pass.
+``eof-surface`` evaluates its whole grid as arrays.  The argument parser is
+built once per process, on the first ``main`` call.
 Exit codes: 0 ok, 2 domain violation or a result that is not finite,
 3 oracle-check tolerance failure (or grid error), 4 ill-conditioned fit.
 """
@@ -27,6 +30,8 @@ import numpy as np
 
 from . import __version__
 from .covariance import (
+    _entanglement_of_formation,
+    _standard_form,
     covariance_matrix,
     entanglement_of_formation,
     simon_invariant,
@@ -181,8 +186,35 @@ def _config(args, **resolved) -> dict:
     return config
 
 
-def _emit(args, config: dict, results, records, columns, rng: str | None = None) -> None:
-    """JSON envelope, or the CSV table of the ``records`` dicts (None: no CSV)."""
+def _csv_text(columns: dict) -> str:
+    """The CSV table of equal-length ``columns``: a header, then a line per row.
+
+    A float column is checked for non-finite entries once and written with
+    ``%.9g``, as ``_fmt`` writes a float, and an int column with ``%d``.  The
+    cells of any other column (bool, None, or floats among None) take
+    ``_fmt``'s text.  One %-format renders the whole table.
+    """
+    specs, cells = [], []
+    for values in map(np.asarray, columns.values()):
+        if values.dtype.kind == "f":
+            if not np.isfinite(values).all():
+                raise DomainError(OUT_OF_RANGE)
+            specs.append("%.9g")
+        elif values.dtype.kind in "iu":
+            specs.append("%d")
+        else:
+            specs.append("%s")
+            values = np.array([_fmt(value) for value in values.tolist()], dtype=object)
+        cells.append(values)
+    table = np.empty((len(cells[0]), len(cells)), dtype=object)
+    for j, values in enumerate(cells):
+        table[:, j] = values
+    line = ",".join(specs) + "\n"
+    return ",".join(columns) + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
+
+
+def _emit(args, config: dict, results, columns: dict | None, rng: str | None = None) -> None:
+    """JSON envelope, or the CSV table of ``columns`` (None: no CSV)."""
     if args.format == "json":
         metadata = {"seed": getattr(args, "seed", None), "version": __version__}
         if rng is not None:
@@ -190,11 +222,9 @@ def _emit(args, config: dict, results, records, columns, rng: str | None = None)
         payload = {"config": config, "results": results, "metadata": metadata}
         text = _dumps(payload) + "\n"
     else:
-        if records is None:
+        if columns is None:
             raise DomainError(f"command {args.command!r} has no CSV rendering")
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(record[c]) for c in columns) for record in records]
-        text = "\n".join(lines) + "\n"
+        text = _csv_text(columns)
         print(f"config: {_dumps(config, indent=None)}", file=sys.stderr)
     if args.out:
         with open(args.out, "w", newline="") as handle:
@@ -207,14 +237,22 @@ def _emit(args, config: dict, results, records, columns, rng: str | None = None)
 
 
 def cmd_eof_surface(args) -> int:
-    a_values = _grid(args.a_min, args.a_max, args.a_steps).tolist()
-    b_values = _grid(args.b_min, args.b_max, args.b_steps).tolist()
-    results = [
-        {"a": a, "b": b, "eof": entanglement_of_formation(standard_form(PairParams(a=a, b=b)))}
-        for a in a_values
-        for b in b_values
-    ]
-    _emit(args, _config(args), results, results, ("a", "b", "eof"))
+    a_axis = _grid(args.a_min, args.a_max, args.a_steps)
+    b_axis = _grid(args.b_min, args.b_max, args.b_steps)
+    if a_axis.size and b_axis.size:
+        # PairParams on the first pair it rejects in row-major order: a pair of
+        # row 0 when some b is bad, else the first bad a's pair with b[0]
+        bad_b = ~(b_axis > 0)
+        row = 0 if bad_b.any() else np.argmax(~(a_axis > 0))
+        PairParams(a=float(a_axis[row]), b=float(b_axis[np.argmax(bad_b)]))
+    a, b = (axis.ravel() for axis in np.meshgrid(a_axis, b_axis, indexing="ij"))
+    eof = _entanglement_of_formation(*_standard_form(a, b, 1.0), 1.0)
+    failed = np.flatnonzero(~np.isfinite(eof))
+    if failed.size:  # the scalar path raises what the first such pair raises
+        first = failed[0]
+        entanglement_of_formation(standard_form(PairParams(a=float(a[first]), b=float(b[first]))))
+    columns = {"a": a, "b": b, "eof": eof}
+    _emit(args, _config(args), _Records(columns, eof.size), columns)
     return 0
 
 
@@ -227,7 +265,7 @@ def cmd_simon(args) -> int:
         "I_closed": simon_invariant_closed_form(params),
         "separable": general.separable,
     }
-    _emit(args, _config(args), results, [results], ("I_general", "I_closed", "separable"))
+    _emit(args, _config(args), results, {key: [value] for key, value in results.items()})
     return 0
 
 
@@ -237,19 +275,18 @@ def cmd_dispersion_curve(args) -> int:
     # the entangled pair exists only from the offset on; None (empty cell) before
     offset = args.offset if args.offset > 0 else 0.0
     dx_ent = predicted_dispersion_entangled(args.u, args.b, np.maximum(times - offset, 0.0))
-    rows = [
-        {"t": t, "dx_separable": sep, "dx_entangled": ent if t >= offset else None}
-        for t, sep, ent in zip(times.tolist(), dx_sep.tolist(), dx_ent.tolist())
-    ]
+    dx_ent = dx_ent.astype(object)
+    dx_ent[~(times >= offset)] = None
     crossing = None
     if args.offset > 0:
         found = crossing_times(args.u, args.b, args.offset)
         crossing = {"lab": found.lab, "entangled_clock": found.entangled_clock}
-        if args.format == "csv":
-            print(f"crossing: lab={found.lab:.9g} entangled_clock={found.entangled_clock:.9g}",
+        if args.format == "csv":  # _fmt rejects a crossing that is not finite, as JSON does
+            print(f"crossing: lab={_fmt(found.lab)} entangled_clock={_fmt(found.entangled_clock)}",
                   file=sys.stderr)
-    results = {"rows": rows, "crossing": crossing}
-    _emit(args, _config(args), results, rows, ("t", "dx_separable", "dx_entangled"))
+    columns = {"t": times, "dx_separable": dx_sep, "dx_entangled": dx_ent}
+    results = {"rows": _Records(columns, times.size), "crossing": crossing}
+    _emit(args, _config(args), results, columns)
     return 0
 
 
@@ -273,7 +310,7 @@ def cmd_protocol(args) -> int:
         raise DomainError("provide at least one measurement time")
     run = {"n_samples": args.n_samples, "seed": args.seed, "trials": args.trials,
            "noiseless": args.noiseless}
-    records = None  # mode 1 has no CSV rendering
+    columns = None  # mode 1 has no CSV rendering
     if args.mode == 1:
         batch = run_known_origin_batch(scenario, t_meas=times[0],
                                        tolerance_sigmas=args.threshold_sigmas, **run)
@@ -295,19 +332,17 @@ def cmd_protocol(args) -> int:
             "series": [{"t": t, "dx_hat": batch.dx_hat[:, j], "stderr": batch.stderr[:, j],
                         "n_samples": batch.n_samples} for j, t in enumerate(t_list)],
         }
-        # a generator: only the CSV path walks it
-        records = ({"trial": i, "t": t, "dx_hat": d, "stderr": s, "n_samples": batch.n_samples}
-                   for i, (dx_row, stderr_row) in enumerate(zip(batch.dx_hat.tolist(),
-                                                                batch.stderr.tolist()))
-                   for t, d, s in zip(t_list, dx_row, stderr_row))
+        trials, n_times = batch.dx_hat.shape
+        columns = {"trial": np.repeat(np.arange(trials), n_times),
+                   "t": np.tile(batch.times, trials), "dx_hat": batch.dx_hat.ravel(),
+                   "stderr": batch.stderr.ravel(), "n_samples": [batch.n_samples] * trials * n_times}
     summary = {label: int(np.count_nonzero(batch.classification == label))
                for label in (SEPARABLE, ENTANGLED, INCONCLUSIVE)}
     config = _config(args, a=a)
     del config["u"]  # echoed as the width it implies
     # the trial skeleton's array leaves are the batch columns, one entry per trial
     results = {"trials": _Records(trial, batch.u_hat.size), "summary": summary}
-    _emit(args, config, results, records, ("trial", "t", "dx_hat", "stderr", "n_samples"),
-          rng=RNG_SCHEME)
+    _emit(args, config, results, columns, rng=RNG_SCHEME)
     return 0
 
 
@@ -315,7 +350,7 @@ ORACLE_COLUMNS = ("t", "dx_closed", "dx_grid", "rel_dx", "dp_closed", "dp_grid",
                   "norm_drift", "pass")
 
 
-def _oracle_row(grid0, t: float) -> dict:
+def _oracle_row(grid0, t: float) -> tuple:
     """Closed forms against quadrature at time t.  The evolved grid dies with
     this call, so no two evolved grids are alive at once."""
     params = grid0.params
@@ -329,8 +364,7 @@ def _oracle_row(grid0, t: float) -> dict:
     rel_dp = abs(dp_grid - dp_closed) / dp_closed
     norm_drift = abs(grid.norm() - 1.0)
     passed = rel_dx < DX_TOLERANCE and rel_dp < DX_TOLERANCE and norm_drift < NORM_TOLERANCE
-    values = (t, dx_closed, dx_grid, rel_dx, dp_closed, dp_grid, rel_dp, norm_drift, passed)
-    return dict(zip(ORACLE_COLUMNS, values))
+    return t, dx_closed, dx_grid, rel_dx, dp_closed, dp_grid, rel_dp, norm_drift, passed
 
 
 def cmd_oracle_check(args) -> int:
@@ -341,13 +375,14 @@ def cmd_oracle_check(args) -> int:
     if not all(map(math.isfinite, times)):
         raise DomainError(f"measurement times must be finite, got {times}")
     grid0 = initial_grid(params, n=args.grid_n, extent=args.grid_L, t_max=max(times))
-    checks = [_oracle_row(grid0, float(t)) for t in times]
+    rows = [_oracle_row(grid0, float(t)) for t in times]
+    checks = [dict(zip(ORACLE_COLUMNS, row)) for row in rows]
     cm_delta = float(
         np.abs(numeric_covariance_matrix(grid0).matrix - covariance_matrix(params).matrix).max()
     )
     ok = all(check["pass"] for check in checks) and cm_delta < CM_TOLERANCE
     results = {"checks": checks, "cm_max_abs_delta": cm_delta, "pass": ok}
-    _emit(args, _config(args), results, checks, ORACLE_COLUMNS)
+    _emit(args, _config(args), results, dict(zip(ORACLE_COLUMNS, zip(*rows))))
     return 0 if ok else 3
 
 

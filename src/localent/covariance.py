@@ -46,6 +46,24 @@ _PHYSICAL_TOL = 1e-8  # check_physical: relative eigenvalue dip that rounding ex
 _STANDARD_FORM_ATOL = 1e-9  # standard_form_from_cm: relative size that counts as zero
 
 
+def _array_log2(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.log2, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+# (sqrt, power, log2) of the closed-form kernels for floats and for arrays.  The
+# array ones give the float ones' bits: np.float_power calls the C library's pow,
+# as float ** 2 and math.pow do, and log2 is math.log2 mapped over the array.
+# numpy's own square and log2 differ from those in 0.1% and 0.02% of values, and
+# the cancellation in the EoF of a strongly entangled pair turns such an ulp
+# into up to 1e9 ulp.
+_FLOAT_OPS = (math.sqrt, math.pow, math.log2)
+_ARRAY_OPS = (np.sqrt, np.float_power, _array_log2)
+
+
+def _ops(x) -> tuple:
+    return _ARRAY_OPS if isinstance(x, np.ndarray) else _FLOAT_OPS
+
+
 def symplectic_form() -> np.ndarray:
     """4x4 symplectic form, one J block per particle, ordering (X1,P1,X2,P2)."""
     omega = np.zeros((4, 4))
@@ -184,13 +202,19 @@ def standard_form(params: PairParams) -> StandardForm:
     k_x = k_p = hbar a^2 / (b^2 sqrt(f2)).  Only (n, k) are evaluated here;
     the test suite checks the congruence across the parameter range.
     """
-    h = params.constants.hbar
-    f1 = entanglement_factor(1, params)
-    f2 = entanglement_factor(2, params)
-    sqrt_f2 = math.sqrt(f2)
-    n = h * f1 / sqrt_f2
-    k = h * (params.a / params.b) ** 2 / sqrt_f2
-    return StandardForm(n=n, k_x=k, k_p=k)
+    return StandardForm(*_standard_form(params.a, params.b, params.constants.hbar))
+
+
+def _standard_form(a, b, hbar):
+    """Unchecked (n, k_x, k_p) of :func:`standard_form`, elementwise over
+    floats or equal-shape arrays a, b.  For floats, an a/b whose square
+    overflows raises OverflowError."""
+    sqrt, power, _ = _ops(a)
+    r = a / b
+    sqrt_f2 = sqrt(1.0 + 2 * r * r)  # entanglement_factor(2, ...)
+    n = hbar * (1.0 + r * r) / sqrt_f2
+    k = hbar * power(a / b, 2) / sqrt_f2
+    return n, k, k
 
 
 def standard_form_from_cm(cm: CovMatrix4) -> StandardForm:
@@ -215,12 +239,10 @@ def standard_form_from_cm(cm: CovMatrix4) -> StandardForm:
     return StandardForm(n=n_a, k_x=k_x, k_p=k_p)
 
 
-def _entropy_terms(plus: float, minus: float) -> float:
+def _entropy_terms(plus, minus):
+    log2 = _ops(plus)[2]
     # minus*log2(minus) -> 0 as minus -> 0 (continuity at the product state)
-    out = plus * math.log2(plus)
-    if minus > 0.0:
-        out -= minus * math.log2(minus)
-    return out
+    return plus * log2(plus) - minus * log2(np.where(minus > 0.0, minus, 1.0))
 
 
 def entanglement_of_formation(sf: StandardForm, hbar: float = 1.0) -> float:
@@ -236,10 +258,17 @@ def entanglement_of_formation(sf: StandardForm, hbar: float = 1.0) -> float:
         raise DomainError(
             f"unphysical standard form: n - k_x = {gx}, n - k_p = {gp} must both be positive"
         )
-    delta = math.sqrt(gx * gp) / hbar
-    root = math.sqrt(delta)
-    c_plus = (1.0 / root + root) ** 2 / 4.0
-    c_minus = (1.0 / root - root) ** 2 / 4.0
+    return _entanglement_of_formation(sf.n, sf.k_x, sf.k_p, hbar)
+
+
+def _entanglement_of_formation(n, k_x, k_p, hbar):
+    """Unchecked :func:`entanglement_of_formation`, elementwise over floats or
+    equal-shape arrays of standard-form entries."""
+    sqrt, power, _ = _ops(n)
+    delta = sqrt((n - k_x) * (n - k_p)) / hbar
+    root = sqrt(delta)
+    c_plus = power(1.0 / root + root, 2) / 4.0
+    c_minus = power(1.0 / root - root, 2) / 4.0
     return _entropy_terms(c_plus, c_minus)
 
 

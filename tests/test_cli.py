@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 import localent
 from localent import cli
-from localent.cli import DEFAULT_TIMES, build_parser, main
+from localent.cli import DEFAULT_TIMES, OUT_OF_RANGE, build_parser, main
+from localent.covariance import entanglement_of_formation, standard_form
 from localent.errors import DomainError
 from localent.protocols import HiddenScenario, run_blind_batch, run_known_origin_batch
 from localent.states import PairParams
@@ -87,6 +88,93 @@ def test_eof_surface_rows(capsys):
     # monotone decrease along the b grid at fixed a
     eofs = [float(line.split(",")[2]) for line in lines[1:4]]
     assert eofs[0] > eofs[1] > eofs[2]
+
+
+# log-uniform in [1e-3, 1e3] on a fine lattice, so ends are rarely round numbers
+_AXIS_END = st.integers(0, 6 * 10**6).map(lambda i: 10.0 ** (i / 10**6 - 3.0))
+_AXIS_STEPS = st.one_of(st.sampled_from((0, 1)), st.integers(2, 25))
+
+
+def _axis(start: float, stop: float, steps: int) -> list[float]:
+    return np.linspace(start, stop, steps).tolist()
+
+
+@given(a_min=_AXIS_END, a_max=_AXIS_END, a_steps=_AXIS_STEPS,
+       b_min=_AXIS_END, b_max=_AXIS_END, b_steps=_AXIS_STEPS)
+@settings(max_examples=100, deadline=None)
+def test_eof_surface_matches_the_scalar_composition(a_min, a_max, a_steps, b_min, b_max,
+                                                     b_steps):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["eof-surface", f"--a-min={a_min!r}", f"--a-max={a_max!r}",
+                     f"--a-steps={a_steps}", f"--b-min={b_min!r}", f"--b-max={b_max!r}",
+                     f"--b-steps={b_steps}", "--format=json"])
+    assert code == 0
+    rows = json.loads(out.getvalue())["results"]
+    pairs = [(a, b) for a in _axis(a_min, a_max, a_steps) for b in _axis(b_min, b_max, b_steps)]
+    assert [(row["a"], row["b"]) for row in rows] == pairs
+    # the array path calls the C library's pow and log2 as the scalar path
+    # does, so the values agree to the bit, not only to a few ulp
+    for row in rows:
+        want = entanglement_of_formation(standard_form(PairParams(a=row["a"], b=row["b"])))
+        assert row["eof"] == want, (row, want)
+
+
+def _scalar_surface_outcome(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of the per-pair scalar loop: the first pair in
+    row-major order that raises decides the error, and a value that is not
+    finite fails the output."""
+    args = build_parser().parse_args(argv)
+    try:
+        values = [entanglement_of_formation(standard_form(PairParams(a=a, b=b)))
+                  for a in _axis(args.a_min, args.a_max, args.a_steps)
+                  for b in _axis(args.b_min, args.b_max, args.b_steps)]
+    except DomainError as exc:
+        return 2, f"error: {exc}\n"
+    except ArithmeticError:
+        return 2, f"error: {OUT_OF_RANGE}\n"
+    if not all(map(math.isfinite, values)):
+        return 2, f"error: {OUT_OF_RANGE}\n"
+    return 0, ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # negative: an a of row 0, a b of row 0, an a of a later row
+        "--a-min -1 --a-max 2 --a-steps 3 --b-min -1 --b-max 2 --b-steps 3",
+        "--a-min 1 --a-max 2 --a-steps 3 --b-min -1 --b-max 2 --b-steps 3",
+        "--a-min 1 --a-max -2 --a-steps 3 --b-min 1 --b-max -2 --b-steps 3",
+        "--a-min 1 --a-max -2 --a-steps 3 --b-min 1 --b-max 2 --b-steps 3",
+        # not a number, given or made by linspace from an infinite end
+        "--a-min nan --a-max 2 --a-steps 3",
+        "--b-min 1 --b-max nan --b-steps 3 --format json",
+        "--a-min 1 --a-max inf --a-steps 3",
+        "--a-min inf --a-max inf --a-steps 2 --b-steps 2",
+        # overflowing: (a/b)**2, f2, and n - k rounding to 0
+        "--a-steps 2 --b-steps 2 --b-min 1e-200",
+        "--a-steps 2 --b-steps 2 --b-min 1e-200 --format json",
+        "--a-min 1e154 --a-max 1e154 --a-steps 1 --b-min 1 --b-max 1 --b-steps 1",
+        "--a-min 1e9 --a-max 1e9 --a-steps 1 --b-min 1 --b-max 2 --b-steps 2",
+        "--a-min 1 --a-max 1e300 --a-steps 3 --b-min 1e-10 --b-max 1 --b-steps 2",
+        "--a-min 1e300 --a-max 1 --a-steps 2 --b-min 1 --b-max 1e-10 --b-steps 2",
+        # no pairs: nothing to reject
+        "--a-steps 0 --a-min -1 --b-min -1",
+        "--a-steps 2 --b-steps 0 --a-min -1 --format json",
+    ],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # linspace from an infinite end
+def test_eof_surface_errors_match_the_scalar_loop(capsys, argv):
+    argv = ["eof-surface", *argv.split()]
+    code, out, err = run_cli(capsys, *argv)
+    want_code, want_err = _scalar_surface_outcome(argv)
+    assert code == want_code
+    if code:
+        assert (out, err) == ("", want_err)
+    elif "json" in argv:
+        assert json.loads(out)["results"] == []
+    else:
+        assert out == "a,b,eof\n"
 
 
 def test_dispersion_curve_values(capsys):
@@ -365,6 +453,7 @@ def test_protocol_metadata_names_rng_scheme(capsys):
         "protocol --mode 2 --a 1 --b 2 --times 0,nan,1 --noiseless",
         "protocol --mode 2 --a 1 --b 2 --times 0,1,inf --noiseless",
         "protocol --mode 2 --a 1 --b 2 --times 0,1,inf",
+        "dispersion-curve --u 1 --b 2 --offset 1e300 --format csv",
     ],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -421,7 +510,8 @@ def _fuzz_argv(draw):
     def opt(name, values=_FLOATS):
         return f"--{name}={draw(values)}"
 
-    command = draw(st.sampled_from(("simon", "eof-surface", "dispersion-curve", "protocol")))
+    command = draw(st.sampled_from(("simon", "eof-surface", "dispersion-curve", "protocol",
+                                    "oracle-check")))
     if command == "simon":
         argv = [opt("a"), opt("b")]
     elif command == "eof-surface":
@@ -430,6 +520,9 @@ def _fuzz_argv(draw):
     elif command == "dispersion-curve":
         argv = [opt(name, _COUNTS if name == "t-steps" else _FLOATS)
                 for name in ("u", "b", "t-min", "t-max", "t-steps", "offset")]
+    elif command == "oracle-check":
+        times = ",".join(repr(t) for t in draw(st.lists(_FLOATS, max_size=4)))
+        argv = [opt("a"), opt("b"), opt("kc"), f"--times={times}", opt("grid-L"), "--grid-n=64"]
     else:
         times = ",".join(repr(t) for t in draw(st.lists(_FLOATS, max_size=4)))
         argv = [opt("mode", st.sampled_from((1, 2))), opt(draw(st.sampled_from(("a", "u")))),
@@ -450,6 +543,11 @@ def test_cli_exit_contract(argv):
     assert code in (0, 2, 3, 4), err.getvalue()
     if code == 0 and "--format=json" in argv:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
+    if code == 0 and "--format=csv" in argv:
+        crossing = [line for line in err.getvalue().splitlines() if line.startswith("crossing:")]
+        for text in (out.getvalue(), *crossing):
+            cells = re.split(r"[\s,=]+", text)
+            assert not [cell for cell in cells if cell.lower().lstrip("+-") in ("inf", "nan")], text
     if code in (2, 4):
         assert out.getvalue() == ""
 
@@ -523,6 +621,49 @@ def test_json_writer_rejects_non_finite_numbers(bad):
         for indent in ("  ", None):
             with pytest.raises(DomainError):
                 cli._dumps(value, indent)
+
+
+# --- the CSV writer ---------------------------------------------------------------
+
+_CSV_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from((-0.0, 1e-300, 1e300, -1e300, 5e-324)))
+
+
+def _csv_columns(rows: int):
+    def column(cells, as_array):
+        return st.tuples(st.lists(cells, min_size=rows, max_size=rows), st.just(as_array))
+
+    return st.lists(
+        st.one_of(
+            column(_CSV_FLOATS, True),
+            column(_CSV_FLOATS, False),
+            column(st.integers(-(2**62), 2**62), True),
+            column(st.integers(-(2**80), 2**80), False),
+            column(st.booleans(), False),
+            column(st.one_of(st.none(), _CSV_FLOATS), False),
+            column(st.none(), False),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+
+
+@given(columns=st.integers(0, 6).flatmap(_csv_columns))
+@settings(max_examples=300, deadline=None)
+def test_csv_writer_matches_fmt(columns):
+    names = [f"c{j}" for j in range(len(columns))]
+    table = {name: np.array(cells) if as_array else cells
+             for name, (cells, as_array) in zip(names, columns)}
+    lines = [",".join(names)]
+    lines += [",".join(map(cli._fmt, row)) for row in zip(*(cells for cells, _ in columns))]
+    assert cli._csv_text(table) == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_csv_writer_rejects_non_finite_numbers(bad):
+    for column in (np.array([0.5, bad]), [0.5, bad], [None, bad]):
+        with pytest.raises(DomainError):
+            cli._csv_text({"n": [1, 2], "x": column})
 
 
 def _reference_trials(batch, mode: int) -> list[dict]:

@@ -5,6 +5,12 @@ states: closed-form dispersions and marginals, covariance-matrix
 separability analysis and entanglement of formation, an independent
 spectral-grid oracle, and the single-observer measurement protocols that
 classify the source and extract its entanglement width.
+
+Units: hbar and the particles' common mass are both 1 throughout, so a
+momentum is a wavenumber and a time t stands for hbar t / m.  No physics is
+lost: rescaling t, p and Simon's invariant removes both constants from every
+dispersion, from the sign of the invariant and from the entanglement of
+formation.
 """
 
 from .covariance import (
@@ -48,7 +54,6 @@ from .protocols import (
 from .states import (
     GaussianDensity,
     PairParams,
-    PhysicalConstants,
     drift_velocity,
     entanglement_factor,
     initial_amplitude,

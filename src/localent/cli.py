@@ -13,8 +13,9 @@ hands its CSV table over as columns, and the table is written column by
 column: each float column is checked once and formatted in one pass.
 ``eof-surface`` evaluates its whole grid as arrays.  The argument parser is
 built once per process, on the first ``main`` call.
-Exit codes: 0 ok, 2 domain violation or a result that is not finite,
-3 oracle-check tolerance failure (or grid error), 4 ill-conditioned fit.
+Exit codes: 0 ok, 2 domain violation, a result that is not finite or a
+request that does not fit in memory, 3 oracle-check tolerance failure (or
+grid error), 4 ill-conditioned fit.
 """
 
 from __future__ import annotations
@@ -60,8 +61,10 @@ DX_TOLERANCE = 1e-3  # relative, closed form vs quadrature
 CM_TOLERANCE = 1e-4  # absolute, entrywise
 NORM_TOLERANCE = 1e-10
 DEFAULT_TIMES = (0.0, 0.5, 1.0)  # protocol and oracle-check measurement times
-EXIT_CODES = {DomainError: 2, ArithmeticError: 2, GridError: 3, FitError: 4}
+EXIT_CODES = {DomainError: 2, ArithmeticError: 2, MemoryError: 2, GridError: 3, FitError: 4}
 OUT_OF_RANGE = "the input is outside the representable range: a result is not finite"
+# the error line of these exceptions, in place of their own text
+_MESSAGES = {ArithmeticError: OUT_OF_RANGE, MemoryError: "the request does not fit in memory"}
 
 
 def _fmt(value) -> str:
@@ -191,11 +194,16 @@ def _csv_text(columns: dict) -> str:
 
     A float column is checked for non-finite entries once and written with
     ``%.9g``, as ``_fmt`` writes a float, and an int column with ``%d``.  The
-    cells of any other column (bool, None, or floats among None) take
-    ``_fmt``'s text.  One %-format renders the whole table.
+    cells of any other column (bool, None, floats among None, or a list of
+    ints that numpy holds as floats because their range spans int64 and
+    uint64) take ``_fmt``'s text.  One %-format renders the whole table.
     """
     specs, cells = [], []
-    for values in map(np.asarray, columns.values()):
+    for column in columns.values():
+        values = np.asarray(column)
+        if values.dtype.kind == "f" and not isinstance(column, np.ndarray):
+            if not all(isinstance(cell, float) for cell in column):  # ints numpy made floats
+                values = np.array(column, dtype=object)
         if values.dtype.kind == "f":
             if not np.isfinite(values).all():
                 raise DomainError(OUT_OF_RANGE)
@@ -246,7 +254,7 @@ def cmd_eof_surface(args) -> int:
         row = 0 if bad_b.any() else np.argmax(~(a_axis > 0))
         PairParams(a=float(a_axis[row]), b=float(b_axis[np.argmax(bad_b)]))
     a, b = (axis.ravel() for axis in np.meshgrid(a_axis, b_axis, indexing="ij"))
-    eof = _entanglement_of_formation(*_standard_form(a, b, 1.0), 1.0)
+    eof = _entanglement_of_formation(*_standard_form(a, b))
     failed = np.flatnonzero(~np.isfinite(eof))
     if failed.size:  # the scalar path raises what the first such pair raises
         first = failed[0]
@@ -357,7 +365,7 @@ def _oracle_row(grid0, t: float) -> tuple:
     grid = evolve(grid0, t) if t > 0 else grid0
     dx_grid = grid_sigma(grid.axis, grid.density.sum(axis=1))
     k_axis, k_density = momentum_marginal(grid)
-    dp_grid = grid_sigma(k_axis, k_density) * params.constants.hbar
+    dp_grid = grid_sigma(k_axis, k_density)
     dx_closed = position_dispersion(t, params)
     dp_closed = momentum_dispersion(params)
     rel_dx = abs(dx_grid - dx_closed) / dx_closed
@@ -470,8 +478,9 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             return args.func(args)
     except tuple(EXIT_CODES) as exc:
-        print(f"error: {OUT_OF_RANGE if isinstance(exc, ArithmeticError) else exc}", file=sys.stderr)
-        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
+        kind = next(kind for kind in EXIT_CODES if isinstance(exc, kind))
+        print(f"error: {_MESSAGES.get(kind, exc)}", file=sys.stderr)
+        return EXIT_CODES[kind]
 
 
 if __name__ == "__main__":

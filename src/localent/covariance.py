@@ -2,7 +2,7 @@
 
 The two-mode correlation matrix is assembled in the doubled convention
 ``gamma_ij = <R_i R_j + R_j R_i> - 2 <R_i><R_j>`` with R = (X1, P1, X2, P2),
-so a vacuum-width mode has diagonal hbar.  Separability is decided by the
+so a vacuum-width mode has diagonal 1.  Separability is decided by the
 PPT-based determinant inequality for Gaussian states (Simon's criterion),
 entanglement is quantified by the entanglement of formation of the symmetric
 standard form, and the result is cross-checked against the von Neumann
@@ -132,17 +132,16 @@ def covariance_matrix(params: PairParams) -> CovMatrix4:
     block vanishes.
     """
     a2 = params.a * params.a
-    h = params.constants.hbar
     f1 = entanglement_factor(1, params)
     f2 = entanglement_factor(2, params)
     inv_b2 = 1.0 / (params.b * params.b)  # exactly 0.0 for the separable state
-    A = np.diag([a2 * f1 / (2.0 * f2), 2.0 * h * h * f1 / a2])
-    C = np.diag([a2 * a2 * inv_b2 / (2.0 * f2), -2.0 * h * h * inv_b2])
+    A = np.diag([a2 * f1 / (2.0 * f2), 2.0 * f1 / a2])
+    C = np.diag([a2 * a2 * inv_b2 / (2.0 * f2), -2.0 * inv_b2])
     return CovMatrix4(A=A, B=A.copy(), C=C)
 
 
-def check_physical(cm: CovMatrix4, hbar: float) -> None:
-    """Verify the uncertainty relation gamma + i*hbar*Omega >= 0.
+def check_physical(cm: CovMatrix4) -> None:
+    """Verify the uncertainty relation gamma + i*Omega >= 0.
 
     Raises DomainError when the smallest eigenvalue dips below -_PHYSICAL_TOL
     relative to the matrix scale (pure states sit exactly on the boundary, so
@@ -152,7 +151,7 @@ def check_physical(cm: CovMatrix4, hbar: float) -> None:
     scale = max(1.0, float(np.abs(gamma).max()))
     if not np.allclose(gamma, gamma.T, rtol=0.0, atol=1e-12 * scale):
         raise DomainError("correlation matrix is not symmetric")
-    eigs = np.linalg.eigvalsh(gamma + 1j * hbar * symplectic_form())
+    eigs = np.linalg.eigvalsh(gamma + 1j * symplectic_form())
     if eigs.min() < -_PHYSICAL_TOL * scale:
         raise DomainError(
             f"correlation matrix violates the uncertainty relation "
@@ -160,60 +159,57 @@ def check_physical(cm: CovMatrix4, hbar: float) -> None:
         )
 
 
-def simon_invariant(cm: CovMatrix4, hbar: float = 1.0, validate: bool = True) -> SimonResult:
+def simon_invariant(cm: CovMatrix4, validate: bool = True) -> SimonResult:
     """Evaluate the Gaussian PPT separability invariant for arbitrary blocks.
 
-    I = det A det B + (hbar^2 - |det C|)^2 - Tr{A J C J B J C^T J}
-        - hbar^2 (det A + det B)
+    I = det A det B + (1 - |det C|)^2 - Tr{A J C J B J C^T J} - (det A + det B)
 
     The state is separable iff I >= 0.  Exact at the boundary: all 2x2
     determinants are expanded in closed form.
     """
     if validate:
-        check_physical(cm, hbar)
+        check_physical(cm)
     A, B, C = cm.A, cm.B, cm.C
     det_a = _det2(A)
     det_b = _det2(B)
     det_c = _det2(C)
     J = J_BLOCK
     trace_term = float(np.trace(A @ J @ C @ J @ B @ J @ C.T @ J))
-    h2 = hbar * hbar
-    invariant = det_a * det_b + (h2 - abs(det_c)) ** 2 - trace_term - h2 * (det_a + det_b)
+    invariant = det_a * det_b + (1.0 - abs(det_c)) ** 2 - trace_term - (det_a + det_b)
     return SimonResult(invariant_I=invariant, separable=invariant >= 0.0)
 
 
 def simon_invariant_closed_form(params: PairParams) -> float:
     """Closed form of the separability invariant for this family.
 
-    I = -4 hbar^4 (a/b)^4 / f2: strictly negative for every finite b and
-    exactly 0 in the separable limit.
+    I = -4 (a/b)^4 / f2: strictly negative for every finite b and exactly 0
+    in the separable limit.
     """
-    h = params.constants.hbar
     r2 = (params.a / params.b) ** 2
     f2 = entanglement_factor(2, params)
-    return -4.0 * h**4 * r2 * r2 / f2 + 0.0  # + 0.0 normalizes -0.0 at b = inf
+    return -4.0 * r2 * r2 / f2 + 0.0  # + 0.0 normalizes -0.0 at b = inf
 
 
 def standard_form(params: PairParams) -> StandardForm:
     """Reduce the correlation matrix to standard form by local scaling.
 
-    The scaling diag(s, 1/s, s, 1/s) with s = (4 hbar^2 f2 / a^4)^(1/4)
-    equalizes the diagonal to n = hbar f1 / sqrt(f2) and leaves
-    k_x = k_p = hbar a^2 / (b^2 sqrt(f2)).  Only (n, k) are evaluated here;
-    the test suite checks the congruence across the parameter range.
+    The scaling diag(s, 1/s, s, 1/s) with s = (4 f2 / a^4)^(1/4) equalizes
+    the diagonal to n = f1 / sqrt(f2) and leaves k_x = k_p = a^2 / (b^2 sqrt(f2)).
+    Only (n, k) are evaluated here; the test suite checks the congruence
+    across the parameter range.
     """
-    return StandardForm(*_standard_form(params.a, params.b, params.constants.hbar))
+    return StandardForm(*_standard_form(params.a, params.b))
 
 
-def _standard_form(a, b, hbar):
+def _standard_form(a, b):
     """Unchecked (n, k_x, k_p) of :func:`standard_form`, elementwise over
     floats or equal-shape arrays a, b.  For floats, an a/b whose square
     overflows raises OverflowError."""
     sqrt, power, _ = _ops(a)
     r = a / b
     sqrt_f2 = sqrt(1.0 + 2 * r * r)  # entanglement_factor(2, ...)
-    n = hbar * (1.0 + r * r) / sqrt_f2
-    k = hbar * power(a / b, 2) / sqrt_f2
+    n = (1.0 + r * r) / sqrt_f2
+    k = power(a / b, 2) / sqrt_f2
     return n, k, k
 
 
@@ -245,11 +241,11 @@ def _entropy_terms(plus, minus):
     return plus * log2(plus) - minus * log2(np.where(minus > 0.0, minus, 1.0))
 
 
-def entanglement_of_formation(sf: StandardForm, hbar: float = 1.0) -> float:
+def entanglement_of_formation(sf: StandardForm) -> float:
     """Entanglement of formation (bits) of a symmetric two-mode Gaussian state.
 
     EoF = c+ log2 c+ - c- log2 c-  with  c± = (delta^(-1/2) ± delta^(1/2))^2 / 4
-    and delta = sqrt((n - k_x)(n - k_p)) in vacuum units (n = hbar, k = 0 gives
+    and delta = sqrt((n - k_x)(n - k_p)) (the vacuum n = 1, k = 0 gives
     delta = 1 and EoF = 0 exactly).
     """
     gx = sf.n - sf.k_x
@@ -258,27 +254,27 @@ def entanglement_of_formation(sf: StandardForm, hbar: float = 1.0) -> float:
         raise DomainError(
             f"unphysical standard form: n - k_x = {gx}, n - k_p = {gp} must both be positive"
         )
-    return _entanglement_of_formation(sf.n, sf.k_x, sf.k_p, hbar)
+    return _entanglement_of_formation(sf.n, sf.k_x, sf.k_p)
 
 
-def _entanglement_of_formation(n, k_x, k_p, hbar):
+def _entanglement_of_formation(n, k_x, k_p):
     """Unchecked :func:`entanglement_of_formation`, elementwise over floats or
     equal-shape arrays of standard-form entries."""
     sqrt, power, _ = _ops(n)
-    delta = sqrt((n - k_x) * (n - k_p)) / hbar
+    delta = sqrt((n - k_x) * (n - k_p))
     root = sqrt(delta)
     c_plus = power(1.0 / root + root, 2) / 4.0
     c_minus = power(1.0 / root - root, 2) / 4.0
     return _entropy_terms(c_plus, c_minus)
 
 
-def reduced_symplectic_eigenvalue(cm: CovMatrix4, hbar: float = 1.0) -> float:
-    """Symplectic eigenvalue sqrt(det A)/hbar of the reduced one-mode state.
+def reduced_symplectic_eigenvalue(cm: CovMatrix4) -> float:
+    """Symplectic eigenvalue sqrt(det A) of the reduced one-mode state.
 
     Equals 1 iff the reduced state is pure, i.e. iff the pair is a product
     state; for this family it evaluates to f1/sqrt(f2).
     """
-    return math.sqrt(_det2(cm.A)) / hbar
+    return math.sqrt(_det2(cm.A))
 
 
 def entropy_from_symplectic_eigenvalue(nu: float) -> float:

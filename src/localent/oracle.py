@@ -182,7 +182,7 @@ def initial_grid(
 def evolve(grid: WaveGrid, t: float) -> WaveGrid:
     """Advance the wavefunction by time t with the exact free propagator.
 
-    The phase exp(-i hbar (k1^2 + k2^2) t / 2m) is the outer product of one
+    The phase exp(-i (k1^2 + k2^2) t / 2) is the outer product of one
     n-vector with itself, applied to ``grid.spectrum`` and followed by one
     inverse FFT; the product is the evolved grid's own spectrum, so the
     evolved grid needs no forward transform.  Unitary up to roundoff, so the
@@ -191,9 +191,8 @@ def evolve(grid: WaveGrid, t: float) -> WaveGrid:
     """
     if not (math.isfinite(t) and t >= 0):
         raise DomainError(f"time step must be finite and nonnegative, got {t}")
-    c = grid.params.constants
     k = grid.k_axis
-    e = np.exp(-1j * c.hbar * k * k * t / (2.0 * c.mass))
+    e = np.exp(-1j * k * k * t / 2.0)
     phi = grid.spectrum * e[:, None]
     phi *= e[None, :]
     amp = np.fft.ifft2(phi)
@@ -277,21 +276,19 @@ def moments(grid: WaveGrid) -> MomentSet:
 
 def numeric_covariance_matrix(grid: WaveGrid) -> CovMatrix4:
     """Correlation matrix by quadrature, in the same doubled convention as
-    the analytic construction (entries are 2x the symmetrized covariances,
-    momenta are hbar times wavenumbers)."""
+    the analytic construction (entries are 2x the symmetrized covariances)."""
     m = moments(grid)
-    h = grid.params.constants.hbar
     g = np.zeros((4, 4))
     g[0, 0] = 2.0 * m.var_x1
-    g[1, 1] = 2.0 * h * h * m.var_k1
+    g[1, 1] = 2.0 * m.var_k1
     g[2, 2] = 2.0 * m.var_x2
-    g[3, 3] = 2.0 * h * h * m.var_k2
-    g[0, 1] = g[1, 0] = 2.0 * h * m.sym_x1k1
+    g[3, 3] = 2.0 * m.var_k2
+    g[0, 1] = g[1, 0] = 2.0 * m.sym_x1k1
     g[0, 2] = g[2, 0] = 2.0 * m.cov_x1x2
-    g[0, 3] = g[3, 0] = 2.0 * h * m.sym_x1k2
-    g[1, 2] = g[2, 1] = 2.0 * h * m.sym_x2k1
-    g[1, 3] = g[3, 1] = 2.0 * h * h * m.cov_k1k2
-    g[2, 3] = g[3, 2] = 2.0 * h * m.sym_x2k2
+    g[0, 3] = g[3, 0] = 2.0 * m.sym_x1k2
+    g[1, 2] = g[2, 1] = 2.0 * m.sym_x2k1
+    g[1, 3] = g[3, 1] = 2.0 * m.cov_k1k2
+    g[2, 3] = g[3, 2] = 2.0 * m.sym_x2k2
     return CovMatrix4.from_matrix(g)
 
 

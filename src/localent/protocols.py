@@ -16,16 +16,15 @@ u^4 b^4 / (u^4 b^4 - 1) > 1.  Two classifiers exploit this:
   where alpha = 1 marks separability, alpha > 1 yields b, and beta recovers
   the hidden production-to-measurement offset.
 
-Everything in this module works in hbar = m = 1 units.  The simulation
-drivers run whole batches of trials as arrays.  A trial needs only the sample
-dispersion of each Gaussian sub-ensemble of n Born-rule draws, and
-(n - 1) s^2 / sigma^2 is exactly chi-square distributed with n - 1 degrees
-of freedom, so each sub-ensemble costs one chi-square variate instead of n
-normals.  Trial k of seed s draws from its own Philox stream keyed by
-(s, k) (scheme ``RNG_SCHEME``), so a trial is bit-reproducible whatever
-batch it runs in.  The single-trial functions are batches of one.  This
-is the only engine: the per-sample Born-rule reference it is checked against
-lives with the tests, in ``tests/born_reference.py``.
+The simulation drivers run whole batches of trials as arrays.  A trial needs
+only the sample dispersion of each Gaussian sub-ensemble of n Born-rule
+draws, and (n - 1) s^2 / sigma^2 is exactly chi-square distributed with
+n - 1 degrees of freedom, so each sub-ensemble costs one chi-square variate
+instead of n normals.  Trial k of seed s draws from its own Philox stream
+keyed by (s, k) (scheme ``RNG_SCHEME``), so a trial is bit-reproducible
+whatever batch it runs in.  The single-trial functions are batches of one.
+This is the only engine: the per-sample Born-rule reference it is checked
+against lives with the tests, in ``tests/born_reference.py``.
 """
 
 from __future__ import annotations
@@ -100,8 +99,6 @@ class HiddenScenario:
     t0: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.params.constants.hbar != 1.0 or self.params.constants.mass != 1.0:
-            raise DomainError("protocol closed forms assume hbar = mass = 1")
         if self.t0 < 0:
             raise DomainError(f"production offset t0 must be nonnegative, got {self.t0}")
         if not math.isfinite(self.t0):
@@ -223,6 +220,8 @@ def width_from_momentum_dispersion(u: float, b: float = math.inf) -> float:
     """Packet width a reproducing momentum dispersion u at anticorrelation b."""
     if not u > 0:
         raise DomainError(f"momentum dispersion u must be positive, got {u}")
+    if not b > 0:  # NaN fails too
+        raise DomainError(f"anticorrelation width b must be positive (or math.inf), got {b}")
     inv_a2 = u * u - 1.0 / (b * b)
     if inv_a2 <= 0:
         raise DomainError(f"no packet width gives u = {u} at b = {b} (needs u*b > 1)")
@@ -275,7 +274,7 @@ def crossing_times(u: float, b: float, offset: float) -> CrossingTimes:
     also reports the same instant on a clock starting at the entangled pair's
     production.
     """
-    if offset <= 0:
+    if not offset > 0:  # NaN fails too
         raise DomainError(f"production offset must be positive, got {offset}")
     alpha = entangled_alpha(u, b)
     u4 = u**4
@@ -465,7 +464,7 @@ def entanglement_width_from_alpha(alpha: float, u: float) -> float:
     u = np.asarray(u, dtype=float)
     if not np.all(u > 0):
         raise DomainError(f"momentum dispersion u must be positive, got {u}")
-    if np.any(alpha < 1.0):
+    if not np.all(alpha >= 1.0):  # NaN fails too
         raise DomainError(f"alpha must be >= 1 to invert, got {alpha}")
     with np.errstate(divide="ignore"):  # alpha = 1 gives b = inf
         b = np.sqrt(np.sqrt(alpha / (u**4 * (alpha - 1.0))))

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "PhysicalConstants",
     "PairParams",
     "GaussianDensity",
     "entanglement_factor",
@@ -37,20 +36,6 @@ __all__ = [
     "marginal_momentum",
     "initial_amplitude",
 ]
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Planck constant and particle mass (both particles share the mass)."""
-
-    hbar: float = 1.0
-    mass: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.hbar > 0:
-            raise DomainError(f"hbar must be positive, got {self.hbar}")
-        if not self.mass > 0:
-            raise DomainError(f"mass must be positive, got {self.mass}")
 
 
 @dataclass(frozen=True)
@@ -71,7 +56,6 @@ class PairParams:
     a: float
     b: float
     k_c: float = 0.0
-    constants: PhysicalConstants = PhysicalConstants()
 
     def __post_init__(self) -> None:
         if not self.a > 0:
@@ -114,22 +98,20 @@ def entanglement_factor(n: int, params: PairParams) -> float:
 
 
 def spreading_factor(t: float, params: PairParams) -> float:
-    """Dimensionless free-spreading term 4 hbar^2 t^2 / (m^2 a^4) at time t >= 0."""
-    if t < 0:
+    """Dimensionless free-spreading term 4 t^2 / a^4 at time t >= 0."""
+    if not t >= 0:  # NaN fails too
         raise DomainError(f"time must be nonnegative, got {t}")
-    c = params.constants
-    q = 2.0 * c.hbar * t / (c.mass * params.a * params.a)
+    q = 2.0 * t / (params.a * params.a)
     return q * q
 
 
 def drift_velocity(params: PairParams) -> float:
-    """Group velocity hbar k_c / m of particle 1's packet center."""
-    c = params.constants
-    return c.hbar * params.k_c / c.mass
+    """Group velocity k_c of particle 1's packet center."""
+    return float(params.k_c)
 
 
-def _dispersion_curve(u: float, alpha: float, t, hbar: float = 1.0, mass: float = 1.0):
-    """sqrt(alpha hbar^2 + 4 u^4 t^2 / m^2) / (2u) at scalar or array t >= 0.
+def _dispersion_curve(u: float, alpha: float, t):
+    """sqrt(alpha + 4 u^4 t^2) / (2u) at scalar or array t >= 0.
 
     The family's position-dispersion curve in the observer's coordinates: u is
     the momentum dispersion, alpha = f1^2 / f2 the constant term (1 when
@@ -137,10 +119,10 @@ def _dispersion_curve(u: float, alpha: float, t, hbar: float = 1.0, mass: float 
     physical floor still gives a finite model.  Returns a float for scalar t.
     """
     t = np.asarray(t, dtype=float)[()]  # scalar t as a numpy scalar: cheaper arithmetic
-    if (t < 0).any():
-        raise DomainError(f"time must be nonnegative, got {float(np.extract(t < 0, t)[0])}")
+    if not (t >= 0).all():  # NaN fails too
+        raise DomainError(f"time must be nonnegative, got {float(np.extract(~(t >= 0), t)[0])}")
     with np.errstate(over="ignore"):  # huge t spreads to inf, as float arithmetic does
-        radicand = alpha * hbar**2 + 4.0 * u**4 * t * t / mass**2
+        radicand = alpha + 4.0 * u**4 * t * t
     dx = np.sqrt(np.maximum(radicand, 0.0)) / (2.0 * u)
     return dx if np.ndim(dx) else float(dx)
 
@@ -156,14 +138,13 @@ def position_dispersion(t: float | np.ndarray, params: PairParams) -> float | np
     """
     f1 = entanglement_factor(1, params)
     f2 = entanglement_factor(2, params)
-    c = params.constants
-    return _dispersion_curve(momentum_dispersion(params), f1 * f1 / f2, t, c.hbar, c.mass)
+    return _dispersion_curve(momentum_dispersion(params), f1 * f1 / f2, t)
 
 
 def momentum_dispersion(params: PairParams) -> float:
     """Standard deviation of particle 1's momentum; constant under free evolution."""
     f1 = entanglement_factor(1, params)
-    return params.constants.hbar * math.sqrt(f1) / params.a
+    return math.sqrt(f1) / params.a
 
 
 def marginal_position(t: float, params: PairParams) -> GaussianDensity:
@@ -181,9 +162,7 @@ def marginal_momentum(params: PairParams) -> GaussianDensity:
     """Momentum-representation marginal of particle 1; time independent.
 
     Centered at the packet wavenumber ``k_c`` with width equal to
-    :func:`momentum_dispersion` (center and width coincide numerically with
-    the wavenumber-space density in the hbar = 1 units used by every
-    consumer in this package).
+    :func:`momentum_dispersion`.
     """
     return GaussianDensity(params.k_c, momentum_dispersion(params))
 

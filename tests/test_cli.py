@@ -15,7 +15,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import localent
@@ -464,6 +464,29 @@ def test_cli_escapes_exit_2(capsys, argv):
     assert err.startswith("error: ")
 
 
+# each asks for 1 PiB or more in its first large array: no allocation can give
+# that, so each fails at once
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "protocol --mode 2 --a 1 --b 2 --trials 1000000000000000",
+        "protocol --mode 1 --a 1 --b 2 --trials 1000000000000000 --noiseless",
+        "eof-surface --a-steps 1000000000000000 --b-steps 2",
+        "dispersion-curve --u 1.2 --b 1 --t-steps 1000000000000000 --format json",
+    ],
+)
+def test_oversize_request_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err == "error: the request does not fit in memory\n"
+
+
+def test_nan_width_exits_2_naming_it(capsys):
+    code, out, err = run_cli(capsys, "protocol", "--mode", "2", "--u", "1.2", "--b", "nan")
+    assert (code, out) == (2, "")
+    assert err == "error: anticorrelation width b must be positive (or math.inf), got nan\n"
+
+
 @pytest.mark.parametrize("t0", ["nan", "inf"])
 @pytest.mark.parametrize("mode", ["1", "2"])
 @pytest.mark.parametrize("noise", [["--noiseless"], ["--n-samples", "100"]])
@@ -503,30 +526,58 @@ _FLOATS = st.one_of(
     st.sampled_from((0.0, math.inf, math.nan)),
 )
 _COUNTS = st.integers(-3, 12)
+_WIDTHS = st.floats(0.1, 10.0)
+_TIMES = st.floats(0.0, 5.0)
+# the range in which each float option is valid; one option per argv is drawn
+# from the extreme values of _FLOATS instead, or none is
+_VALID = {
+    "a": _WIDTHS, "u": _WIDTHS, "b": st.one_of(st.floats(0.1, 100.0), st.just(math.inf)),
+    "a-min": _WIDTHS, "a-max": _WIDTHS, "b-min": _WIDTHS, "b-max": st.floats(0.1, 100.0),
+    "t0": _TIMES, "t-min": _TIMES, "t-max": _TIMES, "offset": _TIMES,
+    "kc": st.floats(-3.0, 3.0), "grid-L": st.floats(1.0, 100.0),
+    "threshold-sigmas": st.floats(0.1, 10.0),
+}
+_FUZZED = {
+    "simon": ("a", "b"),
+    "eof-surface": ("a-min", "a-max", "b-min", "b-max"),
+    "dispersion-curve": ("u", "b", "t-min", "t-max", "offset"),
+    "oracle-check": ("a", "b", "kc", "times", "grid-L"),
+    "protocol": ("a", "u", "b", "kc", "t0", "times", "threshold-sigmas"),
+}
 
 
 @st.composite
 def _fuzz_argv(draw):
-    def opt(name, values=_FLOATS):
-        return f"--{name}={draw(values)}"
+    command = draw(st.sampled_from(tuple(_FUZZED)))
+    extreme = draw(st.sampled_from((None, *_FUZZED[command])))
 
-    command = draw(st.sampled_from(("simon", "eof-surface", "dispersion-curve", "protocol",
-                                    "oracle-check")))
+    def floats(name):
+        return _FLOATS if name == extreme else _VALID[name]
+
+    def opt(name, values=None):
+        return f"--{name}={draw(floats(name) if values is None else values)}"
+
+    def times():
+        if extreme == "times":
+            values = draw(st.lists(_FLOATS, max_size=4))
+        else:  # increasing, as the blind fit needs
+            values = sorted(draw(st.lists(_TIMES, min_size=1, max_size=4, unique=True)))
+        return "--times=" + ",".join(map(repr, values))
+
     if command == "simon":
         argv = [opt("a"), opt("b")]
     elif command == "eof-surface":
-        argv = [opt(name, _COUNTS if name.endswith("steps") else _FLOATS)
+        argv = [opt(name, _COUNTS if name.endswith("steps") else None)
                 for name in ("a-min", "a-max", "a-steps", "b-min", "b-max", "b-steps")]
     elif command == "dispersion-curve":
-        argv = [opt(name, _COUNTS if name == "t-steps" else _FLOATS)
+        argv = [opt(name, _COUNTS if name == "t-steps" else None)
                 for name in ("u", "b", "t-min", "t-max", "t-steps", "offset")]
     elif command == "oracle-check":
-        times = ",".join(repr(t) for t in draw(st.lists(_FLOATS, max_size=4)))
-        argv = [opt("a"), opt("b"), opt("kc"), f"--times={times}", opt("grid-L"), "--grid-n=64"]
+        argv = [opt("a"), opt("b"), opt("kc"), times(), "--grid-n=64"]
+        argv += [opt("grid-L")] if extreme == "grid-L" or draw(st.booleans()) else []
     else:
-        times = ",".join(repr(t) for t in draw(st.lists(_FLOATS, max_size=4)))
         argv = [opt("mode", st.sampled_from((1, 2))), opt(draw(st.sampled_from(("a", "u")))),
-                opt("b"), opt("kc"), opt("t0"), f"--times={times}",
+                opt("b"), opt("kc"), opt("t0"), times(),
                 opt("n-samples", st.one_of(_COUNTS, st.just(10_000))), opt("trials", _COUNTS),
                 opt("seed", _COUNTS), opt("threshold-sigmas")]
         argv += ["--noiseless"] if draw(st.booleans()) else []
@@ -535,6 +586,9 @@ def _fuzz_argv(draw):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite intermediates are expected
 @given(argv=_fuzz_argv())
+# its crossing overflowed to inf, which CSV once wrote to stderr with exit 0
+@example(argv=["dispersion-curve", "--u=1.0", "--b=2.0", "--t-min=0.0", "--t-max=5.0",
+               "--t-steps=3", "--offset=1e+300", "--format=csv"])
 @settings(max_examples=300, deadline=None)
 def test_cli_exit_contract(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -649,6 +703,7 @@ def _csv_columns(rows: int):
 
 
 @given(columns=st.integers(0, 6).flatmap(_csv_columns))
+@example(columns=[([0, 2**63], False)])  # numpy holds these two Python ints as float64
 @settings(max_examples=300, deadline=None)
 def test_csv_writer_matches_fmt(columns):
     names = [f"c{j}" for j in range(len(columns))]

@@ -21,7 +21,6 @@ from localent.covariance import (
 )
 from localent.errors import DomainError
 from localent.states import PairParams
-from localent.states import PhysicalConstants
 
 INF = math.inf
 
@@ -57,20 +56,20 @@ def test_separable_blocks():
 def test_covariance_matrix_is_physical():
     for a in SWEEP_A:
         for b in SWEEP_B + [INF]:
-            check_physical(covariance_matrix(PairParams(a=a, b=b)), hbar=1.0)
+            check_physical(covariance_matrix(PairParams(a=a, b=b)))
 
 
 def test_covariance_matrix_is_physical_over_the_family():
     # the CLI's simon skips the check on the family's own matrices
     for a in np.logspace(-3.0, 3.0, 7):
         for b in [*(a / np.logspace(-4.0, 4.0, 9)), INF]:
-            check_physical(covariance_matrix(PairParams(a=float(a), b=float(b))), hbar=1.0)
+            check_physical(covariance_matrix(PairParams(a=float(a), b=float(b))))
 
 
 def test_check_physical_rejects_sub_vacuum():
     bad = CovMatrix4(A=np.diag([0.1, 0.1]), B=np.diag([0.1, 0.1]), C=np.zeros((2, 2)))
     with pytest.raises(DomainError):
-        check_physical(bad, hbar=1.0)
+        check_physical(bad)
 
 
 def test_invariant_value_a1_b2():
@@ -153,16 +152,14 @@ def test_standard_form_scaling_factor():
     assert gamma0[1, 3] == pytest.approx(-sf.k_p, rel=1e-12)
 
 
-@pytest.mark.parametrize("hbar, mass", [(1.0, 1.0), (0.3, 2.5), (4.0, 0.2)])
-def test_standard_form_congruence(hbar, mass):
-    # diag(s, 1/s, s, 1/s) with s = (4 hbar^2 f2 / a^4)^(1/4) carries the
+def test_standard_form_congruence():
+    # diag(s, 1/s, s, 1/s) with s = (4 f2 / a^4)^(1/4) carries the
     # correlation matrix onto the pattern of the (n, k) standard_form reports
-    constants = PhysicalConstants(hbar=hbar, mass=mass)
     for a in np.logspace(-3.0, 3.0, 7):
         for b in [*(a / np.logspace(-4.0, 4.0, 9)), INF]:
-            p = PairParams(a=float(a), b=float(b), constants=constants)
+            p = PairParams(a=float(a), b=float(b))
             f2 = 1.0 + 2.0 * (p.a / p.b) ** 2
-            s = (4.0 * hbar * hbar * f2 / p.a**4) ** 0.25
+            s = (4.0 * f2 / p.a**4) ** 0.25
             scale = np.diag([s, 1.0 / s, s, 1.0 / s])
             gamma0 = scale @ covariance_matrix(p).matrix @ scale.T
             sf = standard_form(p)

@@ -9,7 +9,6 @@ from localent.errors import DomainError
 from localent.states import (
     GaussianDensity,
     PairParams,
-    PhysicalConstants,
     drift_velocity,
     entanglement_factor,
     initial_amplitude,
@@ -56,8 +55,6 @@ def test_spreading_factor():
 def test_drift_velocity():
     assert drift_velocity(PairParams(a=1.0, b=INF, k_c=0.0)) == 0.0
     assert drift_velocity(PairParams(a=1.0, b=INF, k_c=1.0)) == 1.0
-    heavy = PhysicalConstants(hbar=1.0, mass=2.0)
-    assert drift_velocity(PairParams(a=1.0, b=INF, k_c=2.0, constants=heavy)) == 1.0
 
 
 def test_position_dispersion_values():
@@ -157,17 +154,6 @@ def test_monotone_spreading(b):
     assert all(w2 > w1 for w1, w2 in zip(widths, widths[1:]))
 
 
-def test_dimensional_scaling():
-    # dx scales with sqrt(hbar/m) at fixed a via F(t); dp carries hbar/a
-    scaled = PhysicalConstants(hbar=2.0, mass=4.0)
-    p = PairParams(a=1.0, b=2.0, constants=scaled)
-    f1 = entanglement_factor(1, p)
-    f2 = entanglement_factor(2, p)
-    expected = 0.5 * math.sqrt((f1 / f2) * (1.0 + f2 * (2.0 * 2.0 * 1.0 / 4.0) ** 2))
-    assert position_dispersion(1.0, p) == pytest.approx(expected, rel=1e-14)
-    assert momentum_dispersion(p) == pytest.approx(2.0 * math.sqrt(f1), rel=1e-14)
-
-
 def test_parameter_validation():
     with pytest.raises(DomainError):
         PairParams(a=0.0, b=1.0)
@@ -177,8 +163,6 @@ def test_parameter_validation():
         PairParams(a=1.0, b=0.0)
     with pytest.raises(DomainError):
         PairParams(a=1.0, b=-2.0)
-    with pytest.raises(DomainError):
-        PhysicalConstants(hbar=0.0)
     with pytest.raises(DomainError):
         GaussianDensity(mean=0.0, sigma=0.0)
     assert PairParams(a=1.0, b=INF).is_separable()

@@ -40,7 +40,13 @@ from .covariance import (
     standard_form,
 )
 from .errors import DomainError, FitError, GridError
-from .oracle import evolve, initial_grid, momentum_marginal, numeric_covariance_matrix
+from .oracle import (
+    evolve,
+    initial_grid,
+    momentum_marginal,
+    numeric_covariance_matrix,
+    position_marginal,
+)
 from .oracle import marginal_sigma as grid_sigma
 from .protocols import (
     ENTANGLED,
@@ -279,6 +285,8 @@ def cmd_simon(args) -> int:
 
 def cmd_dispersion_curve(args) -> int:
     times = _grid(args.t_min, args.t_max, args.t_steps)
+    if not math.isfinite(args.offset):
+        raise DomainError(f"production offset --offset must be finite, got {args.offset}")
     dx_sep = predicted_dispersion_separable(args.u, times)
     # the entangled pair exists only from the offset on; None (empty cell) before
     offset = args.offset if args.offset > 0 else 0.0
@@ -363,7 +371,7 @@ def _oracle_row(grid0, t: float) -> tuple:
     this call, so no two evolved grids are alive at once."""
     params = grid0.params
     grid = evolve(grid0, t) if t > 0 else grid0
-    dx_grid = grid_sigma(grid.axis, grid.density.sum(axis=1))
+    dx_grid = grid_sigma(*position_marginal(grid))
     k_axis, k_density = momentum_marginal(grid)
     dp_grid = grid_sigma(k_axis, k_density)
     dx_closed = position_dispersion(t, params)

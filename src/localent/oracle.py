@@ -1,36 +1,43 @@
-"""Brute-force validation on a two-dimensional spectral grid.
+"""Brute-force validation on a two-dimensional spectral grid, in factored form.
 
-The t = 0 two-particle amplitude is sampled on an n x n grid, evolved by the
-free propagator applied as a phase in Fourier space (exact for free motion,
-so there is no time-stepping error), and every moment, marginal density and
-correlation-matrix entry is recomputed by midpoint quadrature.  Nothing here
-reuses the closed-form dispersions, which is what makes these numbers an
-independent check of them.
+The t = 0 two-particle amplitude is sampled on an n x n grid and factorised
+once into Schmidt factors, psi = left @ right with left n x r and right
+r x n.  Free evolution is U (x) U, so it acts on each factor alone and never
+changes the rank: ``evolve`` applies the exact free propagator as a phase in
+Fourier space to each factor's r columns or rows, with 2r one-dimensional
+transforms each way, no 2-D transform and no time-stepping error.  Every moment, marginal
+density, norm, edge leakage and correlation-matrix entry is a contraction of
+the factors with cost O(n r^2): r x r Gram matrices such as left^H diag(w)
+left and right diag(w) right^H, then an elementwise trace of their product.
+None of them assumes orthonormal factors.  Nothing here reuses the
+closed-form dispersions, which is what makes these numbers an independent
+check of them.
 
-Each grid transforms its amplitudes at most once: ``WaveGrid.spectrum``,
-``WaveGrid.density`` and ``WaveGrid.spectral_density`` are computed on first
-use and shared by every quadrature.  ``evolve`` multiplies the spectrum by the
-free phase, which factorises into one n-vector per particle, and hands the
-product to the evolved grid as that grid's own spectrum.  ``moments`` takes
-every first and second moment as a contraction of the row and column sums of
-the density and of the spectral density with the axis, so its only n x n work
-is the two inverse transforms of its cross terms and single passes over
-arrays the grid already holds.
+The factorisation is a randomized range finder with a posteriori error
+control (Halko, Martinsson & Tropp, SIAM Rev. 53, 217 (2011), sec. 4.3).
+Gaussian probes drawn from a fixed seed grow an orthonormal basis Q of the
+amplitude's columns by blocks, each block orthogonalised against Q.  A
+probe block's residual only says when to look: Q is accepted once the exact
+Frobenius residual ||psi - Q Q^H psi||, summed over blocks of rows, is at
+most RESIDUAL_LIMIT ||psi||.  A small SVD of Q^H psi then gives the Schmidt
+values (Ekert & Knight, Am. J. Phys. 63, 415 (1995)), and the weakest modes
+are dropped while the total error stays within half that limit.  The
+sampled amplitude is the only n x n array, and it dies with
+``initial_grid``.
 
-Conventions: amplitudes[i, j] = psi(x1_i, x2_j) on the uniform axis
-[-L/2, L/2) with n points; wavenumbers follow numpy's FFT ordering.
+Conventions: psi[i, j] = psi(x1_i, x2_j) on the uniform axis [-L/2, L/2)
+with n points; wavenumbers follow numpy's FFT ordering.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .covariance import CovMatrix4
-from .errors import DomainError, GridError
+from .errors import DomainError, GridError, require_memory
 from .states import PairParams, drift_velocity, initial_amplitude, position_dispersion
 
 __all__ = [
@@ -49,17 +56,31 @@ __all__ = [
 ]
 
 LEAKAGE_LIMIT = 1e-8
+RESIDUAL_LIMIT = 1e-13  # relative Frobenius error of an accepted factorisation
+PROBE_BLOCK = 8  # Gaussian probes per basis block
+PROBE_SEED = 2011  # fixed, so that a grid's factors repeat exactly
+ROW_BLOCK = 64  # rows of the residual formed at once
 
 
 @dataclass(frozen=True)
 class WaveGrid:
-    """Discretized two-particle wavefunction at one instant."""
+    """Discretized two-particle wavefunction at one instant, as Schmidt
+    factors: psi(x1_i, x2_j) = (left @ right)[i, j].
+
+    ``left`` (n x r) holds particle 1's modes as columns and ``right``
+    (r x n) particle 2's as rows, weighted by the singular values.
+    ``schmidt`` holds the r Schmidt coefficients of the sampled state: the
+    singular values of psi times dx, whose squares sum to its norm.  All
+    three are read-only.
+    """
 
     n: int
     extent: float
-    amplitudes: np.ndarray
     params: PairParams
     t: float
+    left: np.ndarray
+    right: np.ndarray
+    schmidt: np.ndarray
 
     @property
     def dx(self) -> float:
@@ -73,30 +94,36 @@ class WaveGrid:
     def k_axis(self) -> np.ndarray:
         return 2.0 * math.pi * np.fft.fftfreq(self.n, d=self.dx)
 
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        """fft2 of the amplitudes (read-only), in numpy's FFT ordering."""
-        return _read_only(np.fft.fft2(self.amplitudes))
-
-    @cached_property
-    def density(self) -> np.ndarray:
-        """|psi|^2 on the grid points (read-only)."""
-        return _read_only(self.amplitudes.real ** 2 + self.amplitudes.imag ** 2)
-
-    @cached_property
-    def spectral_density(self) -> np.ndarray:
-        """|fft2(psi)|^2 in numpy's FFT ordering (read-only), unnormalized."""
-        return _read_only(np.abs(self.spectrum) ** 2)
-
     def norm(self) -> float:
         """Quadrature of |psi|^2 over the plane; 1 up to grid error."""
-        return float(np.sum(self.density) * self.dx * self.dx)
+        return _trace(_left_gram(self.left), _right_gram(self.right)) * self.dx * self.dx
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
-    """``array``, flagged so that no caller can corrupt a grid's cached copy."""
+    """``array``, flagged so that no caller can corrupt a grid's factors."""
     array.flags.writeable = False
     return array
+
+
+def _left_gram(left: np.ndarray, weights=1.0, other: np.ndarray | None = None) -> np.ndarray:
+    """The r x r matrix left^H diag(weights) other of n x r factors; ``other``
+    defaults to ``left``."""
+    return (left.conj().T * weights) @ (left if other is None else other)
+
+
+def _right_gram(right: np.ndarray, weights=1.0, other: np.ndarray | None = None) -> np.ndarray:
+    """The r x r matrix other diag(weights) right^H of r x n factors; ``other``
+    defaults to ``right``."""
+    return ((right if other is None else other) * weights) @ right.conj().T
+
+
+def _trace(left_gram: np.ndarray, right_gram: np.ndarray) -> float:
+    """Re tr(left_gram @ right_gram), as an elementwise sum.
+
+    With psi = L R and psi' = L' R', sum_ij f_i g_j conj(psi_ij) psi'_ij is
+    tr((L^H diag(f) L') (R' diag(g) R^H)).
+    """
+    return float(np.sum(left_gram.T * right_gram).real)
 
 
 @dataclass(frozen=True)
@@ -134,21 +161,19 @@ def default_extent(params: PairParams, t_max: float = 0.0) -> float:
 
 def boundary_leakage(grid: WaveGrid) -> float:
     """Probability mass in the outermost two cells along each edge."""
-    density = grid.density
-    return float(density.sum() - density[2:-2, 2:-2].sum()) * grid.dx * grid.dx
+    left, right = grid.left, grid.right
+    total = _trace(_left_gram(left), _right_gram(right))
+    inner = _trace(_left_gram(left[2:-2]), _right_gram(right[:, 2:-2]))
+    return (total - inner) * grid.dx * grid.dx
 
 
-def initial_grid(
-    params: PairParams,
-    n: int = 512,
-    extent: float | None = None,
-    t_max: float = 0.0,
-) -> WaveGrid:
-    """Sample the t = 0 amplitude and renormalize it by quadrature.
+def _sampled_amplitude(
+    params: PairParams, n: int, extent: float | None, t_max: float
+) -> tuple[np.ndarray, float]:
+    """The renormalized t = 0 amplitude on the n x n grid, and the extent.
 
-    ``t_max`` feeds the default extent so the packet still fits after the
-    evolutions the caller plans.  The renormalization factor must stay within
-    1e-4 of unity, otherwise the grid is rejected as under-resolved.
+    Raises before any allocation when the grid is invalid or its amplitude
+    (16 n^2 bytes) exceeds the physical memory.
     """
     if n < 64 or n & (n - 1):
         raise GridError(f"grid size must be a power of two >= 64, got {n}")
@@ -162,6 +187,7 @@ def initial_grid(
         raise GridError(
             f"extent {extent:g} is below 16 initial position dispersions; enlarge the domain"
         )
+    require_memory(16 * n * n)
     dx = extent / n
     x = -0.5 * extent + dx * np.arange(n)
     amp = initial_amplitude(x[:, None], x[None, :], params)
@@ -172,7 +198,79 @@ def initial_grid(
             f"grid under-resolves the state (renormalization factor {factor:.6f})"
         )
     amp *= factor
-    grid = WaveGrid(n=n, extent=extent, amplitudes=amp, params=params, t=0.0)
+    return amp, extent
+
+
+def _residual(amp: np.ndarray, basis: np.ndarray, rows: np.ndarray) -> float:
+    """||amp - basis @ rows||_F, formed ROW_BLOCK rows at a time."""
+    total = 0.0
+    for start in range(0, len(amp), ROW_BLOCK):
+        miss = amp[start:start + ROW_BLOCK] - basis[start:start + ROW_BLOCK] @ rows
+        total += np.vdot(miss, miss).real
+    return math.sqrt(total)
+
+
+def _schmidt_factors(amp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(left, right, s): amp ~ left @ right with left = Q U (orthonormal
+    columns) and right = diag(s) V^H, s the retained singular values, and
+    ||amp - left @ right||_F <= RESIDUAL_LIMIT ||amp||_F.
+
+    Q grows by blocks of PROBE_BLOCK columns.  Each new probe block amp @ G,
+    with G Gaussian, is orthogonalised against Q twice; its Frobenius norm
+    over sqrt(PROBE_BLOCK) estimates ||amp - Q Q^H amp||_F, and only when
+    that estimate is within the limit is the residual computed exactly.  A
+    Q that fails adds the block and goes on.  Since Q is orthonormal, the
+    error of keeping r singular values is sqrt(residual^2 + sum of the
+    dropped s^2), and the smallest r that keeps it within half the limit is
+    kept (all of them when the residual alone exceeds that).
+    """
+    n = len(amp)
+    limit = RESIDUAL_LIMIT * math.sqrt(np.vdot(amp, amp).real)
+    gaussian = np.random.default_rng(PROBE_SEED)
+    basis = np.empty((n, 0), dtype=complex)
+    rows = np.empty((0, n), dtype=complex)  # basis^H amp, one block of rows per block
+    while True:
+        probe = amp @ gaussian.standard_normal((n, PROBE_BLOCK))
+        for _ in range(2):
+            probe -= basis @ (basis.conj().T @ probe)
+        if np.linalg.norm(probe) <= limit * math.sqrt(PROBE_BLOCK):
+            residual = _residual(amp, basis, rows)
+            if residual <= limit:
+                break
+        if basis.shape[1] >= n:
+            raise GridError("no factorisation of the amplitude meets the residual limit")
+        block = np.linalg.qr(probe)[0]
+        block -= basis @ (basis.conj().T @ block)
+        block = np.linalg.qr(block)[0]
+        basis = np.hstack([basis, block])
+        rows = np.vstack([rows, block.conj().T @ amp])
+    u, s, vh = np.linalg.svd(rows, full_matrices=False)
+    # dropped[r] is the weight beyond the first r values; half the limit is
+    # left to roundoff
+    dropped = np.cumsum(s[::-1] ** 2)[::-1]
+    rank = max(1, int(np.count_nonzero(dropped > limit * limit / 4.0 - residual * residual)))
+    return basis @ u[:, :rank], s[:rank, None] * vh[:rank], s[:rank]
+
+
+def initial_grid(
+    params: PairParams,
+    n: int = 512,
+    extent: float | None = None,
+    t_max: float = 0.0,
+) -> WaveGrid:
+    """Sample the t = 0 amplitude, renormalize it by quadrature and factorise it.
+
+    ``t_max`` feeds the default extent so the packet still fits after the
+    evolutions the caller plans.  The renormalization factor must stay within
+    1e-4 of unity, otherwise the grid is rejected as under-resolved.  Raises
+    MemoryError, before allocating, when the n x n amplitude exceeds the
+    physical memory.
+    """
+    amp, extent = _sampled_amplitude(params, n, extent, t_max)
+    left, right, s = _schmidt_factors(amp)
+    dx = extent / n
+    grid = WaveGrid(n=n, extent=extent, params=params, t=0.0, left=_read_only(left),
+                    right=_read_only(right), schmidt=_read_only(s * dx))
     leak = boundary_leakage(grid)
     if not leak <= LEAKAGE_LIMIT:
         raise GridError(f"initial packet touches the boundary (leakage {leak:.2e})")
@@ -183,21 +281,20 @@ def evolve(grid: WaveGrid, t: float) -> WaveGrid:
     """Advance the wavefunction by time t with the exact free propagator.
 
     The phase exp(-i (k1^2 + k2^2) t / 2) is the outer product of one
-    n-vector with itself, applied to ``grid.spectrum`` and followed by one
-    inverse FFT; the product is the evolved grid's own spectrum, so the
-    evolved grid needs no forward transform.  Unitary up to roundoff, so the
-    norm is preserved to ~1e-15 per call.  Raises when the evolved packet
-    reaches the grid boundary.
+    n-vector with itself, so each factor takes it alone: a 1-D transform of
+    each of ``left``'s r columns and ``right``'s r rows, the phase, and the
+    inverse transform.  The Schmidt values do not change.  Unitary up to
+    roundoff, so the norm is preserved to ~1e-15 per call.  Raises when the
+    evolved packet reaches the grid boundary.
     """
     if not (math.isfinite(t) and t >= 0):
         raise DomainError(f"time step must be finite and nonnegative, got {t}")
     k = grid.k_axis
     e = np.exp(-1j * k * k * t / 2.0)
-    phi = grid.spectrum * e[:, None]
-    phi *= e[None, :]
-    amp = np.fft.ifft2(phi)
-    out = WaveGrid(n=grid.n, extent=grid.extent, amplitudes=amp, params=grid.params, t=grid.t + t)
-    vars(out)["spectrum"] = _read_only(phi)  # the cache slot cached_property reads
+    left = np.fft.ifft(np.fft.fft(grid.left, axis=0) * e[:, None], axis=0)
+    right = np.fft.ifft(np.fft.fft(grid.right, axis=1) * e, axis=1)
+    out = WaveGrid(n=grid.n, extent=grid.extent, params=grid.params, t=grid.t + t,
+                   left=_read_only(left), right=_read_only(right), schmidt=grid.schmidt)
     leak = boundary_leakage(out)
     if not leak <= LEAKAGE_LIMIT:
         raise GridError(
@@ -207,55 +304,40 @@ def evolve(grid: WaveGrid, t: float) -> WaveGrid:
     return out
 
 
-def _contractions(weights: np.ndarray, axis: np.ndarray) -> tuple[float, ...]:
-    """Means, variances and covariance of the two coordinates under ``weights``,
-    then the total weight.  Row sums weight the first coordinate, column sums
-    the second, and x^T W x gives their correlation."""
-    rows = weights.sum(axis=1)
-    cols = weights.sum(axis=0)
-    total = float(rows.sum())
-    mean1 = float(axis @ rows) / total
-    mean2 = float(axis @ cols) / total
-    square = axis * axis
-    var1 = float(square @ rows) / total - mean1 * mean1
-    var2 = float(square @ cols) / total - mean2 * mean2
-    # einsum, not a BLAS matrix-vector product: at n = 1024 on a 2-core VM a
-    # threaded OpenBLAS gemv took 8 ms against 0.4 ms, and slowed the work after it
-    cov = float(axis @ np.einsum("ij,j->i", weights, axis)) / total - mean1 * mean2
-    return mean1, mean2, var1, var2, cov, total
-
-
-def _float_pairs(array: np.ndarray) -> np.ndarray:
-    """An n x n array as the n x 2n float64 view of its complex128 C-ordered
-    form, copying only when ``array`` is not already in that form (amplitudes
-    a caller built, and the transforms of their spectrum, may be in F order)."""
-    return np.ascontiguousarray(array, dtype=np.complex128).view(np.float64)
+def _contractions(left: np.ndarray, right: np.ndarray, axis: np.ndarray):
+    """Means, variances and covariance of the two coordinates under the
+    weights |left @ right|^2, then the total weight; and the Grams of
+    weights 1 and ``axis`` of each factor, which the cross terms reuse."""
+    l1, lx, lxx = (_left_gram(left, w) for w in (1.0, axis, axis * axis))
+    r1, rx, rxx = (_right_gram(right, w) for w in (1.0, axis, axis * axis))
+    total = _trace(l1, r1)
+    mean1 = _trace(lx, r1) / total
+    mean2 = _trace(l1, rx) / total
+    var1 = _trace(lxx, r1) / total - mean1 * mean1
+    var2 = _trace(l1, rxx) / total - mean2 * mean2
+    cov = _trace(lx, rx) / total - mean1 * mean2
+    return (mean1, mean2, var1, var2, cov, total), (l1, lx), (r1, rx)
 
 
 def moments(grid: WaveGrid) -> MomentSet:
-    """All first/second moments: positions from ``grid.density``, wavenumbers
-    from ``grid.spectral_density``, and symmetrized position-wavenumber cross
-    terms via Re <psi| x (k psi)> (the real part is exactly the symmetrized
-    product).  Each is a contraction of row and column sums with the axis."""
-    x = grid.axis
-    mean_x1, mean_x2, var_x1, var_x2, cov_x1x2, norm = _contractions(grid.density, x)
-    k = grid.k_axis
-    mean_k1, mean_k2, var_k1, var_k2, cov_k1k2, _ = _contractions(grid.spectral_density, k)
-
-    # In the float64 views (re, im) pairs sit side by side, so a row of the
-    # elementwise product sums Re(conj(psi) k_psi) with no complex temporary.
-    psi = _float_pairs(grid.amplitudes)
-
-    def raw_cross(k_phi: np.ndarray) -> tuple[float, float]:
-        """<x1 k>, <x2 k> for the wavenumber k that weights ``k_phi``."""
-        k_psi = _float_pairs(np.fft.ifft2(k_phi))
-        rows = np.einsum("ij,ij->i", psi, k_psi)
-        cols = np.einsum("ij,ij->j", psi, k_psi).reshape(-1, 2).sum(axis=1)
-        return float(x @ rows) / norm, float(x @ cols) / norm
-
-    phi = grid.spectrum
-    x1k1, x2k1 = raw_cross(phi * k[:, None])
-    x1k2, x2k2 = raw_cross(phi * k[None, :])
+    """All first/second moments: positions from the factors, wavenumbers from
+    their 1-D transforms, and symmetrized position-wavenumber cross terms via
+    Re <psi| x (k psi)> (the real part is exactly the symmetrized product).
+    Each is a trace of two r x r Grams."""
+    x, k = grid.axis, grid.k_axis
+    left, right = grid.left, grid.right
+    position, (l1, lx), (r1, rx) = _contractions(left, right, x)
+    mean_x1, mean_x2, var_x1, var_x2, cov_x1x2, norm = position
+    left_k = np.fft.fft(left, axis=0)
+    right_k = np.fft.fft(right, axis=1)
+    mean_k1, mean_k2, var_k1, var_k2, cov_k1k2, _ = _contractions(left_k, right_k, k)[0]
+    # k1 psi = k1_left @ right and k2 psi = left @ k2_right
+    k1_left = np.fft.ifft(left_k * k[:, None], axis=0)
+    k2_right = np.fft.ifft(right_k * k, axis=1)
+    x1k1 = _trace(_left_gram(left, x, k1_left), r1) / norm
+    x2k1 = _trace(_left_gram(left, 1.0, k1_left), rx) / norm
+    x1k2 = _trace(lx, _right_gram(right, 1.0, k2_right)) / norm
+    x2k2 = _trace(l1, _right_gram(right, x, k2_right)) / norm
     return MomentSet(
         mean_x1=mean_x1,
         mean_x2=mean_x2,
@@ -274,10 +356,9 @@ def moments(grid: WaveGrid) -> MomentSet:
     )
 
 
-def numeric_covariance_matrix(grid: WaveGrid) -> CovMatrix4:
-    """Correlation matrix by quadrature, in the same doubled convention as
+def _correlation_matrix(m: MomentSet) -> CovMatrix4:
+    """The correlation matrix of a moment set, in the doubled convention of
     the analytic construction (entries are 2x the symmetrized covariances)."""
-    m = moments(grid)
     g = np.zeros((4, 4))
     g[0, 0] = 2.0 * m.var_x1
     g[1, 1] = 2.0 * m.var_k1
@@ -292,15 +373,25 @@ def numeric_covariance_matrix(grid: WaveGrid) -> CovMatrix4:
     return CovMatrix4.from_matrix(g)
 
 
+def numeric_covariance_matrix(grid: WaveGrid) -> CovMatrix4:
+    """Correlation matrix by quadrature, in the same doubled convention as
+    the analytic construction (entries are 2x the symmetrized covariances)."""
+    return _correlation_matrix(moments(grid))
+
+
+def _row_weights(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_j |(left @ right)[i, j]|^2 for each row i."""
+    return np.einsum("ib,ib->i", left @ _right_gram(right), left.conj()).real
+
+
 def position_marginal(grid: WaveGrid) -> tuple[np.ndarray, np.ndarray]:
     """Marginal density of x1, integrating |psi|^2 over x2 by midpoint rule."""
-    density = np.sum(grid.density, axis=1) * grid.dx
-    return grid.axis.copy(), density
+    return grid.axis, _row_weights(grid.left, grid.right) * grid.dx
 
 
 def momentum_marginal(grid: WaveGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Marginal density of k1 from the spectral density, sorted by wavenumber."""
-    density = np.sum(grid.spectral_density, axis=1)
+    """Marginal density of k1 from the factors' transforms, sorted by wavenumber."""
+    density = _row_weights(np.fft.fft(grid.left, axis=0), np.fft.fft(grid.right, axis=1))
     k = grid.k_axis
     order = np.argsort(k)
     k = k[order]

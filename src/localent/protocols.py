@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FitError
+from .errors import DomainError, FitError, require_memory
 from .states import (
     PairParams,
     _dispersion_curve,
@@ -546,6 +546,7 @@ def _trial_dispersions(scenario, times, n, seed, first_trial, trials, noiseless)
             raise DomainError(f"need at least 2 samples, got {n}")
         if np.any(times < 0):
             raise DomainError(f"measurement time must be nonnegative, got {times.min()}")
+    require_memory(8 * trials * (times.size + 1))  # each (trials, 1 + times) float64 array
     params = scenario.params
     sigma = np.concatenate(
         [[momentum_dispersion(params)], position_dispersion(times + scenario.t0, params)]

@@ -292,9 +292,8 @@ ORACLE_ARGV = ("oracle-check", "--a", "1", "--b", "2", "--kc", "0.5", "--times",
                "--grid-n", "256")
 
 
-def test_oracle_check_makes_six_transforms(capsys, monkeypatch):
-    # one forward transform of the t = 0 grid, one inverse per evolution,
-    # two inverses in the covariance quadrature
+def test_oracle_check_makes_no_2d_transforms(capsys, monkeypatch):
+    # the grids are Schmidt factors: every transform is 1-D
     calls = []
 
     def counted(name):
@@ -310,12 +309,12 @@ def test_oracle_check_makes_six_transforms(capsys, monkeypatch):
         monkeypatch.setattr(np.fft, name, counted(name))
     code, _, _ = run_cli(capsys, *ORACLE_ARGV)
     assert code == 0
-    assert sorted(calls) == ["fft2"] + ["ifft2"] * 5
+    assert calls == []
 
 
 def test_oracle_check_releases_each_evolved_grid(capsys, monkeypatch):
-    # a 1024 grid holds 40 MB of amplitudes, spectrum and density: keeping the
-    # previous one alive during the next evolution raises the peak memory
+    # keeping the previous evolved grid alive during the next evolution would
+    # raise the peak memory
     evolved = []
 
     def tracked(grid, t):
@@ -479,6 +478,39 @@ def test_oversize_request_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out) == (2, "")
     assert err == "error: the request does not fit in memory\n"
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("allocated past the memory check")
+
+
+# each would allocate 4 PiB or more in its first large array: the memory
+# check refuses it before any allocation
+@pytest.mark.parametrize(
+    "argv,allocator",
+    [
+        ("oracle-check --a 1 --b 2 --grid-n 16777216", "localent.oracle.initial_amplitude"),
+        ("protocol --mode 2 --a 1 --b 2 --trials 200000000000000",
+         "localent.protocols._chi2_draws"),
+        ("protocol --mode 1 --a 1 --b 2 --trials 400000000000000 --noiseless",
+         "localent.protocols.np.tile"),
+    ],
+)
+def test_oversize_request_is_refused_before_allocating(capsys, monkeypatch, argv, allocator):
+    monkeypatch.setattr(allocator, _never_called)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err == "error: the request does not fit in memory\n"
+
+
+@pytest.mark.parametrize("offset", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_offset_exits_2_naming_it(capsys, monkeypatch, offset, fmt):
+    monkeypatch.setattr(localent.cli, "predicted_dispersion_separable", _never_called)
+    code, out, err = run_cli(capsys, "dispersion-curve", "--u", "1.2", "--b", "1",
+                             f"--offset={offset}", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == f"error: production offset --offset must be finite, got {offset}\n"
 
 
 def test_nan_width_exits_2_naming_it(capsys):

@@ -17,9 +17,10 @@ class FitError(RuntimeError):
 
 
 def require_memory(nbytes: int) -> None:
-    """Raise MemoryError when one array of ``nbytes`` bytes exceeds the
-    physical memory, where the platform reports it.  Called before the
-    allocation, so that a request the machine cannot hold is never made."""
+    """Raise MemoryError when ``nbytes``, the bytes a step is about to hold
+    at once, exceed the physical memory, where the platform reports it.
+    Called before the allocation, so that a request the machine cannot hold
+    is never made."""
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no sysconf, or no such name

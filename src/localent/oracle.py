@@ -5,25 +5,34 @@ once into Schmidt factors, psi = left @ right with left n x r and right
 r x n.  Free evolution is U (x) U, so it acts on each factor alone and never
 changes the rank: ``evolve`` applies the exact free propagator as a phase in
 Fourier space to each factor's r columns or rows, with 2r one-dimensional
-transforms each way, no 2-D transform and no time-stepping error.  Every moment, marginal
-density, norm, edge leakage and correlation-matrix entry is a contraction of
-the factors with cost O(n r^2): r x r Gram matrices such as left^H diag(w)
-left and right diag(w) right^H, then an elementwise trace of their product.
+transforms each way, no 2-D transform and no time-stepping error.  Every
+moment, marginal density, norm, edge leakage and correlation-matrix entry is
+a contraction of the factors with cost O(n r^2): r x r Gram matrices such
+as left^H diag(w) left and right diag(w) right^H, then an elementwise trace
+of their product.
 None of them assumes orthonormal factors.  Nothing here reuses the
 closed-form dispersions, which is what makes these numbers an independent
 check of them.
 
+The sampled amplitude is psi[i, j] = c p_i E[i, j] conj(p_j): c is the
+renormalized constant, p = exp(i k_c x) the packet phase with |p_i| = 1,
+and E the real, symmetric envelope.  A diagonal unitary changes no
+singular value, so psi's Schmidt factors are E's with the phase moved onto
+them: left = diag(p) Q U and right = c S V^T diag(conj p).  Only E is
+sampled, as one float64 array (8 n^2 bytes, the only n x n array, which
+dies inside ``initial_grid``), and the whole factorisation runs in real
+arithmetic.
+
 The factorisation is a randomized range finder with a posteriori error
 control (Halko, Martinsson & Tropp, SIAM Rev. 53, 217 (2011), sec. 4.3).
 Gaussian probes drawn from a fixed seed grow an orthonormal basis Q of the
-amplitude's columns by blocks, each block orthogonalised against Q.  A
-probe block's residual only says when to look: Q is accepted once the exact
-Frobenius residual ||psi - Q Q^H psi||, summed over blocks of rows, is at
-most RESIDUAL_LIMIT ||psi||.  A small SVD of Q^H psi then gives the Schmidt
-values (Ekert & Knight, Am. J. Phys. 63, 415 (1995)), and the weakest modes
-are dropped while the total error stays within half that limit.  The
-sampled amplitude is the only n x n array, and it dies with
-``initial_grid``.
+envelope's columns by blocks, each block orthogonalised against Q.  A probe
+block's residual only says when to look: Q is accepted once the exact
+Frobenius residual ||E - Q Q^T E||, summed over blocks of rows, is at most
+RESIDUAL_LIMIT ||E||, which is psi's relative residual too, since |p_i| = 1.
+A small SVD of Q^T E then gives the Schmidt values (Ekert & Knight, Am. J.
+Phys. 63, 415 (1995)), and the weakest modes are dropped while the total
+error stays within half that limit.
 
 Conventions: psi[i, j] = psi(x1_i, x2_j) on the uniform axis [-L/2, L/2)
 with n points; wavenumbers follow numpy's FFT ordering.
@@ -38,7 +47,7 @@ import numpy as np
 
 from .covariance import CovMatrix4
 from .errors import DomainError, GridError, require_memory
-from .states import PairParams, drift_velocity, initial_amplitude, position_dispersion
+from .states import PairParams, _envelope, _prefactor, drift_velocity, position_dispersion
 
 __all__ = [
     "WaveGrid",
@@ -88,7 +97,7 @@ class WaveGrid:
 
     @property
     def axis(self) -> np.ndarray:
-        return -0.5 * self.extent + self.dx * np.arange(self.n)
+        return _axis(self.n, self.extent)
 
     @property
     def k_axis(self) -> np.ndarray:
@@ -97,6 +106,11 @@ class WaveGrid:
     def norm(self) -> float:
         """Quadrature of |psi|^2 over the plane; 1 up to grid error."""
         return _trace(_left_gram(self.left), _right_gram(self.right)) * self.dx * self.dx
+
+
+def _axis(n: int, extent: float) -> np.ndarray:
+    """The n points of the uniform axis [-extent/2, extent/2)."""
+    return -0.5 * extent + (extent / n) * np.arange(n)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -167,13 +181,30 @@ def boundary_leakage(grid: WaveGrid) -> float:
     return (total - inner) * grid.dx * grid.dx
 
 
+def _peak_bytes(n: int, columns: int) -> int:
+    """Bytes alive at ``initial_grid``'s peak once the basis holds
+    ``columns`` columns.  Beside the n x n envelope: the basis and its rows,
+    before and after a block joins them, or beside the SVD's factors and
+    LAPACK's copy of the rows (five n-vectors a column); a probe block and
+    its Gaussian draw; and one residual row block.  After it: the complex
+    factors and the copies that the leakage check makes of them (eight
+    n-vectors a column)."""
+    return 8 * n * max(n + 5 * columns + 2 * PROBE_BLOCK + ROW_BLOCK, 8 * columns)
+
+
 def _sampled_amplitude(
     params: PairParams, n: int, extent: float | None, t_max: float
-) -> tuple[np.ndarray, float]:
-    """The renormalized t = 0 amplitude on the n x n grid, and the extent.
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The t = 0 amplitude on the n x n grid as psi = c diag(p) E diag(conj p):
+    the packet phase p = exp(i k_c x), the real envelope E, ||E||_F^2, and
+    the extent.
 
-    Raises before any allocation when the grid is invalid or its amplitude
-    (16 n^2 bytes) exceeds the physical memory.
+    c is the closed-form normalisation.  The quadrature of |psi|^2 is
+    c^2 m^2 ||E||_F^2 dx^2 with m = |p_i|^2, the same for every i (1 for
+    any finite k_c, NaN otherwise), and the renormalization factor it gives
+    must stay within 1e-4 of unity.  Raises before any allocation when the
+    grid is invalid or the factorisation's first peak exceeds the physical
+    memory.
     """
     if n < 64 or n & (n - 1):
         raise GridError(f"grid size must be a power of two >= 64, got {n}")
@@ -187,69 +218,75 @@ def _sampled_amplitude(
         raise GridError(
             f"extent {extent:g} is below 16 initial position dispersions; enlarge the domain"
         )
-    require_memory(16 * n * n)
-    dx = extent / n
-    x = -0.5 * extent + dx * np.arange(n)
-    amp = initial_amplitude(x[:, None], x[None, :], params)
-    norm = float(np.sum(np.abs(amp) ** 2) * dx * dx)
-    factor = 1.0 / math.sqrt(norm)
+    require_memory(_peak_bytes(n, 0))
+    x = _axis(n, extent)
+    phase = np.exp(1j * params.k_c * x)
+    envelope = _envelope(x[:, None], x[None, :], params)
+    weight = float(np.vdot(envelope, envelope))
+    modulus = float(np.mean(np.abs(phase) ** 2))
+    factor = 1.0 / (_prefactor(params) * modulus * math.sqrt(weight) * (extent / n))
     if not abs(factor - 1.0) <= 1e-4:
         raise GridError(
             f"grid under-resolves the state (renormalization factor {factor:.6f})"
         )
-    amp *= factor
-    return amp, extent
+    return phase, envelope, weight, extent
 
 
 def _residual(amp: np.ndarray, basis: np.ndarray, rows: np.ndarray) -> float:
     """||amp - basis @ rows||_F, formed ROW_BLOCK rows at a time."""
     total = 0.0
+    buffer = np.empty((ROW_BLOCK, len(amp)))  # the one row block alive
     for start in range(0, len(amp), ROW_BLOCK):
-        miss = amp[start:start + ROW_BLOCK] - basis[start:start + ROW_BLOCK] @ rows
-        total += np.vdot(miss, miss).real
+        miss = np.matmul(basis[start:start + ROW_BLOCK], rows, out=buffer[:len(amp) - start])
+        miss -= amp[start:start + ROW_BLOCK]
+        total += np.vdot(miss, miss)
     return math.sqrt(total)
 
 
-def _schmidt_factors(amp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(left, right, s): amp ~ left @ right with left = Q U (orthonormal
-    columns) and right = diag(s) V^H, s the retained singular values, and
+def _schmidt_factors(amp: np.ndarray, weight: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(left, right, s) of a real n x n ``amp`` with ||amp||_F^2 = ``weight``:
+    amp ~ left @ right with left = Q U (orthonormal columns) and
+    right = diag(s) V^T, s the retained singular values, and
     ||amp - left @ right||_F <= RESIDUAL_LIMIT ||amp||_F.
 
     Q grows by blocks of PROBE_BLOCK columns.  Each new probe block amp @ G,
     with G Gaussian, is orthogonalised against Q twice; its Frobenius norm
-    over sqrt(PROBE_BLOCK) estimates ||amp - Q Q^H amp||_F, and only when
+    over sqrt(PROBE_BLOCK) estimates ||amp - Q Q^T amp||_F, and only when
     that estimate is within the limit is the residual computed exactly.  A
-    Q that fails adds the block and goes on.  Since Q is orthonormal, the
-    error of keeping r singular values is sqrt(residual^2 + sum of the
-    dropped s^2), and the smallest r that keeps it within half the limit is
-    kept (all of them when the residual alone exceeds that).
+    Q that fails adds the block and goes on, once the memory check passes
+    for the larger basis.  Since Q is orthonormal, the error of keeping r
+    singular values is sqrt(residual^2 + sum of the dropped s^2), and the
+    smallest r that keeps it within half the limit is kept (all of them
+    when the residual alone exceeds that).
     """
     n = len(amp)
-    limit = RESIDUAL_LIMIT * math.sqrt(np.vdot(amp, amp).real)
+    limit = RESIDUAL_LIMIT * math.sqrt(weight)
     gaussian = np.random.default_rng(PROBE_SEED)
-    basis = np.empty((n, 0), dtype=complex)
-    rows = np.empty((0, n), dtype=complex)  # basis^H amp, one block of rows per block
+    basis = np.empty((n, 0))
+    rows = np.empty((0, n))  # basis^T amp, one block of rows per block
     while True:
         probe = amp @ gaussian.standard_normal((n, PROBE_BLOCK))
         for _ in range(2):
-            probe -= basis @ (basis.conj().T @ probe)
+            probe -= basis @ (basis.T @ probe)
         if np.linalg.norm(probe) <= limit * math.sqrt(PROBE_BLOCK):
             residual = _residual(amp, basis, rows)
             if residual <= limit:
                 break
         if basis.shape[1] >= n:
             raise GridError("no factorisation of the amplitude meets the residual limit")
+        require_memory(_peak_bytes(n, basis.shape[1] + PROBE_BLOCK))
         block = np.linalg.qr(probe)[0]
-        block -= basis @ (basis.conj().T @ block)
+        block -= basis @ (basis.T @ block)
         block = np.linalg.qr(block)[0]
         basis = np.hstack([basis, block])
-        rows = np.vstack([rows, block.conj().T @ amp])
+        rows = np.vstack([rows, block.T @ amp])
     u, s, vh = np.linalg.svd(rows, full_matrices=False)
     # dropped[r] is the weight beyond the first r values; half the limit is
     # left to roundoff
     dropped = np.cumsum(s[::-1] ** 2)[::-1]
     rank = max(1, int(np.count_nonzero(dropped > limit * limit / 4.0 - residual * residual)))
-    return basis @ u[:, :rank], s[:rank, None] * vh[:rank], s[:rank]
+    vh *= s[:, None]
+    return basis @ u[:, :rank], vh[:rank], s[:rank]
 
 
 def initial_grid(
@@ -263,14 +300,21 @@ def initial_grid(
     ``t_max`` feeds the default extent so the packet still fits after the
     evolutions the caller plans.  The renormalization factor must stay within
     1e-4 of unity, otherwise the grid is rejected as under-resolved.  Raises
-    MemoryError, before allocating, when the n x n amplitude exceeds the
-    physical memory.
+    MemoryError, before allocating, when the factorisation's peak exceeds
+    the physical memory.
     """
-    amp, extent = _sampled_amplitude(params, n, extent, t_max)
-    left, right, s = _schmidt_factors(amp)
+    phase, envelope, weight, extent = _sampled_amplitude(params, n, extent, t_max)
+    left, right, s = _schmidt_factors(envelope, weight)
+    del envelope  # the only n x n array: gone before the factors turn complex
+    # a diagonal unitary keeps singular values: psi / c = diag(p) E diag(conj p)
+    # has E's Schmidt factors with the phase moved onto them, and renormalized
+    # it has E's singular values over ||E|| dx
     dx = extent / n
+    norm = math.sqrt(weight)
+    left = phase[:, None] * left
+    right = right / (norm * dx) * phase.conj()
     grid = WaveGrid(n=n, extent=extent, params=params, t=0.0, left=_read_only(left),
-                    right=_read_only(right), schmidt=_read_only(s * dx))
+                    right=_read_only(right), schmidt=_read_only(s / norm))
     leak = boundary_leakage(grid)
     if not leak <= LEAKAGE_LIMIT:
         raise GridError(f"initial packet touches the boundary (leakage {leak:.2e})")

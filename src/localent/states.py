@@ -167,6 +167,31 @@ def marginal_momentum(params: PairParams) -> GaussianDensity:
     return GaussianDensity(params.k_c, momentum_dispersion(params))
 
 
+def _prefactor(params: PairParams) -> float:
+    """The constant that normalises :func:`_envelope` on the plane."""
+    a2 = params.a * params.a
+    return math.sqrt(2.0 / (math.pi * a2)) * entanglement_factor(2, params) ** 0.25
+
+
+def _envelope(x1, x2, params: PairParams) -> np.ndarray:
+    """The real t = 0 envelope exp(-(f1/a^2)(x1^2 + x2^2) + (2/b^2) x1 x2),
+    unnormalised, on the broadcast shape of ``x1`` and ``x2``.
+
+    It is one array, built in place: the cross term first, then the two
+    square terms, then one ``exp``.  The exponent is never split into a
+    product of exponentials, which could overflow or underflow where their
+    product is finite.
+    """
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    width = -entanglement_factor(1, params) / (params.a * params.a)
+    cross = 2.0 / (params.b * params.b)  # exactly 0.0 in the separable limit
+    exponent = np.multiply(cross * x1, x2, out=np.empty(np.broadcast_shapes(x1.shape, x2.shape)))
+    exponent += width * x1 * x1
+    exponent += width * x2 * x2
+    return np.exp(exponent, out=exponent)
+
+
 def initial_amplitude(x1, x2, params: PairParams):
     """Two-particle amplitude at t = 0, vectorized over positions.
 
@@ -177,14 +202,6 @@ def initial_amplitude(x1, x2, params: PairParams):
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    a2 = params.a * params.a
-    f1 = entanglement_factor(1, params)
-    f2 = entanglement_factor(2, params)
-    cross = 2.0 / (params.b * params.b)  # exactly 0.0 in the separable limit
-    prefactor = math.sqrt(2.0 / (math.pi * a2)) * f2**0.25
     # exp(i k_c (x1 - x2)) as a product: n + n exponentials on a broadcast grid
     phase = np.exp(1j * params.k_c * x1) * np.exp(-1j * params.k_c * x2)
-    # the envelope stays one exponent: its factors could overflow or underflow
-    # where their product is finite
-    envelope = np.exp(-(f1 / a2) * (x1 * x1 + x2 * x2) + cross * x1 * x2)
-    return prefactor * phase * envelope
+    return _prefactor(params) * phase * _envelope(x1, x2, params)

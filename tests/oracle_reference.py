@@ -3,10 +3,12 @@
 The package holds each grid as Schmidt factors and takes every quantity as a
 contraction of them.  This module holds the whole n x n amplitude instead:
 it evolves it by ``fft2`` and ``ifft2``, and forms each n x n weighted
-product and sums it, the long way.  It samples the t = 0 amplitude with the
-package's own helper, so both engines start from the same array.  Its
-grid, evolution, marginal and correlation-matrix functions carry the
-package's names, so a test can run one check through either engine; its
+product and sums it, the long way.  It samples the t = 0 amplitude as one
+complex array from ``states.initial_amplitude`` and renormalizes it by its
+own quadrature, so it shares only the closed form with the package, which
+factorises a real envelope and puts the phase on the factors.  Its grid,
+evolution, marginal and correlation-matrix functions carry the package's
+names, so a test can run one check through either engine; its
 moments are ``reference_moments``.
 """
 
@@ -20,8 +22,8 @@ import numpy as np
 
 from localent.covariance import CovMatrix4
 from localent.errors import DomainError, GridError
-from localent.oracle import LEAKAGE_LIMIT, MomentSet, _correlation_matrix, _sampled_amplitude
-from localent.states import PairParams
+from localent.oracle import LEAKAGE_LIMIT, MomentSet, _correlation_matrix, default_extent
+from localent.states import PairParams, initial_amplitude
 
 
 @dataclass(frozen=True)
@@ -74,8 +76,19 @@ def initial_grid(
     extent: float | None = None,
     t_max: float = 0.0,
 ) -> WaveGrid:
-    """The renormalized t = 0 amplitude, held whole."""
-    amp, extent = _sampled_amplitude(params, n, extent, t_max)
+    """The renormalized t = 0 amplitude, held whole.  The renormalization
+    factor must stay within 1e-4 of unity, as in the package."""
+    if extent is None:
+        extent = default_extent(params, t_max)
+    dx = extent / n
+    x = -0.5 * extent + dx * np.arange(n)
+    amp = initial_amplitude(x[:, None], x[None, :], params)
+    factor = 1.0 / math.sqrt(float(np.sum(np.abs(amp) ** 2) * dx * dx))
+    if not abs(factor - 1.0) <= 1e-4:
+        raise GridError(
+            f"grid under-resolves the state (renormalization factor {factor:.6f})"
+        )
+    amp *= factor
     grid = WaveGrid(n=n, extent=extent, amplitudes=amp, params=params, t=0.0)
     leak = boundary_leakage(grid)
     if not leak <= LEAKAGE_LIMIT:

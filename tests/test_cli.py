@@ -489,7 +489,7 @@ def _never_called(*args, **kwargs):
 @pytest.mark.parametrize(
     "argv,allocator",
     [
-        ("oracle-check --a 1 --b 2 --grid-n 16777216", "localent.oracle.initial_amplitude"),
+        ("oracle-check --a 1 --b 2 --grid-n 16777216", "localent.oracle._envelope"),
         ("protocol --mode 2 --a 1 --b 2 --trials 200000000000000",
          "localent.protocols._chi2_draws"),
         ("protocol --mode 1 --a 1 --b 2 --trials 400000000000000 --noiseless",

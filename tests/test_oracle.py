@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,30 @@ def test_factors_are_read_only_and_reconstruct_the_dense_amplitude(b, k_c):
         for factor in (grid.left, grid.right, grid.schmidt):
             with pytest.raises(ValueError):
                 factor[0] = 0.0
+
+
+@pytest.mark.parametrize("b", [2.0, INF, 0.25])
+def test_memory_check_charges_the_traced_peak(monkeypatch, b):
+    # the real envelope is the only n x n array, and the check charges all
+    # that is alive beside it at the peak
+    n = 512
+    charged = []
+    require_memory = localent.oracle.require_memory
+
+    def spy(nbytes):
+        charged.append(nbytes)
+        require_memory(nbytes)
+
+    monkeypatch.setattr(localent.oracle, "require_memory", spy)
+    initial_grid(PairParams(a=1.0, b=2.0), n=64)  # numpy's one-time imports, untraced
+    tracemalloc.start()
+    try:
+        initial_grid(PairParams(a=1.0, b=b, k_c=0.7), n=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(charged) >= peak
+    assert peak <= 2 * 8 * n * n
 
 
 def _oracle_check(engine, params: PairParams, n: int, times: list[float]):

@@ -61,7 +61,7 @@ from .protocols import (
     run_known_origin_batch,
     width_from_momentum_dispersion,
 )
-from .states import PairParams, momentum_dispersion, position_dispersion
+from .states import PairParams, drift_velocity, momentum_dispersion, position_dispersion
 
 DX_TOLERANCE = 1e-3  # relative, closed form vs quadrature
 CM_TOLERANCE = 1e-4  # absolute, entrywise
@@ -366,12 +366,18 @@ ORACLE_COLUMNS = ("t", "dx_closed", "dx_grid", "rel_dx", "dp_closed", "dp_grid",
                   "norm_drift", "pass")
 
 
+def _mean(axis: np.ndarray, density: np.ndarray) -> float:
+    """Mean of a sampled density (weights need not be normalized)."""
+    return float(density @ axis / density.sum())
+
+
 def _oracle_row(grid0, t: float) -> tuple:
     """Closed forms against quadrature at time t.  The evolved grid dies with
     this call, so no two evolved grids are alive at once."""
     params = grid0.params
     grid = evolve(grid0, t) if t > 0 else grid0
-    dx_grid = grid_sigma(*position_marginal(grid))
+    x_axis, x_density = position_marginal(grid)
+    dx_grid = grid_sigma(x_axis, x_density)
     k_axis, k_density = momentum_marginal(grid)
     dp_grid = grid_sigma(k_axis, k_density)
     dx_closed = position_dispersion(t, params)
@@ -379,7 +385,12 @@ def _oracle_row(grid0, t: float) -> tuple:
     rel_dx = abs(dx_grid - dx_closed) / dx_closed
     rel_dp = abs(dp_grid - dp_closed) / dp_closed
     norm_drift = abs(grid.norm() - 1.0)
-    passed = rel_dx < DX_TOLERANCE and rel_dp < DX_TOLERANCE and norm_drift < NORM_TOLERANCE
+    # a wrong sign or conjugation of the packet phase moves the centres to
+    # -k_c t and -k_c, which no width, norm or centred moment can see
+    drift = abs(_mean(x_axis, x_density) - drift_velocity(params) * t)
+    kick = abs(_mean(k_axis, k_density) - params.k_c)
+    passed = (rel_dx < DX_TOLERANCE and rel_dp < DX_TOLERANCE and norm_drift < NORM_TOLERANCE
+              and drift < DX_TOLERANCE * dx_closed and kick < DX_TOLERANCE * dp_closed)
     return t, dx_closed, dx_grid, rel_dx, dp_closed, dp_grid, rel_dp, norm_drift, passed
 
 

@@ -18,21 +18,24 @@ The sampled amplitude is psi[i, j] = c p_i E[i, j] conj(p_j): c is the
 renormalized constant, p = exp(i k_c x) the packet phase with |p_i| = 1,
 and E the real, symmetric envelope.  A diagonal unitary changes no
 singular value, so psi's Schmidt factors are E's with the phase moved onto
-them: left = diag(p) Q U and right = c S V^T diag(conj p).  Only E is
+them: left = diag(p) U and right = c S U^T diag(conj p).  Only E is
 sampled, as one float64 array (8 n^2 bytes, the only n x n array, which
 dies inside ``initial_grid``), and the whole factorisation runs in real
-arithmetic.
+arithmetic.  E is a centre-of-mass Gaussian of x1 + x2 times a
+relative-coordinate Gaussian of x1 - x2: on the uniform axis a Hankel
+matrix times a Toeplitz matrix, sampled from 2n - 1 sums and n differences,
+4n exponentials in all, and exactly symmetric.
 
-The factorisation is a randomized range finder with a posteriori error
-control (Halko, Martinsson & Tropp, SIAM Rev. 53, 217 (2011), sec. 4.3).
-Gaussian probes drawn from a fixed seed grow an orthonormal basis Q of the
-envelope's columns by blocks, each block orthogonalised against Q.  A probe
-block's residual only says when to look: Q is accepted once the exact
-Frobenius residual ||E - Q Q^T E||, summed over blocks of rows, is at most
-RESIDUAL_LIMIT ||E||, which is psi's relative residual too, since |p_i| = 1.
-A small SVD of Q^T E then gives the Schmidt values (Ekert & Knight, Am. J.
-Phys. 63, 415 (1995)), and the weakest modes are dropped while the total
-error stays within half that limit.
+E is also a positive semidefinite kernel, g_i g_j exp(2 x_i x_j / b^2), and
+it is factorised by pivoted Cholesky, E ~ L L^T (Harbrecht, Peters &
+Schneider, Appl. Numer. Math. 62, 428 (2012)): each pivot takes the largest
+remaining diagonal entry and reads one column of E.  The remaining trace
+only says when to look: L is accepted once the exact Frobenius residual
+||E - L L^T||, summed over blocks of rows, is at most RESIDUAL_LIMIT ||E||,
+which is psi's relative residual too, since |p_i| = 1.  The thin SVD
+L = U S V^T then gives E's eigenvectors U and Schmidt values S^2 (Ekert &
+Knight, Am. J. Phys. 63, 415 (1995)), and the weakest modes are dropped
+while the total error stays within half that limit.  Nothing is random.
 
 Conventions: psi[i, j] = psi(x1_i, x2_j) on the uniform axis [-L/2, L/2)
 with n points; wavenumbers follow numpy's FFT ordering.
@@ -44,10 +47,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .covariance import CovMatrix4
 from .errors import DomainError, GridError, require_memory
-from .states import PairParams, _envelope, _prefactor, drift_velocity, position_dispersion
+from .states import PairParams, _envelope_factors, _prefactor, drift_velocity, position_dispersion
 
 __all__ = [
     "WaveGrid",
@@ -66,8 +70,8 @@ __all__ = [
 
 LEAKAGE_LIMIT = 1e-8
 RESIDUAL_LIMIT = 1e-13  # relative Frobenius error of an accepted factorisation
-PROBE_BLOCK = 8  # Gaussian probes per basis block
-PROBE_SEED = 2011  # fixed, so that a grid's factors repeat exactly
+PIVOT_BLOCK = 8  # pivots taken after a failed residual check, before the next
+SKELETON_COLUMNS = 32  # the Cholesky factor's first capacity, doubled when full
 ROW_BLOCK = 64  # rows of the residual formed at once
 
 
@@ -181,15 +185,30 @@ def boundary_leakage(grid: WaveGrid) -> float:
     return (total - inner) * grid.dx * grid.dx
 
 
-def _peak_bytes(n: int, columns: int) -> int:
-    """Bytes alive at ``initial_grid``'s peak once the basis holds
-    ``columns`` columns.  Beside the n x n envelope: the basis and its rows,
-    before and after a block joins them, or beside the SVD's factors and
-    LAPACK's copy of the rows (five n-vectors a column); a probe block and
-    its Gaussian draw; and one residual row block.  After it: the complex
-    factors and the copies that the leakage check makes of them (eight
-    n-vectors a column)."""
-    return 8 * n * max(n + 5 * columns + 2 * PROBE_BLOCK + ROW_BLOCK, 8 * columns)
+def _peak_bytes(n: int, capacity: int) -> int:
+    """Bytes alive at ``initial_grid``'s peak once the Cholesky skeleton
+    holds c = ``capacity`` columns.  Beside the n x n envelope and the
+    skeleton, the largest of: the smaller skeleton during a growth, one
+    residual row block, or the SVD of the skeleton's columns (LAPACK's copy
+    of them, its and numpy's left singular vectors and c x c work arrays,
+    3nc + 9c^2 words).  After it, with the envelope gone: the complex
+    factors, the copies that the leakage check makes of them and its c x c
+    Grams (8nc + 8c^2 words)."""
+    c = capacity
+    return 8 * max(n * n + 4 * n * c + 9 * c * c, 8 * c * (n + c))
+
+
+def _grid_envelope(x: np.ndarray, params: PairParams) -> np.ndarray:
+    """The real envelope E[i, j] on the uniform axis ``x``, its one n x n
+    allocation: the centre-of-mass factor at x_i + x_j, a Hankel matrix of
+    2n - 1 sums, times the relative factor at x_i - x_j, a Toeplitz matrix
+    of n differences.  Exactly symmetric, from 4n exponentials."""
+    n = len(x)
+    k = np.arange(2 * n - 1)
+    centre, relative = _envelope_factors(x[k // 2] + x[(k + 1) // 2], x - x[0], params)
+    relative = np.concatenate([relative[:0:-1], relative])  # entry m at (m - n + 1) dx
+    # window i holds the factors at i + j and, reversed, at i - j
+    return sliding_window_view(centre, n) * sliding_window_view(relative, n)[:, ::-1]
 
 
 def _sampled_amplitude(
@@ -218,10 +237,10 @@ def _sampled_amplitude(
         raise GridError(
             f"extent {extent:g} is below 16 initial position dispersions; enlarge the domain"
         )
-    require_memory(_peak_bytes(n, 0))
+    require_memory(_peak_bytes(n, SKELETON_COLUMNS))
     x = _axis(n, extent)
     phase = np.exp(1j * params.k_c * x)
-    envelope = _envelope(x[:, None], x[None, :], params)
+    envelope = _grid_envelope(x, params)
     weight = float(np.vdot(envelope, envelope))
     modulus = float(np.mean(np.abs(phase) ** 2))
     factor = 1.0 / (_prefactor(params) * modulus * math.sqrt(weight) * (extent / n))
@@ -232,61 +251,76 @@ def _sampled_amplitude(
     return phase, envelope, weight, extent
 
 
-def _residual(amp: np.ndarray, basis: np.ndarray, rows: np.ndarray) -> float:
-    """||amp - basis @ rows||_F, formed ROW_BLOCK rows at a time."""
+def _residual(amp: np.ndarray, skeleton: np.ndarray) -> float:
+    """||amp - skeleton^T @ skeleton||_F of a symmetric ``amp``, formed
+    ROW_BLOCK rows at a time from the blocks on and left of the diagonal."""
+    n = len(amp)
     total = 0.0
-    buffer = np.empty((ROW_BLOCK, len(amp)))  # the one row block alive
-    for start in range(0, len(amp), ROW_BLOCK):
-        miss = np.matmul(basis[start:start + ROW_BLOCK], rows, out=buffer[:len(amp) - start])
-        miss -= amp[start:start + ROW_BLOCK]
-        total += np.vdot(miss, miss)
+    buffer = np.empty(ROW_BLOCK * n)  # the one row block alive
+    for start in range(0, n, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, n)
+        miss = buffer[:(stop - start) * stop].reshape(stop - start, stop)
+        np.matmul(skeleton[:, start:stop].T, skeleton[:, :stop], out=miss)
+        miss -= amp[start:stop, :stop]
+        block = miss[:, start:]  # the diagonal block, counted once
+        total += 2.0 * np.vdot(miss, miss) - np.vdot(block, block)
     return math.sqrt(total)
 
 
 def _schmidt_factors(amp: np.ndarray, weight: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(left, right, s) of a real n x n ``amp`` with ||amp||_F^2 = ``weight``:
-    amp ~ left @ right with left = Q U (orthonormal columns) and
-    right = diag(s) V^T, s the retained singular values, and
-    ||amp - left @ right||_F <= RESIDUAL_LIMIT ||amp||_F.
+    """(left, right, s) of a real, symmetric, positive semidefinite n x n
+    ``amp`` with ||amp||_F^2 = ``weight``: amp ~ left @ right with left = U
+    (orthonormal columns) and right = diag(s) U^T, s the retained
+    eigenvalues, and ||amp - left @ right||_F <= RESIDUAL_LIMIT ||amp||_F.
 
-    Q grows by blocks of PROBE_BLOCK columns.  Each new probe block amp @ G,
-    with G Gaussian, is orthogonalised against Q twice; its Frobenius norm
-    over sqrt(PROBE_BLOCK) estimates ||amp - Q Q^T amp||_F, and only when
-    that estimate is within the limit is the residual computed exactly.  A
-    Q that fails adds the block and goes on, once the memory check passes
-    for the larger basis.  Since Q is orthonormal, the error of keeping r
-    singular values is sqrt(residual^2 + sum of the dropped s^2), and the
-    smallest r that keeps it within half the limit is kept (all of them
-    when the residual alone exceeds that).
+    Pivoted Cholesky grows amp ~ L L^T one column at a time: the pivot is
+    the largest entry of the residual's diagonal, and the new column is the
+    residual's row there, read from ``amp`` and corrected by the columns so
+    far.  L's columns are the rows of a skeleton that doubles when full,
+    once the memory check passes for the larger one.  The residual is
+    positive semidefinite, so its trace bounds its Frobenius norm; only when
+    the trace is within the limit is the residual computed exactly, and a
+    check that fails takes PIVOT_BLOCK more pivots before the next one.
+    The thin SVD of L gives amp ~ U diag(s) U^T, s the squared singular
+    values.  Since U is orthonormal, the error of keeping r of them is
+    sqrt(residual^2 + sum of the dropped s^2), and the smallest r that keeps
+    it within half the limit is kept (all of them when the residual alone
+    exceeds that).
     """
     n = len(amp)
     limit = RESIDUAL_LIMIT * math.sqrt(weight)
-    gaussian = np.random.default_rng(PROBE_SEED)
-    basis = np.empty((n, 0))
-    rows = np.empty((0, n))  # basis^T amp, one block of rows per block
+    diagonal = amp.diagonal().copy()  # of the residual amp - L L^T
+    skeleton = np.empty((SKELETON_COLUMNS, n))  # row k is L's column k
+    columns = 0
+    next_check = 0
     while True:
-        probe = amp @ gaussian.standard_normal((n, PROBE_BLOCK))
-        for _ in range(2):
-            probe -= basis @ (basis.T @ probe)
-        if np.linalg.norm(probe) <= limit * math.sqrt(PROBE_BLOCK):
-            residual = _residual(amp, basis, rows)
+        pivot = int(np.argmax(diagonal))
+        exhausted = columns == n or not diagonal[pivot] > 0
+        if exhausted or (columns >= next_check and diagonal.sum() <= limit):
+            residual = _residual(amp, skeleton[:columns])
             if residual <= limit:
                 break
-        if basis.shape[1] >= n:
-            raise GridError("no factorisation of the amplitude meets the residual limit")
-        require_memory(_peak_bytes(n, basis.shape[1] + PROBE_BLOCK))
-        block = np.linalg.qr(probe)[0]
-        block -= basis @ (basis.T @ block)
-        block = np.linalg.qr(block)[0]
-        basis = np.hstack([basis, block])
-        rows = np.vstack([rows, block.T @ amp])
-    u, s, vh = np.linalg.svd(rows, full_matrices=False)
+            if exhausted:
+                raise GridError("no factorisation of the amplitude meets the residual limit")
+            next_check = columns + PIVOT_BLOCK
+        if columns == len(skeleton):
+            capacity = min(2 * columns, n)
+            require_memory(_peak_bytes(n, capacity))
+            grown = np.empty((capacity, n))
+            grown[:columns] = skeleton
+            skeleton = grown
+        column = skeleton[columns]
+        np.subtract(amp[pivot], skeleton[:columns, pivot] @ skeleton[:columns], out=column)
+        column /= math.sqrt(diagonal[pivot])
+        diagonal -= column * column
+        columns += 1
+    u, s, _ = np.linalg.svd(skeleton[:columns].T, full_matrices=False)
+    s *= s
     # dropped[r] is the weight beyond the first r values; half the limit is
     # left to roundoff
     dropped = np.cumsum(s[::-1] ** 2)[::-1]
     rank = max(1, int(np.count_nonzero(dropped > limit * limit / 4.0 - residual * residual)))
-    vh *= s[:, None]
-    return basis @ u[:, :rank], vh[:rank], s[:rank]
+    return u[:, :rank], s[:rank, None] * u[:, :rank].T, s[:rank]
 
 
 def initial_grid(

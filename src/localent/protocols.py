@@ -87,6 +87,12 @@ RNG_SCHEME = "philox-chi2-v1"
 _SIGMA_FLOOR = 1e-9
 # the fit refuses a weighted design matrix with a larger condition number
 _MAX_CONDITION = 1e10
+# a batch's peak memory, in float64 words a trial: at most _BATCH_COLUMNS
+# (trials, 1 + times) arrays (the draws, dx, stderr and the fit's
+# temporaries) beside _BATCH_WORDS of one-per-trial results (u, alpha, beta,
+# the 2 x 2 covariance, z, the confidence and the verdict labels)
+_BATCH_COLUMNS = 12
+_BATCH_WORDS = 32
 
 
 @dataclass(frozen=True)
@@ -546,7 +552,7 @@ def _trial_dispersions(scenario, times, n, seed, first_trial, trials, noiseless)
             raise DomainError(f"need at least 2 samples, got {n}")
         if np.any(times < 0):
             raise DomainError(f"measurement time must be nonnegative, got {times.min()}")
-    require_memory(8 * trials * (times.size + 1))  # each (trials, 1 + times) float64 array
+    require_memory(8 * trials * (_BATCH_COLUMNS * (times.size + 1) + _BATCH_WORDS))
     params = scenario.params
     sigma = np.concatenate(
         [[momentum_dispersion(params)], position_dispersion(times + scenario.t0, params)]

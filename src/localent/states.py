@@ -173,23 +173,32 @@ def _prefactor(params: PairParams) -> float:
     return math.sqrt(2.0 / (math.pi * a2)) * entanglement_factor(2, params) ** 0.25
 
 
+def _envelope_factors(total, difference, params: PairParams) -> tuple[np.ndarray, np.ndarray]:
+    """The two factors of the real t = 0 envelope: exp(-s^2/(2a^2)) at
+    ``total`` s = x1 + x2 and exp(-d^2 (1/(2a^2) + 1/b^2)) at ``difference``
+    d = x1 - x2, each on the shape of its own argument.
+
+    Their product is exp(-(f1/a^2)(x1^2 + x2^2) + (2/b^2) x1 x2), a centre
+    of mass Gaussian times a relative-coordinate Gaussian.  Both exponents
+    are <= 0, so neither factor overflows, and neither is a difference of
+    large terms that cancel as (a/b)^2.
+    """
+    s = np.asarray(total, dtype=float)
+    d = np.asarray(difference, dtype=float)
+    a2 = params.a * params.a
+    centre = np.exp(s * s * (-0.5 / a2))
+    relative = np.exp(d * d * -(0.5 / a2 + 1.0 / (params.b * params.b)))
+    return centre, relative
+
+
 def _envelope(x1, x2, params: PairParams) -> np.ndarray:
     """The real t = 0 envelope exp(-(f1/a^2)(x1^2 + x2^2) + (2/b^2) x1 x2),
-    unnormalised, on the broadcast shape of ``x1`` and ``x2``.
-
-    It is one array, built in place: the cross term first, then the two
-    square terms, then one ``exp``.  The exponent is never split into a
-    product of exponentials, which could overflow or underflow where their
-    product is finite.
-    """
+    unnormalised, on the broadcast shape of ``x1`` and ``x2``: the product
+    of :func:`_envelope_factors` at x1 + x2 and x1 - x2."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    width = -entanglement_factor(1, params) / (params.a * params.a)
-    cross = 2.0 / (params.b * params.b)  # exactly 0.0 in the separable limit
-    exponent = np.multiply(cross * x1, x2, out=np.empty(np.broadcast_shapes(x1.shape, x2.shape)))
-    exponent += width * x1 * x1
-    exponent += width * x2 * x2
-    return np.exp(exponent, out=exponent)
+    centre, relative = _envelope_factors(x1 + x2, x1 - x2, params)
+    return centre * relative
 
 
 def initial_amplitude(x1, x2, params: PairParams):

@@ -1,6 +1,7 @@
 """Command-line interface: values, formats, determinism and exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -330,6 +331,45 @@ def test_oracle_check_releases_each_evolved_grid(capsys, monkeypatch):
     assert len(evolved) == 3
 
 
+def _conjugated(grid):
+    """The grid of conj(psi), whose packet moves with -k_c."""
+    return dataclasses.replace(grid, left=grid.left.conj(), right=grid.right.conj())
+
+
+def _oracle_checks(capsys, b: str):
+    code, out, _ = run_cli(capsys, "oracle-check", "--a", "1", "--b", b, "--kc", "-1.3",
+                           "--times", "0,1", "--grid-n", "256")
+    results = json.loads(out)["results"]
+    # every width is right: only the packet's centre can fail these runs
+    assert all(check["rel_dx"] < 1e-3 and check["rel_dp"] < 1e-3 for check in results["checks"])
+    return code, results["pass"], [check["pass"] for check in results["checks"]]
+
+
+@pytest.mark.parametrize("b", ["inf", "2"])
+def test_oracle_check_fails_a_conjugated_packet_phase(capsys, monkeypatch, b):
+    # swapping p and conj p between the factors keeps every width, the norm
+    # and the centred correlation matrix; only the centres move, to -k_c t
+    # and -k_c
+    def conjugated(*args, **kwargs):
+        return _conjugated(initial_grid(*args, **kwargs))
+
+    initial_grid = localent.cli.initial_grid
+    monkeypatch.setattr(localent.cli, "initial_grid", conjugated)
+    assert _oracle_checks(capsys, b) == (3, False, [False, False])
+
+
+@pytest.mark.parametrize("b", ["inf", "2"])
+def test_oracle_check_fails_a_packet_that_drifts_backwards(capsys, monkeypatch, b):
+    # U(-t) psi = conj(U(t) conj psi) keeps the widths, which are even in t
+    # here, and the mean wavenumber; only the mean position moves, to -k_c t
+    def backwards(grid, t):
+        return _conjugated(evolve(_conjugated(grid), t))
+
+    evolve = localent.cli.evolve
+    monkeypatch.setattr(localent.cli, "evolve", backwards)
+    assert _oracle_checks(capsys, b) == (3, False, [True, False])
+
+
 def test_overflow_warnings_stay_off_stderr():
     # numpy would warn about the overflowing intermediates before the error line
     src = str(Path(localent.__file__).resolve().parents[1])
@@ -489,7 +529,7 @@ def _never_called(*args, **kwargs):
 @pytest.mark.parametrize(
     "argv,allocator",
     [
-        ("oracle-check --a 1 --b 2 --grid-n 16777216", "localent.oracle._envelope"),
+        ("oracle-check --a 1 --b 2 --grid-n 16777216", "localent.oracle._grid_envelope"),
         ("protocol --mode 2 --a 1 --b 2 --trials 200000000000000",
          "localent.protocols._chi2_draws"),
         ("protocol --mode 1 --a 1 --b 2 --trials 400000000000000 --noiseless",

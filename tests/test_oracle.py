@@ -31,6 +31,7 @@ from localent.oracle import (
     numeric_covariance_matrix,
     position_marginal,
 )
+from localent.oracle import _axis, _grid_envelope
 from localent.protocols import ambiguity_time, mimic_width, width_from_momentum_dispersion
 from localent.states import (
     PairParams,
@@ -38,6 +39,7 @@ from localent.states import (
     momentum_dispersion,
     position_dispersion,
 )
+from localent.states import _envelope
 import oracle_reference as dense
 from oracle_reference import reference_moments
 
@@ -60,6 +62,36 @@ def test_grid_validation():
     # resolvable extent but far too few points to hold the norm
     with pytest.raises(GridError):
         initial_grid(PairParams(a=0.05, b=INF), n=64, extent=70.0)
+
+
+@pytest.mark.parametrize("b", [10.0, 2.0, 0.25, 1 / 8, INF])
+def test_grid_envelope_is_symmetric_and_matches_the_pointwise_envelope(b):
+    # sampled as a Hankel matrix of sums times a Toeplitz matrix of differences
+    params = PairParams(a=1.0, b=b)
+    x = _axis(512, default_extent(params, 1.0))
+    envelope = _grid_envelope(x, params)
+    np.testing.assert_array_equal(envelope, envelope.T)
+    pointwise = _envelope(x[:, None], x[None, :], params)
+    assert np.linalg.norm(envelope - pointwise) <= 1e-13 * np.linalg.norm(pointwise)
+
+
+def test_initial_grid_takes_4n_exponentials_and_no_random_numbers(monkeypatch):
+    n = 512
+    sizes = []
+    exp = np.exp
+
+    def counted(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    def no_streams(*args, **kwargs):
+        raise AssertionError("the oracle drew random numbers")
+
+    monkeypatch.setattr(np, "exp", counted)
+    for name in ("default_rng", "Generator", "RandomState"):
+        monkeypatch.setattr(np.random, name, no_streams)
+    initial_grid(PairParams(a=1.0, b=0.25, k_c=0.7), n=n)
+    assert sum(sizes) <= 4 * n  # 2n - 1 sums, n differences and n phases
 
 
 def _amplitudes(grid: WaveGrid) -> np.ndarray:
@@ -137,6 +169,14 @@ def test_factors_are_read_only_and_reconstruct_the_dense_amplitude(b, k_c):
                 factor[0] = 0.0
 
 
+def test_factorisation_is_accepted_only_through_its_exact_residual():
+    # a zero diagonal leaves no pivot and a zero trace, yet the residual is
+    # the whole matrix
+    amp = np.ones((64, 64)) - np.eye(64)
+    with pytest.raises(GridError, match="no factorisation of the amplitude meets the residual"):
+        localent.oracle._schmidt_factors(amp, float(np.vdot(amp, amp)))
+
+
 @pytest.mark.parametrize("b", [2.0, INF, 0.25])
 def test_memory_check_charges_the_traced_peak(monkeypatch, b):
     # the real envelope is the only n x n array, and the check charges all
@@ -159,6 +199,29 @@ def test_memory_check_charges_the_traced_peak(monkeypatch, b):
         tracemalloc.stop()
     assert max(charged) >= peak
     assert peak <= 2 * 8 * n * n
+
+
+def test_memory_check_charges_the_traced_peak_at_high_rank(monkeypatch):
+    # at rank 125 of n = 512 the SVD and the complex factors, not the
+    # envelope, set the peak
+    n = 512
+    charged = []
+    require_memory = localent.oracle.require_memory
+
+    def spy(nbytes):
+        charged.append(nbytes)
+        require_memory(nbytes)
+
+    monkeypatch.setattr(localent.oracle, "require_memory", spy)
+    initial_grid(PairParams(a=1.0, b=2.0), n=64)  # numpy's one-time imports, untraced
+    tracemalloc.start()
+    try:
+        grid = initial_grid(PairParams(a=1.0, b=1 / 6.7, k_c=0.7), n=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.schmidt.size > 100
+    assert max(charged) >= peak > 2 * 8 * n * n
 
 
 def _oracle_check(engine, params: PairParams, n: int, times: list[float]):

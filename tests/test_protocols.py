@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from localent.protocols import (
     run_known_origin_trial,
     width_from_momentum_dispersion,
 )
+import localent.protocols
 from localent.protocols import _chi2_draws
 from localent.states import (
     PairParams,
@@ -648,6 +650,35 @@ def test_noiseless_batches_draw_nothing(monkeypatch):
     assert blind.n_samples == 0 and not blind.stderr.any()
     known = run_known_origin_batch(separable_scenario(), 1.0, 0, trials=2, noiseless=True)
     assert set(known.classification) == {"separable"}
+
+
+@pytest.mark.parametrize("times", [[0.0, 1.0, 2.0], [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0]])
+@pytest.mark.parametrize("noiseless", [False, True])
+def test_memory_check_charges_the_traced_peak_of_a_batch(monkeypatch, times, noiseless):
+    # a batch holds the draws, dx, stderr and the fit's (trials, 1 + times)
+    # arrays at once, and the check charges all of them
+    trials = 4000
+    charged = []
+    require_memory = localent.protocols.require_memory
+
+    def spy(nbytes):
+        charged.append(nbytes)
+        require_memory(nbytes)
+
+    monkeypatch.setattr(localent.protocols, "require_memory", spy)
+    scenario = entangled_scenario(t0=0.5)
+    run_blind_batch(scenario, times, 100, trials=2)  # one-time imports, untraced
+    for run in (lambda: run_blind_batch(scenario, times, 100, trials=trials, noiseless=noiseless),
+                lambda: run_known_origin_batch(scenario, times[1], 100, trials=trials,
+                                               noiseless=noiseless)):
+        charged.clear()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(charged) <= 3 * peak
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Closed-form state family: values, limits and invariants."""
 
+import decimal
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from localent.states import (
     position_dispersion,
     spreading_factor,
 )
+from localent.states import _envelope
 
 INF = math.inf
 
@@ -118,6 +120,31 @@ def test_amplitude_normalized_by_quadrature():
     psi = initial_amplitude(x[:, None], x[None, :], p)
     total = np.sum(np.abs(psi) ** 2) * dx * dx
     assert abs(total - 1.0) < 1e-8
+
+
+def _reference_envelope(x1: float, x2: float, a: float, b: float) -> float:
+    """exp(-(f1/a^2)(x1^2 + x2^2) + (2/b^2) x1 x2) in 40-digit arithmetic,
+    from the exact values of the float inputs."""
+    with decimal.localcontext(decimal.Context(prec=40)):
+        x1, x2 = decimal.Decimal(x1), decimal.Decimal(x2)
+        a2, b2 = decimal.Decimal(a) ** 2, decimal.Decimal(b) ** 2
+        f1 = 1 + a2 / b2
+        return float((-(f1 / a2) * (x1 * x1 + x2 * x2) + 2 / b2 * x1 * x2).exp())
+
+
+@pytest.mark.parametrize("ratio", [10.0, 2.0, 1 / 4, 1 / 8, 1 / 30, 1 / 100])
+def test_envelope_matches_a_40_digit_reference_near_the_ridge(ratio):
+    # the exponent, written as one expression, cancels as (a/b)^2 when b << a
+    a = 1.3
+    b = a * ratio
+    rng = np.random.default_rng(13)
+    x1 = rng.uniform(-3.0 * a, 3.0 * a, 300)
+    x2 = x1 + rng.uniform(-3.0 * b, 3.0 * b, 300)
+    got = _envelope(x1, x2, PairParams(a=a, b=b))
+    want = np.array([_reference_envelope(p, q, a, b) for p, q in zip(x1, x2)])
+    kept = want > 1e-30
+    assert kept.sum() > 50
+    assert np.max(np.abs(got[kept] - want[kept]) / want[kept]) <= 3e-14
 
 
 def test_separable_limit_continuity():

@@ -29,26 +29,18 @@ from .covariance import (
 from .errors import DomainError, FitError, GridError
 from .protocols import (
     BlindBatch,
-    DispersionSeries,
-    FitOutcome,
     HiddenScenario,
     KnownOriginBatch,
-    Verdict,
     ambiguity_time,
-    classify_blind,
-    classify_known_origin,
     critical_time,
     crossing_times,
     entangled_alpha,
     entanglement_width_from_alpha,
-    fit_dispersion_curve,
     mimic_width,
     predicted_dispersion_entangled,
     predicted_dispersion_separable,
     run_blind_batch,
-    run_blind_trial,
     run_known_origin_batch,
-    run_known_origin_trial,
     width_from_momentum_dispersion,
 )
 from .states import (

@@ -39,7 +39,7 @@ from .covariance import (
     simon_invariant_closed_form,
     standard_form,
 )
-from .errors import DomainError, FitError, GridError
+from .errors import DomainError, FitError, GridError, require_memory
 from .oracle import (
     evolve,
     initial_grid,
@@ -54,6 +54,7 @@ from .protocols import (
     RNG_SCHEME,
     SEPARABLE,
     HiddenScenario,
+    _batch_bytes,
     crossing_times,
     predicted_dispersion_entangled,
     predicted_dispersion_separable,
@@ -71,6 +72,10 @@ EXIT_CODES = {DomainError: 2, ArithmeticError: 2, MemoryError: 2, GridError: 3, 
 OUT_OF_RANGE = "the input is outside the representable range: a result is not finite"
 # the error line of these exceptions, in place of their own text
 _MESSAGES = {ArithmeticError: OUT_OF_RANGE, MemoryError: "the request does not fit in memory"}
+# bytes that rendering one value of a protocol trial holds at its peak: its
+# str object and the copies of its text that the writer joins (a traced run
+# peaks at up to ~135 B a value in JSON and ~41 B in CSV beside the batch)
+_VALUE_BYTES = {"json": 192, "csv": 64}
 
 
 def _fmt(value) -> str:
@@ -324,6 +329,15 @@ def cmd_protocol(args) -> int:
     times = args.times
     if not times:
         raise DomainError("provide at least one measurement time")
+    # the batch, then its output: a JSON record has 8 values in mode 1 and
+    # 13 + 4 a time in mode 2, and the CSV table 5 a time
+    n_times = 1 if args.mode == 1 else len(times)
+    if args.mode == 1:
+        values = 8
+    else:
+        values = 13 + 4 * n_times if args.format == "json" else 5 * n_times
+    require_memory(_batch_bytes(args.trials, n_times)
+                   + args.trials * values * _VALUE_BYTES[args.format])
     run = {"n_samples": args.n_samples, "seed": args.seed, "trials": args.trials,
            "noiseless": args.noiseless}
     columns = None  # mode 1 has no CSV rendering

@@ -22,7 +22,7 @@ draws, and (n - 1) s^2 / sigma^2 is exactly chi-square distributed with
 n - 1 degrees of freedom, so each sub-ensemble costs one chi-square variate
 instead of n normals.  Trial k of seed s draws from its own Philox stream
 keyed by (s, k) (scheme ``RNG_SCHEME``), so a trial is bit-reproducible
-whatever batch it runs in.  The single-trial functions are batches of one.
+whatever batch it runs in.
 This is the only engine: the per-sample Born-rule reference it is checked
 against lives with the tests, in ``tests/born_reference.py``.
 """
@@ -47,12 +47,7 @@ __all__ = [
     "ENTANGLED",
     "INCONCLUSIVE",
     "HiddenScenario",
-    "DispersionSeries",
-    "FitOutcome",
-    "Verdict",
     "CrossingTimes",
-    "BlindTrialResult",
-    "KnownOriginTrialResult",
     "BlindBatch",
     "KnownOriginBatch",
     "RNG_SCHEME",
@@ -64,13 +59,7 @@ __all__ = [
     "mimic_width",
     "ambiguity_time",
     "crossing_times",
-    "classify_known_origin",
-    "fit_dispersion_curve",
     "entanglement_width_from_alpha",
-    "classify_blind",
-    "exact_position_series",
-    "run_blind_trial",
-    "run_known_origin_trial",
     "run_blind_batch",
     "run_known_origin_batch",
 ]
@@ -95,6 +84,11 @@ _BATCH_COLUMNS = 12
 _BATCH_WORDS = 32
 
 
+def _batch_bytes(trials: int, n_times: int) -> int:
+    """Bytes a batch of ``trials`` trials at ``n_times`` times holds at its peak."""
+    return 8 * trials * (_BATCH_COLUMNS * (n_times + 1) + _BATCH_WORDS)
+
+
 @dataclass(frozen=True)
 class HiddenScenario:
     """Source-side truth: the pair parameters plus the production offset t0
@@ -109,73 +103,6 @@ class HiddenScenario:
             raise DomainError(f"production offset t0 must be nonnegative, got {self.t0}")
         if not math.isfinite(self.t0):
             raise DomainError(f"production offset t0 must be finite, got {self.t0}")
-
-
-@dataclass(frozen=True)
-class DispersionSeries:
-    """Estimated position dispersions at strictly increasing measurement times.
-
-    ``times``, ``dx`` and ``stderr`` are 1-D float arrays of one length.  A
-    sampled series carries the sub-ensemble size ``n_samples`` (>= 2) and a
-    standard error per point; an exact closed-form series has stderr = 0 and
-    n_samples = 0.
-    """
-
-    times: np.ndarray
-    dx: np.ndarray
-    stderr: np.ndarray
-    n_samples: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("times", "dx", "stderr"):
-            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
-        times, dx, stderr = self.times, self.dx, self.stderr
-        if times.ndim != 1 or not times.shape == dx.shape == stderr.shape:
-            raise DomainError("times, dx and stderr must be 1-D arrays of one length")
-        if not np.isfinite(times).all():
-            raise DomainError(f"measurement times must be finite, got {times.tolist()}")
-        if np.any(np.diff(times) <= 0):
-            raise DomainError("measurement times must be strictly increasing")
-        if not np.all((dx > 0) & np.isfinite(dx)):
-            raise DomainError(f"dispersions must be positive and finite, got {dx.tolist()}")
-        if not np.all(stderr >= 0):  # NaN fails too
-            raise DomainError(f"standard errors must be nonnegative, got {stderr.tolist()}")
-        if np.any(stderr > 0) and self.n_samples < 2:
-            raise DomainError("sampled points need at least 2 samples")
-
-
-@dataclass(frozen=True)
-class FitOutcome:
-    """Result of the dispersion-curve fit: parameters, covariance, residual."""
-
-    u_hat: float
-    alpha: float
-    beta: float
-    param_cov: np.ndarray
-    residual_rms: float
-
-    @property
-    def alpha_sigma(self) -> float:
-        return math.sqrt(max(float(self.param_cov[0, 0]), 0.0))
-
-    def below_separable_floor(self) -> bool:
-        """alpha < 1 is unphysical; it flags fit noise rather than an error."""
-        return self.alpha < 1.0
-
-
-@dataclass(frozen=True)
-class Verdict:
-    classification: str
-    b_hat: float
-    confidence: float
-
-    def __post_init__(self) -> None:
-        if self.classification not in (SEPARABLE, ENTANGLED, INCONCLUSIVE):
-            raise DomainError(f"unknown classification {self.classification!r}")
-        if math.isfinite(self.b_hat) != (self.classification == ENTANGLED):
-            raise DomainError("b_hat must be finite exactly for entangled verdicts")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise DomainError(f"confidence must lie in [0, 1], got {self.confidence}")
 
 
 @dataclass(frozen=True)
@@ -291,7 +218,7 @@ def crossing_times(u: float, b: float, offset: float) -> CrossingTimes:
 # --- classification -----------------------------------------------------------
 #
 # The classifiers and the fit run on arrays with one entry (or row) per
-# trial; the single-trial functions below are batches of one.
+# trial.
 
 
 def _confidence(z: np.ndarray) -> np.ndarray:
@@ -313,23 +240,16 @@ def _verdicts(z, entangled, separable, alpha, u) -> tuple[np.ndarray, np.ndarray
     return classification, b_hat, confidence
 
 
-def _verdict(classification, b_hat, confidence, row: int = 0) -> Verdict:
-    return Verdict(str(classification[row]), float(b_hat[row]), float(confidence[row]))
-
-
-def _check_estimates(u_hat, u_stderr, dx_hat, stderr, t_known: float = 0.0) -> None:
-    """Reject single-trial classifier inputs that no measurement yields; the
-    batch drivers make these values themselves and skip this check."""
-    for name, value in (("u_hat", u_hat), ("dx_hat", dx_hat)):
-        if not np.all(np.isfinite(value) & (np.asarray(value) > 0)):
-            raise DomainError(f"{name} must be finite and positive, got {value}")
-    for name, value in (("u_stderr", u_stderr), ("stderr", stderr), ("t_known", t_known)):
-        if not np.all(np.isfinite(value) & (np.asarray(value) >= 0)):
-            raise DomainError(f"{name} must be finite and nonnegative, got {value}")
-
-
 def _known_origin_verdicts(u, t_known, dx, stderr, u_stderr, tolerance_sigmas):
-    """(predicted, z, verdict arrays) of protocol 1 for arrays of trials."""
+    """(predicted, z, verdict arrays) of protocol 1 for arrays of trials.
+
+    Each dx is compared with the separable prediction at t_known.  Within
+    tolerance -> separable.  Above -> entangled, with b from the implied
+    alpha = (2 u dx)^2 - 4 u^4 t^2.  Below the separable floor (implied
+    alpha < 1) -> inconclusive, since no source in the family gives such a
+    value.  The band combines ``stderr`` with the sampling error
+    ``u_stderr`` of u, propagated through d dx_sep / du.
+    """
     if not tolerance_sigmas > 0:  # NaN fails too
         raise DomainError(f"tolerance must be a positive number of sigmas, got {tolerance_sigmas}")
     predicted = _dispersion_curve(u, 1.0, t_known)
@@ -342,32 +262,6 @@ def _known_origin_verdicts(u, t_known, dx, stderr, u_stderr, tolerance_sigmas):
     alpha_implied = (2.0 * u * dx) ** 2 - spread
     entangled = ~separable & (alpha_implied >= 1.0)
     return predicted, z, _verdicts(z, entangled, separable, alpha_implied, u)
-
-
-def classify_known_origin(
-    u_hat: float,
-    t_known: float,
-    dx_hat: float,
-    stderr: float,
-    tolerance_sigmas: float = 3.0,
-    u_stderr: float = 0.0,
-) -> Verdict:
-    """One-shot verdict when the time since pair production is known.
-
-    Compares the measured position dispersion against the separable
-    prediction at t_known.  Within tolerance -> separable.  Above -> entangled,
-    with b recovered from the implied alpha = (2 u dx)^2 - 4 u^4 t^2.  Below
-    the separable floor (implied alpha < 1) -> inconclusive, since no source
-    in the family produces such a value and noise is the only explanation.
-    The tolerance band combines ``stderr`` with the sampling error
-    ``u_stderr`` of u_hat, propagated through d dx_sep / du.
-    """
-    _check_estimates(u_hat, u_stderr, dx_hat, stderr, t_known)
-    _, _, verdicts = _known_origin_verdicts(
-        np.array([u_hat]), t_known, np.array([dx_hat]), np.array([stderr]),
-        np.array([u_stderr]), tolerance_sigmas,
-    )
-    return _verdict(*verdicts)
 
 
 def _linear_fit(u: np.ndarray, t: np.ndarray, dx: np.ndarray, stderr: np.ndarray):
@@ -420,7 +314,13 @@ def _linear_fit(u: np.ndarray, t: np.ndarray, dx: np.ndarray, stderr: np.ndarray
 
 
 def _fit_rows(u, t, dx, stderr, u_stderr):
-    """(alpha, beta, param_cov, residual_rms) of every row; see fit_dispersion_curve."""
+    """(alpha, beta, param_cov, residual_rms) of every row: the fit of
+    dx(t) = sqrt(alpha + 4 u^4 (t + beta)^2) / (2u) to at least 3 times.
+
+    The fit treats u as exact (the t^2 coefficient is pinned); where
+    ``u_stderr`` is positive, the first-order effect of that is folded into
+    the covariance by the finite-difference sensitivity of (alpha, beta) to u.
+    """
     if t.size < 3:
         raise FitError(f"need at least 3 measurement times, got {t.size}")
     alpha, beta, cov = _linear_fit(u, t, dx, stderr)
@@ -433,30 +333,6 @@ def _fit_rows(u, t, dx, stderr, u_stderr):
     model_dx = _dispersion_curve(u[:, None], alpha[:, None], np.abs(t + beta[:, None]))
     residual_rms = np.sqrt(np.mean((model_dx - dx) ** 2, axis=1))
     return alpha, beta, cov, residual_rms
-
-
-def fit_dispersion_curve(
-    u_hat: float, series: DispersionSeries, u_stderr: float = 0.0
-) -> FitOutcome:
-    """Fit dx(t) = sqrt(alpha + 4 u^4 (t + beta)^2) / (2u) to the series.
-
-    The fit itself treats u_hat as exact (the t^2 coefficient is pinned);
-    when ``u_stderr`` is given, the first-order effect of that approximation
-    is folded into the parameter covariance via the finite-difference
-    sensitivity of (alpha, beta) to u_hat.  Needs >= 3 distinct times.
-    """
-    _check_estimates(u_hat, u_stderr, series.dx, series.stderr)
-    alpha, beta, cov, residual_rms = _fit_rows(
-        np.array([u_hat]), series.times, series.dx[None, :], series.stderr[None, :],
-        np.array([u_stderr]),
-    )
-    return FitOutcome(
-        u_hat=u_hat,
-        alpha=float(alpha[0]),
-        beta=float(beta[0]),
-        param_cov=cov[0],
-        residual_rms=float(residual_rms[0]),
-    )
 
 
 def entanglement_width_from_alpha(alpha: float, u: float) -> float:
@@ -478,7 +354,10 @@ def entanglement_width_from_alpha(alpha: float, u: float) -> float:
 
 
 def _blind_verdicts(u, alpha, alpha_sigma, threshold_sigmas):
-    """(z, verdict arrays) of the blind z-test of alpha against 1."""
+    """(z, verdict arrays) of the blind z-test of alpha against 1: above
+    +threshold sigma -> entangled; within the band -> separable; below
+    -threshold sigma alpha sits unphysically under the separable floor, so
+    the trial is inconclusive."""
     if not threshold_sigmas > 0:  # NaN fails too
         raise DomainError(f"threshold must be a positive number of sigmas, got {threshold_sigmas}")
     sigma = np.maximum(alpha_sigma, _SIGMA_FLOOR * np.maximum(1.0, np.abs(alpha)))
@@ -488,34 +367,7 @@ def _blind_verdicts(u, alpha, alpha_sigma, threshold_sigmas):
     return z, _verdicts(z, entangled, separable, alpha, u)
 
 
-def classify_blind(
-    series: DispersionSeries,
-    u_hat: float,
-    u_stderr: float = 0.0,
-    threshold_sigmas: float = 3.0,
-) -> tuple[Verdict, FitOutcome]:
-    """Blind verdict from a dispersion series and the measured u.
-
-    Runs the curve fit and z-tests alpha against 1: above +threshold sigma
-    -> entangled (with b and the production offset recovered from alpha and
-    beta); within the band -> separable; below -threshold sigma -> alpha sits
-    unphysically under the separable floor, so the run is inconclusive.
-    """
-    fit = fit_dispersion_curve(u_hat, series, u_stderr)
-    _, verdicts = _blind_verdicts(
-        np.array([u_hat]), np.array([fit.alpha]), np.array([fit.alpha_sigma]), threshold_sigmas
-    )
-    return _verdict(*verdicts), fit
-
-
 # --- simulation drivers --------------------------------------------------------
-
-
-def exact_position_series(scenario: HiddenScenario, times) -> DispersionSeries:
-    """Closed-form series (stderr = 0), for noiseless end-to-end checks."""
-    times = np.asarray(times, dtype=float)
-    dx = position_dispersion(times + scenario.t0, scenario.params)
-    return DispersionSeries(times, dx, np.zeros_like(times))
 
 
 def _chi2_draws(seed: int, first_trial: int, trials: int, size: int, n: int) -> np.ndarray:
@@ -552,7 +404,7 @@ def _trial_dispersions(scenario, times, n, seed, first_trial, trials, noiseless)
             raise DomainError(f"need at least 2 samples, got {n}")
         if np.any(times < 0):
             raise DomainError(f"measurement time must be nonnegative, got {times.min()}")
-    require_memory(8 * trials * (_BATCH_COLUMNS * (times.size + 1) + _BATCH_WORDS))
+    require_memory(_batch_bytes(trials, times.size))
     params = scenario.params
     sigma = np.concatenate(
         [[momentum_dispersion(params)], position_dispersion(times + scenario.t0, params)]
@@ -564,25 +416,6 @@ def _trial_dispersions(scenario, times, n, seed, first_trial, trials, noiseless)
         dx = sigma * np.sqrt(_chi2_draws(seed, first_trial, trials, sigma.size, n) / (n - 1))
         stderr = dx / math.sqrt(2.0 * (n - 1))
     return dx[:, 0], stderr[:, 0], dx[:, 1:], stderr[:, 1:]
-
-
-@dataclass(frozen=True)
-class BlindTrialResult:
-    verdict: Verdict
-    fit: FitOutcome
-    series: DispersionSeries
-    u_hat: float
-    u_stderr: float
-
-
-@dataclass(frozen=True)
-class KnownOriginTrialResult:
-    verdict: Verdict
-    u_hat: float
-    t_known: float
-    dx_hat: float
-    stderr: float
-    predicted_separable: float
 
 
 @dataclass(frozen=True)
@@ -610,21 +443,6 @@ class BlindBatch:
     b_hat: np.ndarray
     confidence: np.ndarray
 
-    def result(self, row: int) -> BlindTrialResult:
-        """Row ``row`` as a single-trial result."""
-        u_hat = float(self.u_hat[row])
-        fit = FitOutcome(
-            u_hat=u_hat,
-            alpha=float(self.alpha[row]),
-            beta=float(self.beta[row]),
-            param_cov=self.param_cov[row].copy(),
-            residual_rms=float(self.residual_rms[row]),
-        )
-        series = DispersionSeries(self.times, self.dx_hat[row], self.stderr[row], self.n_samples)
-        verdict = _verdict(self.classification, self.b_hat, self.confidence, row)
-        return BlindTrialResult(verdict, fit, series, u_hat, float(self.u_stderr[row]))
-
-
 @dataclass(frozen=True)
 class KnownOriginBatch:
     """Known-origin campaigns of consecutive trials, one array entry per trial.
@@ -642,17 +460,6 @@ class KnownOriginBatch:
     classification: np.ndarray
     b_hat: np.ndarray
     confidence: np.ndarray
-
-    def result(self, row: int) -> KnownOriginTrialResult:
-        """Entry ``row`` as a single-trial result."""
-        return KnownOriginTrialResult(
-            verdict=_verdict(self.classification, self.b_hat, self.confidence, row),
-            u_hat=float(self.u_hat[row]),
-            t_known=self.t_known,
-            dx_hat=float(self.dx_hat[row]),
-            stderr=float(self.stderr[row]),
-            predicted_separable=float(self.predicted_separable[row]),
-        )
 
 
 def run_blind_batch(
@@ -717,39 +524,3 @@ def run_known_origin_batch(
         u_hat, t_known, dx_hat, stderr, u_stderr, tolerance_sigmas
     )
     return KnownOriginBatch(t_known, u_hat, u_stderr, dx_hat, stderr, predicted, z, *verdicts)
-
-
-def run_blind_trial(
-    scenario: HiddenScenario,
-    times,
-    n_samples: int,
-    seed: int = 0,
-    trial: int = 0,
-    threshold_sigmas: float = 3.0,
-    noiseless: bool = False,
-) -> BlindTrialResult:
-    """One full blind campaign: momentum sub-ensemble, position series, fit.
-
-    The batch of :func:`run_blind_batch` over this one trial.
-    """
-    batch = run_blind_batch(scenario, times, n_samples, seed, trial, 1, threshold_sigmas, noiseless)
-    return batch.result(0)
-
-
-def run_known_origin_trial(
-    scenario: HiddenScenario,
-    t_meas: float,
-    n_samples: int,
-    seed: int = 0,
-    trial: int = 0,
-    tolerance_sigmas: float = 3.0,
-    noiseless: bool = False,
-) -> KnownOriginTrialResult:
-    """One known-origin campaign; the observer knows t0, hence the lab time.
-
-    The batch of :func:`run_known_origin_batch` over this one trial.
-    """
-    batch = run_known_origin_batch(
-        scenario, t_meas, n_samples, seed, trial, 1, tolerance_sigmas, noiseless
-    )
-    return batch.result(0)

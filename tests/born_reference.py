@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from localent.errors import DomainError, FitError
-from localent.protocols import DispersionSeries, FitOutcome, HiddenScenario
+from localent.protocols import HiddenScenario
 from localent.states import _dispersion_curve, marginal_momentum, marginal_position
 
 # Gauss-Newton refinement: stop once every step is below this relative size
@@ -65,29 +65,30 @@ def measure_position_series(
     times,
     n_per_point: int,
     rngs: list[np.random.Generator],
-) -> DispersionSeries:
-    """Simulate one measurement campaign: a sub-ensemble per time point."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate one measurement campaign, a sub-ensemble per time point:
+    (dx_hat, stderr) at each time."""
     estimates = [
         estimate_dispersion(sample_position(scenario, float(tm), n_per_point, rng))
         for tm, rng in zip(times, rngs)
     ]
     dx_hat, stderr = np.array(estimates).reshape(-1, 2).T
-    return DispersionSeries(times, dx_hat, stderr, n_per_point)
+    return dx_hat, stderr
 
 
 def refine_dispersion_fit(
-    u_hat: float, series: DispersionSeries, start: FitOutcome
+    u_hat: float, times, dx, stderr, alpha: float, beta: float
 ) -> tuple[float, float]:
-    """Gauss-Newton refinement of (alpha, beta) on the un-squared curve.
+    """Gauss-Newton refinement of (alpha, beta) on the un-squared curve,
+    from a start at the given (alpha, beta).
 
     Cross-check path for the linear solution, weighted by the standard errors
     when every point has one; on noiseless data the two agree to better than
     1e-6.  Raises FitError when the iteration does not converge.
     """
-    t = series.times
-    stderr = series.stderr
+    t, dx, stderr = (np.asarray(values, dtype=float) for values in (times, dx, stderr))
     weights = 1.0 / stderr if np.all(stderr > 0) else np.ones_like(t)
-    params = np.array([start.alpha, start.beta])
+    params = np.array([alpha, beta])
     for _ in range(_REFINE_MAX_ITER):
         alpha, beta = params
         if not alpha > 0:  # diverged: the model would vanish where t = -beta
@@ -95,7 +96,7 @@ def refine_dispersion_fit(
         shifted = t + beta
         model = _dispersion_curve(u_hat, alpha, np.abs(shifted))
         jac = np.column_stack([1.0 / (8.0 * u_hat**2 * model), u_hat**2 * shifted / model])
-        step = np.linalg.lstsq(jac * weights[:, None], (series.dx - model) * weights, rcond=None)[0]
+        step = np.linalg.lstsq(jac * weights[:, None], (dx - model) * weights, rcond=None)[0]
         params = params + step
         if np.all(np.abs(step) <= _REFINE_TOL * (np.abs(params) + _REFINE_TOL)):
             return float(params[0]), float(params[1])

@@ -34,10 +34,10 @@ from localent.protocols import (
     mimic_width,
     predicted_dispersion_entangled,
     predicted_dispersion_separable,
-    run_blind_trial,
     width_from_momentum_dispersion,
 )
 from localent.states import PairParams, initial_amplitude, momentum_dispersion, position_dispersion
+from one_trial import run_blind_trial
 
 INF = math.inf
 

@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -539,6 +540,47 @@ def _never_called(*args, **kwargs):
 def test_oversize_request_is_refused_before_allocating(capsys, monkeypatch, argv, allocator):
     monkeypatch.setattr(allocator, _never_called)
     code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err == "error: the request does not fit in memory\n"
+
+
+PROTOCOL_2000 = "protocol --u 1.01 --b 1 --n-samples 100 --trials 2000"
+
+
+@pytest.mark.parametrize(
+    "extra",
+    ["--mode 1 --times 1", "--mode 1 --times 1 --noiseless",
+     "--mode 2 --times 0,1,2", "--mode 2 --times 0,1,2 --format csv",
+     "--mode 2 --times 0,0.5,1,1.5,2,3,4,5 --noiseless",
+     "--mode 2 --times 0,0.5,1,1.5,2,3,4,5 --format csv"],
+)
+def test_memory_check_charges_the_traced_peak_of_a_protocol_run(capsys, monkeypatch, extra):
+    # the batch and then the text of its output, the strings it is rendered
+    # from and the copies that the writer joins
+    argv = f"{PROTOCOL_2000} {extra}".split()
+    charged = []
+    monkeypatch.setattr(cli, "require_memory", charged.append)
+    run_cli(capsys, *argv)  # one-time imports, untraced
+    charged.clear()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak <= max(charged) <= 3 * peak
+
+
+def test_protocol_output_that_does_not_fit_exits_2(capsys, monkeypatch):
+    # memory for twice the batch, but not for its output as well
+    argv = f"{PROTOCOL_2000} --mode 2 --times 0,1,2".split()
+    physical = 2 * localent.protocols._batch_bytes(2000, 3)
+    monkeypatch.setattr(os, "sysconf", lambda name: physical if name == "SC_PHYS_PAGES" else 1)
+    scenario = HiddenScenario(PairParams(a=1.0, b=2.0))
+    run_blind_batch(scenario, [0.0, 1.0, 2.0], 100, trials=2000)  # the batch alone fits
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "error: the request does not fit in memory\n"
 

@@ -52,6 +52,18 @@ def test_grid_norm_and_leakage():
     assert boundary_leakage(grid) < 1e-8
 
 
+def test_leakage_is_the_direct_sum_over_the_edge_cells():
+    # ~1.6e-15 of mass on the edges: a difference of two sums near 1 was
+    # 46% off here
+    grid = initial_grid(PairParams(a=1.0, b=2.0, k_c=0.5), n=512)
+    edge = np.zeros(grid.n, dtype=bool)
+    edge[[0, 1, -2, -1]] = True
+    cells = edge[:, None] | edge[None, :]
+    direct = float(np.sum(np.abs((grid.left @ grid.right)[cells]) ** 2)) * grid.dx * grid.dx
+    assert 0.0 < direct < 1e-12
+    assert boundary_leakage(grid) == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
 def test_grid_validation():
     with pytest.raises(GridError):
         initial_grid(PairParams(a=1.0, b=2.0), n=100)  # not a power of two

@@ -13,6 +13,12 @@ import localent
 # the per-sample Born-rule path that lives in tests/born_reference.py
 REFERENCE_ONLY = ("SeriesPoint", "sample_momentum", "sample_position", "estimate_dispersion",
                   "measure_position_series", "refine_dispersion_fit")
+# the single-trial protocol API: trials run in batches, run_blind_batch and
+# run_known_origin_batch, and the tests view one row through tests/one_trial.py
+REMOVED = ("run_blind_trial", "run_known_origin_trial", "BlindTrialResult",
+           "KnownOriginTrialResult", "classify_blind", "classify_known_origin",
+           "fit_dispersion_curve", "FitOutcome", "Verdict", "DispersionSeries",
+           "exact_position_series", "_verdict", "_check_estimates")
 
 
 @pytest.mark.parametrize("layer", ["states", "covariance", "protocols", "oracle"])
@@ -29,6 +35,16 @@ def test_reference_path_is_not_exported():
         assert not hasattr(protocols, name), name
         assert not hasattr(localent, name), name
         assert name not in protocols.__all__
+
+
+def test_single_trial_api_is_gone():
+    protocols = importlib.import_module("localent.protocols")
+    for name in REMOVED:
+        assert not hasattr(protocols, name), name
+        assert not hasattr(localent, name), name
+        assert name not in protocols.__all__
+    for batch in (protocols.BlindBatch, protocols.KnownOriginBatch):
+        assert not hasattr(batch, "result")
 
 
 def test_readme_library_example_runs():

@@ -1,6 +1,5 @@
 """Measurement protocols: curves, timing, estimation, fits and verdicts."""
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -18,24 +17,17 @@ from born_reference import (
 )
 from localent.errors import DomainError, FitError
 from localent.protocols import (
-    DispersionSeries,
     HiddenScenario,
     ambiguity_time,
-    classify_blind,
-    classify_known_origin,
     critical_time,
     crossing_times,
     entangled_alpha,
     entanglement_width_from_alpha,
-    exact_position_series,
-    fit_dispersion_curve,
     mimic_width,
     predicted_dispersion_entangled,
     predicted_dispersion_separable,
     run_blind_batch,
-    run_blind_trial,
     run_known_origin_batch,
-    run_known_origin_trial,
     width_from_momentum_dispersion,
 )
 import localent.protocols
@@ -46,6 +38,13 @@ from localent.states import (
     momentum_dispersion,
     position_dispersion,
     spreading_factor,
+)
+from one_trial import (
+    classify_blind,
+    classify_known_origin,
+    fit_series,
+    run_blind_trial,
+    run_known_origin_trial,
 )
 
 INF = math.inf
@@ -63,6 +62,12 @@ def entangled_scenario(t0=0.0, k_c=0.0):
 
 def separable_scenario(t0=0.0, k_c=0.0):
     return HiddenScenario(PairParams(a=1.0 / U_REF, b=INF, k_c=k_c), t0=t0)
+
+
+def exact_series(scenario, times):
+    """(times, dx, stderr) of the closed-form dispersions, stderr = 0."""
+    times = np.array(times, dtype=float)
+    return times, position_dispersion(times + scenario.t0, scenario.params), np.zeros_like(times)
 
 
 # --- closed-form curves and timing ---------------------------------------------
@@ -290,31 +295,6 @@ def test_scenario_validation():
         HiddenScenario(PairParams(a=1.0, b=2.0), t0=-0.5)
 
 
-def test_series_validation():
-    with pytest.raises(DomainError):
-        DispersionSeries([1.0, 1.0], [1.0, 1.1], [0.0, 0.0])  # duplicate times
-    with pytest.raises(DomainError):
-        DispersionSeries([0.0], [-1.0], [0.0])
-    with pytest.raises(DomainError):
-        DispersionSeries([0.0], [1.0], [0.1], 1)  # sampled point needs n >= 2
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(DomainError, match="times must be finite"):
-            DispersionSeries([0.0, bad, 2.0], [1.0, 1.1, 1.2], [0.0, 0.0, 0.0])
-        with pytest.raises(DomainError, match="positive and finite"):
-            DispersionSeries([0.0, 1.0, 2.0], [1.0, bad, 1.2], [0.0, 0.0, 0.0])
-    with pytest.raises(DomainError, match="nonnegative"):
-        DispersionSeries([0.0, 1.0], [1.0, 1.1], [0.01, math.nan], 100)
-    with pytest.raises(DomainError, match="one length"):
-        DispersionSeries([0.0, 1.0, 2.0], [1.0, 1.1], [0.0, 0.0, 0.0])
-    with pytest.raises(DomainError, match="one length"):
-        DispersionSeries([0.0, 1.0], [1.0, 1.1], [0.0, 0.0, 0.0])
-    with pytest.raises(DomainError, match="1-D"):
-        DispersionSeries([[0.0, 1.0]], [[1.0, 1.1]], [[0.0, 0.0]])
-    series = DispersionSeries([0, 1, 2], [1, 2, 3], [0, 0, 0])
-    assert series.times.dtype == series.dx.dtype == series.stderr.dtype == float
-    assert series.n_samples == 0
-
-
 @pytest.mark.parametrize("t0", [math.nan, math.inf])
 def test_non_finite_production_offset_is_rejected(t0):
     with pytest.raises(DomainError, match="t0 must be finite"):
@@ -340,8 +320,8 @@ def test_closed_forms_reject_nan_naming_the_argument(call, named):
 
 
 def test_fit_noiseless_separable():
-    series = exact_position_series(separable_scenario(t0=0.5), [0.0, 1.0, 2.0])
-    fit = fit_dispersion_curve(momentum_dispersion(separable_scenario().params), series)
+    series = exact_series(separable_scenario(t0=0.5), [0.0, 1.0, 2.0])
+    fit = fit_series(momentum_dispersion(separable_scenario().params), *series)
     assert fit.alpha == pytest.approx(1.0, abs=1e-8)
     assert fit.beta == pytest.approx(0.5, abs=1e-8)
     assert fit.residual_rms < 1e-12
@@ -349,14 +329,14 @@ def test_fit_noiseless_separable():
 
 def test_fit_noiseless_separable_u1():
     scen = HiddenScenario(PairParams(a=1.0, b=INF), t0=0.5)
-    fit = fit_dispersion_curve(1.0, exact_position_series(scen, [0.0, 1.0, 2.0]))
+    fit = fit_series(1.0, *exact_series(scen, [0.0, 1.0, 2.0]))
     assert fit.alpha == pytest.approx(1.0, abs=1e-8)
     assert fit.beta == pytest.approx(0.5, abs=1e-8)
 
 
 def test_fit_noiseless_entangled():
-    series = exact_position_series(entangled_scenario(t0=0.0), [0.0, 0.5, 1.0])
-    fit = fit_dispersion_curve(U_REF, series)
+    series = exact_series(entangled_scenario(t0=0.0), [0.0, 0.5, 1.0])
+    fit = fit_series(U_REF, *series)
     assert fit.alpha == pytest.approx(KAPPA_REF, rel=1e-6)
     assert fit.beta == pytest.approx(0.0, abs=1e-6)
 
@@ -364,31 +344,30 @@ def test_fit_noiseless_entangled():
 def test_fit_grid_independence():
     # unbiased on noiseless data regardless of the time grid
     for times in ([0.0, 0.3, 2.9], [0.1, 0.2, 0.4, 0.8, 1.6], [1.0, 2.0, 3.0, 4.0]):
-        series = exact_position_series(entangled_scenario(t0=0.7), times)
-        fit = fit_dispersion_curve(U_REF, series)
+        series = exact_series(entangled_scenario(t0=0.7), times)
+        fit = fit_series(U_REF, *series)
         assert fit.alpha == pytest.approx(KAPPA_REF, rel=1e-6)
         assert fit.beta == pytest.approx(0.7, abs=1e-6)
 
 
 def test_fit_requires_three_distinct_times():
-    series = exact_position_series(separable_scenario(), [0.0, 1.0])
+    series = exact_series(separable_scenario(), [0.0, 1.0])
     with pytest.raises(FitError):
-        fit_dispersion_curve(U_REF, series)
+        fit_series(U_REF, *series)
 
 
 def test_fit_ill_conditioned_times():
     t0 = 1.0
     times = [t0, t0 + 5e-16, t0 + 1e-15]
     dx = [predicted_dispersion_separable(U_REF, t) for t in times]
-    series = DispersionSeries(times, np.maximum(dx, 1e-12), np.zeros(len(times)))
     with pytest.raises(FitError):
-        fit_dispersion_curve(U_REF, series)
+        fit_series(U_REF, times, np.maximum(dx, 1e-12), np.zeros(len(times)))
 
 
 def test_refinement_agrees_with_linear_fit():
-    series = exact_position_series(entangled_scenario(t0=1.0), [0.0, 0.5, 1.0, 1.5])
-    fit = fit_dispersion_curve(U_REF, series)
-    alpha, beta = refine_dispersion_fit(U_REF, series, fit)
+    series = exact_series(entangled_scenario(t0=1.0), [0.0, 0.5, 1.0, 1.5])
+    fit = fit_series(U_REF, *series)
+    alpha, beta = refine_dispersion_fit(U_REF, *series, fit.alpha, fit.beta)
     assert abs(alpha - fit.alpha) < 1e-6 * max(1.0, abs(fit.alpha))
     assert abs(beta - fit.beta) < 1e-6
 
@@ -399,24 +378,25 @@ def test_refinement_on_sampled_series():
         entangled_scenario(t0=0.5), [0.0, 0.3, 0.6, 0.9, 1.2], n_samples=10_000, seed=11
     )
     fit = result.fit
-    assert np.all(result.series.stderr > 0)
-    alpha, beta = refine_dispersion_fit(result.u_hat, result.series, fit)
+    series = (result.times, result.dx_hat, result.stderr)
+    assert np.all(result.stderr > 0)
+    alpha, beta = refine_dispersion_fit(result.u_hat, *series, fit.alpha, fit.beta)
     assert abs(alpha - fit.alpha) < 2.0 * fit.alpha_sigma
     assert abs(beta - fit.beta) < 2.0 * math.sqrt(fit.param_cov[1, 1])
     with pytest.raises(FitError):  # a start with alpha <= 0 has no model to refine
-        refine_dispersion_fit(result.u_hat, result.series, dataclasses.replace(fit, alpha=-1.0))
+        refine_dispersion_fit(result.u_hat, *series, -1.0, fit.beta)
 
 
 def test_fit_u_uncertainty_inflates_alpha_sigma():
     rng_times = np.linspace(0.0, 2.4, 5).tolist()
-    series = measure_position_series(
+    dx, stderr = measure_position_series(
         entangled_scenario(t0=0.5),
         rng_times,
         5000,
         [np.random.default_rng(i) for i in range(5)],
     )
-    tight = fit_dispersion_curve(U_REF, series, u_stderr=0.0)
-    loose = fit_dispersion_curve(U_REF, series, u_stderr=0.01)
+    tight = fit_series(U_REF, rng_times, dx, stderr, u_stderr=0.0)
+    loose = fit_series(U_REF, rng_times, dx, stderr, u_stderr=0.01)
     assert loose.alpha_sigma > tight.alpha_sigma
     assert loose.alpha == tight.alpha  # only the covariance changes
 
@@ -513,9 +493,8 @@ def test_blind_inconclusive_below_separable_floor():
     # dispersions systematically below every curve in the family: alpha << 1
     times = [0.0, 1.0, 2.0]
     dx = [0.8 * predicted_dispersion_separable(1.0, t) for t in times]
-    series = DispersionSeries(times, dx, [0.001] * len(times), 100)
-    verdict, fit = classify_blind(series, u_hat=1.0)
-    assert fit.below_separable_floor()
+    verdict, fit = classify_blind(1.0, times, dx, [0.001] * len(times))
+    assert fit.alpha < 1.0  # below the separable floor
     assert verdict.classification == "inconclusive"
     assert verdict.b_hat == INF
 
@@ -526,62 +505,16 @@ def test_blind_trial_reproducible_by_seed_and_trial():
     second = run_blind_trial(entangled_scenario(), times, 2000, seed=9, trial=4)
     assert first.fit.alpha == second.fit.alpha
     assert first.u_hat == second.u_hat
-    assert np.array_equal(first.series.dx, second.series.dx)
+    assert np.array_equal(first.dx_hat, second.dx_hat)
     other = run_blind_trial(entangled_scenario(), times, 2000, seed=9, trial=5)
     assert other.fit.alpha != first.fit.alpha
 
 
-def test_verdict_invariants():
-    from localent.protocols import Verdict
-
-    with pytest.raises(DomainError):
-        Verdict("separable", 2.0, 0.5)  # finite b_hat on a separable verdict
-    with pytest.raises(DomainError):
-        Verdict("entangled", INF, 0.5)
-    with pytest.raises(DomainError):
-        Verdict("maybe", INF, 0.5)
-
-
-def _sampled_series(stderr=(0.001, 0.001, 0.001)):
-    times = [0.0, 1.0, 2.0]
-    return DispersionSeries(times, [predicted_dispersion_separable(1.0, t) for t in times],
-                            stderr, 100)
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [("u_hat", -1.0), ("u_hat", 0.0), ("u_hat", math.nan), ("u_hat", math.inf),
-     ("u_stderr", math.nan), ("u_stderr", -0.1), ("u_stderr", math.inf)],
-)
-def test_blind_classifier_rejects_impossible_estimates(field, value):
-    good = {"u_hat": 1.0, "u_stderr": 0.0}
-    series = _sampled_series()
-    assert classify_blind(series, **good)[0].classification == "separable"
-    with pytest.raises(DomainError, match=f"^{field} must be finite"):
-        classify_blind(series, **{**good, field: value})
-    with pytest.raises(DomainError, match=f"^{field} must be finite"):
-        fit_dispersion_curve(series=series, **{**good, field: value})
-
-
-def test_fit_rejects_infinite_standard_errors():
-    with pytest.raises(DomainError, match="^stderr must be finite"):
-        classify_blind(_sampled_series(stderr=[0.001, math.inf, 0.001]), u_hat=1.0)
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [("u_hat", -1.0), ("u_hat", math.nan), ("u_hat", math.inf),
-     ("dx_hat", 0.0), ("dx_hat", math.nan), ("dx_hat", math.inf),
-     ("stderr", -0.1), ("stderr", math.nan), ("stderr", math.inf),
-     ("u_stderr", -0.1), ("u_stderr", math.nan), ("u_stderr", math.inf),
-     ("t_known", -1.0), ("t_known", math.nan), ("t_known", math.inf), ("t_known", -math.inf)],
-)
-def test_known_origin_classifier_rejects_impossible_estimates(field, value):
-    good = {"u_hat": 1.0, "t_known": 1.0, "dx_hat": math.sqrt(5.0) / 2.0, "stderr": 0.01,
-            "u_stderr": 0.001}
-    assert classify_known_origin(**good).classification == "separable"
-    with pytest.raises(DomainError, match=f"^{field} must be finite"):
-        classify_known_origin(**{**good, field: value})
+def test_entangled_verdicts_need_a_finite_width():
+    # far above the separable curve, but u^4 underflows, so alpha = 4
+    # inverts to b = inf: no entangled verdict carries an infinite width
+    with pytest.raises(DomainError, match="b_hat must be finite"):
+        classify_known_origin(1e-100, 0.0, 1e100, 1.0)
 
 
 # --- batched engine ----------------------------------------------------------------
@@ -632,7 +565,7 @@ def test_trials_are_bit_identical_whatever_the_batch(trial):
             assert np.array_equal(getattr(batch, field)[row], getattr(alone, field)[0]), field
     single = run_blind_trial(scenario, times, 10_000, seed=77, trial=trial)
     assert single.fit.alpha == alone.alpha[0]
-    assert single.series.dx.tolist() == alone.dx_hat[0].tolist()
+    assert single.dx_hat.tolist() == alone.dx_hat[0].tolist()
 
     known = run_known_origin_batch(scenario, 1.0, 10_000, seed=78, first_trial=start, trials=7)
     one = run_known_origin_trial(scenario, 1.0, 10_000, seed=78, trial=trial)
@@ -711,16 +644,28 @@ def test_non_finite_times_are_domain_errors(bad, noiseless):
         run_known_origin_batch(separable_scenario(), bad, 100, noiseless=noiseless)
 
 
+def test_batches_reject_what_no_campaign_measures():
+    for times in ([1.0, 1.0, 2.0], [0.0, 2.0, 1.0]):
+        with pytest.raises(DomainError, match="strictly increasing"):
+            run_blind_batch(separable_scenario(), times, 100, noiseless=True)
+    with pytest.raises(DomainError, match="at least 2 samples"):
+        run_blind_batch(separable_scenario(), [0.0, 1.0, 2.0], 1)
+    with pytest.raises(DomainError, match="at least 2 samples"):
+        run_known_origin_batch(separable_scenario(), 1.0, 1)
+    with pytest.raises(DomainError, match="must be nonnegative"):
+        run_known_origin_batch(separable_scenario(), -1.0, 100)
+
+
 def test_normal_equations_match_lstsq_reference():
     # the design-matrix least squares the closed form replaces
     times = np.linspace(0.0, 2.4, 6)
     for seed, scenario in ((1, entangled_scenario(t0=0.5)), (2, separable_scenario(t0=1.5))):
         rngs = [np.random.default_rng([seed, i]) for i in range(len(times))]
-        series = measure_position_series(scenario, times, 2000, rngs)
-        fit = fit_dispersion_curve(U_REF, series)
-        sigma_z = 8.0 * U_REF**2 * series.dx * series.stderr
+        dx, stderr = measure_position_series(scenario, times, 2000, rngs)
+        fit = fit_series(U_REF, times, dx, stderr)
+        sigma_z = 8.0 * U_REF**2 * dx * stderr
         design = np.column_stack([np.ones_like(times), times]) / sigma_z[:, None]
-        target = ((2.0 * U_REF * series.dx) ** 2 - 4.0 * U_REF**4 * times**2) / sigma_z
+        target = ((2.0 * U_REF * dx) ** 2 - 4.0 * U_REF**4 * times**2) / sigma_z
         (c0, c1), *_ = np.linalg.lstsq(design, target, rcond=None)
         beta = c1 / (8.0 * U_REF**4)
         jac = np.array([[1.0, -beta], [0.0, 1.0 / (8.0 * U_REF**4)]])
@@ -757,9 +702,9 @@ def test_classifiers_are_calibrated():
 
 @pytest.mark.parametrize("sigmas", [-1.0, 0.0, math.nan])
 def test_non_positive_thresholds_are_rejected(sigmas):
-    series = exact_position_series(separable_scenario(t0=2.0), [0.0, 1.0, 2.0])
+    series = exact_series(separable_scenario(t0=2.0), [0.0, 1.0, 2.0])
     with pytest.raises(DomainError):
-        classify_blind(series, u_hat=U_REF, threshold_sigmas=sigmas)
+        classify_blind(U_REF, *series, threshold_sigmas=sigmas)
     with pytest.raises(DomainError):
         classify_known_origin(1.0, 1.0, math.sqrt(5.0) / 2.0, 0.0, tolerance_sigmas=sigmas)
     with pytest.raises(DomainError):

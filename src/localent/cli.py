@@ -233,7 +233,8 @@ def _csv_text(columns: dict) -> str:
 
 
 def _emit(args, config: dict, results, columns: dict | None, rng: str | None = None) -> None:
-    """JSON envelope, or the CSV table of ``columns`` (None: no CSV)."""
+    """JSON envelope, or the CSV table of ``columns`` (None: JSON only, and
+    the command has refused CSV before doing any work)."""
     if args.format == "json":
         metadata = {"seed": getattr(args, "seed", None), "version": __version__}
         if rng is not None:
@@ -241,8 +242,6 @@ def _emit(args, config: dict, results, columns: dict | None, rng: str | None = N
         payload = {"config": config, "results": results, "metadata": metadata}
         text = _dumps(payload) + "\n"
     else:
-        if columns is None:
-            raise DomainError(f"command {args.command!r} has no CSV rendering")
         text = _csv_text(columns)
         print(f"config: {_dumps(config, indent=None)}", file=sys.stderr)
     if args.out:
@@ -342,6 +341,8 @@ def cmd_protocol(args) -> int:
            "noiseless": args.noiseless}
     columns = None  # mode 1 has no CSV rendering
     if args.mode == 1:
+        if args.format == "csv":  # refused before the batch runs, not after
+            raise DomainError(f"command {args.command!r} has no CSV rendering")
         batch = run_known_origin_batch(scenario, t_meas=times[0],
                                        tolerance_sigmas=args.threshold_sigmas, **run)
         trial = {"verdict": _verdict_columns(batch), "u_hat": batch.u_hat,

@@ -1,16 +1,18 @@
 """Brute-force validation on a two-dimensional spectral grid, in factored form.
 
-The t = 0 two-particle amplitude is sampled on an n x n grid and factorised
-once into Schmidt factors, psi = left @ right with left n x r and right
-r x n.  Free evolution is U (x) U, so it acts on each factor alone and never
-changes the rank: ``evolve`` applies the exact free propagator as a phase in
-Fourier space to each factor's r columns or rows, with 2r one-dimensional
-transforms each way, no 2-D transform and no time-stepping error.  Every
-moment, marginal density, norm, edge leakage and correlation-matrix entry is
-a contraction of the factors with cost O(n r^2): r x r Gram matrices such
-as left^H diag(w) left and right diag(w) right^H, then an elementwise trace
-of their product.
-None of them assumes orthonormal factors.  Nothing here reuses the
+The t = 0 two-particle amplitude on an n x n grid is factorised once into
+Schmidt factors, psi = left @ right with left n x r and right r x n.  Free
+evolution is U (x) U, so it acts on each factor alone and never changes the
+rank: ``evolve`` applies the exact free propagator as a phase in Fourier
+space, with no 2-D transform and no time-stepping error.  Each grid keeps
+its factors' 1-D transforms once they are taken, so an evolution is the
+phase times the cached spectra and one inverse transform per factor, and
+the evolved grid keeps those products as its own spectra.  Every moment,
+marginal density, norm, edge leakage and correlation-matrix entry is a
+contraction of the factors or spectra with cost O(n r^2): r x r Gram
+matrices such as left^H diag(w) left and right diag(w) right^H, then an
+elementwise trace of their product; the unweighted Grams are taken once per
+grid.  None of them assumes orthonormal factors.  Nothing here reuses the
 closed-form dispersions, which is what makes these numbers an independent
 check of them.
 
@@ -18,24 +20,26 @@ The sampled amplitude is psi[i, j] = c p_i E[i, j] conj(p_j): c is the
 renormalized constant, p = exp(i k_c x) the packet phase with |p_i| = 1,
 and E the real, symmetric envelope.  A diagonal unitary changes no
 singular value, so psi's Schmidt factors are E's with the phase moved onto
-them: left = diag(p) U and right = c S U^T diag(conj p).  Only E is
-sampled, as one float64 array (8 n^2 bytes, the only n x n array, which
-dies inside ``initial_grid``), and the whole factorisation runs in real
-arithmetic.  E is a centre-of-mass Gaussian of x1 + x2 times a
-relative-coordinate Gaussian of x1 - x2: on the uniform axis a Hankel
-matrix times a Toeplitz matrix, sampled from 2n - 1 sums and n differences,
-4n exponentials in all, and exactly symmetric.
+them: left = diag(p) U and right = c S U^T diag(conj p), and the whole
+factorisation runs in real arithmetic.  E is a centre-of-mass Gaussian of
+x1 + x2 times a relative-coordinate Gaussian of x1 - x2: on the uniform
+axis a Hankel matrix H of 2n - 1 sums times a Toeplitz matrix T of n
+differences, 4n exponentials in all.  E is never formed whole: H and T are
+read-only sliding-window views of those exponentials, and each entry, row
+or block of rows of E that is needed is their elementwise product, exactly
+symmetric; ||E||_F^2 is a sum over the 2n - 1 sums, in O(n).
 
 E is also a positive semidefinite kernel, g_i g_j exp(2 x_i x_j / b^2), and
 it is factorised by pivoted Cholesky, E ~ L L^T (Harbrecht, Peters &
 Schneider, Appl. Numer. Math. 62, 428 (2012)): each pivot takes the largest
-remaining diagonal entry and reads one column of E.  The remaining trace
+remaining diagonal entry and reads one row of E.  The remaining trace
 only says when to look: L is accepted once the exact Frobenius residual
 ||E - L L^T||, summed over blocks of rows, is at most RESIDUAL_LIMIT ||E||,
 which is psi's relative residual too, since |p_i| = 1.  The thin SVD
 L = U S V^T then gives E's eigenvectors U and Schmidt values S^2 (Ekert &
 Knight, Am. J. Phys. 63, 415 (1995)), and the weakest modes are dropped
-while the total error stays within half that limit.  Nothing is random.
+while the total error stays within half that limit.  Nothing is random, and
+no array of the factorisation is larger than O(n r).
 
 Conventions: psi[i, j] = psi(x1_i, x2_j) on the uniform axis [-L/2, L/2)
 with n points; wavenumbers follow numpy's FFT ordering.
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -84,7 +89,8 @@ class WaveGrid:
     (r x n) particle 2's as rows, weighted by the singular values.
     ``schmidt`` holds the r Schmidt coefficients of the sampled state: the
     singular values of psi times dx, whose squares sum to its norm.  All
-    three are read-only.
+    three are read-only, and so are the spectra and Grams that a grid
+    caches the first time they are needed.
     """
 
     n: int
@@ -109,7 +115,25 @@ class WaveGrid:
 
     def norm(self) -> float:
         """Quadrature of |psi|^2 over the plane; 1 up to grid error."""
-        return _trace(_left_gram(self.left), _right_gram(self.right)) * self.dx * self.dx
+        return _trace(*self._grams) * self.dx * self.dx
+
+    @cached_property
+    def _spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        """The 1-D transforms of ``left``'s columns and ``right``'s rows,
+        taken once per grid; ``evolve`` hands the evolved grid its own."""
+        return (_read_only(np.fft.fft(self.left, axis=0)),
+                _read_only(np.fft.fft(self.right, axis=1)))
+
+    @cached_property
+    def _grams(self) -> tuple[np.ndarray, np.ndarray]:
+        """The unweighted Grams left^H left and right right^H."""
+        return _read_only(_left_gram(self.left)), _read_only(_right_gram(self.right))
+
+    @cached_property
+    def _spectral_grams(self) -> tuple[np.ndarray, np.ndarray]:
+        """The unweighted Grams of the spectra, as ``_grams`` of the factors."""
+        left_k, right_k = self._spectra
+        return _read_only(_left_gram(left_k)), _read_only(_right_gram(right_k))
 
 
 def _axis(n: int, extent: float) -> np.ndarray:
@@ -123,16 +147,22 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _left_gram(left: np.ndarray, weights=1.0, other: np.ndarray | None = None) -> np.ndarray:
-    """The r x r matrix left^H diag(weights) other of n x r factors; ``other``
-    defaults to ``left``."""
-    return (left.conj().T * weights) @ (left if other is None else other)
+def _left_gram(left: np.ndarray, weights=None, other: np.ndarray | None = None) -> np.ndarray:
+    """The r x r matrix left^H diag(weights) other of n x r factors; no
+    ``weights`` means all ones, and ``other`` defaults to ``left``."""
+    conj = left.conj().T
+    if weights is not None:
+        conj = conj * weights
+    return conj @ (left if other is None else other)
 
 
-def _right_gram(right: np.ndarray, weights=1.0, other: np.ndarray | None = None) -> np.ndarray:
-    """The r x r matrix other diag(weights) right^H of r x n factors; ``other``
-    defaults to ``right``."""
-    return ((right if other is None else other) * weights) @ right.conj().T
+def _right_gram(right: np.ndarray, weights=None, other: np.ndarray | None = None) -> np.ndarray:
+    """The r x r matrix other diag(weights) right^H of r x n factors; no
+    ``weights`` means all ones, and ``other`` defaults to ``right``."""
+    other = right if other is None else other
+    if weights is not None:
+        other = other * weights
+    return other @ right.conj().T
 
 
 def _trace(left_gram: np.ndarray, right_gram: np.ndarray) -> float:
@@ -184,45 +214,74 @@ def boundary_leakage(grid: WaveGrid) -> float:
     corners they share: three sums of that small mass, where the whole mass
     minus the inner mass would cancel two sums near 1."""
     edge = [0, 1, -2, -1]
+    left_whole, right_whole = grid._grams
     left_edge, right_edge = _left_gram(grid.left[edge]), _right_gram(grid.right[:, edge])
-    rows = _trace(left_edge, _right_gram(grid.right))
-    columns = _trace(_left_gram(grid.left), right_edge)
+    rows = _trace(left_edge, right_whole)
+    columns = _trace(left_whole, right_edge)
     corners = _trace(left_edge, right_edge)
     return (rows + columns - corners) * grid.dx * grid.dx
 
 
 def _peak_bytes(n: int, capacity: int) -> int:
     """Bytes alive at ``initial_grid``'s peak once the Cholesky skeleton
-    holds c = ``capacity`` columns.  Beside the n x n envelope and the
-    skeleton, the largest of: the smaller skeleton during a growth, one
-    residual row block, or the SVD of the skeleton's columns (LAPACK's copy
-    of them, its and numpy's left singular vectors and c x c work arrays,
-    3nc + 9c^2 words).  After it, with the envelope gone: the complex
-    factors, the copies that the leakage check makes of them and its c x c
-    Grams (8nc + 8c^2 words)."""
+    holds c = ``capacity`` columns.  E is never formed whole, so no term is
+    n x n.  Throughout: the sampler's n-vectors (the axis, phase, envelope
+    factors, diagonal and the sums of the O(n) norm, within 16n words) and
+    numpy's ufunc buffers (two of ``np.getbufsize()`` words, for the
+    reversed Toeplitz view and for real-to-complex casts).  While
+    factorising: the skeleton (nc words) and the largest of the smaller
+    skeleton during a growth, the residual's two row blocks (2 ROW_BLOCK n
+    words), or the SVD of the skeleton's columns (LAPACK's copy of them,
+    its and numpy's left singular vectors and c x c work arrays, 3nc + 9c^2
+    words).  After it: the two complex factors, the leakage check's
+    conjugate copy of one of them and its two c x c Grams (6nc + 4c^2
+    words)."""
     c = capacity
-    return 8 * max(n * n + 4 * n * c + 9 * c * c, 8 * c * (n + c))
+    vectors = 16 * n + 2 * np.getbufsize()
+    factorising = n * c + max(2 * ROW_BLOCK * n, 3 * n * c + 9 * c * c)
+    factored = 6 * n * c + 4 * c * c
+    return 8 * (vectors + max(factorising, factored))
 
 
-def _grid_envelope(x: np.ndarray, params: PairParams) -> np.ndarray:
-    """The real envelope E[i, j] on the uniform axis ``x``, its one n x n
-    allocation: the centre-of-mass factor at x_i + x_j, a Hankel matrix of
-    2n - 1 sums, times the relative factor at x_i - x_j, a Toeplitz matrix
-    of n differences.  Exactly symmetric, from 4n exponentials."""
+def _grid_envelope(x: np.ndarray, params: PairParams) -> tuple[np.ndarray, np.ndarray]:
+    """The real envelope E on the uniform axis ``x`` as two read-only n x n
+    views whose elementwise product it is: the Hankel view H[i, j] of the
+    centre-of-mass factor at the 2n - 1 sums x_i + x_j, and the Toeplitz
+    view T[i, j] of the relative factor at the n differences x_i - x_j.
+    From 4n exponentials; every entry, row or block of H * T is exactly
+    symmetric, and E itself is never formed whole."""
     n = len(x)
     k = np.arange(2 * n - 1)
     centre, relative = _envelope_factors(x[k // 2] + x[(k + 1) // 2], x - x[0], params)
     relative = np.concatenate([relative[:0:-1], relative])  # entry m at (m - n + 1) dx
-    # window i holds the factors at i + j and, reversed, at i - j
-    return sliding_window_view(centre, n) * sliding_window_view(relative, n)[:, ::-1]
+    # row i holds the factors at i + j and, reversed, at i - j
+    return sliding_window_view(centre, n), sliding_window_view(relative, n)[:, ::-1]
+
+
+def _envelope_weight(hankel: np.ndarray, toeplitz: np.ndarray) -> float:
+    """||H * T||_F^2 in O(n) from the views' 2n - 1 sums c_s and n
+    differences r_d.  With s = i + j and d = i - j it is the sum over s of
+    c_s^2 times the sum of r_|d|^2 over |d| <= min(s, 2n - 2 - s) with
+    d = s mod 2: one prefix sum over the even d and one over the odd.
+    Every term is positive, so nothing cancels."""
+    n = len(hankel)
+    centre = np.concatenate([hankel[0, :-1], hankel[:, -1]])  # c_s, s = 0 .. 2n - 2
+    relative = toeplitz[0] ** 2  # r_d^2, d = 0 .. n - 1
+    pairs = 2.0 * relative  # d and -d
+    pairs[0] = relative[0]
+    band = np.empty(n)  # band[m]: the sum over |d| <= m with d = m mod 2
+    band[0::2] = np.cumsum(pairs[0::2])
+    band[1::2] = np.cumsum(pairs[1::2])
+    s = np.arange(2 * n - 1)
+    return float(centre**2 @ band[np.minimum(s, 2 * n - 2 - s)])
 
 
 def _sampled_amplitude(
     params: PairParams, n: int, extent: float | None, t_max: float
-) -> tuple[np.ndarray, np.ndarray, float, float]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], float, float]:
     """The t = 0 amplitude on the n x n grid as psi = c diag(p) E diag(conj p):
-    the packet phase p = exp(i k_c x), the real envelope E, ||E||_F^2, and
-    the extent.
+    the packet phase p = exp(i k_c x), the real envelope E as its Hankel
+    and Toeplitz views, ||E||_F^2, and the extent.
 
     c is the closed-form normalisation.  The quadrature of |psi|^2 is
     c^2 m^2 ||E||_F^2 dx^2 with m = |p_i|^2, the same for every i (1 for
@@ -247,7 +306,7 @@ def _sampled_amplitude(
     x = _axis(n, extent)
     phase = np.exp(1j * params.k_c * x)
     envelope = _grid_envelope(x, params)
-    weight = float(np.vdot(envelope, envelope))
+    weight = _envelope_weight(*envelope)
     modulus = float(np.mean(np.abs(phase) ** 2))
     factor = 1.0 / (_prefactor(params) * modulus * math.sqrt(weight) * (extent / n))
     if not abs(factor - 1.0) <= 1e-4:
@@ -257,45 +316,52 @@ def _sampled_amplitude(
     return phase, envelope, weight, extent
 
 
-def _residual(amp: np.ndarray, skeleton: np.ndarray) -> float:
-    """||amp - skeleton^T @ skeleton||_F of a symmetric ``amp``, formed
-    ROW_BLOCK rows at a time from the blocks on and left of the diagonal."""
-    n = len(amp)
+def _residual(hankel: np.ndarray, toeplitz: np.ndarray, skeleton: np.ndarray) -> float:
+    """||H * T - skeleton^T @ skeleton||_F, formed ROW_BLOCK rows at a time
+    from the blocks on and left of the diagonal: each block of E is the
+    product of the views' blocks, written into one reused buffer beside the
+    one that holds its miss, so E is never formed whole."""
+    n = len(hankel)
     total = 0.0
-    buffer = np.empty(ROW_BLOCK * n)  # the one row block alive
+    buffers = np.empty((2, ROW_BLOCK * n))  # one row block of E and its miss
     for start in range(0, n, ROW_BLOCK):
         stop = min(start + ROW_BLOCK, n)
-        miss = buffer[:(stop - start) * stop].reshape(stop - start, stop)
+        shape = (stop - start, stop)
+        envelope, miss = (buffer[:shape[0] * stop].reshape(shape) for buffer in buffers)
+        np.multiply(hankel[start:stop, :stop], toeplitz[start:stop, :stop], out=envelope)
         np.matmul(skeleton[:, start:stop].T, skeleton[:, :stop], out=miss)
-        miss -= amp[start:stop, :stop]
+        miss -= envelope
         block = miss[:, start:]  # the diagonal block, counted once
         total += 2.0 * np.vdot(miss, miss) - np.vdot(block, block)
     return math.sqrt(total)
 
 
-def _schmidt_factors(amp: np.ndarray, weight: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(left, right, s) of a real, symmetric, positive semidefinite n x n
-    ``amp`` with ||amp||_F^2 = ``weight``: amp ~ left @ right with left = U
-    (orthonormal columns) and right = diag(s) U^T, s the retained
-    eigenvalues, and ||amp - left @ right||_F <= RESIDUAL_LIMIT ||amp||_F.
+def _schmidt_factors(
+    hankel: np.ndarray, toeplitz: np.ndarray, weight: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(left, right, s) of the real, symmetric, positive semidefinite n x n
+    E = H * T of the views ``hankel`` and ``toeplitz``, with ||E||_F^2 =
+    ``weight``: E ~ left @ right with left = U (orthonormal columns) and
+    right = diag(s) U^T, s the retained eigenvalues, and
+    ||E - left @ right||_F <= RESIDUAL_LIMIT ||E||_F.
 
-    Pivoted Cholesky grows amp ~ L L^T one column at a time: the pivot is
+    Pivoted Cholesky grows E ~ L L^T one column at a time: the pivot is
     the largest entry of the residual's diagonal, and the new column is the
-    residual's row there, read from ``amp`` and corrected by the columns so
-    far.  L's columns are the rows of a skeleton that doubles when full,
-    once the memory check passes for the larger one.  The residual is
-    positive semidefinite, so its trace bounds its Frobenius norm; only when
-    the trace is within the limit is the residual computed exactly, and a
-    check that fails takes PIVOT_BLOCK more pivots before the next one.
-    The thin SVD of L gives amp ~ U diag(s) U^T, s the squared singular
-    values.  Since U is orthonormal, the error of keeping r of them is
-    sqrt(residual^2 + sum of the dropped s^2), and the smallest r that keeps
-    it within half the limit is kept (all of them when the residual alone
-    exceeds that).
+    residual's row there, E's row read as the product of the views' rows
+    and corrected by the columns so far.  L's columns are the rows of a
+    skeleton that doubles when full, once the memory check passes for the
+    larger one.  The residual is positive semidefinite, so its trace bounds
+    its Frobenius norm; only when the trace is within the limit is the
+    residual computed exactly, and a check that fails takes PIVOT_BLOCK
+    more pivots before the next one.  The thin SVD of L gives
+    E ~ U diag(s) U^T, s the squared singular values.  Since U is
+    orthonormal, the error of keeping r of them is sqrt(residual^2 + sum of
+    the dropped s^2), and the smallest r that keeps it within half the
+    limit is kept (all of them when the residual alone exceeds that).
     """
-    n = len(amp)
+    n = len(hankel)
     limit = RESIDUAL_LIMIT * math.sqrt(weight)
-    diagonal = amp.diagonal().copy()  # of the residual amp - L L^T
+    diagonal = hankel.diagonal() * toeplitz.diagonal()  # of the residual E - L L^T
     skeleton = np.empty((SKELETON_COLUMNS, n))  # row k is L's column k
     columns = 0
     next_check = 0
@@ -303,7 +369,7 @@ def _schmidt_factors(amp: np.ndarray, weight: float) -> tuple[np.ndarray, np.nda
         pivot = int(np.argmax(diagonal))
         exhausted = columns == n or not diagonal[pivot] > 0
         if exhausted or (columns >= next_check and diagonal.sum() <= limit):
-            residual = _residual(amp, skeleton[:columns])
+            residual = _residual(hankel, toeplitz, skeleton[:columns])
             if residual <= limit:
                 break
             if exhausted:
@@ -316,7 +382,8 @@ def _schmidt_factors(amp: np.ndarray, weight: float) -> tuple[np.ndarray, np.nda
             grown[:columns] = skeleton
             skeleton = grown
         column = skeleton[columns]
-        np.subtract(amp[pivot], skeleton[:columns, pivot] @ skeleton[:columns], out=column)
+        np.multiply(hankel[pivot], toeplitz[pivot], out=column)
+        column -= skeleton[:columns, pivot] @ skeleton[:columns]
         column /= math.sqrt(diagonal[pivot])
         diagonal -= column * column
         columns += 1
@@ -344,15 +411,14 @@ def initial_grid(
     the physical memory.
     """
     phase, envelope, weight, extent = _sampled_amplitude(params, n, extent, t_max)
-    left, right, s = _schmidt_factors(envelope, weight)
-    del envelope  # the only n x n array: gone before the factors turn complex
+    left, right, s = _schmidt_factors(*envelope, weight)
     # a diagonal unitary keeps singular values: psi / c = diag(p) E diag(conj p)
     # has E's Schmidt factors with the phase moved onto them, and renormalized
     # it has E's singular values over ||E|| dx
     dx = extent / n
     norm = math.sqrt(weight)
     left = phase[:, None] * left
-    right = right / (norm * dx) * phase.conj()
+    right = right * (phase.conj() / (norm * dx))
     grid = WaveGrid(n=n, extent=extent, params=params, t=0.0, left=_read_only(left),
                     right=_read_only(right), schmidt=_read_only(s / norm))
     leak = boundary_leakage(grid)
@@ -365,20 +431,26 @@ def evolve(grid: WaveGrid, t: float) -> WaveGrid:
     """Advance the wavefunction by time t with the exact free propagator.
 
     The phase exp(-i (k1^2 + k2^2) t / 2) is the outer product of one
-    n-vector with itself, so each factor takes it alone: a 1-D transform of
-    each of ``left``'s r columns and ``right``'s r rows, the phase, and the
-    inverse transform.  The Schmidt values do not change.  Unitary up to
-    roundoff, so the norm is preserved to ~1e-15 per call.  Raises when the
-    evolved packet reaches the grid boundary.
+    n-vector with itself, so each factor takes it alone: ``grid``'s cached
+    spectra (the 1-D transforms of ``left``'s r columns and ``right``'s r
+    rows, taken once per grid) times the phase, then one inverse transform
+    per factor.  The products are kept as the evolved grid's spectra, so
+    its marginals, moments and later evolutions transform nothing forward.
+    The Schmidt values do not change.  Unitary up to roundoff, so the norm
+    is preserved to ~1e-15 per call.  Raises when the evolved packet
+    reaches the grid boundary.
     """
     if not (math.isfinite(t) and t >= 0):
         raise DomainError(f"time step must be finite and nonnegative, got {t}")
     k = grid.k_axis
     e = np.exp(-1j * k * k * t / 2.0)
-    left = np.fft.ifft(np.fft.fft(grid.left, axis=0) * e[:, None], axis=0)
-    right = np.fft.ifft(np.fft.fft(grid.right, axis=1) * e, axis=1)
+    left_k, right_k = grid._spectra
+    left_k = _read_only(left_k * e[:, None])
+    right_k = _read_only(right_k * e)
     out = WaveGrid(n=grid.n, extent=grid.extent, params=grid.params, t=grid.t + t,
-                   left=_read_only(left), right=_read_only(right), schmidt=grid.schmidt)
+                   left=_read_only(np.fft.ifft(left_k, axis=0)),
+                   right=_read_only(np.fft.ifft(right_k, axis=1)), schmidt=grid.schmidt)
+    vars(out)["_spectra"] = left_k, right_k  # the cached property, filled in
     leak = boundary_leakage(out)
     if not leak <= LEAKAGE_LIMIT:
         raise GridError(
@@ -388,12 +460,14 @@ def evolve(grid: WaveGrid, t: float) -> WaveGrid:
     return out
 
 
-def _contractions(left: np.ndarray, right: np.ndarray, axis: np.ndarray):
+def _contractions(left: np.ndarray, right: np.ndarray, grams, axis: np.ndarray):
     """Means, variances and covariance of the two coordinates under the
     weights |left @ right|^2, then the total weight; and the Grams of
-    weights 1 and ``axis`` of each factor, which the cross terms reuse."""
-    l1, lx, lxx = (_left_gram(left, w) for w in (1.0, axis, axis * axis))
-    r1, rx, rxx = (_right_gram(right, w) for w in (1.0, axis, axis * axis))
+    weights 1 and ``axis`` of each factor, which the cross terms reuse.
+    ``grams`` are the unweighted ones, left^H left and right right^H."""
+    l1, r1 = grams
+    lx, lxx = (_left_gram(left, w) for w in (axis, axis * axis))
+    rx, rxx = (_right_gram(right, w) for w in (axis, axis * axis))
     total = _trace(l1, r1)
     mean1 = _trace(lx, r1) / total
     mean2 = _trace(l1, rx) / total
@@ -405,22 +479,23 @@ def _contractions(left: np.ndarray, right: np.ndarray, axis: np.ndarray):
 
 def moments(grid: WaveGrid) -> MomentSet:
     """All first/second moments: positions from the factors, wavenumbers from
-    their 1-D transforms, and symmetrized position-wavenumber cross terms via
-    Re <psi| x (k psi)> (the real part is exactly the symmetrized product).
-    Each is a trace of two r x r Grams."""
+    their cached 1-D transforms, and symmetrized position-wavenumber cross
+    terms via Re <psi| x (k psi)> (the real part is exactly the symmetrized
+    product), whose k psi takes one inverse transform per factor.  Each is a
+    trace of two r x r Grams."""
     x, k = grid.axis, grid.k_axis
     left, right = grid.left, grid.right
-    position, (l1, lx), (r1, rx) = _contractions(left, right, x)
+    position, (l1, lx), (r1, rx) = _contractions(left, right, grid._grams, x)
     mean_x1, mean_x2, var_x1, var_x2, cov_x1x2, norm = position
-    left_k = np.fft.fft(left, axis=0)
-    right_k = np.fft.fft(right, axis=1)
-    mean_k1, mean_k2, var_k1, var_k2, cov_k1k2, _ = _contractions(left_k, right_k, k)[0]
+    left_k, right_k = grid._spectra
+    momentum = _contractions(left_k, right_k, grid._spectral_grams, k)[0]
+    mean_k1, mean_k2, var_k1, var_k2, cov_k1k2, _ = momentum
     # k1 psi = k1_left @ right and k2 psi = left @ k2_right
     k1_left = np.fft.ifft(left_k * k[:, None], axis=0)
     k2_right = np.fft.ifft(right_k * k, axis=1)
     x1k1 = _trace(_left_gram(left, x, k1_left), r1) / norm
-    x2k1 = _trace(_left_gram(left, 1.0, k1_left), rx) / norm
-    x1k2 = _trace(lx, _right_gram(right, 1.0, k2_right)) / norm
+    x2k1 = _trace(_left_gram(left, other=k1_left), rx) / norm
+    x1k2 = _trace(lx, _right_gram(right, other=k2_right)) / norm
     x2k2 = _trace(l1, _right_gram(right, x, k2_right)) / norm
     return MomentSet(
         mean_x1=mean_x1,
@@ -463,19 +538,21 @@ def numeric_covariance_matrix(grid: WaveGrid) -> CovMatrix4:
     return _correlation_matrix(moments(grid))
 
 
-def _row_weights(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """sum_j |(left @ right)[i, j]|^2 for each row i."""
-    return np.einsum("ib,ib->i", left @ _right_gram(right), left.conj()).real
+def _row_weights(left: np.ndarray, right_gram: np.ndarray) -> np.ndarray:
+    """sum_j |(left @ right)[i, j]|^2 for each row i, from right's
+    unweighted Gram right right^H."""
+    return np.einsum("ib,ib->i", left @ right_gram, left.conj()).real
 
 
 def position_marginal(grid: WaveGrid) -> tuple[np.ndarray, np.ndarray]:
     """Marginal density of x1, integrating |psi|^2 over x2 by midpoint rule."""
-    return grid.axis, _row_weights(grid.left, grid.right) * grid.dx
+    return grid.axis, _row_weights(grid.left, grid._grams[1]) * grid.dx
 
 
 def momentum_marginal(grid: WaveGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Marginal density of k1 from the factors' transforms, sorted by wavenumber."""
-    density = _row_weights(np.fft.fft(grid.left, axis=0), np.fft.fft(grid.right, axis=1))
+    """Marginal density of k1 from the factors' cached transforms, sorted by
+    wavenumber."""
+    density = _row_weights(grid._spectra[0], grid._spectral_grams[1])
     k = grid.k_axis
     order = np.argsort(k)
     k = k[order]

@@ -294,8 +294,8 @@ ORACLE_ARGV = ("oracle-check", "--a", "1", "--b", "2", "--kc", "0.5", "--times",
                "--grid-n", "256")
 
 
-def test_oracle_check_makes_no_2d_transforms(capsys, monkeypatch):
-    # the grids are Schmidt factors: every transform is 1-D
+def _count_transforms(monkeypatch, names) -> list:
+    """The names of the ``np.fft`` transforms called from now on, in order."""
     calls = []
 
     def counted(name):
@@ -307,11 +307,28 @@ def test_oracle_check_makes_no_2d_transforms(capsys, monkeypatch):
 
         return call
 
-    for name in ("fft2", "ifft2"):
+    for name in names:
         monkeypatch.setattr(np.fft, name, counted(name))
+    return calls
+
+
+def test_oracle_check_makes_no_2d_transforms(capsys, monkeypatch):
+    # the grids are Schmidt factors: every transform is 1-D
+    calls = _count_transforms(monkeypatch, ("fft2", "ifft2"))
     code, _, _ = run_cli(capsys, *ORACLE_ARGV)
     assert code == 0
     assert calls == []
+
+
+def test_oracle_check_transforms_each_grid_once(capsys, monkeypatch):
+    # 2 forward transforms at t = 0, whose spectra every evolution reuses;
+    # 2 inverse ones for each of the 3 evolutions; 2 for the cross terms
+    transforms = [name for name in np.fft.__all__ if "fft" in name and "freq" not in name
+                  and "shift" not in name]
+    calls = _count_transforms(monkeypatch, transforms)
+    code, _, _ = run_cli(capsys, *ORACLE_ARGV)
+    assert code == 0
+    assert len(calls) <= 10, calls
 
 
 def test_oracle_check_releases_each_evolved_grid(capsys, monkeypatch):
@@ -525,12 +542,13 @@ def _never_called(*args, **kwargs):
     raise AssertionError("allocated past the memory check")
 
 
-# each would allocate 4 PiB or more in its first large array: the memory
-# check refuses it before any allocation
+# each needs 100 TB or more at its peak (for the oracle at n = 2^36, its
+# O(n) vectors and n x 32 skeleton): the memory check refuses it before the
+# first large array
 @pytest.mark.parametrize(
     "argv,allocator",
     [
-        ("oracle-check --a 1 --b 2 --grid-n 16777216", "localent.oracle._grid_envelope"),
+        ("oracle-check --a 1 --b 2 --grid-n 68719476736", "localent.oracle._axis"),
         ("protocol --mode 2 --a 1 --b 2 --trials 200000000000000",
          "localent.protocols._chi2_draws"),
         ("protocol --mode 1 --a 1 --b 2 --trials 400000000000000 --noiseless",
@@ -542,6 +560,14 @@ def test_oversize_request_is_refused_before_allocating(capsys, monkeypatch, argv
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out) == (2, "")
     assert err == "error: the request does not fit in memory\n"
+
+
+def test_protocol_mode_1_refuses_csv_before_the_batch(capsys, monkeypatch):
+    monkeypatch.setattr(localent.cli, "run_known_origin_batch", _never_called)
+    argv = "protocol --mode 1 --u 1.01 --b 1 --times 1 --trials 200000 --format csv"
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err == "error: command 'protocol' has no CSV rendering\n"
 
 
 PROTOCOL_2000 = "protocol --u 1.01 --b 1 --n-samples 100 --trials 2000"

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +32,7 @@ from localent.oracle import (
     numeric_covariance_matrix,
     position_marginal,
 )
-from localent.oracle import _axis, _grid_envelope
+from localent.oracle import _axis, _envelope_weight, _grid_envelope
 from localent.protocols import ambiguity_time, mimic_width, width_from_momentum_dispersion
 from localent.states import (
     PairParams,
@@ -78,10 +79,11 @@ def test_grid_validation():
 
 @pytest.mark.parametrize("b", [10.0, 2.0, 0.25, 1 / 8, INF])
 def test_grid_envelope_is_symmetric_and_matches_the_pointwise_envelope(b):
-    # sampled as a Hankel matrix of sums times a Toeplitz matrix of differences
+    # sampled as a Hankel view of sums times a Toeplitz view of differences
     params = PairParams(a=1.0, b=b)
     x = _axis(512, default_extent(params, 1.0))
-    envelope = _grid_envelope(x, params)
+    hankel, toeplitz = _grid_envelope(x, params)
+    envelope = hankel * toeplitz
     np.testing.assert_array_equal(envelope, envelope.T)
     pointwise = _envelope(x[:, None], x[None, :], params)
     assert np.linalg.norm(envelope - pointwise) <= 1e-13 * np.linalg.norm(pointwise)
@@ -183,16 +185,21 @@ def test_factors_are_read_only_and_reconstruct_the_dense_amplitude(b, k_c):
 
 def test_factorisation_is_accepted_only_through_its_exact_residual():
     # a zero diagonal leaves no pivot and a zero trace, yet the residual is
-    # the whole matrix
-    amp = np.ones((64, 64)) - np.eye(64)
+    # the whole matrix: ones - eye, a Hankel view of ones times a Toeplitz
+    # view that is 0 only at zero difference
+    n = 64
+    hankel = sliding_window_view(np.ones(2 * n - 1), n)
+    toeplitz = sliding_window_view(np.concatenate([np.ones(n - 1), [0.0], np.ones(n - 1)]), n)
+    amp = hankel * toeplitz[:, ::-1]
+    np.testing.assert_array_equal(amp, np.ones((n, n)) - np.eye(n))
     with pytest.raises(GridError, match="no factorisation of the amplitude meets the residual"):
-        localent.oracle._schmidt_factors(amp, float(np.vdot(amp, amp)))
+        localent.oracle._schmidt_factors(hankel, toeplitz[:, ::-1], float(np.vdot(amp, amp)))
 
 
 @pytest.mark.parametrize("b", [2.0, INF, 0.25])
 def test_memory_check_charges_the_traced_peak(monkeypatch, b):
-    # the real envelope is the only n x n array, and the check charges all
-    # that is alive beside it at the peak
+    # no n x n array is formed, and the check charges all that is alive at
+    # the peak
     n = 512
     charged = []
     require_memory = localent.oracle.require_memory
@@ -214,8 +221,8 @@ def test_memory_check_charges_the_traced_peak(monkeypatch, b):
 
 
 def test_memory_check_charges_the_traced_peak_at_high_rank(monkeypatch):
-    # at rank 125 of n = 512 the SVD and the complex factors, not the
-    # envelope, set the peak
+    # at rank 125 of n = 512 the rank terms, not the n-vectors or the
+    # residual's row blocks, set the peak
     n = 512
     charged = []
     require_memory = localent.oracle.require_memory
@@ -233,7 +240,51 @@ def test_memory_check_charges_the_traced_peak_at_high_rank(monkeypatch):
     finally:
         tracemalloc.stop()
     assert grid.schmidt.size > 100
-    assert max(charged) >= peak > 2 * 8 * n * n
+    capacity = 128  # the skeleton's, doubled from 32 to hold the rank
+    # beyond the skeleton (nc words) and the SVD's copy and singular vectors (3nc)
+    assert max(charged) >= peak > 8 * (n * capacity + 3 * n * capacity)
+
+
+def test_initial_grid_peaks_below_a_quarter_of_one_envelope():
+    # E is never formed whole: the residual's row blocks and the skeleton
+    # set the peak, not a dense n x n float64 array (8 n^2 bytes)
+    n = 1024
+    initial_grid(PairParams(a=1.0, b=2.0), n=64)  # numpy's one-time imports, untraced
+    tracemalloc.start()
+    try:
+        initial_grid(PairParams(a=1.0, b=2.0), n=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * n
+
+
+@pytest.mark.parametrize("b", [10.0, 2.0, 0.25, 1 / 8, INF])
+def test_envelope_weight_in_o_n_matches_the_dense_sum(b):
+    params = PairParams(a=1.0, b=b)
+    x = _axis(512, default_extent(params, 1.0))
+    pointwise = _envelope(x[:, None], x[None, :], params)
+    dense_weight = float(np.vdot(pointwise, pointwise))
+    weight = _envelope_weight(*_grid_envelope(x, params))
+    assert weight == pytest.approx(dense_weight, rel=1e-14, abs=0.0)
+
+
+def _fresh_momentum_marginal(grid: WaveGrid) -> np.ndarray:
+    """momentum_marginal's density from new transforms of the factors."""
+    phi = np.fft.fft(grid.left, axis=0) @ np.fft.fft(grid.right, axis=1)
+    density = np.sum(np.abs(phi) ** 2, axis=1)[np.argsort(grid.k_axis)]
+    return density / (density.sum() * 2.0 * math.pi / grid.extent)
+
+
+@pytest.mark.parametrize("b,k_c", [(2.0, 0.5), (INF, -1.3), (0.5, 0.0)])
+def test_cached_spectra_give_the_marginals_of_fresh_transforms(b, k_c):
+    # an evolved grid keeps the phased spectra it was evolved from
+    grid0 = initial_grid(PairParams(a=1.0, b=b, k_c=k_c), n=256, t_max=2.0)
+    once = evolve(grid0, 1.0)
+    for grid in (grid0, once, evolve(once, 1.0)):
+        density = momentum_marginal(grid)[1]
+        fresh = _fresh_momentum_marginal(grid)
+        assert np.max(np.abs(density - fresh)) <= 1e-13 * np.max(fresh)
 
 
 def _oracle_check(engine, params: PairParams, n: int, times: list[float]):

@@ -31,13 +31,11 @@ import numpy as np
 
 from . import __version__
 from .covariance import (
-    _entanglement_of_formation,
-    _standard_form,
+    _eof,
+    _pt_eigenvalue,
     covariance_matrix,
-    entanglement_of_formation,
     simon_invariant,
     simon_invariant_closed_form,
-    standard_form,
 )
 from .errors import DomainError, FitError, GridError, require_memory
 from .oracle import (
@@ -264,13 +262,8 @@ def cmd_eof_surface(args) -> int:
         row = 0 if bad_b.any() else np.argmax(~(a_axis > 0))
         PairParams(a=float(a_axis[row]), b=float(b_axis[np.argmax(bad_b)]))
     a, b = (axis.ravel() for axis in np.meshgrid(a_axis, b_axis, indexing="ij"))
-    eof = _entanglement_of_formation(*_standard_form(a, b))
-    failed = np.flatnonzero(~np.isfinite(eof))
-    if failed.size:  # the scalar path raises what the first such pair raises
-        first = failed[0]
-        entanglement_of_formation(standard_form(PairParams(a=float(a[first]), b=float(b[first]))))
-    columns = {"a": a, "b": b, "eof": eof}
-    _emit(args, _config(args), _Records(columns, eof.size), columns)
+    columns = {"a": a, "b": b, "eof": _eof(a, b)}  # a value that is not finite fails _emit
+    _emit(args, _config(args), _Records(columns, a.size), columns)
     return 0
 
 
@@ -281,7 +274,8 @@ def cmd_simon(args) -> int:
     results = {
         "I_general": general.invariant_I,
         "I_closed": simon_invariant_closed_form(params),
-        "separable": general.separable,
+        # the verdict of nu < 1, which holds where I_general rounds to 0
+        "separable": bool(_pt_eigenvalue(params.a, params.b)[1] <= 0.0),
     }
     _emit(args, _config(args), results, {key: [value] for key, value in results.items()})
     return 0

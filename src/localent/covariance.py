@@ -3,10 +3,12 @@
 The two-mode correlation matrix is assembled in the doubled convention
 ``gamma_ij = <R_i R_j + R_j R_i> - 2 <R_i><R_j>`` with R = (X1, P1, X2, P2),
 so a vacuum-width mode has diagonal 1.  Separability is decided by the
-PPT-based determinant inequality for Gaussian states (Simon's criterion),
-entanglement is quantified by the entanglement of formation of the symmetric
-standard form, and the result is cross-checked against the von Neumann
-entropy of the reduced single-mode state -- the two agree for pure states.
+PPT-based determinant inequality for Gaussian states (Simon's criterion).
+For the family, one vectorized kernel gives the smallest symplectic
+eigenvalue nu of the partial transpose, which decides separability
+(nu < 1 iff entangled) and sets the entanglement of formation; the test
+suite cross-checks the latter against the von Neumann entropy of the
+reduced single-mode state -- the two agree for pure states.
 
 Determinants and the trace combination in the criterion are evaluated with
 explicit 2x2 closed forms rather than pivoted linear algebra, so there is no
@@ -44,24 +46,7 @@ J_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 _PHYSICAL_TOL = 1e-8  # check_physical: relative eigenvalue dip that rounding explains
 _STANDARD_FORM_ATOL = 1e-9  # standard_form_from_cm: relative size that counts as zero
-
-
-def _array_log2(x: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.log2, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
-# (sqrt, power, log2) of the closed-form kernels for floats and for arrays.  The
-# array ones give the float ones' bits: np.float_power calls the C library's pow,
-# as float ** 2 and math.pow do, and log2 is math.log2 mapped over the array.
-# numpy's own square and log2 differ from those in 0.1% and 0.02% of values, and
-# the cancellation in the EoF of a strongly entangled pair turns such an ulp
-# into up to 1e9 ulp.
-_FLOAT_OPS = (math.sqrt, math.pow, math.log2)
-_ARRAY_OPS = (np.sqrt, np.float_power, _array_log2)
-
-
-def _ops(x) -> tuple:
-    return _ARRAY_OPS if isinstance(x, np.ndarray) else _FLOAT_OPS
+_LN2 = math.log(2.0)
 
 
 def symplectic_form() -> np.ndarray:
@@ -196,21 +181,13 @@ def standard_form(params: PairParams) -> StandardForm:
     The scaling diag(s, 1/s, s, 1/s) with s = (4 f2 / a^4)^(1/4) equalizes
     the diagonal to n = f1 / sqrt(f2) and leaves k_x = k_p = a^2 / (b^2 sqrt(f2)).
     Only (n, k) are evaluated here; the test suite checks the congruence
-    across the parameter range.
+    across the parameter range.  An a/b whose square overflows raises
+    OverflowError.
     """
-    return StandardForm(*_standard_form(params.a, params.b))
-
-
-def _standard_form(a, b):
-    """Unchecked (n, k_x, k_p) of :func:`standard_form`, elementwise over
-    floats or equal-shape arrays a, b.  For floats, an a/b whose square
-    overflows raises OverflowError."""
-    sqrt, power, _ = _ops(a)
-    r = a / b
-    sqrt_f2 = sqrt(1.0 + 2 * r * r)  # entanglement_factor(2, ...)
-    n = (1.0 + r * r) / sqrt_f2
-    k = power(a / b, 2) / sqrt_f2
-    return n, k, k
+    r2 = (params.a / params.b) ** 2
+    sqrt_f2 = math.sqrt(1.0 + 2.0 * r2)  # entanglement_factor(2, ...)
+    k = r2 / sqrt_f2
+    return StandardForm(n=(1.0 + r2) / sqrt_f2, k_x=k, k_p=k)
 
 
 def standard_form_from_cm(cm: CovMatrix4) -> StandardForm:
@@ -235,37 +212,54 @@ def standard_form_from_cm(cm: CovMatrix4) -> StandardForm:
     return StandardForm(n=n_a, k_x=k_x, k_p=k_p)
 
 
-def _entropy_terms(plus, minus):
-    log2 = _ops(plus)[2]
-    # minus*log2(minus) -> 0 as minus -> 0 (continuity at the product state)
-    return plus * log2(plus) - minus * log2(np.where(minus > 0.0, minus, 1.0))
+def _pt_eigenvalue(a, b):
+    """nu = f2^(-1/2), the smaller symplectic eigenvalue of the partially
+    transposed correlation matrix, and 1 - nu, elementwise over numpy arrays
+    or scalars (a scalar call is a 0-d array call).
 
-
-def entanglement_of_formation(sf: StandardForm) -> float:
-    """Entanglement of formation (bits) of a symmetric two-mode Gaussian state.
-
-    EoF = c+ log2 c+ - c- log2 c-  with  c± = (delta^(-1/2) ± delta^(1/2))^2 / 4
-    and delta = sqrt((n - k_x)(n - k_p)) (the vacuum n = 1, k = 0 gives
-    delta = 1 and EoF = 0 exactly).
+    With L = log1p(2 (a/b)^2) both come straight from L, nu = exp(-L/2) and
+    1 - nu = -expm1(-L/2), so neither cancels at either end of the range.
+    The pair is entangled iff 1 - nu > 0.
     """
-    gx = sf.n - sf.k_x
-    gp = sf.n - sf.k_p
-    if gx <= 0 or gp <= 0:
-        raise DomainError(
-            f"unphysical standard form: n - k_x = {gx}, n - k_p = {gp} must both be positive"
-        )
-    return _entanglement_of_formation(sf.n, sf.k_x, sf.k_p)
+    r = a / b
+    half_log_f2 = 0.5 * np.log1p(2.0 * r * r)
+    return np.exp(-half_log_f2), -np.expm1(-half_log_f2)
 
 
-def _entanglement_of_formation(n, k_x, k_p):
-    """Unchecked :func:`entanglement_of_formation`, elementwise over floats or
-    equal-shape arrays of standard-form entries."""
-    sqrt, power, _ = _ops(n)
-    delta = sqrt((n - k_x) * (n - k_p))
-    root = sqrt(delta)
-    c_plus = power(1.0 / root + root, 2) / 4.0
-    c_minus = power(1.0 / root - root, 2) / 4.0
-    return _entropy_terms(c_plus, c_minus)
+def _entropy(c, log_ratio):
+    """Entropy in bits, (1 + c) log2(1 + c) - c log2 c, of a one-mode Gaussian
+    state with c = (nu - 1)/2 >= 0, given log_ratio = log1p(1/c).
+
+    Taken as (log1p(c) + c log_ratio) / ln 2: both terms are >= 0, so
+    nothing cancels at any c.  c = 0 gives exactly 0.
+    """
+    return (np.log1p(c) + np.where(c > 0.0, c * log_ratio, 0.0)) / _LN2
+
+
+def _eof(a, b):
+    """Entanglement of formation (bits) of the pair, elementwise as
+    :func:`_pt_eigenvalue`: the entropy at c = (1 - nu)^2 / (4 nu)."""
+    # b = inf divides by gap = 0 (and c * log_ratio is 0 * inf), which
+    # _entropy's c = 0 case absorbs; an overflowing a/b ends in NaN
+    with np.errstate(all="ignore"):
+        nu, gap = _pt_eigenvalue(a, b)
+        # log1p(1/c) as 2 log1p(2 nu / gap), since (1 + 2 nu/gap)^2 = 1 + 1/c:
+        # 1/c itself overflows once c is subnormal, at a/b below ~1e-77
+        return _entropy(gap * gap / (4.0 * nu), 2.0 * np.log1p(2.0 * nu / gap))
+
+
+def entanglement_of_formation(params: PairParams) -> float:
+    """Entanglement of formation (bits) of the pair (Giedke et al., PRL 91,
+    107901, 2003).
+
+    EoF = c+ log2 c+ - c- log2 c-  with  c- = (1 - nu)^2 / (4 nu), c+ = 1 + c-
+    and nu = f2^(-1/2) (the product state b = inf gives nu = 1 and EoF = 0
+    exactly).  Raises OverflowError when a/b is too large for the float range.
+    """
+    eof = float(_eof(params.a, params.b))
+    if not math.isfinite(eof):
+        raise OverflowError(f"a/b = {params.a}/{params.b} is outside the float range")
+    return eof
 
 
 def reduced_symplectic_eigenvalue(cm: CovMatrix4) -> float:
@@ -281,5 +275,6 @@ def entropy_from_symplectic_eigenvalue(nu: float) -> float:
     """Von Neumann entropy (bits) of a one-mode Gaussian state from nu >= 1."""
     if nu < 1.0 - 1e-9:
         raise DomainError(f"symplectic eigenvalue must be >= 1, got {nu}")
-    nu = max(nu, 1.0)
-    return _entropy_terms((nu + 1.0) / 2.0, (nu - 1.0) / 2.0)
+    c = np.float64((max(nu, 1.0) - 1.0) / 2.0)
+    with np.errstate(all="ignore"):  # 1/c = inf and 0 * inf at nu = 1, as in _eof
+        return float(_entropy(c, np.log1p(1.0 / c)))

@@ -65,9 +65,6 @@ class PairParams:
                 f"anticorrelation width b must be positive (or math.inf), got {self.b}"
             )
 
-    def is_separable(self) -> bool:
-        return math.isinf(self.b)
-
 
 @dataclass(frozen=True)
 class GaussianDensity:

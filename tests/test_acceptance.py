@@ -16,7 +16,6 @@ from localent.covariance import (
     reduced_symplectic_eigenvalue,
     simon_invariant,
     simon_invariant_closed_form,
-    standard_form,
 )
 from localent.oracle import (
     evolve,
@@ -66,13 +65,13 @@ def test_criterion_2_eof_entropy_identity():
     for a in (0.5, 1.0, 2.0, 5.0):
         for b in (0.5, 1.0, 2.0, 10.0, 100.0):
             p = PairParams(a=a, b=b)
-            eof = entanglement_of_formation(standard_form(p))
+            eof = entanglement_of_formation(p)
             entropy = entropy_from_symplectic_eigenvalue(
                 reduced_symplectic_eigenvalue(covariance_matrix(p))
             )
             worst = max(worst, abs(eof - entropy))
             assert abs(eof - entropy) <= 1e-9
-    spot = entanglement_of_formation(standard_form(PairParams(a=1.0, b=2.0)))
+    spot = entanglement_of_formation(PairParams(a=1.0, b=2.0))
     assert spot == pytest.approx(0.082998, abs=1e-6)  # quoted at print precision
     assert spot == pytest.approx(0.08299706200713872, abs=1e-9)  # 50-digit recomputation
     print(f"PASS criterion 2: EoF = reduced entropy, worst delta {worst:.2e}; spot {spot:.9f}")
@@ -84,7 +83,7 @@ def test_criterion_3_eof_orderings():
     surface = np.array(
         [
             [
-                entanglement_of_formation(standard_form(PairParams(a=a, b=1.0 / ib)))
+                entanglement_of_formation(PairParams(a=a, b=1.0 / ib))
                 for ib in inv_b_grid
             ]
             for a in a_grid

@@ -23,10 +23,11 @@ from hypothesis import strategies as st
 import localent
 from localent import cli
 from localent.cli import DEFAULT_TIMES, OUT_OF_RANGE, build_parser, main
-from localent.covariance import entanglement_of_formation, standard_form
+from localent.covariance import entanglement_of_formation
 from localent.errors import DomainError
 from localent.protocols import HiddenScenario, run_blind_batch, run_known_origin_batch
 from localent.states import PairParams
+from eof_reference import eof_reference
 
 try:
     from importlib.resources import files
@@ -115,10 +116,10 @@ def test_eof_surface_matches_the_scalar_composition(a_min, a_max, a_steps, b_min
     rows = json.loads(out.getvalue())["results"]
     pairs = [(a, b) for a in _axis(a_min, a_max, a_steps) for b in _axis(b_min, b_max, b_steps)]
     assert [(row["a"], row["b"]) for row in rows] == pairs
-    # the array path calls the C library's pow and log2 as the scalar path
-    # does, so the values agree to the bit, not only to a few ulp
+    # the scalar function is a 0-d call of the kernel the surface runs on
+    # arrays, so the values agree to the bit, not only to a few ulp
     for row in rows:
-        want = entanglement_of_formation(standard_form(PairParams(a=row["a"], b=row["b"])))
+        want = entanglement_of_formation(PairParams(a=row["a"], b=row["b"]))
         assert row["eof"] == want, (row, want)
 
 
@@ -128,7 +129,7 @@ def _scalar_surface_outcome(argv: list[str]) -> tuple[int, str]:
     finite fails the output."""
     args = build_parser().parse_args(argv)
     try:
-        values = [entanglement_of_formation(standard_form(PairParams(a=a, b=b)))
+        values = [entanglement_of_formation(PairParams(a=a, b=b))
                   for a in _axis(args.a_min, args.a_max, args.a_steps)
                   for b in _axis(args.b_min, args.b_max, args.b_steps)]
     except DomainError as exc:
@@ -153,11 +154,10 @@ def _scalar_surface_outcome(argv: list[str]) -> tuple[int, str]:
         "--b-min 1 --b-max nan --b-steps 3 --format json",
         "--a-min 1 --a-max inf --a-steps 3",
         "--a-min inf --a-max inf --a-steps 2 --b-steps 2",
-        # overflowing: (a/b)**2, f2, and n - k rounding to 0
+        # overflowing: (a/b)**2 and f2
         "--a-steps 2 --b-steps 2 --b-min 1e-200",
         "--a-steps 2 --b-steps 2 --b-min 1e-200 --format json",
         "--a-min 1e154 --a-max 1e154 --a-steps 1 --b-min 1 --b-max 1 --b-steps 1",
-        "--a-min 1e9 --a-max 1e9 --a-steps 1 --b-min 1 --b-max 2 --b-steps 2",
         "--a-min 1 --a-max 1e300 --a-steps 3 --b-min 1e-10 --b-max 1 --b-steps 2",
         "--a-min 1e300 --a-max 1 --a-steps 2 --b-min 1 --b-max 1e-10 --b-steps 2",
         # no pairs: nothing to reject
@@ -177,6 +177,36 @@ def test_eof_surface_errors_match_the_scalar_loop(capsys, argv):
         assert json.loads(out)["results"] == []
     else:
         assert out == "a,b,eof\n"
+
+
+def test_eof_surface_holds_at_strong_entanglement(capsys):
+    # a/b = 1e9 and 5e8: n - k of the standard form rounds to 0 from a/b ~ 9.5e7
+    code, payload = run_json(capsys, "eof-surface", "--a-min", "1e9", "--a-max", "1e9",
+                             "--a-steps", "1", "--b-min", "1", "--b-max", "2", "--b-steps", "2")
+    assert code == 0
+    rows = payload["results"]
+    assert [(row["a"], row["b"]) for row in rows] == [(1e9, 1.0), (1e9, 2.0)]
+    for row in rows:
+        want = eof_reference(row["a"], row["b"])
+        assert abs(row["eof"] - want) <= 1e-13 * want, (row, want)
+
+
+# log-uniform over [10**low, 10**high] on a fine lattice
+def _log_uniform(low: int, high: int):
+    return st.integers(low * 10**6, high * 10**6).map(lambda i: 10.0 ** (i / 10**6))
+
+
+@given(a=_log_uniform(-2, 2), b_over_a=st.one_of(_log_uniform(-8, 8), st.just(math.inf)))
+@example(a=1.0, b_over_a=3e4)  # I_general rounds to 0 here, I_closed = -4.9e-18
+@settings(max_examples=150, deadline=None)
+def test_verdict_and_eof_hold_at_every_ratio(a, b_over_a):
+    b = a * b_over_a
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["simon", f"--a={a!r}", f"--b={b!r}"]) == 0
+    assert json.loads(out.getvalue())["results"]["separable"] is math.isinf(b)
+    want = eof_reference(a, b)
+    assert abs(entanglement_of_formation(PairParams(a=a, b=b)) - want) <= 1e-13 * want
 
 
 def test_dispersion_curve_values(capsys):

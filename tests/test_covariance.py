@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localent.covariance import (
@@ -21,6 +21,7 @@ from localent.covariance import (
 )
 from localent.errors import DomainError
 from localent.states import PairParams
+from eof_reference import entropy_reference
 
 INF = math.inf
 
@@ -196,11 +197,11 @@ def test_standard_form_from_cm_rejects_asymmetric():
 
 
 def test_eof_zero_at_delta_one():
-    assert entanglement_of_formation(standard_form(PairParams(a=1.0, b=INF))) == 0.0
+    assert entanglement_of_formation(PairParams(a=1.0, b=INF)) == 0.0
 
 
 def test_eof_spot_value():
-    eof = entanglement_of_formation(standard_form(PairParams(a=1.0, b=2.0)))
+    eof = entanglement_of_formation(PairParams(a=1.0, b=2.0))
     assert eof == pytest.approx(0.08299706200713872, rel=1e-10)
 
 
@@ -213,11 +214,11 @@ def test_eof_coefficient_identity():
         assert c_plus - c_minus == pytest.approx(1.0, rel=1e-12)
 
 
-def test_eof_rejects_unphysical_standard_form():
-    from localent.covariance import StandardForm
-
-    with pytest.raises(DomainError):
-        entanglement_of_formation(StandardForm(n=1.0, k_x=1.5, k_p=1.5))
+def test_eof_rejects_an_overflowing_ratio():
+    # 2 (a/b)^2 overflows: no finite EoF to give
+    for a, b in [(1.0, 1e-200), (1e154, 1.0)]:
+        with pytest.raises(OverflowError):
+            entanglement_of_formation(PairParams(a=a, b=b))
 
 
 def test_reduced_symplectic_eigenvalue():
@@ -240,12 +241,22 @@ def test_entropy_values():
         entropy_from_symplectic_eigenvalue(0.9)
 
 
+@given(x=st.integers(-15 * 10**6, 12 * 10**6))
+@example(x=-15 * 10**6)
+@settings(max_examples=200, deadline=None)
+def test_entropy_holds_at_every_eigenvalue(x):
+    # nu - 1 log-uniform over [1e-15, 1e12], and nu = 1 at the lower end
+    nu = 1.0 + 10.0 ** (x / 10**6) if x > -15 * 10**6 else 1.0
+    want = entropy_reference(nu)
+    assert abs(entropy_from_symplectic_eigenvalue(nu) - want) <= 1e-13 * want
+
+
 @pytest.mark.parametrize("a", SWEEP_A)
 @pytest.mark.parametrize("b", SWEEP_B)
 def test_eof_equals_reduced_entropy(a, b):
     p = PairParams(a=a, b=b)
     sf = standard_form(p)
-    eof = entanglement_of_formation(sf)
+    eof = entanglement_of_formation(p)
     nu = reduced_symplectic_eigenvalue(covariance_matrix(p))
     assert abs(eof - entropy_from_symplectic_eigenvalue(nu)) < 1e-9
     delta = math.sqrt((sf.n - sf.k_x) * (sf.n - sf.k_p))
@@ -259,7 +270,7 @@ def test_eof_equals_reduced_entropy(a, b):
 @settings(max_examples=150, deadline=None)
 def test_eof_entropy_identity_property(a, b):
     p = PairParams(a=a, b=b)
-    eof = entanglement_of_formation(standard_form(p))
+    eof = entanglement_of_formation(p)
     nu = reduced_symplectic_eigenvalue(covariance_matrix(p))
     assert abs(eof - entropy_from_symplectic_eigenvalue(nu)) < 1e-9
 
@@ -268,11 +279,11 @@ def test_eof_orderings():
     # strictly decreasing in b at fixed a, strictly increasing in a at fixed b
     b_grid = np.linspace(0.8, 30.0, 40)
     for a in (1.0, 4.0):
-        values = [entanglement_of_formation(standard_form(PairParams(a=a, b=b))) for b in b_grid]
+        values = [entanglement_of_formation(PairParams(a=a, b=b)) for b in b_grid]
         assert all(v2 < v1 for v1, v2 in zip(values, values[1:]))
     a_grid = np.linspace(0.5, 10.0, 20)
     for b in (1.0, 5.0):
-        values = [entanglement_of_formation(standard_form(PairParams(a=a, b=b))) for a in a_grid]
+        values = [entanglement_of_formation(PairParams(a=a, b=b)) for a in a_grid]
         assert all(v2 > v1 for v1, v2 in zip(values, values[1:]))
 
 

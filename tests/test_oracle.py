@@ -15,7 +15,6 @@ from localent.covariance import (
     covariance_matrix,
     entanglement_of_formation,
     simon_invariant,
-    standard_form,
 )
 from localent.errors import DomainError, GridError
 from localent.oracle import (
@@ -339,7 +338,7 @@ def test_schmidt_entropy_is_the_entanglement_of_formation(ratio):
     schmidt = initial_grid(params, n=512, extent=24.0).schmidt
     p = schmidt**2 / np.sum(schmidt**2)
     entropy = float(-np.sum(p * np.log2(p)))
-    eof = entanglement_of_formation(standard_form(params))
+    eof = entanglement_of_formation(params)
     assert entropy == pytest.approx(eof, rel=1e-12, abs=0.0)
 
 

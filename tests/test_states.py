@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from localent.covariance import _pt_eigenvalue
 from localent.errors import DomainError
 from localent.states import (
     GaussianDensity,
@@ -192,8 +193,9 @@ def test_parameter_validation():
         PairParams(a=1.0, b=-2.0)
     with pytest.raises(DomainError):
         GaussianDensity(mean=0.0, sigma=0.0)
-    assert PairParams(a=1.0, b=INF).is_separable()
-    assert not PairParams(a=1.0, b=5.0).is_separable()
+    # separability is the kernel's verdict, 1 - nu > 0 iff entangled
+    assert _pt_eigenvalue(1.0, INF)[1] == 0.0
+    assert _pt_eigenvalue(1.0, 5.0)[1] > 0.0
 
 
 def test_gaussian_density_pdf_and_sampling():

@@ -11,10 +11,11 @@ the evolved grid keeps those products as its own spectra.  Every moment,
 marginal density, norm, edge leakage and correlation-matrix entry is a
 contraction of the factors or spectra with cost O(n r^2): r x r Gram
 matrices such as left^H diag(w) left and right diag(w) right^H, then an
-elementwise trace of their product; the unweighted Grams are taken once per
-grid.  None of them assumes orthonormal factors.  Nothing here reuses the
-closed-form dispersions, which is what makes these numbers an independent
-check of them.
+elementwise trace of their product.  The unweighted Grams are taken once
+per grid, and those of the spectra are n times them by Parseval, since each
+spectrum is the unnormalised DFT of its factor.  None of them assumes
+orthonormal factors.  Nothing here reuses the closed-form dispersions,
+which is what makes these numbers an independent check of them.
 
 The sampled amplitude is psi[i, j] = c p_i E[i, j] conj(p_j): c is the
 renormalized constant, p = exp(i k_c x) the packet phase with |p_i| = 1,
@@ -29,17 +30,24 @@ read-only sliding-window views of those exponentials, and each entry, row
 or block of rows of E that is needed is their elementwise product, exactly
 symmetric; ||E||_F^2 is a sum over the 2n - 1 sums, in O(n).
 
-E is also a positive semidefinite kernel, g_i g_j exp(2 x_i x_j / b^2), and
-it is factorised by pivoted Cholesky, E ~ L L^T (Harbrecht, Peters &
-Schneider, Appl. Numer. Math. 62, 428 (2012)): each pivot takes the largest
-remaining diagonal entry and reads one row of E.  The remaining trace
-only says when to look: L is accepted once the exact Frobenius residual
-||E - L L^T||, summed over blocks of rows, is at most RESIDUAL_LIMIT ||E||,
-which is psi's relative residual too, since |p_i| = 1.  The thin SVD
-L = U S V^T then gives E's eigenvectors U and Schmidt values S^2 (Ekert &
-Knight, Am. J. Phys. 63, 415 (1995)), and the weakest modes are dropped
-while the total error stays within half that limit.  Nothing is random, and
-no array of the factorisation is larger than O(n r).
+E is also a positive semidefinite kernel, g_i g_j exp(2 x_i x_j / b^2), so
+E_ij^2 <= E_ii E_jj, and its diagonal, the centre-of-mass factor at 2 x_i,
+is a Gaussian that fills only the rows the packet occupies at t = 0.  The
+factorisation runs on E's support: the rows S whose complement carries so
+little diagonal mass, tail, that E outside S x S weighs at most
+2 tr(E) tail, within (RESIDUAL_LIMIT ||E|| / 8)^2; a packet that reaches
+the edges keeps every row.  On S x S, E is factorised by pivoted
+Cholesky, E ~ L L^T (Harbrecht, Peters & Schneider, Appl. Numer. Math. 62,
+428 (2012)): each pivot takes the largest remaining diagonal entry and
+reads one row of E.  The remaining trace only says when to look: L is
+accepted once the exact Frobenius residual on S x S, summed over blocks of
+rows, plus the bound outside it is at most (RESIDUAL_LIMIT ||E||)^2.  So
+the limit holds for the whole E, and for psi too, since |p_i| = 1.  The
+thin SVD L = U S V^T then gives E's eigenvectors U (0 off S) and Schmidt
+values S^2 (Ekert & Knight, Am. J. Phys. 63, 415 (1995)), and the weakest
+modes are dropped while the total error stays within half that limit.
+Nothing is random, and no array of the factorisation is larger than
+O(n r).
 
 Conventions: psi[i, j] = psi(x1_i, x2_j) on the uniform axis [-L/2, L/2)
 with n points; wavenumbers follow numpy's FFT ordering.
@@ -70,7 +78,6 @@ __all__ = [
     "position_marginal",
     "momentum_marginal",
     "marginal_sigma",
-    "marginal_excess_kurtosis",
 ]
 
 LEAKAGE_LIMIT = 1e-8
@@ -131,9 +138,11 @@ class WaveGrid:
 
     @cached_property
     def _spectral_grams(self) -> tuple[np.ndarray, np.ndarray]:
-        """The unweighted Grams of the spectra, as ``_grams`` of the factors."""
-        left_k, right_k = self._spectra
-        return _read_only(_left_gram(left_k)), _read_only(_right_gram(right_k))
+        """The unweighted Grams of the spectra, n times ``_grams`` by
+        Parseval: each spectrum is the unnormalised DFT of its factor (an
+        evolved grid's, before the inverse transform that gives the factor)."""
+        left, right = self._grams
+        return _read_only(self.n * left), _read_only(self.n * right)
 
 
 def _axis(n: int, extent: float) -> np.ndarray:
@@ -222,24 +231,27 @@ def boundary_leakage(grid: WaveGrid) -> float:
     return (rows + columns - corners) * grid.dx * grid.dx
 
 
-def _peak_bytes(n: int, capacity: int) -> int:
-    """Bytes alive at ``initial_grid``'s peak once the Cholesky skeleton
-    holds c = ``capacity`` columns.  E is never formed whole, so no term is
-    n x n.  Throughout: the sampler's n-vectors (the axis, phase, envelope
-    factors, diagonal and the sums of the O(n) norm, within 16n words) and
-    numpy's ufunc buffers (two of ``np.getbufsize()`` words, for the
-    reversed Toeplitz view and for real-to-complex casts).  While
-    factorising: the skeleton (nc words) and the largest of the smaller
-    skeleton during a growth, the residual's two row blocks (2 ROW_BLOCK n
-    words), or the SVD of the skeleton's columns (LAPACK's copy of them,
-    its and numpy's left singular vectors and c x c work arrays, 3nc + 9c^2
-    words).  After it: the two complex factors, the leakage check's
-    conjugate copy of one of them and its two c x c Grams (6nc + 4c^2
-    words)."""
-    c = capacity
+def _peak_bytes(n: int, rows: int, capacity: int) -> int:
+    """Bytes alive at ``initial_grid``'s peak once the Cholesky skeleton of
+    m = ``rows`` rows of E (its support) holds c = ``capacity`` columns.  E
+    is never formed whole, so no term is n x n.  Throughout: the sampler's
+    n-vectors (the axis, phase, envelope factors, diagonal, the sums of the
+    O(n) norm and of the support, within 16n words) and numpy's ufunc
+    buffers (two of ``np.getbufsize()`` words, for the reversed Toeplitz
+    view and for real-to-complex casts).  While factorising: the skeleton
+    (mc words) and the largest of the smaller skeleton during a growth, the
+    residual's two row blocks (2 ROW_BLOCK m words), or the SVD of the
+    skeleton's columns (LAPACK's copy of them, its and numpy's left
+    singular vectors and c x c work arrays, 3mc + 9c^2 words).  After it:
+    the m x c singular vectors and the two zero-padded complex n x c
+    factors (mc + 4nc words), and the largest of the leakage check's
+    conjugate copy of one factor beside two complex c x c Grams
+    (2nc + 4c^2), or its four complex c x c Grams and the product of two
+    (10c^2)."""
+    m, c = rows, capacity
     vectors = 16 * n + 2 * np.getbufsize()
-    factorising = n * c + max(2 * ROW_BLOCK * n, 3 * n * c + 9 * c * c)
-    factored = 6 * n * c + 4 * c * c
+    factorising = m * c + max(2 * ROW_BLOCK * m, 3 * m * c + 9 * c * c)
+    factored = m * c + 4 * n * c + max(2 * n * c + 4 * c * c, 10 * c * c)
     return 8 * (vectors + max(factorising, factored))
 
 
@@ -302,7 +314,7 @@ def _sampled_amplitude(
         raise GridError(
             f"extent {extent:g} is below 16 initial position dispersions; enlarge the domain"
         )
-    require_memory(_peak_bytes(n, SKELETON_COLUMNS))
+    require_memory(_peak_bytes(n, n, SKELETON_COLUMNS))
     x = _axis(n, extent)
     phase = np.exp(1j * params.k_c * x)
     envelope = _grid_envelope(x, params)
@@ -336,49 +348,87 @@ def _residual(hankel: np.ndarray, toeplitz: np.ndarray, skeleton: np.ndarray) ->
     return math.sqrt(total)
 
 
-def _schmidt_factors(
-    hankel: np.ndarray, toeplitz: np.ndarray, weight: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(left, right, s) of the real, symmetric, positive semidefinite n x n
-    E = H * T of the views ``hankel`` and ``toeplitz``, with ||E||_F^2 =
-    ``weight``: E ~ left @ right with left = U (orthonormal columns) and
-    right = diag(s) U^T, s the retained eigenvalues, and
-    ||E - left @ right||_F <= RESIDUAL_LIMIT ||E||_F.
+def _support(hankel: np.ndarray, toeplitz: np.ndarray, weight: float) -> tuple[slice, float]:
+    """The rows S = [lo, hi) of E = H * T that its factorisation keeps, and
+    the bound on the squared Frobenius norm of E outside S x S.
 
-    Pivoted Cholesky grows E ~ L L^T one column at a time: the pivot is
-    the largest entry of the residual's diagonal, and the new column is the
-    residual's row there, E's row read as the product of the views' rows
-    and corrected by the columns so far.  L's columns are the rows of a
-    skeleton that doubles when full, once the memory check passes for the
-    larger one.  The residual is positive semidefinite, so its trace bounds
-    its Frobenius norm; only when the trace is within the limit is the
-    residual computed exactly, and a check that fails takes PIVOT_BLOCK
-    more pivots before the next one.  The thin SVD of L gives
-    E ~ U diag(s) U^T, s the squared singular values.  Since U is
-    orthonormal, the error of keeping r of them is sqrt(residual^2 + sum of
-    the dropped s^2), and the smallest r that keeps it within half the
-    limit is kept (all of them when the residual alone exceeds that).
+    E is positive semidefinite, so E_ij^2 <= E_ii E_jj, and the entries
+    outside S x S weigh at most tr(E)^2 - tr_S(E)^2 <= 2 tr(E) tail, where
+    tail is E's diagonal mass on the rows outside S.  S is the range that
+    leaves out the most rows while that bound stays within
+    (RESIDUAL_LIMIT ||E|| / 8)^2: the tail is summed from each end, so every
+    term is positive.  A packet that reaches the edges keeps every row, with
+    a bound of 0.
     """
     n = len(hankel)
-    limit = RESIDUAL_LIMIT * math.sqrt(weight)
+    diagonal = hankel.diagonal() * toeplitz.diagonal()
+    trace = float(diagonal.sum())
+    budget = (RESIDUAL_LIMIT / 8.0) ** 2 * weight / (2.0 * trace)
+    head = np.concatenate([[0.0], np.cumsum(diagonal)])  # mass of the first k rows
+    rear = np.concatenate([[0.0], np.cumsum(diagonal[::-1])])  # mass of the last k rows
+    # each count of rows left out at the top, with the most then left out at the bottom
+    top = np.arange(np.searchsorted(head, budget, side="right"))
+    bottom = np.searchsorted(rear, budget - head[top], side="right") - 1
+    best = int(np.argmax(top + bottom))
+    lo, hi = int(top[best]), n - int(bottom[best])
+    return slice(lo, hi), 2.0 * trace * float(head[lo] + rear[n - hi])
+
+
+def _schmidt_factors(
+    hankel: np.ndarray,
+    toeplitz: np.ndarray,
+    weight: float,
+    rows: slice = slice(None),
+    outside: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(u, s) of the real, symmetric, positive semidefinite n x n
+    E = H * T of the views ``hankel`` and ``toeplitz``, with ||E||_F^2 =
+    ``weight``, factorised on its ``rows`` x ``rows`` block:
+    E ~ U diag(s) U^T with U = u on those rows (orthonormal columns) and 0
+    elsewhere, s the retained eigenvalues, and
+    ||E - U diag(s) U^T||_F <= RESIDUAL_LIMIT ||E||_F over the whole E.
+
+    ``outside`` bounds E's squared Frobenius norm outside the block
+    (``_support`` gives both); that part of E is left out, so its bound is
+    added to the block's exact squared residual wherever the limit is
+    checked.  Pivoted Cholesky grows the block ~ L L^T one column at a
+    time: the pivot is the largest entry of the residual's diagonal, and
+    the new column is the residual's row there, E's row read as the product
+    of the views' rows and corrected by the columns so far.  L's columns are
+    the rows of a skeleton that doubles when full, once the memory check
+    passes for the larger one.  The residual is positive semidefinite, so
+    its trace bounds its Frobenius norm; only when the trace is within the
+    limit is the residual computed exactly, and a check that fails takes
+    PIVOT_BLOCK more pivots before the next one.  The thin SVD of L gives
+    the block ~ u diag(s) u^T, s the squared singular values.  Since u is
+    orthonormal, the error of keeping r of them is sqrt(residual^2 +
+    outside + sum of the dropped s^2), and the smallest r that keeps it
+    within half the limit is kept (all of them when the residual and the
+    outside bound alone exceed that).
+    """
+    n = len(hankel)
+    hankel, toeplitz = hankel[rows, rows], toeplitz[rows, rows]
+    m = len(hankel)
+    limit2 = RESIDUAL_LIMIT * RESIDUAL_LIMIT * weight  # ||E - L L^T||_F^2 allowed
+    allowed = limit2 - outside  # of which the block's exact residual may take
     diagonal = hankel.diagonal() * toeplitz.diagonal()  # of the residual E - L L^T
-    skeleton = np.empty((SKELETON_COLUMNS, n))  # row k is L's column k
+    skeleton = np.empty((SKELETON_COLUMNS, m))  # row k is L's column k
     columns = 0
     next_check = 0
     while True:
         pivot = int(np.argmax(diagonal))
-        exhausted = columns == n or not diagonal[pivot] > 0
-        if exhausted or (columns >= next_check and diagonal.sum() <= limit):
+        exhausted = columns == m or not diagonal[pivot] > 0
+        if exhausted or (columns >= next_check and diagonal.sum() ** 2 <= allowed):
             residual = _residual(hankel, toeplitz, skeleton[:columns])
-            if residual <= limit:
+            if residual * residual <= allowed:
                 break
             if exhausted:
                 raise GridError("no factorisation of the amplitude meets the residual limit")
             next_check = columns + PIVOT_BLOCK
         if columns == len(skeleton):
-            capacity = min(2 * columns, n)
-            require_memory(_peak_bytes(n, capacity))
-            grown = np.empty((capacity, n))
+            capacity = min(2 * columns, m)
+            require_memory(_peak_bytes(n, m, capacity))
+            grown = np.empty((capacity, m))
             grown[:columns] = skeleton
             skeleton = grown
         column = skeleton[columns]
@@ -392,8 +442,9 @@ def _schmidt_factors(
     # dropped[r] is the weight beyond the first r values; half the limit is
     # left to roundoff
     dropped = np.cumsum(s[::-1] ** 2)[::-1]
-    rank = max(1, int(np.count_nonzero(dropped > limit * limit / 4.0 - residual * residual)))
-    return u[:, :rank], s[:rank, None] * u[:, :rank].T, s[:rank]
+    error = residual * residual + outside
+    rank = max(1, int(np.count_nonzero(dropped > limit2 / 4.0 - error)))
+    return u[:, :rank], s[:rank]
 
 
 def initial_grid(
@@ -411,14 +462,17 @@ def initial_grid(
     the physical memory.
     """
     phase, envelope, weight, extent = _sampled_amplitude(params, n, extent, t_max)
-    left, right, s = _schmidt_factors(*envelope, weight)
+    rows, outside = _support(*envelope, weight)
+    u, s = _schmidt_factors(*envelope, weight, rows, outside)
     # a diagonal unitary keeps singular values: psi / c = diag(p) E diag(conj p)
     # has E's Schmidt factors with the phase moved onto them, and renormalized
-    # it has E's singular values over ||E|| dx
-    dx = extent / n
+    # it has E's singular values over ||E|| dx; both factors are 0 off the rows
     norm = math.sqrt(weight)
-    left = phase[:, None] * left
-    right = right * (phase.conj() / (norm * dx))
+    left = np.zeros((n, len(s)), dtype=complex)
+    np.multiply(phase[rows, None], u, out=left[rows])
+    right = np.zeros((len(s), n), dtype=complex)
+    np.multiply(u.T, phase[rows].conj(), out=right[:, rows])
+    right[:, rows] *= (s / (norm * (extent / n)))[:, None]
     grid = WaveGrid(n=n, extent=extent, params=params, t=0.0, left=_read_only(left),
                     right=_read_only(right), schmidt=_read_only(s / norm))
     leak = boundary_leakage(grid)
@@ -568,13 +622,3 @@ def marginal_sigma(axis: np.ndarray, density: np.ndarray) -> float:
     mean = float((w * axis).sum())
     var = float((w * (axis - mean) ** 2).sum())
     return math.sqrt(var)
-
-
-def marginal_excess_kurtosis(axis: np.ndarray, density: np.ndarray) -> float:
-    """Excess kurtosis of a sampled density; ~0 certifies Gaussian shape."""
-    w = density / density.sum()
-    mean = float((w * axis).sum())
-    centered = axis - mean
-    m2 = float((w * centered**2).sum())
-    m4 = float((w * centered**4).sum())
-    return m4 / (m2 * m2) - 3.0

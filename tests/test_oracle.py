@@ -24,14 +24,13 @@ from localent.oracle import (
     default_extent,
     evolve,
     initial_grid,
-    marginal_excess_kurtosis,
     marginal_sigma,
     moments,
     momentum_marginal,
     numeric_covariance_matrix,
     position_marginal,
 )
-from localent.oracle import _axis, _envelope_weight, _grid_envelope
+from localent.oracle import RESIDUAL_LIMIT, _axis, _envelope_weight, _grid_envelope, _support
 from localent.protocols import ambiguity_time, mimic_width, width_from_momentum_dispersion
 from localent.states import (
     PairParams,
@@ -195,6 +194,52 @@ def test_factorisation_is_accepted_only_through_its_exact_residual():
         localent.oracle._schmidt_factors(hankel, toeplitz[:, ::-1], float(np.vdot(amp, amp)))
 
 
+@pytest.mark.parametrize("n", [256, 512])
+@pytest.mark.parametrize("b", [10.0, 2.0, 0.25, INF])
+def test_support_bound_covers_the_envelope_outside_it(b, n):
+    # room for a drifted, spread packet leaves rows where E is negligible
+    params = PairParams(a=1.0, b=b)
+    envelope = _grid_envelope(_axis(n, default_extent(params, 2.0)), params)
+    weight = _envelope_weight(*envelope)
+    rows, outside = _support(*envelope, weight)
+    assert 0 < rows.stop - rows.start < n / 2
+    assert 0.0 < outside <= (RESIDUAL_LIMIT / 8.0) ** 2 * weight
+    outer = np.ones(n, dtype=bool)
+    outer[rows] = False
+    excluded = (envelope[0] * envelope[1])[outer[:, None] | outer[None, :]]
+    excluded = float(np.vdot(excluded, excluded))
+    assert outside >= excluded * (1.0 - 1e-12)
+    if b == INF:  # rank 1: E_ij^2 = E_ii E_jj, so the bound is tight
+        assert outside == pytest.approx(excluded, rel=1e-12, abs=0.0)
+
+
+def test_support_of_a_packet_at_the_edges_is_every_row():
+    params = PairParams(a=1.0, b=2.0)
+    envelope = _grid_envelope(_axis(256, default_extent(params)), params)
+    assert _support(*envelope, _envelope_weight(*envelope)) == (slice(0, 256), 0.0)
+
+
+def test_initial_grid_factors_vanish_off_the_support():
+    params = PairParams(a=1.0, b=2.0, k_c=0.5)
+    grid = initial_grid(params, n=512, t_max=2.0)
+    envelope = _grid_envelope(grid.axis, params)
+    rows, _ = _support(*envelope, _envelope_weight(*envelope))
+    off = np.ones(grid.n, dtype=bool)
+    off[rows] = False
+    assert off.sum() > grid.n / 2
+    assert not grid.left[off].any() and not grid.right[:, off].any()
+
+
+def test_factorisation_refuses_a_bound_outside_the_rows_above_the_limit():
+    params = PairParams(a=1.0, b=2.0)
+    envelope = _grid_envelope(_axis(256, default_extent(params, 2.0)), params)
+    weight = _envelope_weight(*envelope)
+    rows, _ = _support(*envelope, weight)
+    outside = 1.01 * RESIDUAL_LIMIT**2 * weight  # the tail alone exceeds limit^2
+    with pytest.raises(GridError, match="no factorisation of the amplitude meets the residual"):
+        localent.oracle._schmidt_factors(*envelope, weight, rows, outside)
+
+
 @pytest.mark.parametrize("b", [2.0, INF, 0.25])
 def test_memory_check_charges_the_traced_peak(monkeypatch, b):
     # no n x n array is formed, and the check charges all that is alive at
@@ -244,6 +289,29 @@ def test_memory_check_charges_the_traced_peak_at_high_rank(monkeypatch):
     assert max(charged) >= peak > 8 * (n * capacity + 3 * n * capacity)
 
 
+@pytest.mark.parametrize("b,n,t_max", [(2.0, 1024, 2.0), (0.15, 1024, 0.25), (1 / 6.7, 256, 0.0)])
+def test_memory_check_charges_the_traced_peak_on_the_support(monkeypatch, b, n, t_max):
+    # with room for the evolution, the factorisation runs on a support of
+    # m < n rows but the factors are n x r; at n = 256 the leakage check's
+    # c x c Grams set the peak
+    charged = []
+    require_memory = localent.oracle.require_memory
+
+    def spy(nbytes):
+        charged.append(nbytes)
+        require_memory(nbytes)
+
+    monkeypatch.setattr(localent.oracle, "require_memory", spy)
+    initial_grid(PairParams(a=1.0, b=2.0), n=64)  # numpy's one-time imports, untraced
+    tracemalloc.start()
+    try:
+        initial_grid(PairParams(a=1.0, b=b, k_c=0.7), n=n, t_max=t_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(charged) >= peak
+
+
 def test_initial_grid_peaks_below_a_quarter_of_one_envelope():
     # E is never formed whole: the residual's row blocks and the skeleton
     # set the peak, not a dense n x n float64 array (8 n^2 bytes)
@@ -284,6 +352,17 @@ def test_cached_spectra_give_the_marginals_of_fresh_transforms(b, k_c):
         density = momentum_marginal(grid)[1]
         fresh = _fresh_momentum_marginal(grid)
         assert np.max(np.abs(density - fresh)) <= 1e-13 * np.max(fresh)
+
+
+@pytest.mark.parametrize("b,k_c", [(2.0, 0.5), (INF, -1.3), (0.25, 0.0)])
+def test_parseval_spectral_grams_match_the_grams_of_the_spectra(b, k_c):
+    grid0 = initial_grid(PairParams(a=1.0, b=b, k_c=k_c), n=512, t_max=1.0)
+    once = evolve(grid0, 0.5)
+    for grid in (grid0, once, evolve(once, 0.5)):
+        left_k, right_k = grid._spectra
+        for parseval, direct in zip(grid._spectral_grams,
+                                    (left_k.conj().T @ left_k, right_k @ right_k.conj().T)):
+            assert np.max(np.abs(parseval - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
 def _oracle_check(engine, params: PairParams, n: int, times: list[float]):
@@ -392,6 +471,16 @@ def test_quadrature_dispersion_examples():
     ent = initial_grid(PairParams(a=1.0, b=2.0), n=512, t_max=1.0)
     x, dens = position_marginal(evolve(ent, 1.0))
     assert marginal_sigma(x, dens) == pytest.approx(1.20761472884912, abs=1e-4)
+
+
+def marginal_excess_kurtosis(axis: np.ndarray, density: np.ndarray) -> float:
+    """Excess kurtosis of a sampled density; ~0 certifies Gaussian shape."""
+    w = density / density.sum()
+    mean = float((w * axis).sum())
+    centered = axis - mean
+    m2 = float((w * centered**2).sum())
+    m4 = float((w * centered**4).sum())
+    return m4 / (m2 * m2) - 3.0
 
 
 @pytest.mark.parametrize("a,b", [(1.0, INF), (1.0, 2.0), (2.0, 2.0), (1.0, 1.2)])

@@ -1,10 +1,10 @@
 """Entanglement detection in pairs of free Gaussian wave packets.
 
 A numerical laboratory for a two-parameter family of bipartite Gaussian
-states: closed-form dispersions and marginals, covariance-matrix
-separability analysis and entanglement of formation, an independent
-spectral-grid oracle, and the single-observer measurement protocols that
-classify the source and extract its entanglement width.
+states: closed-form dispersions, covariance-matrix separability analysis
+and entanglement of formation, an independent spectral-grid oracle, and the
+single-observer measurement protocols that classify the source and extract
+its entanglement width.
 
 Units: hbar and the particles' common mass are both 1 throughout, so a
 momentum is a wavenumber and a time t stands for hbar t / m.  No physics is
@@ -16,15 +16,12 @@ formation.
 from .covariance import (
     CovMatrix4,
     SimonResult,
-    StandardForm,
     covariance_matrix,
     entanglement_of_formation,
     entropy_from_symplectic_eigenvalue,
     reduced_symplectic_eigenvalue,
     simon_invariant,
     simon_invariant_closed_form,
-    standard_form,
-    standard_form_from_cm,
 )
 from .errors import DomainError, FitError, GridError
 from .protocols import (
@@ -44,16 +41,11 @@ from .protocols import (
     width_from_momentum_dispersion,
 )
 from .states import (
-    GaussianDensity,
     PairParams,
-    drift_velocity,
     entanglement_factor,
     initial_amplitude,
-    marginal_momentum,
-    marginal_position,
     momentum_dispersion,
     position_dispersion,
-    spreading_factor,
 )
 
 __version__ = "0.1.0"

@@ -60,7 +60,7 @@ from .protocols import (
     run_known_origin_batch,
     width_from_momentum_dispersion,
 )
-from .states import PairParams, drift_velocity, momentum_dispersion, position_dispersion
+from .states import PairParams, momentum_dispersion, position_dispersion
 
 DX_TOLERANCE = 1e-3  # relative, closed form vs quadrature
 CM_TOLERANCE = 1e-4  # absolute, entrywise
@@ -396,7 +396,7 @@ def _oracle_row(grid0, t: float) -> tuple:
     norm_drift = abs(grid.norm() - 1.0)
     # a wrong sign or conjugation of the packet phase moves the centres to
     # -k_c t and -k_c, which no width, norm or centred moment can see
-    drift = abs(_mean(x_axis, x_density) - drift_velocity(params) * t)
+    drift = abs(_mean(x_axis, x_density) - params.k_c * t)
     kick = abs(_mean(k_axis, k_density) - params.k_c)
     passed = (rel_dx < DX_TOLERANCE and rel_dp < DX_TOLERANCE and norm_drift < NORM_TOLERANCE
               and drift < DX_TOLERANCE * dx_closed and kick < DX_TOLERANCE * dp_closed)

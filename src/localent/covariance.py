@@ -27,7 +27,6 @@ from .states import PairParams, entanglement_factor
 
 __all__ = [
     "CovMatrix4",
-    "StandardForm",
     "SimonResult",
     "J_BLOCK",
     "symplectic_form",
@@ -35,8 +34,6 @@ __all__ = [
     "check_physical",
     "simon_invariant",
     "simon_invariant_closed_form",
-    "standard_form",
-    "standard_form_from_cm",
     "entanglement_of_formation",
     "reduced_symplectic_eigenvalue",
     "entropy_from_symplectic_eigenvalue",
@@ -45,7 +42,6 @@ __all__ = [
 J_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 _PHYSICAL_TOL = 1e-8  # check_physical: relative eigenvalue dip that rounding explains
-_STANDARD_FORM_ATOL = 1e-9  # standard_form_from_cm: relative size that counts as zero
 _LN2 = math.log(2.0)
 
 
@@ -81,19 +77,6 @@ class CovMatrix4:
     @property
     def matrix(self) -> np.ndarray:
         return np.block([[self.A, self.C], [self.C.T, self.B]])
-
-
-@dataclass(frozen=True)
-class StandardForm:
-    """Entries (n, k_x, k_p) of the locally scaled symmetric correlation matrix."""
-
-    n: float
-    k_x: float
-    k_p: float
-
-    def __post_init__(self) -> None:
-        if not self.n > 0:
-            raise DomainError(f"standard-form diagonal must be positive, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -173,43 +156,6 @@ def simon_invariant_closed_form(params: PairParams) -> float:
     r2 = (params.a / params.b) ** 2
     f2 = entanglement_factor(2, params)
     return -4.0 * r2 * r2 / f2 + 0.0  # + 0.0 normalizes -0.0 at b = inf
-
-
-def standard_form(params: PairParams) -> StandardForm:
-    """Reduce the correlation matrix to standard form by local scaling.
-
-    The scaling diag(s, 1/s, s, 1/s) with s = (4 f2 / a^4)^(1/4) equalizes
-    the diagonal to n = f1 / sqrt(f2) and leaves k_x = k_p = a^2 / (b^2 sqrt(f2)).
-    Only (n, k) are evaluated here; the test suite checks the congruence
-    across the parameter range.  An a/b whose square overflows raises
-    OverflowError.
-    """
-    r2 = (params.a / params.b) ** 2
-    sqrt_f2 = math.sqrt(1.0 + 2.0 * r2)  # entanglement_factor(2, ...)
-    k = r2 / sqrt_f2
-    return StandardForm(n=(1.0 + r2) / sqrt_f2, k_x=k, k_p=k)
-
-
-def standard_form_from_cm(cm: CovMatrix4) -> StandardForm:
-    """Recover (n, k_x, k_p) from a symmetric correlation matrix with diagonal blocks.
-
-    Each party is rescaled by its own s = (A_pp/A_xx)^(1/4); works for any
-    locally rescaled version of the family's matrix, which is what the
-    invariance tests exercise.
-    """
-    for name, block in (("A", cm.A), ("B", cm.B), ("C", cm.C)):
-        off = max(abs(float(block[0, 1])), abs(float(block[1, 0])))
-        if off > _STANDARD_FORM_ATOL * max(1.0, float(np.abs(block).max())):
-            raise DomainError(f"block {name} is not diagonal; cannot reduce to standard form")
-    n_a = math.sqrt(_det2(cm.A))
-    n_b = math.sqrt(_det2(cm.B))
-    if abs(n_a - n_b) > _STANDARD_FORM_ATOL * max(1.0, n_a):
-        raise DomainError("state is not symmetric: the two reduced blocks differ")
-    s1 = (cm.A[1, 1] / cm.A[0, 0]) ** 0.25
-    s2 = (cm.B[1, 1] / cm.B[0, 0]) ** 0.25
-    k_x = float(s1 * s2 * cm.C[0, 0])
-    k_p = float(-cm.C[1, 1] / (s1 * s2))
-    return StandardForm(n=n_a, k_x=k_x, k_p=k_p)
 
 
 def _pt_eigenvalue(a, b):

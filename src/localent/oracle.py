@@ -64,7 +64,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .covariance import CovMatrix4
 from .errors import DomainError, GridError, require_memory
-from .states import PairParams, _envelope_factors, _prefactor, drift_velocity, position_dispersion
+from .states import PairParams, _envelope_factors, _prefactor, position_dispersion
 
 __all__ = [
     "WaveGrid",
@@ -212,7 +212,7 @@ def default_extent(params: PairParams, t_max: float = 0.0) -> float:
     """
     spread_now = position_dispersion(0.0, params)
     spread_later = position_dispersion(t_max, params)
-    drift = abs(drift_velocity(params)) * t_max
+    drift = abs(params.k_c) * t_max
     return max(16.0 * spread_now, 16.0 * spread_later + 2.0 * drift)
 
 
@@ -221,14 +221,17 @@ def boundary_leakage(grid: WaveGrid) -> float:
 
     The mass of the edge rows plus that of the edge columns, less the
     corners they share: three sums of that small mass, where the whole mass
-    minus the inner mass would cancel two sums near 1."""
+    minus the inner mass would cancel two sums near 1.  Each comes from the
+    edge rows of ``left`` or the edge columns of ``right`` and the other
+    factor's cached Gram, so no further r x r matrix is formed."""
     edge = [0, 1, -2, -1]
-    left_whole, right_whole = grid._grams
-    left_edge, right_edge = _left_gram(grid.left[edge]), _right_gram(grid.right[:, edge])
-    rows = _trace(left_edge, right_whole)
-    columns = _trace(left_whole, right_edge)
-    corners = _trace(left_edge, right_edge)
-    return (rows + columns - corners) * grid.dx * grid.dx
+    left_gram, right_gram = grid._grams
+    left_edge, right_edge = grid.left[edge], grid.right[:, edge]
+    rows = _row_weights(left_edge, right_gram).sum()
+    columns = np.vdot(right_edge, left_gram @ right_edge).real
+    corner_cells = left_edge @ right_edge
+    corners = np.vdot(corner_cells, corner_cells).real
+    return float(rows + columns - corners) * grid.dx * grid.dx
 
 
 def _peak_bytes(n: int, rows: int, capacity: int) -> int:
@@ -244,14 +247,12 @@ def _peak_bytes(n: int, rows: int, capacity: int) -> int:
     skeleton's columns (LAPACK's copy of them, its and numpy's left
     singular vectors and c x c work arrays, 3mc + 9c^2 words).  After it:
     the m x c singular vectors and the two zero-padded complex n x c
-    factors (mc + 4nc words), and the largest of the leakage check's
-    conjugate copy of one factor beside two complex c x c Grams
-    (2nc + 4c^2), or its four complex c x c Grams and the product of two
-    (10c^2)."""
+    factors (mc + 4nc words), and the leakage check's conjugate copy of
+    one factor beside two complex c x c Grams (2nc + 4c^2)."""
     m, c = rows, capacity
     vectors = 16 * n + 2 * np.getbufsize()
     factorising = m * c + max(2 * ROW_BLOCK * m, 3 * m * c + 9 * c * c)
-    factored = m * c + 4 * n * c + max(2 * n * c + 4 * c * c, 10 * c * c)
+    factored = m * c + 4 * n * c + 2 * n * c + 4 * c * c
     return 8 * (vectors + max(factorising, factored))
 
 

@@ -122,23 +122,28 @@ def predicted_dispersion_separable(u: float, t: float | np.ndarray) -> float | n
     return predicted_dispersion_entangled(u, math.inf, t)
 
 
+def _inverse_ub4(u: float, b: float) -> float:
+    """w = (u b)^-4 after checking u > 0, b > 0 and u*b > 1; exactly 0 once
+    u*b is past the float range, and at b = inf."""
+    if not u > 0:
+        raise DomainError(f"momentum dispersion u must be positive, got {u}")
+    if not b > 0:
+        raise DomainError(f"anticorrelation width b must be positive, got {b}")
+    ub = u * b
+    if not ub > 1.0:
+        raise DomainError(f"protocol requires u*b > 1, got u*b = {ub}")
+    return ub**-4
+
+
 def entangled_alpha(u: float, b: float) -> float:
     """Constant term u^4 b^4 / (u^4 b^4 - 1) of the entangled dispersion curve.
 
     This is the alpha the blind fit recovers for an entangled source; it
     tends to 1 as b -> inf.  Requires u*b > 1, otherwise the entangled curve
-    is not defined for all t >= 0.
+    is not defined for all t >= 0.  Taken as 1 / (1 - w) with w = (u b)^-4,
+    so no power of u*b overflows.
     """
-    if not u > 0:
-        raise DomainError(f"momentum dispersion u must be positive, got {u}")
-    if not b > 0:
-        raise DomainError(f"anticorrelation width b must be positive, got {b}")
-    if math.isinf(b):
-        return 1.0
-    ub4 = (u * b) ** 4
-    if ub4 <= 1.0:
-        raise DomainError(f"protocol requires u*b > 1, got u*b = {u * b}")
-    return ub4 / (ub4 - 1.0)
+    return 1.0 / (1.0 - _inverse_ub4(u, b))
 
 
 def predicted_dispersion_entangled(
@@ -165,14 +170,10 @@ def critical_time(u: float, b: float) -> float:
     """Timescale b^2 / (2 sqrt(u^4 b^4 - 1)) beyond which the two curves merge.
 
     Guidance only: past roughly this time the constant term is dominated by
-    the t^2 term and the verdict loses statistical power.
+    the t^2 term and the verdict loses statistical power.  Taken as
+    1 / (2 u^2 sqrt(1 - w)) with w = (u b)^-4, which is 1/(2u^2) at b = inf.
     """
-    if not u > 0:
-        raise DomainError(f"momentum dispersion u must be positive, got {u}")
-    if math.isinf(b):
-        return 1.0 / (2.0 * u * u)  # limit of the expression below
-    entangled_alpha(u, b)  # validates u*b > 1
-    return b * b / (2.0 * math.sqrt((u * b) ** 4 - 1.0))
+    return 1.0 / (2.0 * u * u * math.sqrt(1.0 - _inverse_ub4(u, b)))
 
 
 def mimic_width(u: float) -> float:
@@ -190,13 +191,11 @@ def ambiguity_time(u: float, b: float) -> float:
     t = 1 / (2 u^2 sqrt(u^4 b^4 - 1)): a single simultaneous measurement of
     position and momentum dispersions cannot distinguish the two sources at
     exactly this instant, which is why the blind protocol needs a curve.
+    Taken as sqrt(w / (1 - w)) / (2 u^2) with w = (u b)^-4, which is 0 at
+    b = inf.
     """
-    if not u > 0:
-        raise DomainError(f"momentum dispersion u must be positive, got {u}")
-    if math.isinf(b):
-        return 0.0
-    entangled_alpha(u, b)  # validates u*b > 1
-    return 1.0 / (2.0 * u * u * math.sqrt((u * b) ** 4 - 1.0))
+    w = _inverse_ub4(u, b)
+    return math.sqrt(w / (1.0 - w)) / (2.0 * u * u)
 
 
 def crossing_times(u: float, b: float, offset: float) -> CrossingTimes:

@@ -10,8 +10,8 @@ through the combinations ``f_n = 1 + n a^2/b^2`` (n = 1, 2), which reduce to
 1 exactly at ``b = inf``, so no special casing of the separable limit is
 needed anywhere.
 
-Everything here is analytic: dispersions, marginal densities and the t = 0
-two-particle amplitude.  The :mod:`localent.oracle` module re-derives the
+Everything here is analytic: dispersions and the t = 0 two-particle
+amplitude.  The :mod:`localent.oracle` module re-derives the
 same quantities by brute-force quadrature on a spectral grid.
 """
 
@@ -26,14 +26,9 @@ from .errors import DomainError
 
 __all__ = [
     "PairParams",
-    "GaussianDensity",
     "entanglement_factor",
-    "spreading_factor",
-    "drift_velocity",
     "position_dispersion",
     "momentum_dispersion",
-    "marginal_position",
-    "marginal_momentum",
     "initial_amplitude",
 ]
 
@@ -66,45 +61,12 @@ class PairParams:
             )
 
 
-@dataclass(frozen=True)
-class GaussianDensity:
-    """Normalized one-dimensional normal density with mean and standard deviation."""
-
-    mean: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        z = (x - self.mean) / self.sigma
-        return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(self.mean, self.sigma, size=n)
-
-
 def entanglement_factor(n: int, params: PairParams) -> float:
     """The combination 1 + n a^2/b^2 for n in {1, 2}; exactly 1 when b = inf."""
     if n not in (1, 2):
         raise DomainError(f"entanglement factor index must be 1 or 2, got {n}")
     r = params.a / params.b
     return 1.0 + n * r * r
-
-
-def spreading_factor(t: float, params: PairParams) -> float:
-    """Dimensionless free-spreading term 4 t^2 / a^4 at time t >= 0."""
-    if not t >= 0:  # NaN fails too
-        raise DomainError(f"time must be nonnegative, got {t}")
-    q = 2.0 * t / (params.a * params.a)
-    return q * q
-
-
-def drift_velocity(params: PairParams) -> float:
-    """Group velocity k_c of particle 1's packet center."""
-    return float(params.k_c)
 
 
 def _dispersion_curve(u: float, alpha: float, t):
@@ -142,26 +104,6 @@ def momentum_dispersion(params: PairParams) -> float:
     """Standard deviation of particle 1's momentum; constant under free evolution."""
     f1 = entanglement_factor(1, params)
     return math.sqrt(f1) / params.a
-
-
-def marginal_position(t: float, params: PairParams) -> GaussianDensity:
-    """Position-space marginal density of particle 1 at time t.
-
-    The marginal stays Gaussian for all t because free evolution preserves
-    Gaussianity; mean drifts with the group velocity, width follows
-    :func:`position_dispersion`.  (The spectral-grid oracle validates this
-    for the entangled branch, where only the t = 0 form is obvious.)
-    """
-    return GaussianDensity(drift_velocity(params) * t, position_dispersion(t, params))
-
-
-def marginal_momentum(params: PairParams) -> GaussianDensity:
-    """Momentum-representation marginal of particle 1; time independent.
-
-    Centered at the packet wavenumber ``k_c`` with width equal to
-    :func:`momentum_dispersion`.
-    """
-    return GaussianDensity(params.k_c, momentum_dispersion(params))
 
 
 def _prefactor(params: PairParams) -> float:

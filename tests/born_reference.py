@@ -14,7 +14,7 @@ import numpy as np
 
 from localent.errors import DomainError, FitError
 from localent.protocols import HiddenScenario
-from localent.states import _dispersion_curve, marginal_momentum, marginal_position
+from localent.states import _dispersion_curve, momentum_dispersion, position_dispersion
 
 # Gauss-Newton refinement: stop once every step is below this relative size
 _REFINE_TOL = 1e-10
@@ -25,7 +25,7 @@ def sample_momentum(scenario: HiddenScenario, n: int, rng: np.random.Generator) 
     """n Born-rule draws from particle 1's momentum marginal."""
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
-    return marginal_momentum(scenario.params).sample(n, rng)
+    return rng.normal(scenario.params.k_c, momentum_dispersion(scenario.params), size=n)
 
 
 def sample_position(
@@ -40,7 +40,8 @@ def sample_position(
         raise DomainError(f"measurement time must be nonnegative, got {t_meas}")
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
-    return marginal_position(t_meas + scenario.t0, scenario.params).sample(n, rng)
+    t = t_meas + scenario.t0
+    return rng.normal(scenario.params.k_c * t, position_dispersion(t, scenario.params), size=n)
 
 
 def estimate_dispersion(samples: np.ndarray) -> tuple[float, float]:

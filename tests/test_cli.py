@@ -237,6 +237,17 @@ def test_dispersion_curve_crossing(capsys):
     assert payload["results"]["rows"][0]["dx_entangled"] is None
 
 
+def test_dispersion_curve_at_a_huge_u_times_b_is_the_separable_curve(capsys):
+    # (u b)^4 overflows at u b = 1e80, but both curves are finite and equal
+    code, payload = run_json(capsys, "dispersion-curve", "--u", "1", "--b", "1e80",
+                             "--t-steps", "6", "--offset", "1")
+    assert code == 0
+    rows = payload["results"]["rows"]
+    for before, row in zip(rows, rows[1:]):  # t = 0, 1, ..., 5: the offset is one step
+        assert row["dx_entangled"] == before["dx_separable"]
+    assert payload["results"]["crossing"] == {"lab": 0.5, "entangled_clock": -0.5}
+
+
 def test_dispersion_curve_domain_violation_exits_2(capsys):
     code, _, err = run_cli(capsys, "dispersion-curve", "--u", "1", "--b", "1")
     assert code == 2

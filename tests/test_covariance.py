@@ -1,4 +1,4 @@
-"""Correlation matrix, separability invariant, standard form and EoF."""
+"""Correlation matrix, separability invariant and EoF."""
 
 import math
 
@@ -16,8 +16,6 @@ from localent.covariance import (
     reduced_symplectic_eigenvalue,
     simon_invariant,
     simon_invariant_closed_form,
-    standard_form,
-    standard_form_from_cm,
 )
 from localent.errors import DomainError
 from localent.states import PairParams
@@ -132,70 +130,6 @@ def test_equivalence_property(a, b):
     assert abs(general - closed) <= 1e-9 * max(1.0, abs(closed))
 
 
-def test_standard_form_values():
-    sf = standard_form(PairParams(a=1.0, b=2.0))
-    assert sf.n == pytest.approx(1.0206207261596576, rel=1e-12)
-    assert sf.k_x == pytest.approx(0.20412414523193154, rel=1e-12)
-    assert sf.k_p == sf.k_x
-
-
-def test_standard_form_scaling_factor():
-    # diag(s, 1/s, s, 1/s) with s = (4 f2 / a^4)^(1/4) must produce the pattern
-    p = PairParams(a=1.0, b=2.0)
-    s = 6.0**0.25
-    assert s == pytest.approx(1.565085, abs=1e-6)
-    scale = np.diag([s, 1.0 / s, s, 1.0 / s])
-    gamma0 = scale @ covariance_matrix(p).matrix @ scale.T
-    sf = standard_form(p)
-    assert gamma0[0, 0] == pytest.approx(sf.n, rel=1e-12)
-    assert gamma0[1, 1] == pytest.approx(sf.n, rel=1e-12)
-    assert gamma0[0, 2] == pytest.approx(sf.k_x, rel=1e-12)
-    assert gamma0[1, 3] == pytest.approx(-sf.k_p, rel=1e-12)
-
-
-def test_standard_form_congruence():
-    # diag(s, 1/s, s, 1/s) with s = (4 f2 / a^4)^(1/4) carries the
-    # correlation matrix onto the pattern of the (n, k) standard_form reports
-    for a in np.logspace(-3.0, 3.0, 7):
-        for b in [*(a / np.logspace(-4.0, 4.0, 9)), INF]:
-            p = PairParams(a=float(a), b=float(b))
-            f2 = 1.0 + 2.0 * (p.a / p.b) ** 2
-            s = (4.0 * f2 / p.a**4) ** 0.25
-            scale = np.diag([s, 1.0 / s, s, 1.0 / s])
-            gamma0 = scale @ covariance_matrix(p).matrix @ scale.T
-            sf = standard_form(p)
-            assert sf.k_x == sf.k_p
-            n, k = sf.n, sf.k_x
-            expected = np.array(
-                [[n, 0.0, k, 0.0], [0.0, n, 0.0, -k], [k, 0.0, n, 0.0], [0.0, -k, 0.0, n]]
-            )
-            assert np.abs(gamma0 - expected).max() <= 1e-12 * max(1.0, n), (a, b)
-
-
-def test_standard_form_separable():
-    sf = standard_form(PairParams(a=3.0, b=INF))
-    assert sf.n == pytest.approx(1.0, rel=1e-14)
-    assert sf.k_x == 0.0 and sf.k_p == 0.0
-
-
-def test_standard_form_recovered_after_scaling():
-    p = PairParams(a=1.0, b=2.0)
-    reference = standard_form(p)
-    cm = covariance_matrix(p)
-    for s1, s2 in [(1.0, 1.0), (2.0, 2.0), (0.4, 1.7)]:
-        recovered = standard_form_from_cm(scaled(cm, s1, s2))
-        assert recovered.n == pytest.approx(reference.n, rel=1e-10)
-        assert recovered.k_x == pytest.approx(reference.k_x, rel=1e-10)
-        assert recovered.k_p == pytest.approx(reference.k_p, rel=1e-10)
-
-
-def test_standard_form_from_cm_rejects_asymmetric():
-    cm = covariance_matrix(PairParams(a=1.0, b=2.0))
-    bent = CovMatrix4(A=cm.A, B=2.0 * cm.B, C=cm.C)
-    with pytest.raises(DomainError):
-        standard_form_from_cm(bent)
-
-
 def test_eof_zero_at_delta_one():
     assert entanglement_of_formation(PairParams(a=1.0, b=INF)) == 0.0
 
@@ -255,12 +189,9 @@ def test_entropy_holds_at_every_eigenvalue(x):
 @pytest.mark.parametrize("b", SWEEP_B)
 def test_eof_equals_reduced_entropy(a, b):
     p = PairParams(a=a, b=b)
-    sf = standard_form(p)
     eof = entanglement_of_formation(p)
     nu = reduced_symplectic_eigenvalue(covariance_matrix(p))
     assert abs(eof - entropy_from_symplectic_eigenvalue(nu)) < 1e-9
-    delta = math.sqrt((sf.n - sf.k_x) * (sf.n - sf.k_p))
-    assert delta + 1.0 / delta == pytest.approx(2.0 * nu, rel=1e-12)
 
 
 @given(

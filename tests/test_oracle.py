@@ -32,12 +32,7 @@ from localent.oracle import (
 )
 from localent.oracle import RESIDUAL_LIMIT, _axis, _envelope_weight, _grid_envelope, _support
 from localent.protocols import ambiguity_time, mimic_width, width_from_momentum_dispersion
-from localent.states import (
-    PairParams,
-    marginal_position,
-    momentum_dispersion,
-    position_dispersion,
-)
+from localent.states import PairParams, momentum_dispersion, position_dispersion
 from localent.states import _envelope
 import oracle_reference as dense
 from oracle_reference import reference_moments
@@ -292,8 +287,8 @@ def test_memory_check_charges_the_traced_peak_at_high_rank(monkeypatch):
 @pytest.mark.parametrize("b,n,t_max", [(2.0, 1024, 2.0), (0.15, 1024, 0.25), (1 / 6.7, 256, 0.0)])
 def test_memory_check_charges_the_traced_peak_on_the_support(monkeypatch, b, n, t_max):
     # with room for the evolution, the factorisation runs on a support of
-    # m < n rows but the factors are n x r; at n = 256 the leakage check's
-    # c x c Grams set the peak
+    # m < n rows but the factors are n x r; at n = 256 the factors beside
+    # the leakage check's Grams set the charge
     charged = []
     require_memory = localent.oracle.require_memory
 
@@ -504,7 +499,9 @@ def test_marginal_density_is_gaussian_pointwise(t):
     if t > 0:
         grid = evolve(grid, t)
     x, dens = position_marginal(grid)
-    reference = marginal_position(t, params).pdf(x)
+    sigma = position_dispersion(t, params)
+    z = (x - params.k_c * t) / sigma
+    reference = np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
     mask = reference > 1e-6 * reference.max()
     rel = np.abs(dens[mask] - reference[mask]) / reference[mask]
     assert rel.max() < 1e-4

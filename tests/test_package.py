@@ -19,6 +19,13 @@ REMOVED = ("run_blind_trial", "run_known_origin_trial", "BlindTrialResult",
            "KnownOriginTrialResult", "classify_blind", "classify_known_origin",
            "fit_dispersion_curve", "FitOutcome", "Verdict", "DispersionSeries",
            "exact_position_series", "_verdict", "_check_estimates")
+# closed forms that no command or engine ran: the standard form, whose work
+# the partial-transpose kernel does, and wrappers of one field or formula
+CLOSED_FORMS_REMOVED = {
+    "covariance": ("StandardForm", "standard_form", "standard_form_from_cm"),
+    "states": ("GaussianDensity", "marginal_position", "marginal_momentum", "drift_velocity",
+               "spreading_factor"),
+}
 
 
 @pytest.mark.parametrize("layer", ["states", "covariance", "protocols", "oracle"])
@@ -45,6 +52,15 @@ def test_single_trial_api_is_gone():
         assert name not in protocols.__all__
     for batch in (protocols.BlindBatch, protocols.KnownOriginBatch):
         assert not hasattr(batch, "result")
+
+
+@pytest.mark.parametrize("layer", sorted(CLOSED_FORMS_REMOVED))
+def test_unused_closed_forms_are_gone(layer):
+    module = importlib.import_module(f"localent.{layer}")
+    for name in CLOSED_FORMS_REMOVED[layer]:
+        assert not hasattr(module, name), name
+        assert not hasattr(localent, name), name
+        assert name not in module.__all__
 
 
 def test_readme_library_example_runs():

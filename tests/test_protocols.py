@@ -1,5 +1,6 @@
 """Measurement protocols: curves, timing, estimation, fits and verdicts."""
 
+import decimal
 import math
 import tracemalloc
 
@@ -32,13 +33,7 @@ from localent.protocols import (
 )
 import localent.protocols
 from localent.protocols import _chi2_draws
-from localent.states import (
-    PairParams,
-    marginal_momentum,
-    momentum_dispersion,
-    position_dispersion,
-    spreading_factor,
-)
+from localent.states import PairParams, momentum_dispersion, position_dispersion
 from one_trial import (
     classify_blind,
     classify_known_origin,
@@ -146,6 +141,37 @@ def test_critical_time():
         critical_time(0.5, 1.0)
 
 
+def _closed_forms_in_decimal(u: float, b: float) -> tuple[float, float, float]:
+    """(entangled_alpha, critical_time, ambiguity_time) in 60-digit decimal
+    arithmetic from the same floats u and b."""
+    if math.isinf(b):
+        return 1.0, 1.0 / (2.0 * u * u), 0.0
+    with decimal.localcontext(decimal.Context(prec=60)):
+        u, b = decimal.Decimal(u), decimal.Decimal(b)
+        ub4 = (u * b) ** 4
+        root = (ub4 - 1).sqrt()
+        return (float(ub4 / (ub4 - 1)), float(b * b / (2 * root)),
+                float(1 / (2 * u * u * root)))
+
+
+@pytest.mark.parametrize("u", np.geomspace(1e-2, 1e2, 9).tolist())
+def test_closed_forms_hold_over_the_whole_range_of_u_times_b(u):
+    for ub in [*np.geomspace(1.01, 1e60, 61).tolist(), INF]:
+        b = ub / u
+        got = (entangled_alpha(u, b), critical_time(u, b), ambiguity_time(u, b))
+        for value, want in zip(got, _closed_forms_in_decimal(u, b)):
+            assert abs(value - want) <= 1e-13 * want, (u, b)
+
+
+@pytest.mark.parametrize("ub", [1e80, 1e200, INF])
+@pytest.mark.parametrize("u", [1e-2, 1.0, 1e2])
+def test_closed_forms_reach_their_separable_limits_without_overflow(u, ub):
+    # (u b)^4 overflows past u b ~ 1e77; the closed forms do not form it
+    b = ub / u
+    assert entangled_alpha(u, b) == 1.0
+    assert critical_time(u, b) == 1.0 / (2.0 * u * u)
+
+
 def test_mimic_width():
     assert mimic_width(1.0) == 1.0
     assert mimic_width(2.0) == 0.5
@@ -153,8 +179,8 @@ def test_mimic_width():
     u = momentum_dispersion(p_ent)
     a_prime = mimic_width(u)
     assert a_prime == pytest.approx(0.8944271909999159, rel=1e-12)
-    mimic = marginal_momentum(PairParams(a=a_prime, b=INF))
-    assert mimic.sigma == pytest.approx(marginal_momentum(p_ent).sigma, rel=1e-12)
+    mimic = momentum_dispersion(PairParams(a=a_prime, b=INF))
+    assert mimic == pytest.approx(momentum_dispersion(p_ent), rel=1e-12)
 
 
 def test_ambiguity_time_value_and_matching_condition():
@@ -170,7 +196,7 @@ def test_ambiguity_time_value_and_matching_condition():
     a_prime = mimic_width(U_REF)
     p_sep = PairParams(a=a_prime, b=INF)
     lhs = 2.0 * (1.0 + 2.0 * (a / B_REF) ** 2) / (a * a * (1.0 + (a / B_REF) ** 2))
-    rhs = (2.0 / a_prime**2) / (1.0 + spreading_factor(t_amb, p_sep))
+    rhs = (2.0 / a_prime**2) / (1.0 + (2.0 * t_amb / p_sep.a**2) ** 2)
     assert lhs == pytest.approx(rhs, rel=1e-12)
     # mismatch strictly away from the ambiguity time
     for factor in (0.9, 1.1):
@@ -307,7 +333,6 @@ def test_non_finite_production_offset_is_rejected(t0):
         (lambda: width_from_momentum_dispersion(1.0, math.nan), "width b must be positive"),
         (lambda: entanglement_width_from_alpha(math.nan, 1.0), "alpha must be >= 1"),
         (lambda: crossing_times(1.2, 1.0, math.nan), "offset must be positive"),
-        (lambda: spreading_factor(math.nan, PairParams(a=1.0, b=2.0)), "time must be"),
         (lambda: position_dispersion(math.nan, PairParams(a=1.0, b=2.0)), "time must be"),
     ],
 )

@@ -9,16 +9,11 @@ import pytest
 from localent.covariance import _pt_eigenvalue
 from localent.errors import DomainError
 from localent.states import (
-    GaussianDensity,
     PairParams,
-    drift_velocity,
     entanglement_factor,
     initial_amplitude,
-    marginal_momentum,
-    marginal_position,
     momentum_dispersion,
     position_dispersion,
-    spreading_factor,
 )
 from localent.states import _envelope
 
@@ -46,20 +41,6 @@ def test_factor_ordering(a, b):
     assert f2 - f1 == pytest.approx((a / b) ** 2, rel=1e-12)
 
 
-def test_spreading_factor():
-    p = PairParams(a=1.0, b=INF)
-    assert spreading_factor(0.0, p) == 0.0
-    assert spreading_factor(1.0, p) == pytest.approx(4.0, rel=1e-15)
-    assert spreading_factor(2.0, p) == pytest.approx(16.0, rel=1e-15)
-    with pytest.raises(DomainError):
-        spreading_factor(-0.1, p)
-
-
-def test_drift_velocity():
-    assert drift_velocity(PairParams(a=1.0, b=INF, k_c=0.0)) == 0.0
-    assert drift_velocity(PairParams(a=1.0, b=INF, k_c=1.0)) == 1.0
-
-
 def test_position_dispersion_values():
     assert position_dispersion(0.0, PairParams(a=1.0, b=INF)) == 0.5
     assert position_dispersion(0.0, PairParams(a=1.0, b=2.0)) == pytest.approx(
@@ -76,25 +57,6 @@ def test_momentum_dispersion_values():
     assert momentum_dispersion(PairParams(a=1.0, b=2.0)) == pytest.approx(
         math.sqrt(1.25), rel=1e-14
     )
-
-
-def test_marginal_position():
-    g = marginal_position(0.0, PairParams(a=1.0, b=INF, k_c=0.0))
-    assert (g.mean, g.sigma) == (0.0, 0.5)
-    g = marginal_position(0.0, PairParams(a=1.0, b=2.0))
-    assert g.sigma == pytest.approx(0.45643546458763845, rel=1e-12)
-    g = marginal_position(1.0, PairParams(a=1.0, b=INF, k_c=1.0))
-    assert g.mean == pytest.approx(1.0)
-    assert g.sigma == pytest.approx(math.sqrt(5.0) / 2.0, rel=1e-14)
-
-
-def test_marginal_momentum():
-    g = marginal_momentum(PairParams(a=1.0, b=INF, k_c=0.0))
-    assert (g.mean, g.sigma) == (0.0, 1.0)
-    g = marginal_momentum(PairParams(a=1.0, b=2.0, k_c=0.0))
-    assert g.sigma == pytest.approx(math.sqrt(1.25), rel=1e-14)
-    g = marginal_momentum(PairParams(a=2.0, b=INF, k_c=3.0))
-    assert (g.mean, g.sigma) == (3.0, 0.5)
 
 
 def test_amplitude_peak_density():
@@ -191,17 +153,6 @@ def test_parameter_validation():
         PairParams(a=1.0, b=0.0)
     with pytest.raises(DomainError):
         PairParams(a=1.0, b=-2.0)
-    with pytest.raises(DomainError):
-        GaussianDensity(mean=0.0, sigma=0.0)
     # separability is the kernel's verdict, 1 - nu > 0 iff entangled
     assert _pt_eigenvalue(1.0, INF)[1] == 0.0
     assert _pt_eigenvalue(1.0, 5.0)[1] > 0.0
-
-
-def test_gaussian_density_pdf_and_sampling():
-    g = GaussianDensity(mean=1.0, sigma=2.0)
-    assert g.pdf(1.0) == pytest.approx(1.0 / (2.0 * math.sqrt(2.0 * math.pi)), rel=1e-12)
-    rng = np.random.default_rng(3)
-    draws = g.sample(200_000, rng)
-    assert draws.mean() == pytest.approx(1.0, abs=0.02)
-    assert draws.std(ddof=1) == pytest.approx(2.0, abs=0.02)

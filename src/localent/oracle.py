@@ -7,15 +7,23 @@ rank: ``evolve`` applies the exact free propagator as a phase in Fourier
 space, with no 2-D transform and no time-stepping error.  Each grid keeps
 its factors' 1-D transforms once they are taken, so an evolution is the
 phase times the cached spectra and one inverse transform per factor, and
-the evolved grid keeps those products as its own spectra.  Every moment,
-marginal density, norm, edge leakage and correlation-matrix entry is a
-contraction of the factors or spectra with cost O(n r^2): r x r Gram
-matrices such as left^H diag(w) left and right diag(w) right^H, then an
-elementwise trace of their product.  The unweighted Grams are taken once
-per grid, and those of the spectra are n times them by Parseval, since each
-spectrum is the unnormalised DFT of its factor.  None of them assumes
-orthonormal factors.  Nothing here reuses the closed-form dispersions,
-which is what makes these numbers an independent check of them.
+the evolved grid keeps those products as its own spectra.
+
+The factors are a Schmidt decomposition: ``left``'s columns are orthonormal
+and ``right``'s rows orthogonal, and the unitary evolution keeps both.  So
+each quantity of one particle (marginals, edge leakage, means, variances,
+<x1 k1>, <x2 k2>) is an O(n r) diagonal sum, as in sum_j |psi_ij|^2 =
+sum_a |L_ia|^2 (R R^H)_aa; only <x1 x2>, <k1 k2>, <x1 k2> and <x2 k1> trace
+two weighted r x r Grams, in O(n r^2).  The unweighted Grams G, taken once
+per grid (the spectra's are n times them, by Parseval), give the norm
+tr(G_L G_R) and the isometry defect, the largest off-diagonal |G_ab| over
+the largest G_cc, which ``initial_grid`` and ``evolve`` hold to
+ISOMETRY_LIMIT.  A diagonal sum drops the terms A_ab G_ba, a != b, of one
+factor's Gram A weighted by w and the other's G; |A_ab| <= (B_aa + B_bb) / 2
+for B weighted by |w|, so together they weigh at most
+(r - 1) ISOMETRY_LIMIT max_c G_cc tr(B), which over a whole marginal is
+~r (r - 1) ISOMETRY_LIMIT of the norm.  Nothing here reuses the closed-form
+dispersions, which is what makes these numbers an independent check of them.
 
 The sampled amplitude is psi[i, j] = c p_i E[i, j] conj(p_j): c is the
 renormalized constant, p = exp(i k_c x) the packet phase with |p_i| = 1,
@@ -81,6 +89,7 @@ __all__ = [
 ]
 
 LEAKAGE_LIMIT = 1e-8
+ISOMETRY_LIMIT = 1e-12  # largest off-diagonal entry of a Gram over its largest diagonal one
 RESIDUAL_LIMIT = 1e-13  # relative Frobenius error of an accepted factorisation
 PIVOT_BLOCK = 8  # pivots taken after a failed residual check, before the next
 SKELETON_COLUMNS = 32  # the Cholesky factor's first capacity, doubled when full
@@ -133,7 +142,7 @@ class WaveGrid:
 
     @cached_property
     def _grams(self) -> tuple[np.ndarray, np.ndarray]:
-        """The unweighted Grams left^H left and right right^H."""
+        """The unweighted Grams left^H left and right right^H: the norm and the isometry."""
         return _read_only(_left_gram(self.left)), _read_only(_right_gram(self.right))
 
     @cached_property
@@ -221,17 +230,33 @@ def boundary_leakage(grid: WaveGrid) -> float:
 
     The mass of the edge rows plus that of the edge columns, less the
     corners they share: three sums of that small mass, where the whole mass
-    minus the inner mass would cancel two sums near 1.  Each comes from the
-    edge rows of ``left`` or the edge columns of ``right`` and the other
-    factor's cached Gram, so no further r x r matrix is formed."""
+    minus the inner mass would cancel two sums near 1.  The rows and columns
+    are diagonal sums over the other factor's cached Gram."""
     edge = [0, 1, -2, -1]
     left_gram, right_gram = grid._grams
     left_edge, right_edge = grid.left[edge], grid.right[:, edge]
     rows = _row_weights(left_edge, right_gram).sum()
-    columns = np.vdot(right_edge, left_gram @ right_edge).real
+    columns = _column_weights(right_edge, left_gram).sum()
     corner_cells = left_edge @ right_edge
     corners = np.vdot(corner_cells, corner_cells).real
     return float(rows + columns - corners) * grid.dx * grid.dx
+
+
+def _checked(grid: WaveGrid, boundary: str) -> WaveGrid:
+    """``grid``, once its edge leakage is within LEAKAGE_LIMIT (else the
+    ``boundary`` message, formatted with t and leak) and its isometry
+    defect, for each Gram, within ISOMETRY_LIMIT."""
+    leak = boundary_leakage(grid)
+    if not leak <= LEAKAGE_LIMIT:
+        raise GridError(boundary.format(t=grid.t, leak=leak))
+    for gram in map(np.abs, grid._grams):
+        largest = gram.diagonal().max()
+        np.fill_diagonal(gram, 0.0)
+        defect = gram.max() / largest
+        if not defect <= ISOMETRY_LIMIT:
+            raise GridError(f"Schmidt factors are not orthogonal at t = {grid.t:g} "
+                            f"(isometry defect {defect:.2e})")
+    return grid
 
 
 def _peak_bytes(n: int, rows: int, capacity: int) -> int:
@@ -247,8 +272,8 @@ def _peak_bytes(n: int, rows: int, capacity: int) -> int:
     skeleton's columns (LAPACK's copy of them, its and numpy's left
     singular vectors and c x c work arrays, 3mc + 9c^2 words).  After it:
     the m x c singular vectors and the two zero-padded complex n x c
-    factors (mc + 4nc words), and the leakage check's conjugate copy of
-    one factor beside two complex c x c Grams (2nc + 4c^2)."""
+    factors (mc + 4nc words), and the Grams' conjugate copy of one factor
+    beside two complex c x c Grams (2nc + 4c^2, room for the isometry check)."""
     m, c = rows, capacity
     vectors = 16 * n + 2 * np.getbufsize()
     factorising = m * c + max(2 * ROW_BLOCK * m, 3 * m * c + 9 * c * c)
@@ -476,10 +501,7 @@ def initial_grid(
     right[:, rows] *= (s / (norm * (extent / n)))[:, None]
     grid = WaveGrid(n=n, extent=extent, params=params, t=0.0, left=_read_only(left),
                     right=_read_only(right), schmidt=_read_only(s / norm))
-    leak = boundary_leakage(grid)
-    if not leak <= LEAKAGE_LIMIT:
-        raise GridError(f"initial packet touches the boundary (leakage {leak:.2e})")
-    return grid
+    return _checked(grid, "initial packet touches the boundary (leakage {leak:.2e})")
 
 
 def evolve(grid: WaveGrid, t: float) -> WaveGrid:
@@ -492,8 +514,8 @@ def evolve(grid: WaveGrid, t: float) -> WaveGrid:
     per factor.  The products are kept as the evolved grid's spectra, so
     its marginals, moments and later evolutions transform nothing forward.
     The Schmidt values do not change.  Unitary up to roundoff, so the norm
-    is preserved to ~1e-15 per call.  Raises when the evolved packet
-    reaches the grid boundary.
+    and the factors' orthogonality hold to ~1e-15 per call.  Raises when the
+    evolved packet reaches the grid boundary or fails the isometry check.
     """
     if not (math.isfinite(t) and t >= 0):
         raise DomainError(f"time step must be finite and nonnegative, got {t}")
@@ -506,84 +528,56 @@ def evolve(grid: WaveGrid, t: float) -> WaveGrid:
                    left=_read_only(np.fft.ifft(left_k, axis=0)),
                    right=_read_only(np.fft.ifft(right_k, axis=1)), schmidt=grid.schmidt)
     vars(out)["_spectra"] = left_k, right_k  # the cached property, filled in
-    leak = boundary_leakage(out)
-    if not leak <= LEAKAGE_LIMIT:
-        raise GridError(
-            f"packet reached the grid boundary at t = {out.t:g} (leakage {leak:.2e}); "
-            "enlarge the extent"
-        )
-    return out
+    return _checked(out, "packet reached the grid boundary at t = {t:g} "
+                         "(leakage {leak:.2e}); enlarge the extent")
 
 
-def _contractions(left: np.ndarray, right: np.ndarray, grams, axis: np.ndarray):
-    """Means, variances and covariance of the two coordinates under the
-    weights |left @ right|^2, then the total weight; and the Grams of
-    weights 1 and ``axis`` of each factor, which the cross terms reuse.
-    ``grams`` are the unweighted ones, left^H left and right right^H."""
-    l1, r1 = grams
-    lx, lxx = (_left_gram(left, w) for w in (axis, axis * axis))
-    rx, rxx = (_right_gram(right, w) for w in (axis, axis * axis))
-    total = _trace(l1, r1)
-    mean1 = _trace(lx, r1) / total
-    mean2 = _trace(l1, rx) / total
-    var1 = _trace(lxx, r1) / total - mean1 * mean1
-    var2 = _trace(l1, rxx) / total - mean2 * mean2
-    cov = _trace(lx, rx) / total - mean1 * mean2
-    return (mean1, mean2, var1, var2, cov, total), (l1, lx), (r1, rx)
+def _weighted_moments(density: np.ndarray, axis: np.ndarray, total: float):
+    """Mean and variance of ``axis`` under a marginal ``density`` of weight ``total``."""
+    mean = float(density @ axis) / total
+    return mean, float(density @ (axis * axis)) / total - mean * mean
 
 
 def moments(grid: WaveGrid) -> MomentSet:
     """All first/second moments: positions from the factors, wavenumbers from
     their cached 1-D transforms, and symmetrized position-wavenumber cross
     terms via Re <psi| x (k psi)> (the real part is exactly the symmetrized
-    product), whose k psi takes one inverse transform per factor.  Each is a
-    trace of two r x r Grams."""
+    product), whose k psi takes one inverse transform per factor.  Each
+    quantity of one particle is a diagonal sum over the other factor's
+    Gram; each cross term is the trace of two weighted r x r Grams."""
     x, k = grid.axis, grid.k_axis
     left, right = grid.left, grid.right
-    position, (l1, lx), (r1, rx) = _contractions(left, right, grid._grams, x)
-    mean_x1, mean_x2, var_x1, var_x2, cov_x1x2, norm = position
     left_k, right_k = grid._spectra
-    momentum = _contractions(left_k, right_k, grid._spectral_grams, k)[0]
-    mean_k1, mean_k2, var_k1, var_k2, cov_k1k2, _ = momentum
+    (l1, r1), (sl1, sr1) = grid._grams, grid._spectral_grams
+    norm, spectral_norm = _trace(l1, r1), _trace(sl1, sr1)
+    mean_x1, var_x1 = _weighted_moments(_row_weights(left, r1), x, norm)
+    mean_x2, var_x2 = _weighted_moments(_column_weights(right, l1), x, norm)
+    mean_k1, var_k1 = _weighted_moments(_row_weights(left_k, sr1), k, spectral_norm)
+    mean_k2, var_k2 = _weighted_moments(_column_weights(right_k, sl1), k, spectral_norm)
+    lx, rx = _left_gram(left, x), _right_gram(right, x)
+    cov_x1x2 = _trace(lx, rx) / norm - mean_x1 * mean_x2
+    k1k2 = _trace(_left_gram(left_k, k), _right_gram(right_k, k))
+    cov_k1k2 = k1k2 / spectral_norm - mean_k1 * mean_k2
     # k1 psi = k1_left @ right and k2 psi = left @ k2_right
     k1_left = np.fft.ifft(left_k * k[:, None], axis=0)
     k2_right = np.fft.ifft(right_k * k, axis=1)
-    x1k1 = _trace(_left_gram(left, x, k1_left), r1) / norm
-    x2k1 = _trace(_left_gram(left, other=k1_left), rx) / norm
-    x1k2 = _trace(lx, _right_gram(right, other=k2_right)) / norm
-    x2k2 = _trace(l1, _right_gram(right, x, k2_right)) / norm
-    return MomentSet(
-        mean_x1=mean_x1,
-        mean_x2=mean_x2,
-        mean_k1=mean_k1,
-        mean_k2=mean_k2,
-        var_x1=var_x1,
-        var_x2=var_x2,
-        cov_x1x2=cov_x1x2,
-        var_k1=var_k1,
-        var_k2=var_k2,
-        cov_k1k2=cov_k1k2,
-        sym_x1k1=x1k1 - mean_x1 * mean_k1,
-        sym_x1k2=x1k2 - mean_x1 * mean_k2,
-        sym_x2k1=x2k1 - mean_x2 * mean_k1,
-        sym_x2k2=x2k2 - mean_x2 * mean_k2,
-    )
+    x1k1 = float((x @ (left.conj() * k1_left)).real @ r1.diagonal().real)
+    x2k2 = float(l1.diagonal().real @ ((k2_right * right.conj()) @ x).real)
+    sym_x1k1 = x1k1 / norm - mean_x1 * mean_k1
+    sym_x1k2 = _trace(lx, _right_gram(right, other=k2_right)) / norm - mean_x1 * mean_k2
+    sym_x2k1 = _trace(_left_gram(left, other=k1_left), rx) / norm - mean_x2 * mean_k1
+    sym_x2k2 = x2k2 / norm - mean_x2 * mean_k2
+    return MomentSet(mean_x1, mean_x2, mean_k1, mean_k2, var_x1, var_x2, cov_x1x2,
+                     var_k1, var_k2, cov_k1k2, sym_x1k1, sym_x1k2, sym_x2k1, sym_x2k2)
 
 
 def _correlation_matrix(m: MomentSet) -> CovMatrix4:
     """The correlation matrix of a moment set, in the doubled convention of
     the analytic construction (entries are 2x the symmetrized covariances)."""
-    g = np.zeros((4, 4))
-    g[0, 0] = 2.0 * m.var_x1
-    g[1, 1] = 2.0 * m.var_k1
-    g[2, 2] = 2.0 * m.var_x2
-    g[3, 3] = 2.0 * m.var_k2
-    g[0, 1] = g[1, 0] = 2.0 * m.sym_x1k1
-    g[0, 2] = g[2, 0] = 2.0 * m.cov_x1x2
-    g[0, 3] = g[3, 0] = 2.0 * m.sym_x1k2
-    g[1, 2] = g[2, 1] = 2.0 * m.sym_x2k1
-    g[1, 3] = g[3, 1] = 2.0 * m.cov_k1k2
-    g[2, 3] = g[3, 2] = 2.0 * m.sym_x2k2
+    g = 2.0 * np.array([[m.var_x1, m.sym_x1k1, m.cov_x1x2, m.sym_x1k2],
+                        [m.sym_x1k1, m.var_k1, m.sym_x2k1, m.cov_k1k2],
+                        [m.cov_x1x2, m.sym_x2k1, m.var_x2, m.sym_x2k2],
+                        [m.sym_x1k2, m.cov_k1k2, m.sym_x2k2, m.var_k2]])
     return CovMatrix4.from_matrix(g)
 
 
@@ -594,9 +588,18 @@ def numeric_covariance_matrix(grid: WaveGrid) -> CovMatrix4:
 
 
 def _row_weights(left: np.ndarray, right_gram: np.ndarray) -> np.ndarray:
-    """sum_j |(left @ right)[i, j]|^2 for each row i, from right's
-    unweighted Gram right right^H."""
-    return np.einsum("ib,ib->i", left @ right_gram, left.conj()).real
+    """sum_j |(left @ right)[i, j]|^2 for each row i, as |left|^2 times the
+    diagonal of right's Gram right right^H, one matrix-vector product for
+    the real parts and one for the imaginary parts."""
+    diagonal = right_gram.diagonal().real
+    return np.square(left.real) @ diagonal + np.square(left.imag) @ diagonal
+
+
+def _column_weights(right: np.ndarray, left_gram: np.ndarray) -> np.ndarray:
+    """sum_i |(left @ right)[i, j]|^2 for each column j, as the diagonal of
+    left's Gram left^H left times |right|^2, part by part as in ``_row_weights``."""
+    diagonal = left_gram.diagonal().real
+    return diagonal @ np.square(right.real) + diagonal @ np.square(right.imag)
 
 
 def position_marginal(grid: WaveGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -606,15 +609,12 @@ def position_marginal(grid: WaveGrid) -> tuple[np.ndarray, np.ndarray]:
 
 def momentum_marginal(grid: WaveGrid) -> tuple[np.ndarray, np.ndarray]:
     """Marginal density of k1 from the factors' cached transforms, sorted by
-    wavenumber."""
+    wavenumber: numpy's FFT order with its halves swapped, as fftshift for even n."""
     density = _row_weights(grid._spectra[0], grid._spectral_grams[1])
-    k = grid.k_axis
-    order = np.argsort(k)
-    k = k[order]
-    density = density[order]
+    k, half = grid.k_axis, grid.n // 2
+    density = np.concatenate((density[half:], density[:half]))
     dk = 2.0 * math.pi / grid.extent
-    density = density / (density.sum() * dk)
-    return k, density
+    return np.concatenate((k[half:], k[:half])), density / (density.sum() * dk)
 
 
 def marginal_sigma(axis: np.ndarray, density: np.ndarray) -> float:

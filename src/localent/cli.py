@@ -38,14 +38,7 @@ from .covariance import (
     simon_invariant_closed_form,
 )
 from .errors import DomainError, FitError, GridError, require_memory
-from .oracle import (
-    evolve,
-    initial_grid,
-    momentum_marginal,
-    numeric_covariance_matrix,
-    position_marginal,
-)
-from .oracle import marginal_sigma as grid_sigma
+from .oracle import _particle_one, evolve, initial_grid, numeric_covariance_matrix
 from .protocols import (
     ENTANGLED,
     INCONCLUSIVE,
@@ -375,20 +368,14 @@ ORACLE_COLUMNS = ("t", "dx_closed", "dx_grid", "rel_dx", "dp_closed", "dp_grid",
                   "norm_drift", "pass")
 
 
-def _mean(axis: np.ndarray, density: np.ndarray) -> float:
-    """Mean of a sampled density (weights need not be normalized)."""
-    return float(density @ axis / density.sum())
-
-
 def _oracle_row(grid0, t: float) -> tuple:
-    """Closed forms against quadrature at time t.  The evolved grid dies with
-    this call, so no two evolved grids are alive at once."""
+    """Closed forms against quadrature of particle 1's moments at time t.
+    The evolved grid dies with this call, so no two evolved grids are alive
+    at once."""
     params = grid0.params
     grid = evolve(grid0, t) if t > 0 else grid0
-    x_axis, x_density = position_marginal(grid)
-    dx_grid = grid_sigma(x_axis, x_density)
-    k_axis, k_density = momentum_marginal(grid)
-    dp_grid = grid_sigma(k_axis, k_density)
+    mean_x1, var_x1, mean_k1, var_k1 = _particle_one(grid)
+    dx_grid, dp_grid = math.sqrt(var_x1), math.sqrt(var_k1)
     dx_closed = position_dispersion(t, params)
     dp_closed = momentum_dispersion(params)
     rel_dx = abs(dx_grid - dx_closed) / dx_closed
@@ -396,8 +383,8 @@ def _oracle_row(grid0, t: float) -> tuple:
     norm_drift = abs(grid.norm() - 1.0)
     # a wrong sign or conjugation of the packet phase moves the centres to
     # -k_c t and -k_c, which no width, norm or centred moment can see
-    drift = abs(_mean(x_axis, x_density) - params.k_c * t)
-    kick = abs(_mean(k_axis, k_density) - params.k_c)
+    drift = abs(mean_x1 - params.k_c * t)
+    kick = abs(mean_k1 - params.k_c)
     passed = (rel_dx < DX_TOLERANCE and rel_dp < DX_TOLERANCE and norm_drift < NORM_TOLERANCE
               and drift < DX_TOLERANCE * dx_closed and kick < DX_TOLERANCE * dp_closed)
     return t, dx_closed, dx_grid, rel_dx, dp_closed, dp_grid, rel_dp, norm_drift, passed

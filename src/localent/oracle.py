@@ -11,19 +11,20 @@ the evolved grid keeps those products as its own spectra.
 
 The factors are a Schmidt decomposition: ``left``'s columns are orthonormal
 and ``right``'s rows orthogonal, and the unitary evolution keeps both.  So
-each quantity of one particle (marginals, edge leakage, means, variances,
-<x1 k1>, <x2 k2>) is an O(n r) diagonal sum, as in sum_j |psi_ij|^2 =
-sum_a |L_ia|^2 (R R^H)_aa; only <x1 x2>, <k1 k2>, <x1 k2> and <x2 k1> trace
-two weighted r x r Grams, in O(n r^2).  The unweighted Grams G, taken once
+each quantity of one particle (row and column weights, edge leakage, means,
+variances, <x1 k1>, <x2 k2>) is an O(n r) diagonal sum, as in
+sum_j |psi_ij|^2 = sum_a |L_ia|^2 (R R^H)_aa; only <x1 x2>, <k1 k2>,
+<x1 k2> and <x2 k1> trace two weighted r x r Grams, in O(n r^2).  The unweighted Grams G, taken once
 per grid (the spectra's are n times them, by Parseval), give the norm
 tr(G_L G_R) and the isometry defect, the largest off-diagonal |G_ab| over
 the largest G_cc, which ``initial_grid`` and ``evolve`` hold to
 ISOMETRY_LIMIT.  A diagonal sum drops the terms A_ab G_ba, a != b, of one
 factor's Gram A weighted by w and the other's G; |A_ab| <= (B_aa + B_bb) / 2
 for B weighted by |w|, so together they weigh at most
-(r - 1) ISOMETRY_LIMIT max_c G_cc tr(B), which over a whole marginal is
-~r (r - 1) ISOMETRY_LIMIT of the norm.  Nothing here reuses the closed-form
-dispersions, which is what makes these numbers an independent check of them.
+(r - 1) ISOMETRY_LIMIT max_c G_cc tr(B), which over all the rows or
+columns is ~r (r - 1) ISOMETRY_LIMIT of the norm.  Nothing here reuses the
+closed-form dispersions, which is what makes these numbers an independent
+check of them.
 
 The sampled amplitude is psi[i, j] = c p_i E[i, j] conj(p_j): c is the
 renormalized constant, p = exp(i k_c x) the packet phase with |p_i| = 1,
@@ -83,9 +84,6 @@ __all__ = [
     "evolve",
     "moments",
     "numeric_covariance_matrix",
-    "position_marginal",
-    "momentum_marginal",
-    "marginal_sigma",
 ]
 
 LEAKAGE_LIMIT = 1e-8
@@ -322,11 +320,10 @@ def _sampled_amplitude(
     and Toeplitz views, ||E||_F^2, and the extent.
 
     c is the closed-form normalisation.  The quadrature of |psi|^2 is
-    c^2 m^2 ||E||_F^2 dx^2 with m = |p_i|^2, the same for every i (1 for
-    any finite k_c, NaN otherwise), and the renormalization factor it gives
-    must stay within 1e-4 of unity.  Raises before any allocation when the
-    grid is invalid or the factorisation's first peak exceeds the physical
-    memory.
+    c^2 m^2 ||E||_F^2 dx^2 with m = |p_i|^2 = 1 for every i, and the
+    renormalization factor it gives must stay within 1e-4 of unity.  Raises
+    before any allocation when the grid is invalid or the factorisation's
+    first peak exceeds the physical memory.
     """
     if n < 64 or n & (n - 1):
         raise GridError(f"grid size must be a power of two >= 64, got {n}")
@@ -512,7 +509,7 @@ def evolve(grid: WaveGrid, t: float) -> WaveGrid:
     spectra (the 1-D transforms of ``left``'s r columns and ``right``'s r
     rows, taken once per grid) times the phase, then one inverse transform
     per factor.  The products are kept as the evolved grid's spectra, so
-    its marginals, moments and later evolutions transform nothing forward.
+    its moments and later evolutions transform nothing forward.
     The Schmidt values do not change.  Unitary up to roundoff, so the norm
     and the factors' orthogonality hold to ~1e-15 per call.  Raises when the
     evolved packet reaches the grid boundary or fails the isometry check.
@@ -532,10 +529,23 @@ def evolve(grid: WaveGrid, t: float) -> WaveGrid:
                          "(leakage {leak:.2e}); enlarge the extent")
 
 
-def _weighted_moments(density: np.ndarray, axis: np.ndarray, total: float):
-    """Mean and variance of ``axis`` under a marginal ``density`` of weight ``total``."""
-    mean = float(density @ axis) / total
-    return mean, float(density @ (axis * axis)) / total - mean * mean
+def _weighted_moments(weights: np.ndarray, axis: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of ``axis`` under a marginal's ``weights``, over
+    their own sum.  The variance is centred, sum w (x - mean)^2 / sum w:
+    E[x^2] - mean^2 would cancel once the mean dwarfs the spread."""
+    total = weights.sum()
+    mean = float(weights @ axis / total)
+    centred = axis - mean
+    return mean, float(weights @ (centred * centred) / total)
+
+
+def _particle_one(grid: WaveGrid) -> tuple[float, float, float, float]:
+    """(mean_x1, var_x1, mean_k1, var_k1): diagonal sums of particle 1's
+    factor and its cached spectra over particle 2's Gram diagonals, O(n r)."""
+    mean_x1, var_x1 = _weighted_moments(_row_weights(grid.left, grid._grams[1]), grid.axis)
+    k_weights = _row_weights(grid._spectra[0], grid._spectral_grams[1])
+    mean_k1, var_k1 = _weighted_moments(k_weights, grid.k_axis)
+    return mean_x1, var_x1, mean_k1, var_k1
 
 
 def moments(grid: WaveGrid) -> MomentSet:
@@ -550,10 +560,9 @@ def moments(grid: WaveGrid) -> MomentSet:
     left_k, right_k = grid._spectra
     (l1, r1), (sl1, sr1) = grid._grams, grid._spectral_grams
     norm, spectral_norm = _trace(l1, r1), _trace(sl1, sr1)
-    mean_x1, var_x1 = _weighted_moments(_row_weights(left, r1), x, norm)
-    mean_x2, var_x2 = _weighted_moments(_column_weights(right, l1), x, norm)
-    mean_k1, var_k1 = _weighted_moments(_row_weights(left_k, sr1), k, spectral_norm)
-    mean_k2, var_k2 = _weighted_moments(_column_weights(right_k, sl1), k, spectral_norm)
+    mean_x1, var_x1, mean_k1, var_k1 = _particle_one(grid)
+    mean_x2, var_x2 = _weighted_moments(_column_weights(right, l1), x)
+    mean_k2, var_k2 = _weighted_moments(_column_weights(right_k, sl1), k)
     lx, rx = _left_gram(left, x), _right_gram(right, x)
     cov_x1x2 = _trace(lx, rx) / norm - mean_x1 * mean_x2
     k1k2 = _trace(_left_gram(left_k, k), _right_gram(right_k, k))
@@ -600,26 +609,3 @@ def _column_weights(right: np.ndarray, left_gram: np.ndarray) -> np.ndarray:
     left's Gram left^H left times |right|^2, part by part as in ``_row_weights``."""
     diagonal = left_gram.diagonal().real
     return diagonal @ np.square(right.real) + diagonal @ np.square(right.imag)
-
-
-def position_marginal(grid: WaveGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Marginal density of x1, integrating |psi|^2 over x2 by midpoint rule."""
-    return grid.axis, _row_weights(grid.left, grid._grams[1]) * grid.dx
-
-
-def momentum_marginal(grid: WaveGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Marginal density of k1 from the factors' cached transforms, sorted by
-    wavenumber: numpy's FFT order with its halves swapped, as fftshift for even n."""
-    density = _row_weights(grid._spectra[0], grid._spectral_grams[1])
-    k, half = grid.k_axis, grid.n // 2
-    density = np.concatenate((density[half:], density[:half]))
-    dk = 2.0 * math.pi / grid.extent
-    return np.concatenate((k[half:], k[:half])), density / (density.sum() * dk)
-
-
-def marginal_sigma(axis: np.ndarray, density: np.ndarray) -> float:
-    """Standard deviation of a sampled density (weights need not be normalized)."""
-    w = density / density.sum()
-    mean = float((w * axis).sum())
-    var = float((w * (axis - mean) ** 2).sum())
-    return math.sqrt(var)

@@ -44,7 +44,7 @@ class PairParams:
         the exactly separable product state; smaller ``b`` means stronger
         entanglement.
     k_c
-        Packet center wavenumber: particle 1 moves with ``+k_c``,
+        Packet center wavenumber (finite): particle 1 moves with ``+k_c``,
         particle 2 with ``-k_c``.
     """
 
@@ -59,6 +59,8 @@ class PairParams:
             raise DomainError(
                 f"anticorrelation width b must be positive (or math.inf), got {self.b}"
             )
+        if not math.isfinite(self.k_c):
+            raise DomainError(f"packet center wavenumber k_c must be finite, got {self.k_c}")
 
 
 def entanglement_factor(n: int, params: PairParams) -> float:

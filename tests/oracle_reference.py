@@ -7,9 +7,11 @@ product and sums it, the long way.  It samples the t = 0 amplitude as one
 complex array from ``states.initial_amplitude`` and renormalizes it by its
 own quadrature, so it shares only the closed form with the package, which
 factorises a real envelope and puts the phase on the factors.  Its grid,
-evolution, marginal and correlation-matrix functions carry the package's
-names, so a test can run one check through either engine; its
-moments are ``reference_moments``.
+evolution, one-particle moment and correlation-matrix functions carry the
+package's names, so a test can run one check through either engine; its
+moments are ``reference_moments``.  Particle 1's sampled marginals, which
+the package never forms, are ``position_marginal`` and ``momentum_marginal``,
+and ``marginal_sigma`` takes their spread.
 """
 
 from __future__ import annotations
@@ -129,6 +131,23 @@ def momentum_marginal(grid: WaveGrid) -> tuple[np.ndarray, np.ndarray]:
     return k[order], density[order] / (density.sum() * dk)
 
 
+def marginal_sigma(axis: np.ndarray, density: np.ndarray) -> float:
+    """Standard deviation of a sampled density (weights need not be normalized)."""
+    w = density / density.sum()
+    mean = float((w * axis).sum())
+    var = float((w * (axis - mean) ** 2).sum())
+    return math.sqrt(var)
+
+
+def _particle_one(grid: WaveGrid) -> tuple[float, float, float, float]:
+    """(mean_x1, var_x1, mean_k1, var_k1) from the sampled marginals, each
+    variance centred on its mean."""
+    moments = []
+    for axis, density in (position_marginal(grid), momentum_marginal(grid)):
+        moments += [float(density @ axis / density.sum()), marginal_sigma(axis, density) ** 2]
+    return tuple(moments)
+
+
 def reference_moments(grid: WaveGrid) -> MomentSet:
     """All first/second moments: positions by direct quadrature, wavenumbers
     spectrally, and symmetrized position-wavenumber cross terms via
@@ -181,7 +200,6 @@ def reference_moments(grid: WaveGrid) -> MomentSet:
         sym_x2k1=sym(x2, k1_psi, mean_x2, mean_k1),
         sym_x2k2=sym(x2, k2_psi, mean_x2, mean_k2),
     )
-
 
 
 def numeric_covariance_matrix(grid: WaveGrid) -> CovMatrix4:

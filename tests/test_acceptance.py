@@ -17,14 +17,7 @@ from localent.covariance import (
     simon_invariant,
     simon_invariant_closed_form,
 )
-from localent.oracle import (
-    evolve,
-    initial_grid,
-    marginal_sigma,
-    momentum_marginal,
-    numeric_covariance_matrix,
-    position_marginal,
-)
+from localent.oracle import _particle_one, evolve, initial_grid, numeric_covariance_matrix
 from localent.protocols import (
     HiddenScenario,
     ambiguity_time,
@@ -110,10 +103,9 @@ def test_criterion_4_oracle_agreement():
         assert cm_delta < 1e-4
         for t in (0.0, 0.5, 1.0, 2.0):
             grid = evolve(grid0, t) if t > 0 else grid0
-            x, dens = position_marginal(grid)
-            rel_dx = abs(marginal_sigma(x, dens) / position_dispersion(t, params) - 1.0)
-            k, kdens = momentum_marginal(grid)
-            rel_dp = abs(marginal_sigma(k, kdens) / momentum_dispersion(params) - 1.0)
+            _, var_x1, _, var_k1 = _particle_one(grid)
+            rel_dx = abs(math.sqrt(var_x1) / position_dispersion(t, params) - 1.0)
+            rel_dp = abs(math.sqrt(var_k1) / momentum_dispersion(params) - 1.0)
             drift = abs(grid.norm() - 1.0)
             worst_dx = max(worst_dx, rel_dx)
             worst_dp = max(worst_dp, rel_dp)
@@ -155,16 +147,13 @@ def test_criterion_6_mimicry_uniqueness():
     # grid oracle reproduces the same matching
     entangled = PairParams(a=width_from_momentum_dispersion(u, b), b=b)
     grid_ent = initial_grid(entangled, n=512, t_max=0.0)
-    x, dens = position_marginal(grid_ent)
-    target_x = marginal_sigma(x, dens)
-    k, kdens = momentum_marginal(grid_ent)
-    target_k = marginal_sigma(k, kdens)
+    _, var_x1, _, var_k1 = _particle_one(grid_ent)
+    target_x, target_k = math.sqrt(var_x1), math.sqrt(var_k1)
     grid_sep = initial_grid(PairParams(a=a_prime, b=INF), n=512, t_max=1.1 * t_match)
-    k, kdens = momentum_marginal(grid_sep)
-    assert abs(marginal_sigma(k, kdens) / target_k - 1.0) < 1e-4
+    assert abs(math.sqrt(_particle_one(grid_sep)[3]) / target_k - 1.0) < 1e-4
     for factor, should_match in ((0.9, False), (1.0, True), (1.1, False)):
-        x, dens = position_marginal(evolve(grid_sep, factor * t_match))
-        rel = abs(marginal_sigma(x, dens) / target_x - 1.0)
+        dx = math.sqrt(_particle_one(evolve(grid_sep, factor * t_match))[1])
+        rel = abs(dx / target_x - 1.0)
         assert (rel < 1e-4) if should_match else (rel > 1e-2)
     print(
         f"PASS criterion 6: mimicry unique at t = {t_match:.6f} "

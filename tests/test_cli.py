@@ -668,6 +668,22 @@ def test_nan_width_exits_2_naming_it(capsys):
     assert err == "error: anticorrelation width b must be positive (or math.inf), got nan\n"
 
 
+@pytest.mark.parametrize("kc", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # it once exited 3 as a grid that under-resolves the state
+        "oracle-check --a 1 --b 2",
+        # it once ran the whole batch, then exited 2 with the out-of-range line
+        "protocol --mode 2 --u 1.01 --b 1",
+    ],
+)
+def test_non_finite_kc_exits_2_naming_it(capsys, argv, kc):
+    code, out, err = run_cli(capsys, *argv.split(), f"--kc={kc}")
+    assert (code, out) == (2, "")
+    assert err == f"error: packet center wavenumber k_c must be finite, got {kc}\n"
+
+
 @pytest.mark.parametrize("t0", ["nan", "inf"])
 @pytest.mark.parametrize("mode", ["1", "2"])
 @pytest.mark.parametrize("noise", [["--noiseless"], ["--n-samples", "100"]])

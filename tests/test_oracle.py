@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import localent.oracle
+from localent.cli import ORACLE_COLUMNS, _oracle_row
 from localent.covariance import (
     covariance_matrix,
     entanglement_of_formation,
@@ -24,14 +25,11 @@ from localent.oracle import (
     default_extent,
     evolve,
     initial_grid,
-    marginal_sigma,
     moments,
-    momentum_marginal,
     numeric_covariance_matrix,
-    position_marginal,
 )
 from localent.oracle import ISOMETRY_LIMIT, RESIDUAL_LIMIT, _axis, _envelope_weight, _grid_envelope
-from localent.oracle import _row_weights, _support
+from localent.oracle import _particle_one, _row_weights, _support
 from localent.protocols import ambiguity_time, mimic_width, width_from_momentum_dispersion
 from localent.states import PairParams, momentum_dispersion, position_dispersion
 from localent.states import _envelope
@@ -332,11 +330,21 @@ def test_envelope_weight_in_o_n_matches_the_dense_sum(b):
     assert weight == pytest.approx(dense_weight, rel=1e-14, abs=0.0)
 
 
-def _fresh_momentum_marginal(grid: WaveGrid) -> np.ndarray:
-    """momentum_marginal's density from new transforms of the factors."""
-    phi = np.fft.fft(grid.left, axis=0) @ np.fft.fft(grid.right, axis=1)
-    density = np.sum(np.abs(phi) ** 2, axis=1)[np.argsort(grid.k_axis)]
-    return density / (density.sum() * 2.0 * math.pi / grid.extent)
+def _position_density(grid: WaveGrid) -> np.ndarray:
+    """Particle 1's position marginal on ``grid.axis``: its row weights times dx."""
+    return _row_weights(grid.left, grid._grams[1]) * grid.dx
+
+
+def _momentum_weights(grid: WaveGrid) -> np.ndarray:
+    """Particle 1's unnormalised momentum marginal in FFT order, from the
+    row weights of the cached spectra."""
+    return _row_weights(grid._spectra[0], grid._spectral_grams[1])
+
+
+def _widths(grid: WaveGrid) -> tuple[float, float]:
+    """The spreads of x1 and k1, as ``oracle-check`` takes them."""
+    _, var_x1, _, var_k1 = _particle_one(grid)
+    return math.sqrt(var_x1), math.sqrt(var_k1)
 
 
 @pytest.mark.parametrize("b,k_c", [(2.0, 0.5), (INF, -1.3), (0.5, 0.0)])
@@ -345,9 +353,9 @@ def test_cached_spectra_give_the_marginals_of_fresh_transforms(b, k_c):
     grid0 = initial_grid(PairParams(a=1.0, b=b, k_c=k_c), n=256, t_max=2.0)
     once = evolve(grid0, 1.0)
     for grid in (grid0, once, evolve(once, 1.0)):
-        density = momentum_marginal(grid)[1]
-        fresh = _fresh_momentum_marginal(grid)
-        assert np.max(np.abs(density - fresh)) <= 1e-13 * np.max(fresh)
+        phi = np.fft.fft(grid.left, axis=0) @ np.fft.fft(grid.right, axis=1)
+        fresh = np.sum(np.abs(phi) ** 2, axis=1)
+        assert np.max(np.abs(_momentum_weights(grid) - fresh)) <= 1e-13 * np.max(fresh)
 
 
 @pytest.mark.parametrize("b,k_c", [(2.0, 0.5), (INF, -1.3), (0.25, 0.0)])
@@ -359,16 +367,6 @@ def test_parseval_spectral_grams_match_the_grams_of_the_spectra(b, k_c):
         for parseval, direct in zip(grid._spectral_grams,
                                     (left_k.conj().T @ left_k, right_k @ right_k.conj().T)):
             assert np.max(np.abs(parseval - direct)) <= 1e-13 * np.max(np.abs(direct))
-
-
-def test_momentum_marginal_is_in_the_argsort_order_bit_for_bit():
-    grid = evolve(initial_grid(PairParams(a=1.0, b=0.5, k_c=0.7), n=256, t_max=1.0), 1.0)
-    k, density = momentum_marginal(grid)
-    order = np.argsort(grid.k_axis)
-    np.testing.assert_array_equal(k, grid.k_axis[order])
-    raw = _row_weights(grid._spectra[0], grid._spectral_grams[1])[order]
-    dk = 2.0 * math.pi / grid.extent
-    np.testing.assert_array_equal(density, raw / (raw.sum() * dk))
 
 
 def _isometry_defects(grid: WaveGrid) -> list[float]:
@@ -410,26 +408,40 @@ def test_diagonal_sums_match_the_dense_reference_at_high_rank(b, n, t_max, k_c):
     reference0 = dense.initial_grid(params, n=n, t_max=t_max)
     pairs = ((grid0, reference0), (evolve(grid0, t_max), dense.evolve(reference0, t_max)))
     for grid, reference in pairs:
-        for marginal in ("position_marginal", "momentum_marginal"):
-            axis, density = getattr(localent.oracle, marginal)(grid)
-            reference_axis, reference_density = getattr(dense, marginal)(reference)
-            np.testing.assert_array_equal(axis, reference_axis)
-            assert np.max(np.abs(density - reference_density)) <= 1e-13 * np.max(density)
+        axis, reference_density = dense.position_marginal(reference)
+        np.testing.assert_array_equal(grid.axis, axis)
+        reference_weights = np.sum(reference.spectral_density, axis=1)  # FFT order
+        for density, want in ((_position_density(grid), reference_density),
+                              (_momentum_weights(grid), reference_weights)):
+            assert np.max(np.abs(density - want)) <= 1e-13 * np.max(density)
         _assert_moments_match(moments(grid), reference_moments(reference))
 
 
-def _oracle_check(engine, params: PairParams, n: int, times: list[float]):
-    """The t = 0 grid, (dx_grid, dp_grid) at each time and cm_max_abs_delta,
-    as ``oracle-check`` computes them, through ``engine``'s functions."""
-    grid0 = engine.initial_grid(params, n=n, t_max=max(times))
-    widths = []
+def _particle_one_rows(engine, grid0, times) -> np.ndarray:
+    """(dx_grid, dp_grid, mean_x1, mean_k1) at each time, as ``oracle-check``
+    takes them, through ``engine``'s functions."""
+    rows = []
     for t in times:
         grid = engine.evolve(grid0, t) if t > 0 else grid0
-        widths.append((marginal_sigma(*engine.position_marginal(grid)),
-                       marginal_sigma(*engine.momentum_marginal(grid))))
+        mean_x1, var_x1, mean_k1, var_k1 = engine._particle_one(grid)
+        rows.append((math.sqrt(var_x1), math.sqrt(var_k1), mean_x1, mean_k1))
+    return np.array(rows)
+
+
+def _assert_rows_match(rows: np.ndarray, reference_rows: np.ndarray) -> None:
+    """Widths to 1e-12 relative, and centres to 1e-12 of the width, the
+    scale on which ``oracle-check`` judges them."""
+    np.testing.assert_allclose(rows[:, :2], reference_rows[:, :2], rtol=1e-12, atol=0.0)
+    assert np.all(np.abs(rows[:, 2:] - reference_rows[:, 2:]) <= 1e-12 * reference_rows[:, :2])
+
+
+def _oracle_check(engine, params: PairParams, n: int, times: list[float]):
+    """The t = 0 grid, ``_particle_one_rows`` and cm_max_abs_delta, as
+    ``oracle-check`` computes them, through ``engine``'s functions."""
+    grid0 = engine.initial_grid(params, n=n, t_max=max(times))
     analytic = covariance_matrix(params).matrix
     cm_delta = np.abs(engine.numeric_covariance_matrix(grid0).matrix - analytic).max()
-    return grid0, np.array(widths), cm_delta
+    return grid0, _particle_one_rows(engine, grid0, times), cm_delta
 
 
 @given(
@@ -455,13 +467,32 @@ def test_factored_engine_matches_the_dense_reference(a, log_ratio, k_c, n, times
     if isinstance(factored, str) or isinstance(reference, str):
         assert factored == reference
         return
-    grid0, widths, cm_delta = factored
-    reference0, reference_widths, reference_cm_delta = reference
+    grid0, rows, cm_delta = factored
+    reference0, reference_rows, reference_cm_delta = reference
     _assert_reconstructs(grid0, reference0.amplitudes)
-    np.testing.assert_allclose(widths, reference_widths, rtol=1e-12, atol=0.0)
+    _assert_rows_match(rows, reference_rows)
     # relative to the largest entry, which reaches ~270 at b = a/8
     scale = max(1.0, np.abs(covariance_matrix(params).matrix).max())
     assert abs(cm_delta - reference_cm_delta) <= 2e-14 * scale
+
+
+@pytest.mark.parametrize("b,n,k_c,times", [(2.0, 256, -1.3, (0.0, 0.5)),
+                                           (0.5, 256, 0.0, (0.0, 0.5)),
+                                           (INF, 256, 0.5, (0.0, 1.0)),
+                                           (2.0, 1024, 300.0, (0.0,)),
+                                           (2.0, 2048, 300.0, (0.0,))])
+def test_oracle_row_matches_the_dense_marginals_when_the_mean_dwarfs_the_spread(b, n, k_c, times):
+    # at k_c = 300 the mean of k1 is ~270 times its spread: E[k^2] - mean^2
+    # put dp_grid 5e-12 to 1.6e-11 off there, the centred variance ~1e-15
+    params = PairParams(a=1.0, b=b, k_c=k_c)
+    grid0 = initial_grid(params, n=n, t_max=max(times))
+    rows = _particle_one_rows(localent.oracle, grid0, times)
+    reference0 = dense.initial_grid(params, n=n, t_max=max(times))
+    _assert_rows_match(rows, _particle_one_rows(dense, reference0, times))
+    for t, (dx_grid, dp_grid, _, _) in zip(times, rows):
+        row = dict(zip(ORACLE_COLUMNS, _oracle_row(grid0, t)))
+        assert (row["dx_grid"], row["dp_grid"]) == (dx_grid, dp_grid)
+        assert row["pass"]
 
 
 @pytest.mark.parametrize("ratio", [0.5, 0.8, 1.2, 2.0, 2.9])
@@ -522,11 +553,9 @@ def test_nan_amplitudes_fail_the_leakage_guard():
 
 def test_quadrature_dispersion_examples():
     sep = initial_grid(PairParams(a=1.0, b=INF), n=512, t_max=1.0)
-    x, dens = position_marginal(evolve(sep, 1.0))
-    assert marginal_sigma(x, dens) == pytest.approx(math.sqrt(5.0) / 2.0, abs=1e-4)
+    assert _widths(evolve(sep, 1.0))[0] == pytest.approx(math.sqrt(5.0) / 2.0, abs=1e-4)
     ent = initial_grid(PairParams(a=1.0, b=2.0), n=512, t_max=1.0)
-    x, dens = position_marginal(evolve(ent, 1.0))
-    assert marginal_sigma(x, dens) == pytest.approx(1.20761472884912, abs=1e-4)
+    assert _widths(evolve(ent, 1.0))[0] == pytest.approx(1.20761472884912, abs=1e-4)
 
 
 def marginal_excess_kurtosis(axis: np.ndarray, density: np.ndarray) -> float:
@@ -545,11 +574,10 @@ def test_oracle_matches_closed_forms(a, b):
     grid0 = initial_grid(params, n=512, t_max=2.0)
     for t in (0.0, 0.5, 1.0, 2.0):
         grid = evolve(grid0, t) if t > 0 else grid0
-        x, dens = position_marginal(grid)
-        assert abs(marginal_sigma(x, dens) / position_dispersion(t, params) - 1.0) < 1e-3
-        k, kdens = momentum_marginal(grid)
-        assert abs(marginal_sigma(k, kdens) / momentum_dispersion(params) - 1.0) < 1e-3
-        assert abs(marginal_excess_kurtosis(x, dens)) < 1e-3
+        dx, dp = _widths(grid)
+        assert abs(dx / position_dispersion(t, params) - 1.0) < 1e-3
+        assert abs(dp / momentum_dispersion(params) - 1.0) < 1e-3
+        assert abs(marginal_excess_kurtosis(grid.axis, _position_density(grid))) < 1e-3
         assert abs(grid.norm() - 1.0) < 1e-10
 
 
@@ -559,7 +587,7 @@ def test_marginal_density_is_gaussian_pointwise(t):
     grid = initial_grid(params, n=512, t_max=1.0)
     if t > 0:
         grid = evolve(grid, t)
-    x, dens = position_marginal(grid)
+    x, dens = grid.axis, _position_density(grid)
     sigma = position_dispersion(t, params)
     z = (x - params.k_c * t) / sigma
     reference = np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
@@ -609,15 +637,15 @@ def test_numeric_covariance_matrix_separable():
 
 def test_marginal_sigma_examples():
     grid = initial_grid(PairParams(a=1.0, b=2.0), n=512, extent=24.0)
-    x, dens = position_marginal(grid)
-    assert marginal_sigma(x, dens) == pytest.approx(0.45643546, abs=1e-4)
-    assert np.sum(dens) * grid.dx == pytest.approx(1.0, abs=1e-6)
-    k, kdens = momentum_marginal(grid)
-    assert marginal_sigma(k, kdens) == pytest.approx(1.1180340, abs=1e-4)
-    assert np.sum(kdens) * (k[1] - k[0]) == pytest.approx(1.0, abs=1e-6)
+    dx, dp = _widths(grid)
+    assert dx == pytest.approx(0.45643546, abs=1e-4)
+    assert np.sum(_position_density(grid)) * grid.dx == pytest.approx(1.0, abs=1e-6)
+    assert dp == pytest.approx(1.1180340, abs=1e-4)
+    # Parseval: the spectra's weights sum to n^2 times the amplitudes'
+    momentum_mass = np.sum(_momentum_weights(grid)) * (grid.dx / grid.n) ** 2
+    assert momentum_mass == pytest.approx(1.0, abs=1e-6)
     sep = initial_grid(PairParams(a=1.0, b=INF), n=512, extent=16.0)
-    k, kdens = momentum_marginal(sep)
-    assert marginal_sigma(k, kdens) == pytest.approx(1.0, abs=1e-4)
+    assert _widths(sep)[1] == pytest.approx(1.0, abs=1e-4)
 
 
 def test_mimicry_on_the_grid():
@@ -626,19 +654,14 @@ def test_mimicry_on_the_grid():
     entangled = PairParams(a=width_from_momentum_dispersion(u, b), b=b)
     mimic = PairParams(a=mimic_width(u), b=INF)
     grid_ent = initial_grid(entangled, n=512, t_max=0.0)
-    x, dens = position_marginal(grid_ent)
-    target_x = marginal_sigma(x, dens)
-    k, kdens = momentum_marginal(grid_ent)
-    target_k = marginal_sigma(k, kdens)
+    target_x, target_k = _widths(grid_ent)
 
     grid_sep = initial_grid(mimic, n=512, t_max=1.5 * t_match)
-    k, kdens = momentum_marginal(grid_sep)
-    assert abs(marginal_sigma(k, kdens) / target_k - 1.0) < 1e-4  # holds at all times
+    assert abs(_widths(grid_sep)[1] / target_k - 1.0) < 1e-4  # holds at all times
 
     for factor, should_match in [(0.5, False), (0.9, False), (1.0, True), (1.1, False), (1.5, False)]:
         evolved = evolve(grid_sep, factor * t_match)
-        x, dens = position_marginal(evolved)
-        rel = abs(marginal_sigma(x, dens) / target_x - 1.0)
+        rel = abs(_widths(evolved)[0] / target_x - 1.0)
         if should_match:
             assert rel < 1e-4
         else:

@@ -26,6 +26,9 @@ CLOSED_FORMS_REMOVED = {
     "states": ("GaussianDensity", "marginal_position", "marginal_momentum", "drift_velocity",
                "spreading_factor"),
 }
+# oracle-check's second route to particle 1's widths and centres: sampled
+# marginals, their spread and their mean, where the moments already had them
+MARGINALS_REMOVED = ("position_marginal", "momentum_marginal", "marginal_sigma")
 
 
 @pytest.mark.parametrize("layer", ["states", "covariance", "protocols", "oracle"])
@@ -61,6 +64,15 @@ def test_unused_closed_forms_are_gone(layer):
         assert not hasattr(module, name), name
         assert not hasattr(localent, name), name
         assert name not in module.__all__
+
+
+def test_marginal_path_is_gone():
+    oracle = importlib.import_module("localent.oracle")
+    for name in MARGINALS_REMOVED:
+        assert not hasattr(oracle, name), name
+        assert not hasattr(localent, name), name
+        assert name not in oracle.__all__
+    assert not hasattr(importlib.import_module("localent.cli"), "_mean")
 
 
 def test_readme_library_example_runs():

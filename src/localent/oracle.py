@@ -7,14 +7,19 @@ rank: ``evolve`` applies the exact free propagator as a phase in Fourier
 space, with no 2-D transform and no time-stepping error.  Each grid keeps
 its factors' 1-D transforms once they are taken, so an evolution is the
 phase times the cached spectra and one inverse transform per factor, and
-the evolved grid keeps those products as its own spectra.
+the evolved grid keeps those products as its own spectra.  The t = 0 grid
+is real on its support (below): its Grams are real, its right spectra are
+its left ones at -k, and its moments take one inverse transform, so a
+check at four times makes 8 1-D transform calls.
 
 The factors are a Schmidt decomposition: ``left``'s columns are orthonormal
 and ``right``'s rows orthogonal, and the unitary evolution keeps both.  So
 each quantity of one particle (row and column weights, edge leakage, means,
 variances, <x1 k1>, <x2 k2>) is an O(n r) diagonal sum, as in
 sum_j |psi_ij|^2 = sum_a |L_ia|^2 (R R^H)_aa; only <x1 x2>, <k1 k2>,
-<x1 k2> and <x2 k1> trace two weighted r x r Grams, in O(n r^2).  The unweighted Grams G, taken once
+<x1 k2> and <x2 k1> trace two weighted r x r Grams, in O(n r^2), each
+weighted by its own particle's offsets from its mean, so that the cross
+moments come out centred.  The unweighted Grams G, taken once
 per grid (the spectra's are n times them, by Parseval), give the norm
 tr(G_L G_R) and the isometry defect, the largest off-diagonal |G_ab| over
 the largest G_cc, which ``initial_grid`` and ``evolve`` hold to
@@ -30,9 +35,9 @@ The sampled amplitude is psi[i, j] = c p_i E[i, j] conj(p_j): c is the
 renormalized constant, p = exp(i k_c x) the packet phase with |p_i| = 1,
 and E the real, symmetric envelope.  A diagonal unitary changes no
 singular value, so psi's Schmidt factors are E's with the phase moved onto
-them: left = diag(p) U and right = c S U^T diag(conj p), and the whole
-factorisation runs in real arithmetic.  E is a centre-of-mass Gaussian of
-x1 + x2 times a relative-coordinate Gaussian of x1 - x2: on the uniform
+them: left = diag(p) U and right = c S U^T diag(conj p) = c S left^H, and
+the whole factorisation runs in real arithmetic.  E is a centre-of-mass
+Gaussian of x1 + x2 times a relative-coordinate Gaussian of x1 - x2: on the uniform
 axis a Hankel matrix H of 2n - 1 sums times a Toeplitz matrix T of n
 differences, 4n exponentials in all.  E is never formed whole: H and T are
 read-only sliding-window views of those exponentials, and each entry, row
@@ -56,7 +61,10 @@ thin SVD L = U S V^T then gives E's eigenvectors U (0 off S) and Schmidt
 values S^2 (Ekert & Knight, Am. J. Phys. 63, 415 (1995)), and the weakest
 modes are dropped while the total error stays within half that limit.
 Nothing is random, and no array of the factorisation is larger than
-O(n r).
+O(n r).  The t = 0 grid keeps U and c S: |p_i| = 1, so every position
+Gram is a real sum over the support rows, and right = c S left^H makes
+its spectra and k-weighted Gram left's at -k, but for the Nyquist bin,
+which is its own -k and is added on its own.
 
 Conventions: psi[i, j] = psi(x1_i, x2_j) on the uniform axis [-L/2, L/2)
 with n points; wavenumbers follow numpy's FFT ordering.
@@ -65,7 +73,7 @@ with n points; wavenumbers follow numpy's FFT ordering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -103,8 +111,10 @@ class WaveGrid:
     (r x n) particle 2's as rows, weighted by the singular values.
     ``schmidt`` holds the r Schmidt coefficients of the sampled state: the
     singular values of psi times dx, whose squares sum to its norm.  All
-    three are read-only, and so are the spectra and Grams that a grid
-    caches the first time they are needed.
+    three are read-only, and so are the axes, spectra and Grams that a grid
+    caches the first time they are needed.  ``initial_grid`` alone sets
+    ``_modes``: (U, scale, rows) with U real, left = diag(p) U on the
+    support rows and 0 off them, and right = diag(scale) left^H.
     """
 
     n: int
@@ -114,18 +124,19 @@ class WaveGrid:
     left: np.ndarray
     right: np.ndarray
     schmidt: np.ndarray
+    _modes: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def dx(self) -> float:
         return self.extent / self.n
 
-    @property
+    @cached_property
     def axis(self) -> np.ndarray:
-        return _axis(self.n, self.extent)
+        return _read_only(_axis(self.n, self.extent))
 
-    @property
+    @cached_property
     def k_axis(self) -> np.ndarray:
-        return 2.0 * math.pi * np.fft.fftfreq(self.n, d=self.dx)
+        return _read_only(2.0 * math.pi * np.fft.fftfreq(self.n, d=self.dx))
 
     def norm(self) -> float:
         """Quadrature of |psi|^2 over the plane; 1 up to grid error."""
@@ -134,14 +145,26 @@ class WaveGrid:
     @cached_property
     def _spectra(self) -> tuple[np.ndarray, np.ndarray]:
         """The 1-D transforms of ``left``'s columns and ``right``'s rows,
-        taken once per grid; ``evolve`` hands the evolved grid its own."""
-        return (_read_only(np.fft.fft(self.left, axis=0)),
-                _read_only(np.fft.fft(self.right, axis=1)))
+        taken once per grid; ``evolve`` hands the evolved grid its own.  At
+        t = 0, right = diag(scale) left^H, so its spectra are left's at -k,
+        conjugated and scaled, with no second transform."""
+        left_k = np.fft.fft(self.left, axis=0)
+        if self._modes is None:
+            right_k = np.fft.fft(self.right, axis=1)
+        else:
+            right_k = (left_k[-np.arange(self.n)].conj() * self._modes[1]).T
+        return _read_only(left_k), _read_only(right_k)
 
     @cached_property
     def _grams(self) -> tuple[np.ndarray, np.ndarray]:
-        """The unweighted Grams left^H left and right right^H: the norm and the isometry."""
-        return _read_only(_left_gram(self.left)), _read_only(_right_gram(self.right))
+        """The unweighted Grams left^H left and right right^H: the norm and
+        the isometry.  At t = 0 they are real: G = U^T U over the support
+        rows, and diag(scale) G diag(scale)."""
+        if self._modes is None:
+            return _read_only(_left_gram(self.left)), _read_only(_right_gram(self.right))
+        u, scale, _ = self._modes
+        gram = u.T @ u
+        return _read_only(gram), _read_only(scale[:, None] * gram * scale)
 
     @cached_property
     def _spectral_grams(self) -> tuple[np.ndarray, np.ndarray]:
@@ -269,13 +292,14 @@ def _peak_bytes(n: int, rows: int, capacity: int) -> int:
     residual's two row blocks (2 ROW_BLOCK m words), or the SVD of the
     skeleton's columns (LAPACK's copy of them, its and numpy's left
     singular vectors and c x c work arrays, 3mc + 9c^2 words).  After it:
-    the m x c singular vectors and the two zero-padded complex n x c
-    factors (mc + 4nc words), and the Grams' conjugate copy of one factor
-    beside two complex c x c Grams (2nc + 4c^2, room for the isometry check)."""
+    the m x c singular vectors, which the grid keeps as its real modes U,
+    the two zero-padded complex n x c factors (mc + 4nc words), and the
+    real c x c Grams U^T U and diag(scale) U^T U diag(scale) beside their
+    temporaries and the isometry check's copy (4c^2); no factor is copied."""
     m, c = rows, capacity
     vectors = 16 * n + 2 * np.getbufsize()
     factorising = m * c + max(2 * ROW_BLOCK * m, 3 * m * c + 9 * c * c)
-    factored = m * c + 4 * n * c + 2 * n * c + 4 * c * c
+    factored = m * c + 4 * n * c + 4 * c * c
     return 8 * (vectors + max(factorising, factored))
 
 
@@ -491,13 +515,15 @@ def initial_grid(
     # has E's Schmidt factors with the phase moved onto them, and renormalized
     # it has E's singular values over ||E|| dx; both factors are 0 off the rows
     norm = math.sqrt(weight)
+    scale = s / (norm * (extent / n))
     left = np.zeros((n, len(s)), dtype=complex)
     np.multiply(phase[rows, None], u, out=left[rows])
     right = np.zeros((len(s), n), dtype=complex)
     np.multiply(u.T, phase[rows].conj(), out=right[:, rows])
-    right[:, rows] *= (s / (norm * (extent / n)))[:, None]
+    right[:, rows] *= scale[:, None]
     grid = WaveGrid(n=n, extent=extent, params=params, t=0.0, left=_read_only(left),
                     right=_read_only(right), schmidt=_read_only(s / norm))
+    vars(grid)["_modes"] = _read_only(u), _read_only(scale), rows
     return _checked(grid, "initial packet touches the boundary (leakage {leak:.2e})")
 
 
@@ -524,7 +550,7 @@ def evolve(grid: WaveGrid, t: float) -> WaveGrid:
     out = WaveGrid(n=grid.n, extent=grid.extent, params=grid.params, t=grid.t + t,
                    left=_read_only(np.fft.ifft(left_k, axis=0)),
                    right=_read_only(np.fft.ifft(right_k, axis=1)), schmidt=grid.schmidt)
-    vars(out)["_spectra"] = left_k, right_k  # the cached property, filled in
+    vars(out).update(axis=grid.axis, k_axis=k, _spectra=(left_k, right_k))  # cached, filled in
     return _checked(out, "packet reached the grid boundary at t = {t:g} "
                          "(leakage {leak:.2e}); enlarge the extent")
 
@@ -552,30 +578,52 @@ def moments(grid: WaveGrid) -> MomentSet:
     """All first/second moments: positions from the factors, wavenumbers from
     their cached 1-D transforms, and symmetrized position-wavenumber cross
     terms via Re <psi| x (k psi)> (the real part is exactly the symmetrized
-    product), whose k psi takes one inverse transform per factor.  Each
-    quantity of one particle is a diagonal sum over the other factor's
-    Gram; each cross term is the trace of two weighted r x r Grams."""
+    product).  Each quantity of one particle is a diagonal sum over the
+    other factor's Gram; each cross term is the trace of two r x r Grams,
+    each weighted by its own particle's offsets x - mean or k - mean, so no
+    product of means cancels where a mean dwarfs the spread.  k1 psi takes
+    one inverse transform of the left spectra.
+
+    At t = 0, with left = diag(p) U and right = diag(scale) left^H
+    (``WaveGrid._modes``), the position Grams are real sums over the support
+    rows, and particle 2's k-weighted Gram and k2 psi are particle 1's taken
+    at k -> -k, plus the Nyquist bin, which is its own -k: no second k Gram
+    and no second inverse transform."""
     x, k = grid.axis, grid.k_axis
-    left, right = grid.left, grid.right
     left_k, right_k = grid._spectra
     (l1, r1), (sl1, sr1) = grid._grams, grid._spectral_grams
     norm, spectral_norm = _trace(l1, r1), _trace(sl1, sr1)
     mean_x1, var_x1, mean_k1, var_k1 = _particle_one(grid)
-    mean_x2, var_x2 = _weighted_moments(_column_weights(right, l1), x)
+    mean_x2, var_x2 = _weighted_moments(_column_weights(grid.right, l1), x)
     mean_k2, var_k2 = _weighted_moments(_column_weights(right_k, sl1), k)
-    lx, rx = _left_gram(left, x), _right_gram(right, x)
-    cov_x1x2 = _trace(lx, rx) / norm - mean_x1 * mean_x2
-    k1k2 = _trace(_left_gram(left_k, k), _right_gram(right_k, k))
-    cov_k1k2 = k1k2 / spectral_norm - mean_k1 * mean_k2
-    # k1 psi = k1_left @ right and k2 psi = left @ k2_right
-    k1_left = np.fft.ifft(left_k * k[:, None], axis=0)
-    k2_right = np.fft.ifft(right_k * k, axis=1)
-    x1k1 = float((x @ (left.conj() * k1_left)).real @ r1.diagonal().real)
-    x2k2 = float(l1.diagonal().real @ ((k2_right * right.conj()) @ x).real)
-    sym_x1k1 = x1k1 / norm - mean_x1 * mean_k1
-    sym_x1k2 = _trace(lx, _right_gram(right, other=k2_right)) / norm - mean_x1 * mean_k2
-    sym_x2k1 = _trace(_left_gram(left, other=k1_left), rx) / norm - mean_x2 * mean_k1
-    sym_x2k2 = x2k2 / norm - mean_x2 * mean_k2
+    rows = slice(None) if grid._modes is None else grid._modes[2]
+    left, right = grid.left[rows], grid.right[:, rows]
+    x1, x2, k1, k2 = x[rows] - mean_x1, x[rows] - mean_x2, k - mean_k1, k - mean_k2
+    lk = _left_gram(left_k, k1)
+    # k1 psi = k1_left @ right and k2 psi = left @ k2_right; each meets left or
+    # right, which are 0 off the rows, so only its rows are kept
+    k1_left = np.fft.ifft(left_k * k1[:, None], axis=0)[rows]
+    if grid._modes is None:
+        lx, rx, rk = _left_gram(left, x1), _right_gram(right, x2), _right_gram(right_k, k2)
+        k2_right = np.fft.ifft(right_k * k2, axis=1)
+    else:
+        u, scale, _ = grid._modes
+        lx = (u.T * x1) @ u
+        scales = np.outer(scale, scale)  # right's Grams are scale (U^T diag(w) U) scale
+        rx = scales * (lx + (mean_x1 - mean_x2) * l1)
+        # at -k, k2's offsets are -k1 - shift, but 2 k_N more at the Nyquist bin N,
+        # so rk and k2 psi follow from lk and k1_left
+        shift, nyquist, k_n = mean_k1 + mean_k2, left_k[grid.n // 2], k[grid.n // 2]
+        rk = scales * (2.0 * k_n * np.outer(nyquist.conj(), nyquist) - lk - shift * sl1)
+        sign = 1.0 - 2.0 * (np.arange(grid.n)[rows] % 2)  # exp(2 pi i j N / n)
+        mirrored = (2.0 * k_n / grid.n) * np.outer(sign, nyquist) - k1_left - shift * left
+        k2_right = mirrored.conj().T * scale[:, None]
+    cov_x1x2 = _trace(lx, rx) / norm
+    cov_k1k2 = _trace(lk, rk) / spectral_norm
+    sym_x1k1 = float((x1 @ (left.conj() * k1_left)).real @ r1.diagonal().real) / norm
+    sym_x2k2 = float(l1.diagonal().real @ ((k2_right * right.conj()) @ x2).real) / norm
+    sym_x1k2 = _trace(lx, _right_gram(right, other=k2_right)) / norm
+    sym_x2k1 = _trace(_left_gram(left, other=k1_left), rx) / norm
     return MomentSet(mean_x1, mean_x2, mean_k1, mean_k2, var_x1, var_x2, cov_x1x2,
                      var_k1, var_k2, cov_k1k2, sym_x1k1, sym_x1k2, sym_x2k1, sym_x2k2)
 

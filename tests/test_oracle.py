@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import localent.oracle
-from localent.cli import ORACLE_COLUMNS, _oracle_row
+from localent.cli import ORACLE_COLUMNS, _oracle_row, main
 from localent.covariance import (
     covariance_matrix,
     entanglement_of_formation,
@@ -367,6 +367,70 @@ def test_parseval_spectral_grams_match_the_grams_of_the_spectra(b, k_c):
         for parseval, direct in zip(grid._spectral_grams,
                                     (left_k.conj().T @ left_k, right_k @ right_k.conj().T)):
             assert np.max(np.abs(parseval - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+def test_grid_axes_are_cached_read_only_and_handed_on():
+    grid0 = initial_grid(PairParams(a=1.0, b=2.0, k_c=0.5), n=256, t_max=1.0)
+    evolved = evolve(grid0, 1.0)
+    for grid in (grid0, evolved):
+        np.testing.assert_array_equal(grid.axis, _axis(grid.n, grid.extent))
+        np.testing.assert_array_equal(grid.k_axis, 2.0 * math.pi * np.fft.fftfreq(grid.n, grid.dx))
+        assert not grid.axis.flags.writeable and not grid.k_axis.flags.writeable
+    assert evolved.axis is grid0.axis and evolved.k_axis is grid0.k_axis
+
+
+# b = 2, k_c = 25 at n = 64 puts ~2% of the spectral weight in the Nyquist
+# bin, which has no -k partner: without its explicit term the moments miss
+@pytest.mark.parametrize("b,k_c,n,t_max",
+                         [(b, k_c, 512, 0.25) for b in (INF, 2.0, 0.5, 0.25, 0.125)
+                          for k_c in (-1.3, 0.0, 0.5)] + [(2.0, 25.0, 64, 0.0)])
+def test_the_real_t0_path_matches_the_complex_computation(b, k_c, n, t_max):
+    params = PairParams(a=1.0, b=b, k_c=k_c)
+    grid = initial_grid(params, n=n, t_max=t_max)
+    complex_grid = dataclasses.replace(grid)  # the same factors, with no real modes
+    assert grid._modes is not None and complex_grid._modes is None
+    left, right = grid.left, grid.right
+    grams = left.conj().T @ left, right @ right.conj().T
+    spectra = np.fft.fft(left, axis=0), np.fft.fft(right, axis=1)
+    for derived, direct in zip(grid._grams + grid._spectra, grams + spectra):
+        assert np.max(np.abs(derived - direct)) <= 1e-14 * np.max(np.abs(direct))
+    if k_c == 25.0:
+        weights = np.abs(spectra[0]) ** 2 @ grams[1].diagonal().real
+        assert weights[n // 2] > 1e-2 * weights.sum()
+    scale = max(1.0, np.abs(covariance_matrix(params).matrix).max())
+    got, want = moments(grid), moments(complex_grid)
+    for field in dataclasses.fields(MomentSet):
+        value, reference = getattr(got, field.name), getattr(want, field.name)
+        assert abs(value - reference) <= 1e-13 * scale, field.name
+
+
+@pytest.mark.parametrize("k_c", [0.0, 300.0])
+def test_centred_cross_moments_match_the_closed_form_where_the_mean_dwarfs_the_spread(k_c):
+    # at k_c = 300, k1 k2 - mean_k1 mean_k2 put gamma's k1k2 entry 1.5e-10 off; the
+    # extent is 1.5 times the default, whose edge truncation alone moves var_k
+    # by ~1e-11 at n = 2048
+    params = PairParams(a=1.0, b=2.0, k_c=k_c)
+    grid = initial_grid(params, n=2048, extent=1.5 * default_extent(params))
+    analytic = covariance_matrix(params).matrix
+    delta = np.abs(numeric_covariance_matrix(grid).matrix - analytic).max()
+    assert delta <= 1e-13 * max(1.0, np.abs(analytic).max())
+
+
+def test_a_four_time_oracle_check_makes_8_transform_calls(monkeypatch, capsys):
+    # one forward transform at t = 0, two inverse ones per evolution and one
+    # for k1 psi in the t = 0 moments
+    calls = []
+    for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft"):
+        def counted(*args, _transform=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    code = main(["oracle-check", "--a", "1", "--b", "2", "--kc", "0.8",
+                 "--times", "0,0.5,1,2", "--grid-n", "256"])
+    capsys.readouterr()
+    assert code == 0
+    assert sorted(calls) == ["fft"] + ["ifft"] * 7
 
 
 def _isometry_defects(grid: WaveGrid) -> list[float]:

@@ -76,7 +76,10 @@ class CovMatrix4:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.block([[self.A, self.C], [self.C.T, self.B]])
+        gamma = np.empty((4, 4))
+        gamma[:2, :2], gamma[:2, 2:] = self.A, self.C
+        gamma[2:, :2], gamma[2:, 2:] = self.C.T, self.B
+        return gamma
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,17 @@ Schmidt factors, psi = left @ right with left n x r and right r x n.  Free
 evolution is U (x) U, so it acts on each factor alone and never changes the
 rank: ``evolve`` applies the exact free propagator as a phase in Fourier
 space, with no 2-D transform and no time-stepping error.  Each grid keeps
-its factors' 1-D transforms once they are taken, so an evolution is the
-phase times the cached spectra and one inverse transform per factor, and
-the evolved grid keeps those products as its own spectra.  The t = 0 grid
-is real on its support (below): its Grams are real, its right spectra are
-its left ones at -k, and its moments take one inverse transform, so a
-check at four times makes 8 1-D transform calls.
+its factors' 1-D transforms once they are taken.  An evolution writes the
+phase times both cached spectra, side by side, into one n x 2r buffer and
+transforms it in place; the evolved factors are read-only views of that
+buffer, and ``oracle-check`` hands the same buffer to every time it
+evolves to.  The transform overwrites the phased spectra, so an evolved
+grid keeps none.  It inherits its parent's spectral power |left_k|^2
+instead: the phase has unit modulus, so that power is unchanged, and it is
+all that particle 1's wavenumber moments need of the spectra.  The t = 0
+grid is real on its support (below): its Grams are real, its right spectra
+are its left ones at -k, and its moments take one inverse transform, so a
+check at four times makes 5 1-D transform calls.
 
 The factors are a Schmidt decomposition: ``left``'s columns are orthonormal
 and ``right``'s rows orthogonal, and the unitary evolution keeps both.  So
@@ -23,10 +28,13 @@ moments come out centred.  The unweighted Grams G, taken once
 per grid (the spectra's are n times them, by Parseval), give the norm
 tr(G_L G_R) and the isometry defect, the largest off-diagonal |G_ab| over
 the largest G_cc, which ``initial_grid`` and ``evolve`` hold to
-ISOMETRY_LIMIT.  A diagonal sum drops the terms A_ab G_ba, a != b, of one
-factor's Gram A weighted by w and the other's G; |A_ab| <= (B_aa + B_bb) / 2
-for B weighted by |w|, so together they weigh at most
-(r - 1) ISOMETRY_LIMIT max_c G_cc tr(B), which over all the rows or
+ISOMETRY_LIMIT.  Every Gram of complex factors is one real product of
+their float views, with no conjugate copy: each factor is held with its n
+axis first and its r columns contiguous (``right`` as the transpose of
+such an array), so that view is free.  A diagonal sum drops the terms
+A_ab G_ba, a != b, of one factor's Gram A weighted by w and the other's G;
+|A_ab| <= (B_aa + B_bb) / 2 for B weighted by |w|, so together they weigh
+at most (r - 1) ISOMETRY_LIMIT max_c G_cc tr(B), which over all the rows or
 columns is ~r (r - 1) ISOMETRY_LIMIT of the norm.  Nothing here reuses the
 closed-form dispersions, which is what makes these numbers an independent
 check of them.
@@ -114,7 +122,9 @@ class WaveGrid:
     three are read-only, and so are the axes, spectra and Grams that a grid
     caches the first time they are needed.  ``initial_grid`` alone sets
     ``_modes``: (U, scale, rows) with U real, left = diag(p) U on the
-    support rows and 0 off them, and right = diag(scale) left^H.
+    support rows and 0 off them, and right = diag(scale) left^H.  An evolved
+    grid's factors are views of a buffer that ``oracle-check`` overwrites
+    at its next time, so there the grid lives only until then.
     """
 
     n: int
@@ -145,15 +155,26 @@ class WaveGrid:
     @cached_property
     def _spectra(self) -> tuple[np.ndarray, np.ndarray]:
         """The 1-D transforms of ``left``'s columns and ``right``'s rows,
-        taken once per grid; ``evolve`` hands the evolved grid its own.  At
-        t = 0, right = diag(scale) left^H, so its spectra are left's at -k,
+        taken once per grid, each held as its factor is.  At t = 0,
+        right = diag(scale) left^H, so its spectra are left's at -k,
         conjugated and scaled, with no second transform."""
         left_k = np.fft.fft(self.left, axis=0)
         if self._modes is None:
-            right_k = np.fft.fft(self.right, axis=1)
+            right_k = np.fft.fft(self.right.T, axis=0).T
         else:
             right_k = (left_k[-np.arange(self.n)].conj() * self._modes[1]).T
         return _read_only(left_k), _read_only(right_k)
+
+    @cached_property
+    def _spectral_power(self) -> np.ndarray:
+        """|left_k|^2, the n x r row factor of particle 1's wavenumber
+        weights.  The free propagator is a phase of unit modulus in k, so
+        ``evolve`` hands it on, and an evolved grid, which keeps no spectra,
+        needs no transform for it."""
+        left_k = self._spectra[0]
+        power = np.square(left_k.real)
+        power += np.square(left_k.imag)
+        return _read_only(power)
 
     @cached_property
     def _grams(self) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +182,7 @@ class WaveGrid:
         the isometry.  At t = 0 they are real: G = U^T U over the support
         rows, and diag(scale) G diag(scale)."""
         if self._modes is None:
-            return _read_only(_left_gram(self.left)), _read_only(_right_gram(self.right))
+            return _read_only(_gram(self.left)), _read_only(_gram(self.right.T).T)
         u, scale, _ = self._modes
         gram = u.T @ u
         return _read_only(gram), _read_only(scale[:, None] * gram * scale)
@@ -169,8 +190,7 @@ class WaveGrid:
     @cached_property
     def _spectral_grams(self) -> tuple[np.ndarray, np.ndarray]:
         """The unweighted Grams of the spectra, n times ``_grams`` by
-        Parseval: each spectrum is the unnormalised DFT of its factor (an
-        evolved grid's, before the inverse transform that gives the factor)."""
+        Parseval: each spectrum is the unnormalised DFT of its factor."""
         left, right = self._grams
         return _read_only(self.n * left), _read_only(self.n * right)
 
@@ -186,22 +206,31 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _left_gram(left: np.ndarray, weights=None, other: np.ndarray | None = None) -> np.ndarray:
-    """The r x r matrix left^H diag(weights) other of n x r factors; no
-    ``weights`` means all ones, and ``other`` defaults to ``left``."""
-    conj = left.conj().T
-    if weights is not None:
-        conj = conj * weights
-    return conj @ (left if other is None else other)
+def _gram(a: np.ndarray, weights=None, b: np.ndarray | None = None) -> np.ndarray:
+    """The r x r matrix a^H diag(weights) b of n x r complex factors; no
+    ``weights`` means all ones, and ``b`` defaults to ``a``.  For r x n
+    factors R and S, S diag(w) R^H is ``_gram(R.T, w, S.T).T``.
+
+    One real product of the factors' float views, whose columns are the
+    real and imaginary parts of each complex column side by side: each
+    entry is the sum of its real-real and imaginary-imaginary terms, plus i
+    times the difference of its two mixed ones.  No conjugate copy
+    is made, and the unweighted ``a^T a`` is a symmetric product."""
+    real_a = _float_view(a)
+    real_b = real_a if b is None else _float_view(b)
+    block = (real_a.T if weights is None else real_a.T * weights) @ real_b
+    gram = np.empty((block.shape[0] // 2, block.shape[1] // 2), dtype=complex)
+    gram.real = block[0::2, 0::2] + block[1::2, 1::2]
+    gram.imag = block[0::2, 1::2] - block[1::2, 0::2]
+    return gram
 
 
-def _right_gram(right: np.ndarray, weights=None, other: np.ndarray | None = None) -> np.ndarray:
-    """The r x r matrix other diag(weights) right^H of r x n factors; no
-    ``weights`` means all ones, and ``other`` defaults to ``right``."""
-    other = right if other is None else other
-    if weights is not None:
-        other = other * weights
-    return other @ right.conj().T
+def _float_view(factor: np.ndarray) -> np.ndarray:
+    """An n x r complex factor as n x 2r floats: a view when its columns
+    are contiguous, as the grids hold them, else a contiguous copy."""
+    if factor.strides[1] != factor.itemsize:
+        factor = np.ascontiguousarray(factor)
+    return factor.view(np.float64)
 
 
 def _trace(left_gram: np.ndarray, right_gram: np.ndarray) -> float:
@@ -518,11 +547,11 @@ def initial_grid(
     scale = s / (norm * (extent / n))
     left = np.zeros((n, len(s)), dtype=complex)
     np.multiply(phase[rows, None], u, out=left[rows])
-    right = np.zeros((len(s), n), dtype=complex)
-    np.multiply(u.T, phase[rows].conj(), out=right[:, rows])
-    right[:, rows] *= scale[:, None]
+    right = np.zeros((n, len(s)), dtype=complex)  # held transposed, as evolve holds it
+    np.multiply(u, phase[rows, None].conj(), out=right[rows])
+    right[rows] *= scale
     grid = WaveGrid(n=n, extent=extent, params=params, t=0.0, left=_read_only(left),
-                    right=_read_only(right), schmidt=_read_only(s / norm))
+                    right=_read_only(right.T), schmidt=_read_only(s / norm))
     vars(grid)["_modes"] = _read_only(u), _read_only(scale), rows
     return _checked(grid, "initial packet touches the boundary (leakage {leak:.2e})")
 
@@ -533,24 +562,38 @@ def evolve(grid: WaveGrid, t: float) -> WaveGrid:
     The phase exp(-i (k1^2 + k2^2) t / 2) is the outer product of one
     n-vector with itself, so each factor takes it alone: ``grid``'s cached
     spectra (the 1-D transforms of ``left``'s r columns and ``right``'s r
-    rows, taken once per grid) times the phase, then one inverse transform
-    per factor.  The products are kept as the evolved grid's spectra, so
-    its moments and later evolutions transform nothing forward.
-    The Schmidt values do not change.  Unitary up to roundoff, so the norm
-    and the factors' orthogonality hold to ~1e-15 per call.  Raises when the
-    evolved packet reaches the grid boundary or fails the isometry check.
+    rows, taken once per grid) times the phase, written side by side into
+    a fresh n x 2r buffer, then one inverse transform of that buffer in
+    place.  The evolved factors are read-only views of it, and the evolved
+    grid inherits ``grid``'s axes and spectral power |left_k|^2; it keeps
+    no spectra, so its own moments or a later evolution from it transform
+    forward again.  The Schmidt values do not change.  Unitary up to
+    roundoff, so the norm and the factors' orthogonality hold to ~1e-15
+    per call.  Raises when the evolved packet reaches the grid boundary or
+    fails the isometry check.
     """
+    return _evolve(grid, t, np.empty((grid.n, 2 * grid.schmidt.size), dtype=complex))
+
+
+def _evolve(grid: WaveGrid, t: float, buffer: np.ndarray) -> WaveGrid:
+    """``evolve`` into ``buffer``, an n x 2r complex array that it
+    overwrites: the evolved ``left`` is its first r columns and ``right``
+    the transpose of the last r.  A grid evolved into a buffer lives only
+    until the buffer's next use."""
     if not (math.isfinite(t) and t >= 0):
         raise DomainError(f"time step must be finite and nonnegative, got {t}")
     k = grid.k_axis
-    e = np.exp(-1j * k * k * t / 2.0)
+    e = np.exp(-1j * k * k * t / 2.0)[:, None]
     left_k, right_k = grid._spectra
-    left_k = _read_only(left_k * e[:, None])
-    right_k = _read_only(right_k * e)
+    r = left_k.shape[1]
+    np.multiply(left_k, e, out=buffer[:, :r])
+    np.multiply(right_k.T, e, out=buffer[:, r:])
+    np.fft.ifft(buffer, axis=0, out=buffer)
     out = WaveGrid(n=grid.n, extent=grid.extent, params=grid.params, t=grid.t + t,
-                   left=_read_only(np.fft.ifft(left_k, axis=0)),
-                   right=_read_only(np.fft.ifft(right_k, axis=1)), schmidt=grid.schmidt)
-    vars(out).update(axis=grid.axis, k_axis=k, _spectra=(left_k, right_k))  # cached, filled in
+                   left=_read_only(buffer[:, :r]), right=_read_only(buffer[:, r:].T),
+                   schmidt=grid.schmidt)
+    # cached, filled in
+    vars(out).update(axis=grid.axis, k_axis=k, _spectral_power=grid._spectral_power)
     return _checked(out, "packet reached the grid boundary at t = {t:g} "
                          "(leakage {leak:.2e}); enlarge the extent")
 
@@ -567,22 +610,23 @@ def _weighted_moments(weights: np.ndarray, axis: np.ndarray) -> tuple[float, flo
 
 def _particle_one(grid: WaveGrid) -> tuple[float, float, float, float]:
     """(mean_x1, var_x1, mean_k1, var_k1): diagonal sums of particle 1's
-    factor and its cached spectra over particle 2's Gram diagonals, O(n r)."""
+    factor and its spectral power over particle 2's Gram diagonals, O(n r)."""
     mean_x1, var_x1 = _weighted_moments(_row_weights(grid.left, grid._grams[1]), grid.axis)
-    k_weights = _row_weights(grid._spectra[0], grid._spectral_grams[1])
+    k_weights = grid._spectral_power @ grid._spectral_grams[1].diagonal().real
     mean_k1, var_k1 = _weighted_moments(k_weights, grid.k_axis)
     return mean_x1, var_x1, mean_k1, var_k1
 
 
 def moments(grid: WaveGrid) -> MomentSet:
     """All first/second moments: positions from the factors, wavenumbers from
-    their cached 1-D transforms, and symmetrized position-wavenumber cross
-    terms via Re <psi| x (k psi)> (the real part is exactly the symmetrized
-    product).  Each quantity of one particle is a diagonal sum over the
-    other factor's Gram; each cross term is the trace of two r x r Grams,
-    each weighted by its own particle's offsets x - mean or k - mean, so no
-    product of means cancels where a mean dwarfs the spread.  k1 psi takes
-    one inverse transform of the left spectra.
+    their cached 1-D transforms (taken afresh for an evolved grid, which
+    keeps none), and symmetrized position-wavenumber cross terms via
+    Re <psi| x (k psi)> (the real part is exactly the symmetrized product).
+    Each quantity of one particle is a diagonal sum over the other factor's
+    Gram; each cross term is the trace of two r x r Grams, each weighted by
+    its own particle's offsets x - mean or k - mean, so no product of means
+    cancels where a mean dwarfs the spread.  k1 psi takes one inverse
+    transform of the left spectra.
 
     At t = 0, with left = diag(p) U and right = diag(scale) left^H
     (``WaveGrid._modes``), the position Grams are real sums over the support
@@ -599,13 +643,13 @@ def moments(grid: WaveGrid) -> MomentSet:
     rows = slice(None) if grid._modes is None else grid._modes[2]
     left, right = grid.left[rows], grid.right[:, rows]
     x1, x2, k1, k2 = x[rows] - mean_x1, x[rows] - mean_x2, k - mean_k1, k - mean_k2
-    lk = _left_gram(left_k, k1)
+    lk = _gram(left_k, k1)
     # k1 psi = k1_left @ right and k2 psi = left @ k2_right; each meets left or
     # right, which are 0 off the rows, so only its rows are kept
     k1_left = np.fft.ifft(left_k * k1[:, None], axis=0)[rows]
     if grid._modes is None:
-        lx, rx, rk = _left_gram(left, x1), _right_gram(right, x2), _right_gram(right_k, k2)
-        k2_right = np.fft.ifft(right_k * k2, axis=1)
+        lx, rx, rk = _gram(left, x1), _gram(right.T, x2).T, _gram(right_k.T, k2).T
+        k2_right = np.fft.ifft(right_k.T * k2[:, None], axis=0).T
     else:
         u, scale, _ = grid._modes
         lx = (u.T * x1) @ u
@@ -622,8 +666,8 @@ def moments(grid: WaveGrid) -> MomentSet:
     cov_k1k2 = _trace(lk, rk) / spectral_norm
     sym_x1k1 = float((x1 @ (left.conj() * k1_left)).real @ r1.diagonal().real) / norm
     sym_x2k2 = float(l1.diagonal().real @ ((k2_right * right.conj()) @ x2).real) / norm
-    sym_x1k2 = _trace(lx, _right_gram(right, other=k2_right)) / norm
-    sym_x2k1 = _trace(_left_gram(left, other=k1_left), rx) / norm
+    sym_x1k2 = _trace(lx, _gram(right.T, b=k2_right.T).T) / norm
+    sym_x2k1 = _trace(_gram(left, b=k1_left), rx) / norm
     return MomentSet(mean_x1, mean_x2, mean_k1, mean_k2, var_x1, var_x2, cov_x1x2,
                      var_k1, var_k2, cov_k1k2, sym_x1k1, sym_x1k2, sym_x2k1, sym_x2k2)
 

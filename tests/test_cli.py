@@ -373,18 +373,18 @@ def test_oracle_check_transforms_each_grid_once(capsys, monkeypatch):
 
 
 def test_oracle_check_releases_each_evolved_grid(capsys, monkeypatch):
-    # keeping the previous evolved grid alive during the next evolution would
-    # raise the peak memory
+    # every evolution overwrites the one buffer that holds the previous
+    # evolved grid's factors, so that grid must be gone by then
     evolved = []
 
-    def tracked(grid, t):
+    def tracked(grid, t, buffer):
         assert all(ref() is None for ref in evolved), "an earlier evolved grid is still alive"
-        out = real_evolve(grid, t)
+        out = real_evolve(grid, t, buffer)
         evolved.append(weakref.ref(out))
         return out
 
-    real_evolve = localent.cli.evolve
-    monkeypatch.setattr(localent.cli, "evolve", tracked)
+    real_evolve = localent.cli._evolve
+    monkeypatch.setattr(localent.cli, "_evolve", tracked)
     code, _, _ = run_cli(capsys, *ORACLE_ARGV)
     assert code == 0
     assert len(evolved) == 3
@@ -421,11 +421,11 @@ def test_oracle_check_fails_a_conjugated_packet_phase(capsys, monkeypatch, b):
 def test_oracle_check_fails_a_packet_that_drifts_backwards(capsys, monkeypatch, b):
     # U(-t) psi = conj(U(t) conj psi) keeps the widths, which are even in t
     # here, and the mean wavenumber; only the mean position moves, to -k_c t
-    def backwards(grid, t):
-        return _conjugated(evolve(_conjugated(grid), t))
+    def backwards(grid, t, buffer):
+        return _conjugated(evolve(_conjugated(grid), t, buffer))
 
-    evolve = localent.cli.evolve
-    monkeypatch.setattr(localent.cli, "evolve", backwards)
+    evolve = localent.cli._evolve
+    monkeypatch.setattr(localent.cli, "_evolve", backwards)
     assert _oracle_checks(capsys, b) == (3, False, [True, False])
 
 

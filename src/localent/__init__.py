@@ -15,7 +15,6 @@ formation.
 
 from .covariance import (
     CovMatrix4,
-    SimonResult,
     covariance_matrix,
     entanglement_of_formation,
     entropy_from_symplectic_eigenvalue,
@@ -43,7 +42,6 @@ from .protocols import (
 from .states import (
     PairParams,
     entanglement_factor,
-    initial_amplitude,
     momentum_dispersion,
     position_dispersion,
 )

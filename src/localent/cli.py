@@ -30,15 +30,9 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .covariance import (
-    _eof,
-    _pt_eigenvalue,
-    covariance_matrix,
-    simon_invariant,
-    simon_invariant_closed_form,
-)
+from .covariance import _eof, covariance_matrix, simon_invariant, simon_invariant_closed_form
 from .errors import DomainError, FitError, GridError, require_memory
-from .oracle import _correlation_matrix, _evolve, _particle_one, initial_grid, moments
+from .oracle import _check_bytes, _correlation_matrix, _evolve, _particle_one, initial_grid, moments
 from .protocols import (
     ENTANGLED,
     INCONCLUSIVE,
@@ -262,13 +256,13 @@ def cmd_eof_surface(args) -> int:
 
 def cmd_simon(args) -> int:
     params = PairParams(a=args.a, b=args.b)
-    # the family's closed-form matrix is physical by construction (tested)
-    general = simon_invariant(covariance_matrix(params), validate=False)
     results = {
-        "I_general": general.invariant_I,
+        # the family's closed-form matrix is physical by construction (tested)
+        "I_general": simon_invariant(covariance_matrix(params), validate=False),
         "I_closed": simon_invariant_closed_form(params),
-        # the verdict of nu < 1, which holds where I_general rounds to 0
-        "separable": bool(_pt_eigenvalue(params.a, params.b)[1] <= 0.0),
+        # nu < 1 at every finite b: also where I_general rounds to 0 and
+        # where 1 - nu underflows to 0 (a/b < ~1e-162)
+        "separable": math.isinf(params.b),
     }
     _emit(args, _config(args), results, {key: [value] for key, value in results.items()})
     return 0
@@ -404,6 +398,7 @@ def cmd_oracle_check(args) -> int:
     if not all(map(math.isfinite, times)):
         raise DomainError(f"measurement times must be finite, got {times}")
     grid0 = initial_grid(params, n=args.grid_n, extent=args.grid_L, t_max=max(times))
+    require_memory(_check_bytes(grid0))
     moments0 = moments(grid0)
     # every evolved grid's factors, in turn
     buffer = np.empty((grid0.n, 2 * grid0.schmidt.size), dtype=complex)

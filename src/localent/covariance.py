@@ -27,11 +27,7 @@ from .states import PairParams, entanglement_factor
 
 __all__ = [
     "CovMatrix4",
-    "SimonResult",
-    "J_BLOCK",
-    "symplectic_form",
     "covariance_matrix",
-    "check_physical",
     "simon_invariant",
     "simon_invariant_closed_form",
     "entanglement_of_formation",
@@ -39,18 +35,12 @@ __all__ = [
     "entropy_from_symplectic_eigenvalue",
 ]
 
-J_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+# the 4x4 symplectic form, one J block per particle, ordering (X1,P1,X2,P2)
+_OMEGA = np.kron(np.eye(2), _J)
 
-_PHYSICAL_TOL = 1e-8  # check_physical: relative eigenvalue dip that rounding explains
+_PHYSICAL_TOL = 1e-8  # _check_physical: relative eigenvalue dip that rounding explains
 _LN2 = math.log(2.0)
-
-
-def symplectic_form() -> np.ndarray:
-    """4x4 symplectic form, one J block per particle, ordering (X1,P1,X2,P2)."""
-    omega = np.zeros((4, 4))
-    omega[:2, :2] = J_BLOCK
-    omega[2:, 2:] = J_BLOCK
-    return omega
 
 
 @dataclass(frozen=True)
@@ -82,14 +72,6 @@ class CovMatrix4:
         return gamma
 
 
-@dataclass(frozen=True)
-class SimonResult:
-    """Value of the separability invariant and the verdict it implies (I >= 0)."""
-
-    invariant_I: float
-    separable: bool
-
-
 def _det2(m: np.ndarray) -> float:
     return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
@@ -111,7 +93,7 @@ def covariance_matrix(params: PairParams) -> CovMatrix4:
     return CovMatrix4(A=A, B=A.copy(), C=C)
 
 
-def check_physical(cm: CovMatrix4) -> None:
+def _check_physical(cm: CovMatrix4) -> None:
     """Verify the uncertainty relation gamma + i*Omega >= 0.
 
     Raises DomainError when the smallest eigenvalue dips below -_PHYSICAL_TOL
@@ -122,7 +104,7 @@ def check_physical(cm: CovMatrix4) -> None:
     scale = max(1.0, float(np.abs(gamma).max()))
     if not np.allclose(gamma, gamma.T, rtol=0.0, atol=1e-12 * scale):
         raise DomainError("correlation matrix is not symmetric")
-    eigs = np.linalg.eigvalsh(gamma + 1j * symplectic_form())
+    eigs = np.linalg.eigvalsh(gamma + 1j * _OMEGA)
     if eigs.min() < -_PHYSICAL_TOL * scale:
         raise DomainError(
             f"correlation matrix violates the uncertainty relation "
@@ -130,24 +112,22 @@ def check_physical(cm: CovMatrix4) -> None:
         )
 
 
-def simon_invariant(cm: CovMatrix4, validate: bool = True) -> SimonResult:
-    """Evaluate the Gaussian PPT separability invariant for arbitrary blocks.
+def simon_invariant(cm: CovMatrix4, validate: bool = True) -> float:
+    """The Gaussian PPT separability invariant I for arbitrary blocks.
 
     I = det A det B + (1 - |det C|)^2 - Tr{A J C J B J C^T J} - (det A + det B)
 
-    The state is separable iff I >= 0.  Exact at the boundary: all 2x2
-    determinants are expanded in closed form.
+    The state is separable iff I >= 0.  All 2x2 determinants are expanded
+    in closed form, but the terms cancel: in the family I = -4 (a/b)^4 / f2
+    rounds to 0 at a/b ~ 1/3e4, so the family's verdict is not the sign of
+    I but nu < 1 (:func:`_pt_eigenvalue`), which holds at every finite b.
     """
     if validate:
-        check_physical(cm)
+        _check_physical(cm)
     A, B, C = cm.A, cm.B, cm.C
-    det_a = _det2(A)
-    det_b = _det2(B)
-    det_c = _det2(C)
-    J = J_BLOCK
-    trace_term = float(np.trace(A @ J @ C @ J @ B @ J @ C.T @ J))
-    invariant = det_a * det_b + (1.0 - abs(det_c)) ** 2 - trace_term - (det_a + det_b)
-    return SimonResult(invariant_I=invariant, separable=invariant >= 0.0)
+    det_a, det_b = _det2(A), _det2(B)
+    trace_term = float(np.trace(A @ _J @ C @ _J @ B @ _J @ C.T @ _J))
+    return det_a * det_b + (1.0 - abs(_det2(C))) ** 2 - trace_term - (det_a + det_b)
 
 
 def simon_invariant_closed_form(params: PairParams) -> float:
@@ -168,10 +148,17 @@ def _pt_eigenvalue(a, b):
 
     With L = log1p(2 (a/b)^2) both come straight from L, nu = exp(-L/2) and
     1 - nu = -expm1(-L/2), so neither cancels at either end of the range.
-    The pair is entangled iff 1 - nu > 0.
+    The pair is entangled iff nu < 1, at every finite b, though 1 - nu
+    underflows to 0 below a/b ~ 1e-162.  Past a/b ~ 9.5e153, where
+    2 (a/b)^2 overflows, L is 2 ln(a/b) + ln 2: the term it leaves out,
+    log1p(b^2 / (2 a^2)), is below L's ulp there.
     """
     r = a / b
-    half_log_f2 = 0.5 * np.log1p(2.0 * r * r)
+    two_r2 = 2.0 * r * r
+    log_f2 = np.log1p(two_r2)
+    if not np.isfinite(two_r2).all():
+        log_f2 = np.where(np.isfinite(two_r2), log_f2, 2.0 * np.log(r) + _LN2)
+    half_log_f2 = 0.5 * log_f2
     return np.exp(-half_log_f2), -np.expm1(-half_log_f2)
 
 

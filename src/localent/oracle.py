@@ -332,6 +332,23 @@ def _peak_bytes(n: int, rows: int, capacity: int) -> int:
     return 8 * (vectors + max(factorising, factored))
 
 
+def _check_bytes(grid: WaveGrid) -> int:
+    """Bytes that ``oracle-check`` holds at its peak past ``initial_grid``,
+    for the t = 0 ``grid`` of n points, rank r and m support rows.  An upper
+    bound, the sum of what ``moments(grid)`` and the evolutions hold at
+    their peaks; a traced run at ranks 14-180 peaks at 0.78-0.84 of it.
+    Terms: the n-vectors of ``_peak_bytes``; the complex n x r factors and
+    the real m x r modes U (4nr + mr words); both cached spectra and the
+    spectral power |left_k|^2 (5nr); the evolutions' n x 2r buffer (4nr);
+    the temporaries of ``moments``, the float view of the k-weighted left
+    spectra beside k1 psi, or three complex m x r terms of the mirrored
+    k2 psi (2nr + 6mr); and the r x r Grams and their temporaries (8r^2)."""
+    n, r = grid.n, grid.schmidt.size
+    m = n if grid._modes is None else len(grid._modes[0])
+    vectors = 16 * n + 2 * np.getbufsize()
+    return 8 * (vectors + 15 * n * r + 7 * m * r + 8 * r * r)
+
+
 def _grid_envelope(x: np.ndarray, params: PairParams) -> tuple[np.ndarray, np.ndarray]:
     """The real envelope E on the uniform axis ``x`` as two read-only n x n
     views whose elementwise product it is: the Hankel view H[i, j] of the

@@ -38,6 +38,7 @@ from .errors import DomainError, FitError, require_memory
 from .states import (
     PairParams,
     _dispersion_curve,
+    _fourth_power,
     momentum_dispersion,
     position_dispersion,
 )
@@ -204,13 +205,17 @@ def crossing_times(u: float, b: float, offset: float) -> CrossingTimes:
 
     Solves 1 + 4 u^4 t^2 = alpha + 4 u^4 (t - offset)^2 for the lab clock and
     also reports the same instant on a clock starting at the entangled pair's
-    production.
+    production.  Where u^4 overflows (u from ~1.16e77) the lab time is taken
+    as (alpha - 1) / (8 u^4 offset) + offset / 2.
     """
     if not offset > 0:  # NaN fails too
         raise DomainError(f"production offset must be positive, got {offset}")
     alpha = entangled_alpha(u, b)
-    u4 = u**4
-    t_lab = (alpha - 1.0 + 4.0 * u4 * offset * offset) / (8.0 * u4 * offset)
+    u4 = _fourth_power(u)
+    if math.isinf(u4):
+        t_lab = (alpha - 1.0) / (8.0 * u4 * offset) + 0.5 * offset
+    else:
+        t_lab = (alpha - 1.0 + 4.0 * u4 * offset * offset) / (8.0 * u4 * offset)
     return CrossingTimes(lab=t_lab, entangled_clock=t_lab - offset)
 
 
@@ -405,9 +410,11 @@ def _trial_dispersions(scenario, times, n, seed, first_trial, trials, noiseless)
             raise DomainError(f"measurement time must be nonnegative, got {times.min()}")
     require_memory(_batch_bytes(trials, times.size))
     params = scenario.params
-    sigma = np.concatenate(
-        [[momentum_dispersion(params)], position_dispersion(times + scenario.t0, params)]
-    )
+    u = momentum_dispersion(params)
+    if math.isfinite(u) and math.isinf(_fourth_power(u)):
+        # from u ~ 1.16e77, alpha is below double precision beside 4 u^4 t^2
+        raise OverflowError(f"u^4 is outside the float range at u = {u}")
+    sigma = np.concatenate([[u], position_dispersion(times + scenario.t0, params)])
     if noiseless:
         dx = np.tile(sigma, (trials, 1))
         stderr = np.zeros_like(dx)

@@ -10,9 +10,10 @@ through the combinations ``f_n = 1 + n a^2/b^2`` (n = 1, 2), which reduce to
 1 exactly at ``b = inf``, so no special casing of the separable limit is
 needed anywhere.
 
-Everything here is analytic: dispersions and the t = 0 two-particle
-amplitude.  The :mod:`localent.oracle` module re-derives the
-same quantities by brute-force quadrature on a spectral grid.
+Everything here is analytic: dispersions and the factors and normalisation
+of the t = 0 two-particle amplitude.  The :mod:`localent.oracle` module
+samples that amplitude and re-derives the dispersions by brute-force
+quadrature on a spectral grid.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "entanglement_factor",
     "position_dispersion",
     "momentum_dispersion",
-    "initial_amplitude",
 ]
 
 
@@ -71,20 +71,36 @@ def entanglement_factor(n: int, params: PairParams) -> float:
     return 1.0 + n * r * r
 
 
+def _fourth_power(u):
+    """``u**4``, but inf where a float's ``u**4`` raises OverflowError
+    (from u ~ 1.16e77)."""
+    try:
+        return u**4
+    except OverflowError:
+        return math.inf
+
+
 def _dispersion_curve(u: float, alpha: float, t):
     """sqrt(alpha + 4 u^4 t^2) / (2u) at scalar or array t >= 0.
 
     The family's position-dispersion curve in the observer's coordinates: u is
     the momentum dispersion, alpha = f1^2 / f2 the constant term (1 when
     separable).  The radicand is clamped at 0 so that a fitted alpha below the
-    physical floor still gives a finite model.  Returns a float for scalar t.
+    physical floor still gives a finite model.  Where u^4 overflows, for a
+    scalar u from ~1.16e77, the curve is hypot(sqrt(alpha) / (2u), u t).
+    Returns a float for scalar t.
     """
     t = np.asarray(t, dtype=float)[()]  # scalar t as a numpy scalar: cheaper arithmetic
     if not (t >= 0).all():  # NaN fails too
         raise DomainError(f"time must be nonnegative, got {float(np.extract(~(t >= 0), t)[0])}")
-    with np.errstate(over="ignore"):  # huge t spreads to inf, as float arithmetic does
-        radicand = alpha + 4.0 * u**4 * t * t
-    dx = np.sqrt(np.maximum(radicand, 0.0)) / (2.0 * u)
+    # huge t spreads to inf, as float arithmetic does; an infinite u4 at t = 0 is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        u4 = _fourth_power(u)
+        radicand = alpha + 4.0 * u4 * t * t
+    if isinstance(u4, float) and math.isinf(u4):  # a scalar u from ~1.16e77
+        dx = np.hypot(math.sqrt(max(alpha, 0.0)) / (2.0 * u), u * t)
+    else:
+        dx = np.sqrt(np.maximum(radicand, 0.0)) / (2.0 * u)
     return dx if np.ndim(dx) else float(dx)
 
 
@@ -109,7 +125,8 @@ def momentum_dispersion(params: PairParams) -> float:
 
 
 def _prefactor(params: PairParams) -> float:
-    """The constant that normalises :func:`_envelope` on the plane."""
+    """The constant that normalises the product of :func:`_envelope_factors`
+    on the plane."""
     a2 = params.a * params.a
     return math.sqrt(2.0 / (math.pi * a2)) * entanglement_factor(2, params) ** 0.25
 
@@ -130,28 +147,3 @@ def _envelope_factors(total, difference, params: PairParams) -> tuple[np.ndarray
     centre = np.exp(s * s * (-0.5 / a2))
     relative = np.exp(d * d * -(0.5 / a2 + 1.0 / (params.b * params.b)))
     return centre, relative
-
-
-def _envelope(x1, x2, params: PairParams) -> np.ndarray:
-    """The real t = 0 envelope exp(-(f1/a^2)(x1^2 + x2^2) + (2/b^2) x1 x2),
-    unnormalised, on the broadcast shape of ``x1`` and ``x2``: the product
-    of :func:`_envelope_factors` at x1 + x2 and x1 - x2."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    centre, relative = _envelope_factors(x1 + x2, x1 - x2, params)
-    return centre * relative
-
-
-def initial_amplitude(x1, x2, params: PairParams):
-    """Two-particle amplitude at t = 0, vectorized over positions.
-
-    The squared modulus integrates to 1 over the plane.  For finite b the
-    exponent carries the cross term (2/b^2) x1 x2, which is what makes the
-    state non-separable; at b = inf the cross term vanishes and the
-    amplitude factorizes into a product of single-particle packets.
-    """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    # exp(i k_c (x1 - x2)) as a product: n + n exponentials on a broadcast grid
-    phase = np.exp(1j * params.k_c * x1) * np.exp(-1j * params.k_c * x2)
-    return _prefactor(params) * phase * _envelope(x1, x2, params)

@@ -4,9 +4,10 @@ The package holds each grid as Schmidt factors and takes every quantity as a
 contraction of them.  This module holds the whole n x n amplitude instead:
 it evolves it by ``fft2`` and ``ifft2``, and forms each n x n weighted
 product and sums it, the long way.  It samples the t = 0 amplitude as one
-complex array from ``states.initial_amplitude`` and renormalizes it by its
-own quadrature, so it shares only the closed form with the package, which
-factorises a real envelope and puts the phase on the factors.  Its grid,
+complex array from its own ``initial_amplitude`` and renormalizes it by its
+own quadrature, so it shares only the closed form (the envelope's two
+factors and the normalising constant) with the package, which factorises a
+real envelope and puts the phase on the factors.  Its grid,
 evolution, one-particle moment and correlation-matrix functions carry the
 package's names, so a test can run one check through either engine; its
 moments are ``reference_moments``.  Particle 1's sampled marginals, which
@@ -25,7 +26,32 @@ import numpy as np
 from localent.covariance import CovMatrix4
 from localent.errors import DomainError, GridError
 from localent.oracle import LEAKAGE_LIMIT, MomentSet, _correlation_matrix, default_extent
-from localent.states import PairParams, initial_amplitude
+from localent.states import PairParams, _envelope_factors, _prefactor
+
+
+def envelope(x1, x2, params: PairParams) -> np.ndarray:
+    """The real t = 0 envelope exp(-(f1/a^2)(x1^2 + x2^2) + (2/b^2) x1 x2),
+    unnormalised, on the broadcast shape of ``x1`` and ``x2``: the product
+    of the package's envelope factors at x1 + x2 and x1 - x2."""
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    centre, relative = _envelope_factors(x1 + x2, x1 - x2, params)
+    return centre * relative
+
+
+def initial_amplitude(x1, x2, params: PairParams):
+    """Two-particle amplitude at t = 0, vectorized over positions.
+
+    The squared modulus integrates to 1 over the plane.  For finite b the
+    exponent carries the cross term (2/b^2) x1 x2, which is what makes the
+    state non-separable; at b = inf the cross term vanishes and the
+    amplitude factorizes into a product of single-particle packets.
+    """
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    # exp(i k_c (x1 - x2)) as a product: n + n exponentials on a broadcast grid
+    phase = np.exp(1j * params.k_c * x1) * np.exp(-1j * params.k_c * x2)
+    return _prefactor(params) * phase * envelope(x1, x2, params)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from localent.covariance import (
     CovMatrix4,
-    check_physical,
+    _check_physical,
     covariance_matrix,
     entanglement_of_formation,
     entropy_from_symplectic_eigenvalue,
@@ -19,7 +19,7 @@ from localent.covariance import (
 )
 from localent.errors import DomainError
 from localent.states import PairParams
-from eof_reference import entropy_reference
+from eof_reference import eof_reference, entropy_reference
 
 INF = math.inf
 
@@ -55,33 +55,36 @@ def test_separable_blocks():
 def test_covariance_matrix_is_physical():
     for a in SWEEP_A:
         for b in SWEEP_B + [INF]:
-            check_physical(covariance_matrix(PairParams(a=a, b=b)))
+            _check_physical(covariance_matrix(PairParams(a=a, b=b)))
 
 
 def test_covariance_matrix_is_physical_over_the_family():
     # the CLI's simon skips the check on the family's own matrices
     for a in np.logspace(-3.0, 3.0, 7):
         for b in [*(a / np.logspace(-4.0, 4.0, 9)), INF]:
-            check_physical(covariance_matrix(PairParams(a=float(a), b=float(b))))
+            _check_physical(covariance_matrix(PairParams(a=float(a), b=float(b))))
 
 
 def test_check_physical_rejects_sub_vacuum():
     bad = CovMatrix4(A=np.diag([0.1, 0.1]), B=np.diag([0.1, 0.1]), C=np.zeros((2, 2)))
     with pytest.raises(DomainError):
-        check_physical(bad)
+        _check_physical(bad)
+    with pytest.raises(DomainError):  # simon_invariant validates by default
+        simon_invariant(bad)
 
 
 def test_invariant_value_a1_b2():
     cm = covariance_matrix(PairParams(a=1.0, b=2.0))
-    result = simon_invariant(cm)
-    assert result.invariant_I == pytest.approx(-1.0 / 6.0, rel=1e-12)
-    assert not result.separable
+    invariant = simon_invariant(cm)
+    assert type(invariant) is float
+    assert invariant == pytest.approx(-1.0 / 6.0, rel=1e-12)
+    assert not invariant >= 0.0
 
 
 def test_invariant_boundary_at_infinite_b():
-    result = simon_invariant(covariance_matrix(PairParams(a=1.0, b=INF)))
-    assert result.invariant_I == pytest.approx(0.0, abs=1e-14)
-    assert result.separable
+    invariant = simon_invariant(covariance_matrix(PairParams(a=1.0, b=INF)))
+    assert invariant == pytest.approx(0.0, abs=1e-14)
+    assert invariant >= 0.0
 
 
 def test_closed_form_values():
@@ -98,7 +101,7 @@ def test_closed_form_values():
 @pytest.mark.parametrize("b", SWEEP_B)
 def test_general_matches_closed_form(a, b):
     p = PairParams(a=a, b=b)
-    general = simon_invariant(covariance_matrix(p)).invariant_I
+    general = simon_invariant(covariance_matrix(p))
     closed = simon_invariant_closed_form(p)
     assert abs(general - closed) <= 1e-10 * max(1.0, abs(closed))
     assert closed < 0.0
@@ -112,9 +115,9 @@ def test_invariant_monotone_to_zero():
 
 def test_invariant_unchanged_by_symplectic_scaling():
     cm = covariance_matrix(PairParams(a=1.0, b=2.0))
-    base = simon_invariant(cm).invariant_I
+    base = simon_invariant(cm)
     for s1, s2 in [(2.0, 2.0), (0.5, 0.5), (3.0, 0.7), (1.3, 1.3)]:
-        moved = simon_invariant(scaled(cm, s1, s2)).invariant_I
+        moved = simon_invariant(scaled(cm, s1, s2))
         assert abs(moved - base) < 1e-12 * max(1.0, abs(base))
 
 
@@ -125,7 +128,7 @@ def test_invariant_unchanged_by_symplectic_scaling():
 @settings(max_examples=150, deadline=None)
 def test_equivalence_property(a, b):
     p = PairParams(a=a, b=b)
-    general = simon_invariant(covariance_matrix(p)).invariant_I
+    general = simon_invariant(covariance_matrix(p))
     closed = simon_invariant_closed_form(p)
     assert abs(general - closed) <= 1e-9 * max(1.0, abs(closed))
 
@@ -149,10 +152,14 @@ def test_eof_coefficient_identity():
 
 
 def test_eof_rejects_an_overflowing_ratio():
-    # 2 (a/b)^2 overflows: no finite EoF to give
-    for a, b in [(1.0, 1e-200), (1e154, 1.0)]:
+    # a/b itself overflows: no finite EoF to give
+    for a, b in [(1e300, 1e-10), (1e200, 1e-200)]:
         with pytest.raises(OverflowError):
             entanglement_of_formation(PairParams(a=a, b=b))
+    # 2 (a/b)^2 overflows from a/b ~ 9.5e153, but its logarithm does not
+    for a, b in [(1.0, 1e-200), (1e154, 1.0), (9.5e153, 1.0), (1.7e308, 1.0)]:
+        want = eof_reference(a, b)
+        assert abs(entanglement_of_formation(PairParams(a=a, b=b)) - want) <= 1e-15 * want
 
 
 def test_reduced_symplectic_eigenvalue():
@@ -222,6 +229,6 @@ def test_verdict_survives_scaling():
     for a, b in [(1.0, 2.0), (2.0, 2.0), (0.5, 10.0)]:
         cm = covariance_matrix(PairParams(a=a, b=b))
         for s1, s2 in [(2.0, 0.5), (0.9, 1.8)]:
-            assert simon_invariant(scaled(cm, s1, s2)).separable is False
+            assert not simon_invariant(scaled(cm, s1, s2)) >= 0.0
     sep = covariance_matrix(PairParams(a=1.0, b=INF))
-    assert simon_invariant(scaled(sep, 2.0, 0.5)).separable is True
+    assert simon_invariant(scaled(sep, 2.0, 0.5)) >= 0.0

@@ -32,7 +32,6 @@ from localent.oracle import ISOMETRY_LIMIT, RESIDUAL_LIMIT, _axis, _envelope_wei
 from localent.oracle import _particle_one, _row_weights, _support
 from localent.protocols import ambiguity_time, mimic_width, width_from_momentum_dispersion
 from localent.states import PairParams, momentum_dispersion, position_dispersion
-from localent.states import _envelope
 import oracle_reference as dense
 from oracle_reference import reference_moments
 
@@ -77,7 +76,7 @@ def test_grid_envelope_is_symmetric_and_matches_the_pointwise_envelope(b):
     hankel, toeplitz = _grid_envelope(x, params)
     envelope = hankel * toeplitz
     np.testing.assert_array_equal(envelope, envelope.T)
-    pointwise = _envelope(x[:, None], x[None, :], params)
+    pointwise = dense.envelope(x[:, None], x[None, :], params)
     assert np.linalg.norm(envelope - pointwise) <= 1e-13 * np.linalg.norm(pointwise)
 
 
@@ -383,7 +382,7 @@ def test_initial_grid_peaks_below_a_quarter_of_one_envelope():
 def test_envelope_weight_in_o_n_matches_the_dense_sum(b):
     params = PairParams(a=1.0, b=b)
     x = _axis(512, default_extent(params, 1.0))
-    pointwise = _envelope(x[:, None], x[None, :], params)
+    pointwise = dense.envelope(x[:, None], x[None, :], params)
     dense_weight = float(np.vdot(pointwise, pointwise))
     weight = _envelope_weight(*_grid_envelope(x, params))
     assert weight == pytest.approx(dense_weight, rel=1e-14, abs=0.0)
@@ -751,7 +750,7 @@ def test_numeric_covariance_matrix():
     analytic = covariance_matrix(params)
     assert numeric.A[0, 0] == pytest.approx(0.4166667, abs=1e-4)
     assert np.abs(numeric.matrix - analytic.matrix).max() < 1e-4
-    invariant = simon_invariant(numeric).invariant_I
+    invariant = simon_invariant(numeric)
     assert invariant == pytest.approx(-1.0 / 6.0, abs=1e-3)
 
 

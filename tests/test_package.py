@@ -29,6 +29,13 @@ CLOSED_FORMS_REMOVED = {
 # oracle-check's second route to particle 1's widths and centres: sampled
 # marginals, their spread and their mean, where the moments already had them
 MARGINALS_REMOVED = ("position_marginal", "momentum_marginal", "marginal_sigma")
+# names that only tests called: Simon's verdict type, whose I >= 0 is wrong
+# where I rounds to 0, the symplectic form and the physicality check (now
+# private), and the dense amplitude, which tests/oracle_reference.py holds
+ONLY_TESTS_CALLED = {
+    "covariance": ("SimonResult", "J_BLOCK", "symplectic_form", "check_physical"),
+    "states": ("initial_amplitude",),
+}
 
 
 @pytest.mark.parametrize("layer", ["states", "covariance", "protocols", "oracle"])
@@ -75,6 +82,15 @@ def test_marginal_path_is_gone():
     assert not hasattr(importlib.import_module("localent.cli"), "_mean")
 
 
+@pytest.mark.parametrize("layer", sorted(ONLY_TESTS_CALLED))
+def test_names_only_tests_called_are_gone(layer):
+    module = importlib.import_module(f"localent.{layer}")
+    for name in ONLY_TESTS_CALLED[layer]:
+        assert not hasattr(module, name), name
+        assert not hasattr(localent, name), name
+        assert name not in module.__all__
+
+
 def test_readme_library_example_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"## Library example\n.*?```python\n(.*?)```", readme, re.S).group(1)
@@ -82,7 +98,7 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md", "exec"), {})
     simon, eof, verdict, rate = out.getvalue().splitlines()
-    assert "separable=False" in simon
+    assert float(simon) == pytest.approx(-1.0 / 6.0, rel=1e-12)
     assert float(eof) == pytest.approx(0.0829971, abs=1e-7)
     classification, b_hat = verdict.split()
     assert classification == "entangled"

@@ -11,11 +11,23 @@ JSON text is written by this module's own encoder with the bytes of
 rendered column by column straight from the batch arrays.  Every command
 hands its CSV table over as columns, and the table is written column by
 column: each float column is checked once and formatted in one pass.
-``eof-surface`` evaluates its whole grid as arrays.  The argument parser is
-built once per process, on the first ``main`` call.
-Exit codes: 0 ok, 2 domain violation, a result that is not finite or a
-request that does not fit in memory, 3 oracle-check tolerance failure (or
-grid error), 4 ill-conditioned fit.
+``eof-surface`` evaluates its whole grid as arrays.
+
+``--out`` is rewritten in place: the file is opened without truncation,
+written over, and then cut at the end of the new text.  Truncating a file
+that holds data up front, as ``open(path, "w")`` does, can cost several
+times the write itself on a filesystem that discards freed blocks, and a
+campaign of small calls overwrites the same files again and again.  A
+device such as ``/dev/null`` is written and not cut.
+
+The argument parsers are built once per process, on the first ``main``
+call.  A call that starts with a subcommand's name is parsed by that
+subcommand's parser alone; anything else (no arguments, an unknown name,
+``-h``) goes through the top-level parser.
+
+Exit codes: 0 ok, 2 domain violation, a result that is not finite, a
+request that does not fit in memory or an ``--out`` that cannot be written,
+3 oracle-check tolerance failure (or grid error), 4 ill-conditioned fit.
 """
 
 from __future__ import annotations
@@ -23,6 +35,8 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -53,7 +67,14 @@ DX_TOLERANCE = 1e-3  # relative, closed form vs quadrature
 CM_TOLERANCE = 1e-4  # absolute, entrywise
 NORM_TOLERANCE = 1e-10
 DEFAULT_TIMES = (0.0, 0.5, 1.0)  # protocol and oracle-check measurement times
-EXIT_CODES = {DomainError: 2, ArithmeticError: 2, MemoryError: 2, GridError: 3, FitError: 4}
+
+
+class _Unwritable(Exception):
+    """The ``--out`` file cannot be opened or written."""
+
+
+EXIT_CODES = {DomainError: 2, ArithmeticError: 2, MemoryError: 2, _Unwritable: 2, GridError: 3,
+              FitError: 4}
 OUT_OF_RANGE = "the input is outside the representable range: a result is not finite"
 # the error line of these exceptions, in place of their own text
 _MESSAGES = {ArithmeticError: OUT_OF_RANGE, MemoryError: "the request does not fit in memory"}
@@ -230,10 +251,34 @@ def _emit(args, config: dict, results, columns: dict | None, rng: str | None = N
         text = _csv_text(columns)
         print(f"config: {_dumps(config, indent=None)}", file=sys.stderr)
     if args.out:
-        with open(args.out, "w", newline="") as handle:
-            handle.write(text)
+        try:
+            _write_over(args.out, text.encode())
+        except OSError as exc:
+            raise _Unwritable(f"cannot write {args.out!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
+
+
+def _write_over(path: str, data: bytes) -> None:
+    """Write ``data`` as the whole content of ``path``, created with mode
+    0o666 & ~umask where it does not exist.  A regular file is written over
+    in place and then cut at the end of ``data``; a regular file whose write
+    fails is cut to 0 bytes, so it never holds old and new text mixed."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)  # devices reject ftruncate
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if regular:
+                os.ftruncate(fd, len(data))
+        except OSError:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+    finally:
+        os.close(fd)
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -423,6 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
         "covariance analysis, spectral-grid checks and measurement protocols.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> subcommand parser, for main's direct parse
 
     def common(p, default_format, func):
         p.add_argument("--format", choices=("csv", "json"), default=default_format)
@@ -490,7 +536,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # no arguments, an unknown command or a leading option
+        args = parser.parse_args(argv)
+    else:  # the namespace the top-level parser would hand its subparser
+        args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     try:
         # overflowing intermediates end in a non-finite result, which exits 2
         # through _emit: numpy's warnings about them would only be noise

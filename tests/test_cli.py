@@ -523,6 +523,85 @@ def test_output_file(tmp_path, capsys):
     assert payload["metadata"]["version"]
 
 
+@pytest.mark.parametrize(
+    "longer, shorter",
+    [
+        ("eof-surface --a-steps 20 --b-steps 20", "eof-surface --a-steps 2 --b-steps 2"),
+        ("protocol --mode 2 --a 1 --b 2 --n-samples 100 --trials 20",
+         "protocol --mode 2 --a 1 --b 2 --n-samples 100 --trials 1"),
+    ],
+)
+def test_output_file_is_rewritten_in_place(tmp_path, capsys, longer, shorter):
+    # --out is written over without truncation and cut after: no tail of
+    # the longer old text may be left behind the shorter new one
+    target = tmp_path / "out"
+    assert run_cli(capsys, *longer.split(), "--out", str(target))[0] == 0
+    old_size = target.stat().st_size
+    code, want, _ = run_cli(capsys, *shorter.split())
+    assert code == 0
+    assert run_cli(capsys, *shorter.split(), "--out", str(target))[:2] == (0, "")
+    assert target.read_bytes() == want.encode()
+    assert len(want) < old_size
+
+
+def test_output_file_grows_over_a_shorter_one(tmp_path, capsys):
+    target = tmp_path / "out.json"
+    target.write_text("{}")
+    assert run_cli(capsys, "simon", "--a", "1", "--b", "2", "--out", str(target))[0] == 0
+    assert target.read_text() == run_cli(capsys, "simon", "--a", "1", "--b", "2")[1]
+
+
+def test_output_to_a_device(capsys):
+    # a device is not a regular file: it is written and never cut
+    assert run_cli(capsys, "simon", "--a", "1", "--b", "2", "--out", os.devnull) == (0, "", "")
+
+
+def test_new_output_file_mode(tmp_path, capsys):
+    umask = os.umask(0o022)
+    os.umask(umask)
+    target = tmp_path / "new.csv"
+    assert run_cli(capsys, "simon", "--a", "1", "--b", "2", "--format", "csv",
+                   "--out", str(target))[0] == 0
+    assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_output_through_a_symlink(tmp_path, capsys):
+    target = tmp_path / "target.json"
+    target.write_text("x" * 10_000)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert run_cli(capsys, "simon", "--a", "1", "--b", "2", "--out", str(link))[0] == 0
+    assert link.is_symlink()
+    assert target.read_text() == run_cli(capsys, "simon", "--a", "1", "--b", "2")[1]
+
+
+def test_failed_write_leaves_an_empty_file(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "out.json"
+    target.write_text("x" * 10_000)
+
+    def failing_write(fd, data):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "write", failing_write)
+    code, out, err = run_cli(capsys, "simon", "--a", "1", "--b", "2", "--out", str(target))
+    monkeypatch.undo()
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {str(target)!r}: No space left on device\n"
+    assert target.read_bytes() == b""
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "full-device"])
+def test_unwritable_output_exits_2(tmp_path, capsys, where):
+    path = {"missing-directory": str(tmp_path / "missing" / "x.json"),
+            "directory": str(tmp_path), "full-device": "/dev/full"}[where]
+    if where == "full-device" and not os.path.exists(path):
+        pytest.skip("no /dev/full on this platform")
+    code, out, err = run_cli(capsys, "simon", "--a", "1", "--b", "2", "--out", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path!r}: ")
+    assert err.count("\n") == 1
+
+
 def test_protocol_requires_width_or_u(capsys):
     code, _, err = run_cli(capsys, "protocol", "--mode", "2", "--b", "2")
     assert code == 2
@@ -1128,6 +1207,46 @@ def test_cli_import_builds_no_parser():
         env=dict(os.environ, PYTHONPATH=path),
         check=True,
     )
+
+
+def test_subcommand_is_parsed_by_its_own_parser(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simon", "--a", "1", "--b", "2", "--bogus", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: localent simon ")
+    assert "localent simon: error: unrecognized arguments: --bogus 3" in err
+
+
+@pytest.mark.parametrize("argv, code", [([], 2), (["nocmd"], 2), (["-h"], 0)])
+def test_other_argv_takes_the_top_level_parser(capsys, argv, code):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    assert (captured.out + captured.err).startswith("usage: localent [-h]")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "eof-surface --a-steps 2 --b-steps 2",
+        "simon --a 1 --b inf",
+        "dispersion-curve --u 1 --b 2 --t-steps 3 --offset 0.5",
+        "protocol --mode 2 --u 1.01 --b 1 --noiseless",
+        "oracle-check --a 1 --b 2 --times 0 --grid-n 64",
+    ],
+)
+def test_config_echo_key_order(capsys, argv):
+    # the order the top-level parser gives: command first, then the
+    # subcommand's options as --help lists them
+    args = vars(build_parser().parse_args(argv.split()))
+    want = [key for key in args if key not in ("format", "out", "func")]
+    if argv.startswith("protocol"):
+        want.remove("u")  # echoed as the width a it implies
+    _, payload = run_json(capsys, *argv.split())
+    assert list(payload["config"]) == want
+    assert want[0] == "command"
 
 
 def test_parser_options_do_not_leak_between_calls(capsys):

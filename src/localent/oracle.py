@@ -58,21 +58,30 @@ is a Gaussian that fills only the rows the packet occupies at t = 0.  The
 factorisation runs on E's support: the rows S whose complement carries so
 little diagonal mass, tail, that E outside S x S weighs at most
 2 tr(E) tail, within (RESIDUAL_LIMIT ||E|| / 8)^2; a packet that reaches
-the edges keeps every row.  On S x S, E is factorised by pivoted
-Cholesky, E ~ L L^T (Harbrecht, Peters & Schneider, Appl. Numer. Math. 62,
-428 (2012)): each pivot takes the largest remaining diagonal entry and
-reads one row of E.  The remaining trace only says when to look: L is
-accepted once the exact Frobenius residual on S x S, summed over blocks of
-rows, plus the bound outside it is at most (RESIDUAL_LIMIT ||E||)^2.  So
-the limit holds for the whole E, and for psi too, since |p_i| = 1.  The
-thin SVD L = U S V^T then gives E's eigenvectors U (0 off S) and Schmidt
-values S^2 (Ekert & Knight, Am. J. Phys. 63, 415 (1995)), and the weakest
-modes are dropped while the total error stays within half that limit.
-Nothing is random, and no array of the factorisation is larger than
-O(n r).  The t = 0 grid keeps U and c S: |p_i| = 1, so every position
-Gram is a real sum over the support rows, and right = c S left^H makes
-its spectra and k-weighted Gram left's at -k, but for the Nyquist bin,
-which is its own -k and is added on its own.
+the edges keeps every row.  On S x S, E's factors are in closed form.
+E = exp(-A (x1^2 + x2^2) + 2 B x1 x2), with A = 1/a^2 + 1/b^2 and
+B = 1/b^2, is Mehler's kernel, sqrt(1 - q^2) sum_k q^k h_k(x1 / sigma)
+h_k(x2 / sigma): its Schmidt modes are the Hermite functions h_k of one
+width sigma, with weights q^k and q = B / (A + sqrt(A^2 - B^2)) (Ekert &
+Knight, Am. J. Phys. 63, 415 (1995); Law, Walmsley & Eberly, Phys. Rev.
+Lett. 84, 5304 (2000)).  The identity holds pointwise, so on the grid too,
+but on a coarse grid the sampled h_k are far from orthonormal.  So the r
+of them with q^r <= RESIDUAL_LIMIT / 4, plus 8, are sampled on S by their
+three-term recurrence from h_0 (one exponential a row), one QR Phi = Q R
+orthonormalises them, and the ``eigh`` of the r x r core
+R diag(sqrt(1 - q^2) q^k) R^T = W diag(s) W^T gives E's eigenvectors
+U = Q W (0 off S) and Schmidt values s; b = inf is q = 0, one mode.  The
+parameters only propose these factors: they are accepted once the exact
+Frobenius residual on S x S of U diag(s) U^T against the sampled
+envelope, summed over blocks of rows, plus the bound outside S is at most
+(RESIDUAL_LIMIT ||E||)^2.  So the limit holds for the whole E, and for psi
+too, since |p_i| = 1; nothing past this step uses the Hermite structure.
+The weakest modes are then dropped while the total error stays within
+half that limit.  Nothing is random, and no array of the factorisation is
+larger than O(n r).  The t = 0 grid keeps U and c S: |p_i| = 1, so every
+position Gram is a real sum over the support rows, and right = c S left^H
+makes its spectra and k-weighted Gram left's at -k, but for the Nyquist
+bin, which is its own -k and is added on its own.
 
 Conventions: psi[i, j] = psi(x1_i, x2_j) on the uniform axis [-L/2, L/2)
 with n points; wavenumbers follow numpy's FFT ordering.
@@ -105,8 +114,6 @@ __all__ = [
 LEAKAGE_LIMIT = 1e-8
 ISOMETRY_LIMIT = 1e-12  # largest off-diagonal entry of a Gram over its largest diagonal one
 RESIDUAL_LIMIT = 1e-13  # relative Frobenius error of an accepted factorisation
-PIVOT_BLOCK = 8  # pivots taken after a failed residual check, before the next
-SKELETON_COLUMNS = 32  # the Cholesky factor's first capacity, doubled when full
 ROW_BLOCK = 64  # rows of the residual formed at once
 
 
@@ -309,26 +316,26 @@ def _checked(grid: WaveGrid, boundary: str) -> WaveGrid:
     return grid
 
 
-def _peak_bytes(n: int, rows: int, capacity: int) -> int:
-    """Bytes alive at ``initial_grid``'s peak once the Cholesky skeleton of
-    m = ``rows`` rows of E (its support) holds c = ``capacity`` columns.  E
-    is never formed whole, so no term is n x n.  Throughout: the sampler's
-    n-vectors (the axis, phase, envelope factors, diagonal, the sums of the
-    O(n) norm and of the support, within 16n words) and numpy's ufunc
-    buffers (two of ``np.getbufsize()`` words, for the reversed Toeplitz
-    view and for real-to-complex casts).  While factorising: the skeleton
-    (mc words) and the largest of the smaller skeleton during a growth, the
-    residual's two row blocks (2 ROW_BLOCK m words), or the SVD of the
-    skeleton's columns (LAPACK's copy of them, its and numpy's left
-    singular vectors and c x c work arrays, 3mc + 9c^2 words).  After it:
-    the m x c singular vectors, which the grid keeps as its real modes U,
-    the two zero-padded complex n x c factors (mc + 4nc words), and the
-    real c x c Grams U^T U and diag(scale) U^T U diag(scale) beside their
-    temporaries and the isometry check's copy (4c^2); no factor is copied."""
-    m, c = rows, capacity
+def _peak_bytes(n: int, terms: int) -> int:
+    """Bytes alive at ``initial_grid``'s peak when it factorises with
+    r = ``terms`` Hermite functions (``_mehler``).  Charged before the
+    envelope is sampled, so before its support is known: the m support rows
+    are taken as all n.  E is never formed whole, so no term is n x n.
+    Throughout: the sampler's n-vectors (the axis, phase, envelope factors,
+    diagonal, the sums of the O(n) norm and of the support, within 16n
+    words) and numpy's ufunc buffers (two of ``np.getbufsize()`` words, for
+    the reversed Toeplitz view and for real-to-complex casts).  While
+    factorising, with c = min(m, r) columns of Q: the sampled functions and
+    numpy's copy of them in its QR, or Q beside the residual's skeleton and
+    two row blocks, or beside the skeleton and u = QW (2mr + max(mc,
+    2 ROW_BLOCK m) words), and R and the r x r arrays of the ``eigh``
+    (4cr).  After it: u, the two zero-padded complex n x c factors
+    (mc + 4nc), and the real c x c Grams beside their temporaries and the
+    isometry check's copy (4c^2)."""
+    r, c = terms, min(n, terms)
     vectors = 16 * n + 2 * np.getbufsize()
-    factorising = m * c + max(2 * ROW_BLOCK * m, 3 * m * c + 9 * c * c)
-    factored = m * c + 4 * n * c + 4 * c * c
+    factorising = 2 * n * r + max(n * c, 2 * ROW_BLOCK * n) + 4 * c * r
+    factored = 5 * n * c + 4 * c * c
     return 8 * (vectors + max(factorising, factored))
 
 
@@ -384,16 +391,16 @@ def _envelope_weight(hankel: np.ndarray, toeplitz: np.ndarray) -> float:
 
 def _sampled_amplitude(
     params: PairParams, n: int, extent: float | None, t_max: float
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], float, float]:
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray], float, float]:
     """The t = 0 amplitude on the n x n grid as psi = c diag(p) E diag(conj p):
-    the packet phase p = exp(i k_c x), the real envelope E as its Hankel
-    and Toeplitz views, ||E||_F^2, and the extent.
+    the axis x, the packet phase p = exp(i k_c x), the real envelope E as
+    its Hankel and Toeplitz views, ||E||_F^2, and the extent.
 
     c is the closed-form normalisation.  The quadrature of |psi|^2 is
     c^2 m^2 ||E||_F^2 dx^2 with m = |p_i|^2 = 1 for every i, and the
     renormalization factor it gives must stay within 1e-4 of unity.  Raises
     before any allocation when the grid is invalid or the factorisation's
-    first peak exceeds the physical memory.
+    peak exceeds the physical memory.
     """
     if n < 64 or n & (n - 1):
         raise GridError(f"grid size must be a power of two >= 64, got {n}")
@@ -407,7 +414,7 @@ def _sampled_amplitude(
         raise GridError(
             f"extent {extent:g} is below 16 initial position dispersions; enlarge the domain"
         )
-    require_memory(_peak_bytes(n, n, SKELETON_COLUMNS))
+    require_memory(_peak_bytes(n, _mehler(params)[2]))
     x = _axis(n, extent)
     phase = np.exp(1j * params.k_c * x)
     envelope = _grid_envelope(x, params)
@@ -418,7 +425,7 @@ def _sampled_amplitude(
         raise GridError(
             f"grid under-resolves the state (renormalization factor {factor:.6f})"
         )
-    return phase, envelope, weight, extent
+    return x, phase, envelope, weight, extent
 
 
 def _residual(hankel: np.ndarray, toeplitz: np.ndarray, skeleton: np.ndarray) -> float:
@@ -467,77 +474,68 @@ def _support(hankel: np.ndarray, toeplitz: np.ndarray, weight: float) -> tuple[s
     return slice(lo, hi), 2.0 * trace * float(head[lo] + rear[n - hi])
 
 
+def _mehler(params: PairParams) -> tuple[float, float, int]:
+    """Mehler's q, the width sigma and the count r of the Hermite functions
+    h_k with E = sqrt(1 - q^2) sum_k q^k h_k(x1 / sigma) h_k(x2 / sigma)
+    (module docstring), for A = 1/a^2 + 1/b^2 and B = 1/b^2.  A^2 - B^2 is
+    taken as (1/a^2)(1/a^2 + 2/b^2), so nothing cancels."""
+    inv_a2, inv_b2 = 1.0 / (params.a * params.a), 1.0 / (params.b * params.b)
+    outer = inv_a2 + inv_b2 + math.sqrt(inv_a2 + 2.0 * inv_b2) / params.a
+    q = inv_b2 / outer
+    sigma = 1.0 / math.sqrt(outer * (1.0 - q * q))
+    terms = 8 + math.ceil(math.log(RESIDUAL_LIMIT / 4.0) / math.log(q)) if q > 0 else 1
+    return q, sigma, terms
+
+
+def _hermite_functions(xi: np.ndarray, terms: int) -> np.ndarray:
+    """The terms x len(xi) samples h_k(xi), k < terms, of the Hermite
+    functions scaled to h_0(xi) = exp(-xi^2 / 2), by the normalised
+    three-term recurrence h_k = sqrt(2/k) xi h_(k-1) - sqrt((k-1)/k) h_(k-2)."""
+    h = np.empty((terms, len(xi)))
+    h[0] = np.exp(-0.5 * xi * xi)
+    for k in range(1, terms):
+        h[k] = math.sqrt(2.0 / k) * xi * h[k - 1]
+        if k > 1:
+            h[k] -= math.sqrt((k - 1) / k) * h[k - 2]
+    return h
+
+
 def _schmidt_factors(
-    hankel: np.ndarray,
-    toeplitz: np.ndarray,
-    weight: float,
-    rows: slice = slice(None),
-    outside: float = 0.0,
+    params: PairParams, x: np.ndarray, hankel: np.ndarray, toeplitz: np.ndarray, weight: float,
+    rows: slice = slice(None), outside: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(u, s) of the real, symmetric, positive semidefinite n x n
-    E = H * T of the views ``hankel`` and ``toeplitz``, with ||E||_F^2 =
-    ``weight``, factorised on its ``rows`` x ``rows`` block:
-    E ~ U diag(s) U^T with U = u on those rows (orthonormal columns) and 0
-    elsewhere, s the retained eigenvalues, and
+    E = H * T of the views ``hankel`` and ``toeplitz`` on the axis ``x``,
+    with ||E||_F^2 = ``weight``, factorised on its ``rows`` x ``rows``
+    block: E ~ U diag(s) U^T with U = u on those rows (orthonormal columns)
+    and 0 elsewhere, s the retained eigenvalues, and
     ||E - U diag(s) U^T||_F <= RESIDUAL_LIMIT ||E||_F over the whole E.
 
     ``outside`` bounds E's squared Frobenius norm outside the block
-    (``_support`` gives both); that part of E is left out, so its bound is
-    added to the block's exact squared residual wherever the limit is
-    checked.  Pivoted Cholesky grows the block ~ L L^T one column at a
-    time: the pivot is the largest entry of the residual's diagonal, and
-    the new column is the residual's row there, E's row read as the product
-    of the views' rows and corrected by the columns so far.  L's columns are
-    the rows of a skeleton that doubles when full, once the memory check
-    passes for the larger one.  The residual is positive semidefinite, so
-    its trace bounds its Frobenius norm; only when the trace is within the
-    limit is the residual computed exactly, and a check that fails takes
-    PIVOT_BLOCK more pivots before the next one.  The thin SVD of L gives
-    the block ~ u diag(s) u^T, s the squared singular values.  Since u is
-    orthonormal, the error of keeping r of them is sqrt(residual^2 +
-    outside + sum of the dropped s^2), and the smallest r that keeps it
-    within half the limit is kept (all of them when the residual and the
-    outside bound alone exceed that).
+    (``_support`` gives both), and is added to the block's exact squared
+    residual.  The factors are Mehler's for ``params`` (module docstring),
+    accepted only through the exact residual of the skeleton
+    (W sqrt(s))^T Q^T against the views, so views that ``params`` does not
+    describe raise.  r is not clipped to the rows: past them, the tail
+    modes still carry weight.  Since u = Q W is orthonormal, the error of
+    keeping its first columns is sqrt(residual^2 + outside + sum of the
+    dropped s^2), and the fewest that keep it within half the limit are kept.
     """
-    n = len(hankel)
-    hankel, toeplitz = hankel[rows, rows], toeplitz[rows, rows]
-    m = len(hankel)
-    limit2 = RESIDUAL_LIMIT * RESIDUAL_LIMIT * weight  # ||E - L L^T||_F^2 allowed
-    allowed = limit2 - outside  # of which the block's exact residual may take
-    diagonal = hankel.diagonal() * toeplitz.diagonal()  # of the residual E - L L^T
-    skeleton = np.empty((SKELETON_COLUMNS, m))  # row k is L's column k
-    columns = 0
-    next_check = 0
-    while True:
-        pivot = int(np.argmax(diagonal))
-        exhausted = columns == m or not diagonal[pivot] > 0
-        if exhausted or (columns >= next_check and diagonal.sum() ** 2 <= allowed):
-            residual = _residual(hankel, toeplitz, skeleton[:columns])
-            if residual * residual <= allowed:
-                break
-            if exhausted:
-                raise GridError("no factorisation of the amplitude meets the residual limit")
-            next_check = columns + PIVOT_BLOCK
-        if columns == len(skeleton):
-            capacity = min(2 * columns, m)
-            require_memory(_peak_bytes(n, m, capacity))
-            grown = np.empty((capacity, m))
-            grown[:columns] = skeleton
-            skeleton = grown
-        column = skeleton[columns]
-        np.multiply(hankel[pivot], toeplitz[pivot], out=column)
-        column -= skeleton[:columns, pivot] @ skeleton[:columns]
-        column /= math.sqrt(diagonal[pivot])
-        diagonal -= column * column
-        columns += 1
-    u, s, _ = np.linalg.svd(skeleton[:columns].T, full_matrices=False)
-    s *= s
+    q, sigma, terms = _mehler(params)
+    limit2 = RESIDUAL_LIMIT * RESIDUAL_LIMIT * weight  # ||E - U diag(s) U^T||_F^2 allowed
+    basis, triangle = np.linalg.qr(_hermite_functions(x[rows] / sigma, terms).T)
+    core = (triangle * (math.sqrt(1.0 - q * q) * q ** np.arange(terms))) @ triangle.T
+    s, w = np.linalg.eigh(core)
+    s, w = np.maximum(s[::-1], 0.0), w[:, ::-1]  # descending; roundoff may dip below 0
+    residual = _residual(hankel[rows, rows], toeplitz[rows, rows], (w * np.sqrt(s)).T @ basis.T)
+    if not residual * residual <= limit2 - outside:
+        raise GridError("no factorisation of the amplitude meets the residual limit")
     # dropped[r] is the weight beyond the first r values; half the limit is
     # left to roundoff
     dropped = np.cumsum(s[::-1] ** 2)[::-1]
     error = residual * residual + outside
     rank = max(1, int(np.count_nonzero(dropped > limit2 / 4.0 - error)))
-    return u[:, :rank], s[:rank]
+    return basis @ w[:, :rank], s[:rank]
 
 
 def initial_grid(
@@ -554,9 +552,9 @@ def initial_grid(
     MemoryError, before allocating, when the factorisation's peak exceeds
     the physical memory.
     """
-    phase, envelope, weight, extent = _sampled_amplitude(params, n, extent, t_max)
+    x, phase, envelope, weight, extent = _sampled_amplitude(params, n, extent, t_max)
     rows, outside = _support(*envelope, weight)
-    u, s = _schmidt_factors(*envelope, weight, rows, outside)
+    u, s = _schmidt_factors(params, x, *envelope, weight, rows, outside)
     # a diagonal unitary keeps singular values: psi / c = diag(p) E diag(conj p)
     # has E's Schmidt factors with the phase moved onto them, and renormalized
     # it has E's singular values over ||E|| dx; both factors are 0 off the rows

@@ -716,8 +716,8 @@ def _never_called(*args, **kwargs):
 
 
 # each needs 100 TB or more at its peak (for the oracle at n = 2^36, its
-# O(n) vectors and n x 32 skeleton): the memory check refuses it before the
-# first large array
+# O(n) vectors and n x 22 Hermite functions): the memory check refuses it
+# before the first large array
 @pytest.mark.parametrize(
     "argv,allocator",
     [
@@ -820,11 +820,8 @@ def test_oracle_check_charges_its_memory_before_the_moments(capsys, monkeypatch)
     assert err == "error: the request does not fit in memory\n"
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "the roundoff floor of the pivoted Cholesky factorisation, not a missing pivot: on the "
-    "173-row support the exact squared residual is 1.11 x the limit after 91 pivots and "
-    "0.991 x at full rank (173 pivots), above the allowance of 0.9896 x (the limit less the "
-    "bound outside the support), so oracle-check exits 3"))
+# b = a/4 on a 173-row support: the factors' exact squared residual must
+# stay within the 0.9896 of the limit that the bound outside it leaves
 def test_oracle_check_factorises_b_a_quarter_at_n_2048(capsys):
     argv = "oracle-check --a 1 --b 0.25 --kc 0.5 --times 0,0.5,1,2 --grid-n 2048".split()
     code, _, err = run_cli(capsys, *argv)

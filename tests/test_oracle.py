@@ -6,7 +6,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -95,8 +94,10 @@ def test_initial_grid_takes_4n_exponentials_and_no_random_numbers(monkeypatch):
     monkeypatch.setattr(np, "exp", counted)
     for name in ("default_rng", "Generator", "RandomState"):
         monkeypatch.setattr(np.random, name, no_streams)
-    initial_grid(PairParams(a=1.0, b=0.25, k_c=0.7), n=n)
-    assert sum(sizes) <= 4 * n  # 2n - 1 sums, n differences and n phases
+    grid = initial_grid(PairParams(a=1.0, b=0.25, k_c=0.7), n=n)
+    m = len(grid._modes[0])
+    # 2n - 1 sums, n differences, n phases and one Gaussian h_0 per support row
+    assert sum(sizes) <= 4 * n + m
 
 
 def _amplitudes(grid: WaveGrid) -> np.ndarray:
@@ -234,16 +235,19 @@ def test_the_real_view_grams_match_the_complex_products(b, n, t_max):
 
 
 def test_factorisation_is_accepted_only_through_its_exact_residual():
-    # a zero diagonal leaves no pivot and a zero trace, yet the residual is
-    # the whole matrix: ones - eye, a Hankel view of ones times a Toeplitz
-    # view that is 0 only at zero difference
-    n = 64
-    hankel = sliding_window_view(np.ones(2 * n - 1), n)
-    toeplitz = sliding_window_view(np.concatenate([np.ones(n - 1), [0.0], np.ones(n - 1)]), n)
-    amp = hankel * toeplitz[:, ::-1]
-    np.testing.assert_array_equal(amp, np.ones((n, n)) - np.eye(n))
-    with pytest.raises(GridError, match="no factorisation of the amplitude meets the residual"):
-        localent.oracle._schmidt_factors(hankel, toeplitz[:, ::-1], float(np.vdot(amp, amp)))
+    # Mehler's factors come from the parameters alone; views of an envelope
+    # that they do not describe, even one 1e-9 away, miss it by far more
+    # than the limit
+    x = _axis(256, 16.0)
+    for b, described in [(2.0, 2.0), (0.25, 0.25), (INF, INF), (2.0, 2.0 * (1.0 + 1e-9)),
+                         (0.25, 0.25 * (1.0 - 1e-9)), (INF, 1e4), (2.0, INF)]:
+        envelope = _grid_envelope(x, PairParams(a=1.0, b=b))
+        arguments = (PairParams(a=1.0, b=described), x, *envelope, _envelope_weight(*envelope))
+        if described == b:
+            localent.oracle._schmidt_factors(*arguments)
+            continue
+        with pytest.raises(GridError, match="no factorisation of the amplitude meets the residual"):
+            localent.oracle._schmidt_factors(*arguments)
 
 
 @pytest.mark.parametrize("n", [256, 512])
@@ -284,12 +288,13 @@ def test_initial_grid_factors_vanish_off_the_support():
 
 def test_factorisation_refuses_a_bound_outside_the_rows_above_the_limit():
     params = PairParams(a=1.0, b=2.0)
-    envelope = _grid_envelope(_axis(256, default_extent(params, 2.0)), params)
+    x = _axis(256, default_extent(params, 2.0))
+    envelope = _grid_envelope(x, params)
     weight = _envelope_weight(*envelope)
     rows, _ = _support(*envelope, weight)
     outside = 1.01 * RESIDUAL_LIMIT**2 * weight  # the tail alone exceeds limit^2
     with pytest.raises(GridError, match="no factorisation of the amplitude meets the residual"):
-        localent.oracle._schmidt_factors(*envelope, weight, rows, outside)
+        localent.oracle._schmidt_factors(params, x, *envelope, weight, rows, outside)
 
 
 @pytest.mark.parametrize("b", [2.0, INF, 0.25])
@@ -336,8 +341,9 @@ def test_memory_check_charges_the_traced_peak_at_high_rank(monkeypatch):
     finally:
         tracemalloc.stop()
     assert grid.schmidt.size > 100
-    capacity = 128  # the skeleton's, doubled from 32 to hold the rank
-    # beyond the skeleton (nc words) and the SVD's copy and singular vectors (3nc)
+    capacity = 128  # below the rank
+    # beyond four n x 128 arrays of floats: the rank terms, the complex n x r
+    # factors (4nr words) among them, set the peak
     assert max(charged) >= peak > 8 * (n * capacity + 3 * n * capacity)
 
 
@@ -365,8 +371,8 @@ def test_memory_check_charges_the_traced_peak_on_the_support(monkeypatch, b, n, 
 
 
 def test_initial_grid_peaks_below_a_quarter_of_one_envelope():
-    # E is never formed whole: the residual's row blocks and the skeleton
-    # set the peak, not a dense n x n float64 array (8 n^2 bytes)
+    # E is never formed whole: the residual's row blocks and the n x r
+    # factors set the peak, not a dense n x n float64 array (8 n^2 bytes)
     n = 1024
     initial_grid(PairParams(a=1.0, b=2.0), n=64)  # numpy's one-time imports, untraced
     tracemalloc.start()
@@ -576,6 +582,9 @@ def _oracle_check(engine, params: PairParams, n: int, times: list[float]):
 )
 @settings(max_examples=60, deadline=None)
 @example(a=0.5, log_ratio=-1.75, k_c=0.0, n=128, times={0.0})  # entries to 273: 1.25e-12 apart
+# b = a: a factorisation residual reaches the k-weighted moments at first
+# order, 1.29 times the bound for factors at 0.77 of the residual limit
+@example(a=1.0078125, log_ratio=0.0, k_c=0.375, n=256, times={0.0, 0.5, 1.0, 2.0})
 def test_factored_engine_matches_the_dense_reference(a, log_ratio, k_c, n, times):
     # b <= a/4 is where unchecked cross approximation converged to the wrong matrix
     params = PairParams(a=a, b=a * math.exp(log_ratio), k_c=k_c)

@@ -7,10 +7,13 @@ JSON payloads carry a config echo plus {seed, version} metadata, and
 ``protocol`` adds ``rng``, the label of its random-stream scheme.  CSV runs
 echo the config (every option but ``--format`` and ``--out``) to stderr.
 JSON text is written by this module's own encoder with the bytes of
-``json.dumps(value, indent=2, allow_nan=False)``; ``protocol`` trials are
-rendered column by column straight from the batch arrays.  Every command
-hands its CSV table over as columns, and the table is written column by
-column: each float column is checked once and formatted in one pass.
+``json.dumps(value, indent=2, allow_nan=False)``: it appends the text as
+fragments to one list and joins each document once.  ``protocol`` trials
+are rendered column by column straight from the batch arrays, each column
+once, even where the record holds it at two leaves, and by the cheapest
+exact path for its dtype.  Every command hands its CSV table over as
+columns, and the table is written column by column: each float column is
+checked once and formatted in one pass.
 ``eof-surface`` evaluates its whole grid as arrays.
 
 ``--out`` is rewritten in place: the file is opened without truncation,
@@ -79,8 +82,9 @@ OUT_OF_RANGE = "the input is outside the representable range: a result is not fi
 # the error line of these exceptions, in place of their own text
 _MESSAGES = {ArithmeticError: OUT_OF_RANGE, MemoryError: "the request does not fit in memory"}
 # bytes that rendering one value of a protocol trial holds at its peak: its
-# str object and the copies of its text that the writer joins (a traced run
-# peaks at up to ~135 B a value in JSON and ~41 B in CSV beside the batch)
+# str object and its share of the record texts that the writer joins (the
+# traced runs of the memory test peak at 67-93 B a value in JSON and 31-38 B
+# in CSV beside the batch's charge)
 _VALUE_BYTES = {"json": 192, "csv": 64}
 
 
@@ -110,14 +114,13 @@ class _Records:
 _SLOT = "\x00"  # a column leaf in a template; encoded strings escape it
 
 
-def _dumps(value, indent: str | None = "  ", pad: str = "", slots: list | None = None) -> str:
-    """``json.dumps(value, indent=len(indent), allow_nan=False)``, or the
-    one-line form with ", " and ": " separators when ``indent`` is None.
-
-    Also takes ``_Records``.  Keys must be strings.  A non-finite float
-    raises DomainError.  ``pad`` is the indent of the value's own line, and
-    ``slots`` collects the texts of the columns of a ``_Records`` skeleton.
-    """
+def _scalar(value) -> str | None:
+    """The JSON text of a float, str, None, bool or int; None for any other
+    value.  A non-finite float raises DomainError."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise DomainError(OUT_OF_RANGE)
+        return float.__repr__(value)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -128,52 +131,98 @@ def _dumps(value, indent: str | None = "  ", pad: str = "", slots: list | None =
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise DomainError(OUT_OF_RANGE)
-        return float.__repr__(value)
+    return None
+
+
+def _dumps(value, indent: str | None = "  ", end: str = "") -> str:
+    """``json.dumps(value, indent=len(indent), allow_nan=False)``, or the
+    one-line form with ", " and ": " separators when ``indent`` is None,
+    followed by ``end``.
+
+    Also takes ``_Records``.  Keys must be strings.  A non-finite float
+    raises DomainError.  The text is written as fragments and joined once.
+    """
+    fragments: list[str] = []
+    _write(value, indent, "", fragments, None)
+    fragments.append(end)
+    return "".join(fragments)
+
+
+def _write(value, indent: str | None, pad: str, out: list, columns: list | None) -> None:
+    """Append the text of ``value`` (as ``_dumps`` writes it) to ``out`` as
+    fragments, to be joined once.  ``pad`` is the indent of the value's own
+    line, and ``columns`` collects the columns of a ``_Records`` skeleton.
+    A scalar member of a container is written with its key or separator as
+    one fragment."""
     if isinstance(value, np.ndarray):  # a column of a _Records skeleton
-        slots.append(_column_texts(value))
-        return _SLOT
+        columns.append(value)
+        out.append(_SLOT)
+        return
+    if not isinstance(value, (dict, list, tuple, _Records)):
+        text = _scalar(value)
+        if text is None:
+            raise TypeError(f"{type(value).__name__} is not JSON serializable")
+        out.append(text)
+        return
+    if not (value.count if isinstance(value, _Records) else value):
+        out.append("{}" if isinstance(value, dict) else "[]")
+        return
     inner = pad if indent is None else pad + indent
-    if isinstance(value, dict):
-        brackets = "{}"
-        items = [f"{encode_basestring_ascii(key)}: {_dumps(item, indent, inner, slots)}"
-                 for key, item in value.items()]
-    elif isinstance(value, _Records):
-        brackets = "[]"
-        items = _record_texts(value, indent, inner)
-    elif isinstance(value, (list, tuple)):
-        brackets = "[]"
-        items = [_dumps(item, indent, inner, slots) for item in value]
-    else:
-        raise TypeError(f"{type(value).__name__} is not JSON serializable")
-    if not items:
-        return brackets
     if indent is None:
-        return brackets[0] + ", ".join(items) + brackets[1]
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+        opening, sep, closing = "", ", ", ""
+    else:
+        opening, sep, closing = f"\n{inner}", f",\n{inner}", f"\n{pad}"
+    keyed = isinstance(value, dict)
+    out.append(("{" if keyed else "[") + opening)
+    if isinstance(value, _Records):
+        _write_records(value, indent, inner, sep, out)
+    else:
+        for i, item in enumerate(value.items() if keyed else value):
+            head = sep if i else ""
+            if keyed:
+                key, item = item
+                head = f"{head}{encode_basestring_ascii(key)}: "
+            text = _scalar(item)
+            if text is None:
+                out.append(head)
+                _write(item, indent, inner, out, columns)
+            else:
+                out.append(head + text)
+    out.append(closing + ("}" if keyed else "]"))
 
 
-def _record_texts(records: _Records, indent: str | None, pad: str) -> list[str]:
-    """One text per record: the skeleton's template filled row by row."""
-    if not records.count:
-        return []
-    slots: list[list[str]] = []
-    template = _dumps(records.skeleton, indent, pad, slots)
-    template = template.replace("%", "%%").replace(_SLOT, "%s")
-    rows = zip(*slots) if slots else [()] * records.count
-    return [template % row for row in rows]
+def _write_records(records: _Records, indent: str | None, pad: str, sep: str, out: list) -> None:
+    """One text per record, each but the last ending in ``sep``: the
+    skeleton's template filled row by row.  A column object that appears at
+    several leaves is rendered once."""
+    fragments: list[str] = []
+    columns: list[np.ndarray] = []
+    _write(records.skeleton, indent, pad, fragments, columns)
+    template = "".join(fragments).replace("%", "%%").replace(_SLOT, "%s")
+    texts: dict[int, list[str]] = {}
+    for column in columns:
+        if id(column) not in texts:
+            texts[id(column)] = _column_texts(column)
+    cells = [texts[id(column)] for column in columns]
+    rows = list(zip(*cells)) if cells else [()] * records.count
+    out.extend(map((template + sep).__mod__, rows[:-1]))
+    out.append(template % rows[-1])
 
 
 def _column_texts(column: np.ndarray) -> list[str]:
-    """The JSON texts of a column: a float column is checked for non-finite
-    entries once and written by ``float.__repr__`` as a whole."""
+    """The JSON texts of a column, each by the cheapest exact path: a float
+    column is checked for non-finite entries once and written by
+    ``float.__repr__`` as a whole, a string column by the string encoder,
+    and any other column entry by entry."""
+    values = column.tolist()
     if column.dtype.kind == "f":
         if not np.isfinite(column).all():
             raise DomainError(OUT_OF_RANGE)
-        return list(map(float.__repr__, column.tolist()))
-    return [_dumps(value, None) for value in column.tolist()]
+        return list(map(float.__repr__, values))
+    if column.dtype.kind == "U":
+        return list(map(encode_basestring_ascii, values))
+    return [text if (text := _scalar(value)) is not None else _dumps(value, None)
+            for value in values]
 
 
 def _inf_str(value: float):
@@ -246,7 +295,7 @@ def _emit(args, config: dict, results, columns: dict | None, rng: str | None = N
         if rng is not None:
             metadata["rng"] = rng
         payload = {"config": config, "results": results, "metadata": metadata}
-        text = _dumps(payload) + "\n"
+        text = _dumps(payload, end="\n")
     else:
         text = _csv_text(columns)
         print(f"config: {_dumps(config, indent=None)}", file=sys.stderr)
@@ -378,13 +427,16 @@ def cmd_protocol(args) -> int:
         batch = run_blind_batch(scenario, times=times, threshold_sigmas=args.threshold_sigmas,
                                 **run)
         cov = batch.param_cov
+        off_diagonal = cov[:, 0, 1]  # bitwise equal to cov[:, 1, 0]: the fit builds it so
         t_list = batch.times.tolist()
         trial = {
             "verdict": _verdict_columns(batch),
             "u_hat": batch.u_hat,
             "u_stderr": batch.u_stderr,
             "fit": {"alpha": batch.alpha, "beta": batch.beta, "alpha_sigma": batch.alpha_sigma,
-                    "param_cov": [[cov[:, i, j] for j in range(2)] for i in range(2)],
+                    # one object at both off-diagonal leaves, rendered once
+                    "param_cov": [[cov[:, 0, 0], off_diagonal],
+                                  [off_diagonal, cov[:, 1, 1]]],
                     "residual_rms": batch.residual_rms},
             "series": [{"t": t, "dx_hat": batch.dx_hat[:, j], "stderr": batch.stderr[:, j],
                         "n_samples": batch.n_samples} for j, t in enumerate(t_list)],

@@ -316,15 +316,20 @@ def _checked(grid: WaveGrid, boundary: str) -> WaveGrid:
     return grid
 
 
+def _vector_words(n: int) -> int:
+    """Words that the sampler's n-vectors (the axis, phase, envelope factors,
+    diagonal, the sums of the O(n) norm and of the support, within 16n)
+    and numpy's ufunc buffers (two of ``np.getbufsize()``, for the reversed
+    Toeplitz view and for real-to-complex casts) hold, from the sampling of
+    the envelope to the last evolution."""
+    return 16 * n + 2 * np.getbufsize()
+
+
 def _peak_bytes(n: int, terms: int) -> int:
     """Bytes alive at ``initial_grid``'s peak when it factorises with
     r = ``terms`` Hermite functions (``_mehler``).  Charged before the
-    envelope is sampled, so before its support is known: the m support rows
-    are taken as all n.  E is never formed whole, so no term is n x n.
-    Throughout: the sampler's n-vectors (the axis, phase, envelope factors,
-    diagonal, the sums of the O(n) norm and of the support, within 16n
-    words) and numpy's ufunc buffers (two of ``np.getbufsize()`` words, for
-    the reversed Toeplitz view and for real-to-complex casts).  While
+    support is known: the m support rows are taken as all n.  E is never
+    formed whole, so no term is n x n.  Throughout: ``_vector_words``.  While
     factorising, with c = min(m, r) columns of Q: the sampled functions and
     numpy's copy of them in its QR, or Q beside the residual's skeleton and
     two row blocks, or beside the skeleton and u = QW (2mr + max(mc,
@@ -333,10 +338,9 @@ def _peak_bytes(n: int, terms: int) -> int:
     (mc + 4nc), and the real c x c Grams beside their temporaries and the
     isometry check's copy (4c^2)."""
     r, c = terms, min(n, terms)
-    vectors = 16 * n + 2 * np.getbufsize()
     factorising = 2 * n * r + max(n * c, 2 * ROW_BLOCK * n) + 4 * c * r
     factored = 5 * n * c + 4 * c * c
-    return 8 * (vectors + max(factorising, factored))
+    return 8 * (_vector_words(n) + max(factorising, factored))
 
 
 def _check_bytes(grid: WaveGrid) -> int:
@@ -344,7 +348,7 @@ def _check_bytes(grid: WaveGrid) -> int:
     for the t = 0 ``grid`` of n points, rank r and m support rows.  An upper
     bound, the sum of what ``moments(grid)`` and the evolutions hold at
     their peaks; a traced run at ranks 14-180 peaks at 0.78-0.84 of it.
-    Terms: the n-vectors of ``_peak_bytes``; the complex n x r factors and
+    Terms: ``_vector_words``; the complex n x r factors and
     the real m x r modes U (4nr + mr words); both cached spectra and the
     spectral power |left_k|^2 (5nr); the evolutions' n x 2r buffer (4nr);
     the temporaries of ``moments``, the float view of the k-weighted left
@@ -352,8 +356,7 @@ def _check_bytes(grid: WaveGrid) -> int:
     k2 psi (2nr + 6mr); and the r x r Grams and their temporaries (8r^2)."""
     n, r = grid.n, grid.schmidt.size
     m = n if grid._modes is None else len(grid._modes[0])
-    vectors = 16 * n + 2 * np.getbufsize()
-    return 8 * (vectors + 15 * n * r + 7 * m * r + 8 * r * r)
+    return 8 * (_vector_words(n) + 15 * n * r + 7 * m * r + 8 * r * r)
 
 
 def _grid_envelope(x: np.ndarray, params: PairParams) -> tuple[np.ndarray, np.ndarray]:
@@ -399,8 +402,9 @@ def _sampled_amplitude(
     c is the closed-form normalisation.  The quadrature of |psi|^2 is
     c^2 m^2 ||E||_F^2 dx^2 with m = |p_i|^2 = 1 for every i, and the
     renormalization factor it gives must stay within 1e-4 of unity.  Raises
-    before any allocation when the grid is invalid or the factorisation's
-    peak exceeds the physical memory.
+    before any allocation when the grid is invalid or its n-vectors exceed
+    the physical memory, and before the factorisation when the grid
+    under-resolves the state or the factorisation's peak exceeds it.
     """
     if n < 64 or n & (n - 1):
         raise GridError(f"grid size must be a power of two >= 64, got {n}")
@@ -414,7 +418,7 @@ def _sampled_amplitude(
         raise GridError(
             f"extent {extent:g} is below 16 initial position dispersions; enlarge the domain"
         )
-    require_memory(_peak_bytes(n, _mehler(params)[2]))
+    require_memory(8 * _vector_words(n))
     x = _axis(n, extent)
     phase = np.exp(1j * params.k_c * x)
     envelope = _grid_envelope(x, params)
@@ -425,6 +429,7 @@ def _sampled_amplitude(
         raise GridError(
             f"grid under-resolves the state (renormalization factor {factor:.6f})"
         )
+    require_memory(_peak_bytes(n, _mehler(params)[2]))
     return x, phase, envelope, weight, extent
 
 

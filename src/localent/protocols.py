@@ -381,15 +381,22 @@ def _chi2_draws(seed: int, first_trial: int, trials: int, size: int, n: int) -> 
     One Philox serves the whole batch: before each row its state is reset to
     the fresh stream ``Philox(key=seed + ((first_trial + k) << 64))`` would
     start from (counter 0, key words (seed, first_trial + k), empty buffer).
+    Each row is drawn as gamma((n - 1) / 2) variates straight into the batch,
+    which is then doubled once: numpy's chisquare(df) is exactly
+    2 standard_gamma(df / 2), so the bits are those of chisquare(n - 1).
     """
     draws = np.empty((trials, size))
     bit_generator = np.random.Philox(0)  # an integer seed reads no OS entropy
     generator = np.random.Generator(bit_generator)
     fresh = bit_generator.state  # counter 0 and an empty buffer; the key is set per row
+    key = fresh["state"]["key"]  # written in place, read by each state assignment
+    key[0] = seed
+    shape = (n - 1) / 2
     for row in range(trials):
-        fresh["state"]["key"] = np.array([seed, first_trial + row], dtype=np.uint64)
+        key[1] = first_trial + row
         bit_generator.state = fresh
-        draws[row] = generator.chisquare(n - 1, size=size)
+        generator.standard_gamma(shape, out=draws[row])
+    draws *= 2.0
     return draws
 
 

@@ -716,8 +716,8 @@ def _never_called(*args, **kwargs):
 
 
 # each needs 100 TB or more at its peak (for the oracle at n = 2^36, its
-# O(n) vectors and n x 22 Hermite functions): the memory check refuses it
-# before the first large array
+# O(n) vectors alone): the memory check refuses it before the first large
+# array
 @pytest.mark.parametrize(
     "argv,allocator",
     [
@@ -826,6 +826,15 @@ def test_oracle_check_factorises_b_a_quarter_at_n_2048(capsys):
     argv = "oracle-check --a 1 --b 0.25 --kc 0.5 --times 0,0.5,1,2 --grid-n 2048".split()
     code, _, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
+
+
+def test_under_resolved_grid_exits_3_before_the_factorisation_is_charged(capsys, monkeypatch):
+    # r ~ 22 a/b = 2.2e5 Hermite functions would need ~4 TB; the grid's
+    # renormalization check refuses the state first, on any machine
+    monkeypatch.setattr(os, "sysconf", lambda name: 2**30 if name == "SC_PHYS_PAGES" else 1)
+    code, out, err = run_cli(capsys, *"oracle-check --a 1 --b 1e-4 --grid-n 1024".split())
+    assert (code, out) == (3, "")
+    assert err == "error: grid under-resolves the state (renormalization factor 0.000067)\n"
 
 
 def test_protocol_output_that_does_not_fit_exits_2(capsys, monkeypatch):
@@ -1037,12 +1046,24 @@ def test_json_writer_matches_json_dumps(value):
     assert cli._dumps(value, indent=None) == json.dumps(value, allow_nan=False)
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
 @given(key=st.text(), constant=_JSON_VALUES,
-       column=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=5))
+       cells=st.lists(st.tuples(_FINITE, st.text(), st.one_of(_FINITE, st.just("inf"))),
+                      max_size=5))
 @settings(max_examples=200, deadline=None)
-def test_json_writer_records_match_their_rows(key, constant, column):
-    rows = [{f"k{key}": constant, "x": value} for value in column]
-    records = cli._Records({f"k{key}": constant, "x": np.array(column, dtype=float)}, len(column))
+def test_json_writer_records_match_their_rows(key, constant, cells):
+    # a float column, a string column, an object column of floats and "inf",
+    # and one array object at two leaves
+    floats, texts, mixed = (list(column) for column in zip(*cells)) if cells else ([], [], [])
+    x = np.array(floats, dtype=float)
+    label = np.array(texts, dtype=str)
+    b_hat = np.array(mixed, dtype=object)
+    skeleton = {f"k{key}": constant, "x": x, "label": label, "b_hat": b_hat, "pair": [x, [x]]}
+    rows = [{f"k{key}": constant, "x": value, "label": text, "b_hat": b, "pair": [value, [value]]}
+            for value, text, b in zip(x.tolist(), label.tolist(), b_hat.tolist())]
+    records = cli._Records(skeleton, len(cells))
     assert cli._dumps({"rows": records}) == json.dumps({"rows": rows}, indent=2)
     assert cli._dumps({"rows": records}, indent=None) == json.dumps({"rows": rows})
 
@@ -1055,6 +1076,7 @@ def test_json_writer_rejects_non_finite_numbers(bad):
         {"a": {"b": (0.5, bad)}},
         {"rows": cli._Records({"x": np.array([0.0, bad]), "y": 1}, 2)},
         {"rows": cli._Records({"x": np.array([0.0, 1.0]), "y": bad}, 2)},
+        {"rows": cli._Records({"x": np.array([0.0, "inf", bad], dtype=object), "y": 1}, 3)},
     ]
     for value in envelopes:
         for indent in ("  ", None):

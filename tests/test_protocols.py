@@ -597,6 +597,16 @@ def test_trials_are_bit_identical_whatever_the_batch(trial):
     assert (one.u_hat, one.dx_hat) == (known.u_hat[trial - start], known.dx_hat[trial - start])
 
 
+@pytest.mark.parametrize("noiseless", [False, True])
+def test_param_cov_off_diagonals_are_bitwise_equal(noiseless):
+    # the CLI renders one of them for both leaves
+    scenario = entangled_scenario(t0=0.5)
+    batch = run_blind_batch(scenario, [0.0, 0.6, 1.2, 1.9], 100, seed=3, trials=200,
+                            noiseless=noiseless)
+    assert noiseless or np.all(batch.u_stderr > 0)  # the sampled fit adds u's outer product
+    assert batch.param_cov[:, 0, 1].tobytes() == batch.param_cov[:, 1, 0].tobytes()
+
+
 def test_noiseless_batches_draw_nothing(monkeypatch):
     def no_streams(*args, **kwargs):
         raise AssertionError("a noiseless run drew random numbers")
@@ -654,10 +664,13 @@ def test_stream_keys_out_of_range(seed, first_trial, trials):
     [(2**64 - 1, 0, 3), (5, 2**64 - 4, 4), (2**64 - 1, 2**64 - 2, 2), (9, 2**32 + 5, 3)],
 )
 def test_stream_keys_at_their_edges(seed, first_trial, trials):
-    draws = _chi2_draws(seed, first_trial, trials, 4, 500)
-    for row in range(trials):
-        stream = np.random.Philox(key=seed + ((first_trial + row) << 64))
-        assert np.array_equal(draws[row], np.random.Generator(stream).chisquare(499, size=4))
+    # n = 2 is gamma shape 0.5, another branch of numpy's sampler
+    for n in (2, 3, 500, 10**4, 10**6):
+        draws = _chi2_draws(seed, first_trial, trials, 4, n)
+        for row in range(trials):
+            stream = np.random.Philox(key=seed + ((first_trial + row) << 64))
+            want = np.random.Generator(stream).chisquare(n - 1, size=4)
+            assert np.array_equal(draws[row], want)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

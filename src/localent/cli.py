@@ -11,7 +11,11 @@ JSON text is written by this module's own encoder with the bytes of
 fragments to one list and joins each document once.  ``protocol`` trials
 are rendered column by column straight from the batch arrays, each column
 once, even where the record holds it at two leaves, and by the cheapest
-exact path for its dtype.  Every command hands its CSV table over as
+exact path for its dtype; the float columns of a batch are checked for
+non-finite entries in one pass.  No record is formatted on its own: the
+text of the record's shape is split at its column leaves once, and the
+records are appended as one interleaving of those literal pieces with the
+column texts.  Every command hands its CSV table over as
 columns, and the table is written column by column: each float column is
 checked once and formatted in one pass.
 ``eof-surface`` evaluates its whole grid as arrays.
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import stat
@@ -82,10 +87,12 @@ OUT_OF_RANGE = "the input is outside the representable range: a result is not fi
 # the error line of these exceptions, in place of their own text
 _MESSAGES = {ArithmeticError: OUT_OF_RANGE, MemoryError: "the request does not fit in memory"}
 # bytes that rendering one value of a protocol trial holds at its peak: its
-# str object and its share of the record texts that the writer joins (the
-# traced runs of the memory test peak at 67-93 B a value in JSON and 31-38 B
-# in CSV beside the batch's charge)
-_VALUE_BYTES = {"json": 192, "csv": 64}
+# str object and its share of the record texts that the writer joins and of
+# their encoding on the way out (the traced runs of the memory test peak at
+# 74-131 B a value in JSON, the least for noiseless runs, and 31-38 B in CSV
+# beside the batch's charge; the whole charge is 1.19-1.66 times the traced
+# peak in JSON and 1.40-1.45 times in CSV)
+_VALUE_BYTES = {"json": 160, "csv": 64}
 
 
 def _fmt(value) -> str:
@@ -104,14 +111,14 @@ def _fmt(value) -> str:
 class _Records:
     """A JSON array of ``count`` records of one shape.  ``skeleton`` is a
     record whose leaves that vary are 1-D arrays, one entry per record (a
-    column); it is encoded once, as a template that each record's column
-    texts fill."""
+    column); it is encoded once, and each record interleaves that text's
+    literal pieces with its column texts."""
 
     skeleton: dict
     count: int
 
 
-_SLOT = "\x00"  # a column leaf in a template; encoded strings escape it
+_SLOT = "\x00"  # a column leaf in a skeleton's text; encoded strings escape it
 
 
 def _scalar(value) -> str | None:
@@ -192,32 +199,38 @@ def _write(value, indent: str | None, pad: str, out: list, columns: list | None)
 
 
 def _write_records(records: _Records, indent: str | None, pad: str, sep: str, out: list) -> None:
-    """One text per record, each but the last ending in ``sep``: the
-    skeleton's template filled row by row.  A column object that appears at
-    several leaves is rendered once."""
+    """The records, each but the last followed by ``sep``, appended as one
+    interleaving: the skeleton's text is split at its column leaves once,
+    and each record is its literal pieces alternating with its column
+    texts.  A column object that appears at several leaves is rendered
+    once, and the float columns are checked for non-finite entries at
+    once."""
     fragments: list[str] = []
     columns: list[np.ndarray] = []
     _write(records.skeleton, indent, pad, fragments, columns)
-    template = "".join(fragments).replace("%", "%%").replace(_SLOT, "%s")
-    texts: dict[int, list[str]] = {}
-    for column in columns:
-        if id(column) not in texts:
-            texts[id(column)] = _column_texts(column)
-    cells = [texts[id(column)] for column in columns]
-    rows = list(zip(*cells)) if cells else [()] * records.count
-    out.extend(map((template + sep).__mod__, rows[:-1]))
-    out.append(template % rows[-1])
+    pieces = "".join(fragments).split(_SLOT)
+    unique = {id(column): column for column in columns}
+    floats = [column for column in unique.values() if column.dtype.kind == "f"]
+    if floats and not np.isfinite(np.concatenate(floats)).all():
+        raise DomainError(OUT_OF_RANGE)
+    texts = {key: _column_texts(column) for key, column in unique.items()}
+    last = pieces[-1]
+    pieces[-1] = last + sep
+    # piece, column, piece, ..., column, piece + sep: one record per zip step
+    parts = [None] * (2 * len(pieces) - 1)
+    parts[::2] = map(itertools.repeat, pieces, itertools.repeat(records.count))
+    parts[1::2] = [texts[id(column)] for column in columns]
+    out.extend(itertools.chain.from_iterable(zip(*parts)))
+    out[-1] = last
 
 
 def _column_texts(column: np.ndarray) -> list[str]:
     """The JSON texts of a column, each by the cheapest exact path: a float
-    column is checked for non-finite entries once and written by
-    ``float.__repr__`` as a whole, a string column by the string encoder,
-    and any other column entry by entry."""
+    column, whose entries the caller has checked to be finite, is written
+    by ``float.__repr__`` as a whole, a string column by the string
+    encoder, and any other column entry by entry."""
     values = column.tolist()
     if column.dtype.kind == "f":
-        if not np.isfinite(column).all():
-            raise DomainError(OUT_OF_RANGE)
         return list(map(float.__repr__, values))
     if column.dtype.kind == "U":
         return list(map(encode_basestring_ascii, values))

@@ -1068,6 +1068,51 @@ def test_json_writer_records_match_their_rows(key, constant, cells):
     assert cli._dumps({"rows": records}, indent=None) == json.dumps({"rows": rows})
 
 
+def _assert_records_match(skeleton, count, rows):
+    records = cli._Records(skeleton, count)
+    for value, expected in (({"rows": records}, {"rows": rows}), (records, rows)):
+        assert cli._dumps(value) == json.dumps(expected, indent=2)
+        assert cli._dumps(value, indent=None) == json.dumps(expected)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_json_writer_records_without_a_column(count):
+    skeleton = {"a": 1, "b": [None, "x"], "c": {}}
+    _assert_records_match(skeleton, count, [skeleton] * count)
+
+
+def test_json_writer_records_with_columns_at_the_first_and_last_leaf():
+    x = np.array([0.5, -1e-300, 3.0])
+    label = np.array(["p", "", "q\n"])
+    skeleton = {"x": x, "middle": {"k": [1, 2]}, "label": label}
+    rows = [{"x": value, "middle": {"k": [1, 2]}, "label": text}
+            for value, text in zip(x.tolist(), label.tolist())]
+    _assert_records_match(skeleton, 3, rows)
+    _assert_records_match([x, label], 3, [list(row) for row in zip(x.tolist(), label.tolist())])
+
+
+def test_json_writer_record_with_one_column_at_two_leaves():
+    x = np.array([0.25])
+    _assert_records_match({"a": x, "b": [x]}, 1, [{"a": 0.25, "b": [0.25]}])
+
+
+def test_json_writer_records_keep_percent_signs_and_nul_characters():
+    # the skeleton's text is split at the column leaves, so no literal text
+    # is taken for a format directive or a column leaf
+    x = np.array([1.5, 2.5])
+    constants = {"%": "%s", "%s": "%%s %d", "\x00": "\x00%", "%(x)s": ["\x00", "%"]}
+    rows = [{**constants, "x%": value, "\x00x": [value, "%s"]} for value in x.tolist()]
+    _assert_records_match({**constants, "x%": x, "\x00x": [x, "%s"]}, 2, rows)
+
+
+def test_json_writer_records_with_null_and_float_cells():
+    # as dispersion-curve writes dx_entangled before the pair is produced
+    cells = np.array([None, None, 0.5, 1e-300], dtype=object)
+    t = np.array([0.0, 0.5, 1.0, 1.5])
+    rows = [{"t": time, "dx": cell} for time, cell in zip(t.tolist(), cells.tolist())]
+    _assert_records_match({"t": t, "dx": cells}, 4, rows)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_json_writer_rejects_non_finite_numbers(bad):
     envelopes = [

@@ -673,6 +673,19 @@ def test_stream_keys_at_their_edges(seed, first_trial, trials):
             assert np.array_equal(draws[row], want)
 
 
+def test_confidence_is_bitwise_the_clamped_scalar_erf():
+    # the per-entry expression that the vectorised one replaced, clamp and all
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 8.3, -8.3, 40.0, -40.0,
+             math.inf, -math.inf, math.nan]
+    z = np.concatenate([edges, np.random.default_rng(29).normal(size=10**4)])
+    for values in (z, z[:0]):
+        got = localent.protocols._confidence(values)
+        want = np.array([min(math.erf(abs(v) / math.sqrt(2.0)), 1.0) for v in values.tolist()])
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert math.isnan(localent.protocols._confidence(np.array([math.nan]))[0])
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("noiseless", [True, False])
 def test_non_finite_times_are_domain_errors(bad, noiseless):

@@ -8,7 +8,10 @@ JSON payloads carry a config echo plus {seed, version} metadata, and
 echo the config (every option but ``--format`` and ``--out``) to stderr.
 JSON text is written by this module's own encoder with the bytes of
 ``json.dumps(value, indent=2, allow_nan=False)``: it appends the text as
-fragments to one list and joins each document once.  ``protocol`` trials
+fragments to one list, and the whole document is rendered before any of it
+is written.  The fragments are then joined, encoded and written
+``_PIECE_FRAGMENTS`` at a time, so no text or bytes object of a whole large
+document is ever built; a shorter document takes one join.  ``protocol`` trials
 are rendered column by column straight from the batch arrays, each column
 once, even where the record holds it at two leaves, and by the cheapest
 exact path for its dtype; the float columns of a batch are checked for
@@ -87,12 +90,18 @@ OUT_OF_RANGE = "the input is outside the representable range: a result is not fi
 # the error line of these exceptions, in place of their own text
 _MESSAGES = {ArithmeticError: OUT_OF_RANGE, MemoryError: "the request does not fit in memory"}
 # bytes that rendering one value of a protocol trial holds at its peak: its
-# str object and its share of the record texts that the writer joins and of
-# their encoding on the way out (the traced runs of the memory test peak at
-# 74-131 B a value in JSON, the least for noiseless runs, and 31-38 B in CSV
-# beside the batch's charge; the whole charge is 1.19-1.66 times the traced
-# peak in JSON and 1.40-1.45 times in CSV)
-_VALUE_BYTES = {"json": 160, "csv": 64}
+# str object, its share of the fragment list and of the output where that is
+# kept in memory (the writer holds one piece of the text at a time).  The
+# traced runs of the memory test, whose stdout is captured in memory, peak at
+# 70-103 B a value in JSON, the least for noiseless runs, and 31-38 B in CSV
+# beside the batch's charge; the whole charge is 1.19-1.46 times the traced
+# peak in JSON and 1.40-1.45 times in CSV.
+_VALUE_BYTES = {"json": 128, "csv": 64}
+# fragments that the writer joins, encodes and writes at a time.  A protocol
+# record's fragments are 32 B long on average and at most ~100 B, so a piece
+# is ~16 KB and never past ~50 KB: well below glibc's 128 KiB mmap threshold,
+# so each piece's str and bytes reuse the heap instead of faulting in pages.
+_PIECE_FRAGMENTS = 512
 
 
 def _fmt(value) -> str:
@@ -147,17 +156,23 @@ def _dumps(value, indent: str | None = "  ", end: str = "") -> str:
     followed by ``end``.
 
     Also takes ``_Records``.  Keys must be strings.  A non-finite float
-    raises DomainError.  The text is written as fragments and joined once.
+    raises DomainError.  The text is the join of :func:`_fragments`.
     """
+    return "".join(_fragments(value, indent, end))
+
+
+def _fragments(value, indent: str | None = "  ", end: str = "") -> list[str]:
+    """The text of ``_dumps(value, indent, end)`` as the list of fragments
+    that :func:`_write` appends, not joined."""
     fragments: list[str] = []
     _write(value, indent, "", fragments, None)
     fragments.append(end)
-    return "".join(fragments)
+    return fragments
 
 
 def _write(value, indent: str | None, pad: str, out: list, columns: list | None) -> None:
     """Append the text of ``value`` (as ``_dumps`` writes it) to ``out`` as
-    fragments, to be joined once.  ``pad`` is the indent of the value's own
+    fragments, to be joined later.  ``pad`` is the indent of the value's own
     line, and ``columns`` collects the columns of a ``_Records`` skeleton.
     A scalar member of a container is written with its key or separator as
     one fragment."""
@@ -302,40 +317,52 @@ def _csv_text(columns: dict) -> str:
 
 def _emit(args, config: dict, results, columns: dict | None, rng: str | None = None) -> None:
     """JSON envelope, or the CSV table of ``columns`` (None: JSON only, and
-    the command has refused CSV before doing any work)."""
+    the command has refused CSV before doing any work), to ``--out`` or
+    stdout.  The whole text is rendered first, so any DomainError comes
+    before a byte is written; the JSON fragments are then joined, encoded
+    and written ``_PIECE_FRAGMENTS`` at a time, and the CSV table as one
+    piece."""
     if args.format == "json":
         metadata = {"seed": getattr(args, "seed", None), "version": __version__}
         if rng is not None:
             metadata["rng"] = rng
         payload = {"config": config, "results": results, "metadata": metadata}
-        text = _dumps(payload, end="\n")
+        fragments = _fragments(payload, end="\n")
     else:
-        text = _csv_text(columns)
+        fragments = [_csv_text(columns)]
         print(f"config: {_dumps(config, indent=None)}", file=sys.stderr)
+    # the document is rendered: what is left is joining and writing it
+    pieces = ("".join(fragments[i:i + _PIECE_FRAGMENTS])
+              for i in range(0, len(fragments), _PIECE_FRAGMENTS))
     if args.out:
         try:
-            _write_over(args.out, text.encode())
+            _write_over(args.out, map(str.encode, pieces))
         except OSError as exc:
             raise _Unwritable(f"cannot write {args.out!r}: {exc.strerror or exc}") from exc
     else:
-        sys.stdout.write(text)
+        for piece in pieces:
+            sys.stdout.write(piece)
 
 
-def _write_over(path: str, data: bytes) -> None:
-    """Write ``data`` as the whole content of ``path``, created with mode
-    0o666 & ~umask where it does not exist.  A regular file is written over
-    in place and then cut at the end of ``data``; a regular file whose write
-    fails is cut to 0 bytes, so it never holds old and new text mixed."""
+def _write_over(path: str, pieces) -> None:
+    """Write the bytes ``pieces``, in turn, as the whole content of ``path``,
+    created with mode 0o666 & ~umask where it does not exist.  A regular
+    file is written over in place and then cut at the pieces' total length;
+    a regular file whose write of any piece fails is cut to 0 bytes, so it
+    never holds old and new text mixed."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         regular = stat.S_ISREG(os.fstat(fd).st_mode)  # devices reject ftruncate
         try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view):]
+            size = 0
+            for piece in pieces:
+                view = memoryview(piece)
+                while view:
+                    view = view[os.write(fd, view):]
+                size += len(piece)
             if regular:
-                os.ftruncate(fd, len(data))
-        except OSError:
+                os.ftruncate(fd, size)
+        except BaseException:  # any failure, a piece not joined too, leaves text mixed
             if regular:
                 os.ftruncate(fd, 0)
             raise

@@ -80,7 +80,10 @@ _MAX_CONDITION = 1e10
 # a batch's peak memory, in float64 words a trial: at most _BATCH_COLUMNS
 # (trials, 1 + times) arrays (the draws, dx, stderr and the fit's
 # temporaries) beside _BATCH_WORDS of one-per-trial results (u, alpha, beta,
-# the 2 x 2 covariance, z, the confidence and the verdict labels)
+# the 2 x 2 covariance, z, the confidence and the verdict labels).  The
+# traced blind batches of the memory test peak at 3.8-6.8 such arrays beside
+# those words, sampled or not, so the charge is 1.50-1.69 times their peak
+# (2.39 times for known-origin batches).
 _BATCH_COLUMNS = 12
 _BATCH_WORDS = 32
 
@@ -269,7 +272,8 @@ def _known_origin_verdicts(u, t_known, dx, stderr, u_stderr, tolerance_sigmas):
     return predicted, z, _verdicts(z, entangled, separable, alpha_implied, u)
 
 
-def _linear_fit(u: np.ndarray, t: np.ndarray, dx: np.ndarray, stderr: np.ndarray):
+def _linear_fit(u: np.ndarray, t: np.ndarray, dx: np.ndarray, stderr: np.ndarray,
+                sensitivity: bool = False):
     """Weighted linear fit of (2 u dx)^2 - 4 u^4 t^2 = c0 + c1 t, row by row.
 
     ``dx`` and ``stderr`` hold one row per trial, ``u`` one entry per trial,
@@ -281,7 +285,9 @@ def _linear_fit(u: np.ndarray, t: np.ndarray, dx: np.ndarray, stderr: np.ndarray
     scaled by its residual variance.  The 2x2 normal equations are solved
     about the weighted mean time, so their determinant S0 sum w (t - t_mean)^2
     is never formed as the cancellation S0 S2 - S1^2.  Returns (alpha, beta,
-    cov(alpha, beta)) with one entry (2x2 block) per row.
+    cov(alpha, beta), grad) with one entry (2x2 block) per row; ``grad`` is
+    d(alpha, beta)/du, one row per trial, when ``sensitivity`` is set and
+    None otherwise (see :func:`_fit_rows`).
     """
     u = u[:, None]
     u4 = u**4
@@ -300,10 +306,14 @@ def _linear_fit(u: np.ndarray, t: np.ndarray, dx: np.ndarray, stderr: np.ndarray
     lam_max = 0.5 * (s0 + s2) + np.hypot(0.5 * (s0 - s2), s0 * t_mean)
     if not np.all(lam_max <= _MAX_CONDITION * np.sqrt(s0 * s_tt)):
         raise FitError("measurement times too close together: fit is ill conditioned")
-    z_mean = (w * z).sum(axis=1) / s0
-    zc = z - z_mean[:, None]
-    c1 = (w * tc * zc).sum(axis=1) / s_tt
-    c0 = z_mean - c1 * t_mean
+
+    def solve(y):  # (c0, c1) of the weighted normal equations for right-hand side y
+        y_mean = (w * y).sum(axis=1) / s0
+        yc = y - y_mean[:, None]
+        c1 = (w * tc * yc).sum(axis=1) / s_tt
+        return y_mean - c1 * t_mean, c1, yc
+
+    c0, c1, zc = solve(z)
     resid = zc - c1[:, None] * tc
     scale = np.where(weighted, 1.0, (resid * resid).sum(axis=1) / (t.size - 2))
     gain = 1.0 / (8.0 * u4[:, 0])
@@ -315,7 +325,14 @@ def _linear_fit(u: np.ndarray, t: np.ndarray, dx: np.ndarray, stderr: np.ndarray
     cov[:, 0, 0] = scale / s0 + lever * lever * var_c1
     cov[:, 0, 1] = cov[:, 1, 0] = -gain * lever * var_c1
     cov[:, 1, 1] = gain * gain * var_c1
-    return alpha, beta, cov
+    if not sensitivity:
+        return alpha, beta, cov, None
+    del z, zc, resid  # so the sensitivity's arrays do not add to the fit's peak
+    dc0, dc1, _ = solve(8.0 * u * dx * dx - 16.0 * u**3 * t * t)  # dz/du
+    u = u[:, 0]
+    dbeta = gain * dc1 - 4.0 * beta / u
+    dalpha = dc0 - 16.0 * u**3 * beta * beta - 8.0 * u4[:, 0] * beta * dbeta
+    return alpha, beta, cov, np.stack([dalpha, dbeta], axis=1)
 
 
 def _fit_rows(u, t, dx, stderr, u_stderr):
@@ -324,16 +341,22 @@ def _fit_rows(u, t, dx, stderr, u_stderr):
 
     The fit treats u as exact (the t^2 coefficient is pinned); where
     ``u_stderr`` is positive, the first-order effect of that is folded into
-    the covariance by the finite-difference sensitivity of (alpha, beta) to u.
+    the covariance as g g^T u_stderr^2, with g = d(alpha, beta)/du in closed
+    form.  (c0, c1) depend on u through z = (2 u dx)^2 - 4 u^4 t^2 alone:
+    a weighted row's weights all scale as u^-4, and the fit is blind to a
+    common factor of its weights (their derivative -(4/u) w multiplies the
+    residuals, which the normal equations make orthogonal to [1, t]).  So
+    d(c0, c1)/du is the same normal equations solved for
+    dz/du = 8 u dx^2 - 16 u^3 t^2, and with beta = c1 / (8 u^4) and
+    alpha = c0 - 4 u^4 beta^2,
+
+        dbeta/du  = dc1/du / (8 u^4) - 4 beta / u,
+        dalpha/du = dc0/du - 16 u^3 beta^2 - 8 u^4 beta dbeta/du.
     """
     if t.size < 3:
         raise FitError(f"need at least 3 measurement times, got {t.size}")
-    alpha, beta, cov = _linear_fit(u, t, dx, stderr)
-    if np.any(u_stderr > 0):
-        h = 1e-6 * u
-        a_hi, b_hi, _ = _linear_fit(u + h, t, dx, stderr)
-        a_lo, b_lo, _ = _linear_fit(u - h, t, dx, stderr)
-        grad = np.stack([a_hi - a_lo, b_hi - b_lo], axis=1) / (2.0 * h[:, None])
+    alpha, beta, cov, grad = _linear_fit(u, t, dx, stderr, np.any(u_stderr > 0))
+    if grad is not None:
         cov = cov + grad[:, :, None] * grad[:, None, :] * (u_stderr * u_stderr)[:, None, None]
     model_dx = _dispersion_curve(u[:, None], alpha[:, None], np.abs(t + beta[:, None]))
     residual_rms = np.sqrt(np.mean((model_dx - dx) ** 2, axis=1))

@@ -529,6 +529,9 @@ def test_output_file(tmp_path, capsys):
         ("eof-surface --a-steps 20 --b-steps 20", "eof-surface --a-steps 2 --b-steps 2"),
         ("protocol --mode 2 --a 1 --b 2 --n-samples 100 --trials 20",
          "protocol --mode 2 --a 1 --b 2 --n-samples 100 --trials 1"),
+        # documents of many pieces, each written over the other
+        ("protocol --mode 2 --a 1 --b 2 --n-samples 100 --trials 300",
+         "protocol --mode 2 --a 1 --b 2 --n-samples 100 --trials 100"),
     ],
 )
 def test_output_file_is_rewritten_in_place(tmp_path, capsys, longer, shorter):
@@ -575,19 +578,46 @@ def test_output_through_a_symlink(tmp_path, capsys):
     assert target.read_text() == run_cli(capsys, "simon", "--a", "1", "--b", "2")[1]
 
 
-def test_failed_write_leaves_an_empty_file(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("argv, failing", [
+    ("simon --a 1 --b 2", 1),  # the first and only piece
+    # the third piece of a document of many, after two were written
+    ("protocol --mode 2 --a 1 --b 2 --n-samples 100 --trials 200", 3),
+], ids=["first-piece", "later-piece"])
+def test_failed_write_leaves_an_empty_file(tmp_path, capsys, monkeypatch, argv, failing):
     target = tmp_path / "out.json"
     target.write_text("x" * 10_000)
+    write, calls = os.write, []
 
     def failing_write(fd, data):
-        raise OSError(28, "No space left on device")
+        calls.append(len(data))
+        if len(calls) == failing:
+            raise OSError(28, "No space left on device")
+        return write(fd, data)
 
     monkeypatch.setattr(os, "write", failing_write)
-    code, out, err = run_cli(capsys, "simon", "--a", "1", "--b", "2", "--out", str(target))
+    code, out, err = run_cli(capsys, *argv.split(), "--out", str(target))
     monkeypatch.undo()
     assert (code, out) == (2, "")
     assert err == f"error: cannot write {str(target)!r}: No space left on device\n"
+    assert len(calls) == failing
     assert target.read_bytes() == b""
+
+
+@pytest.mark.parametrize("piece", [1, 3, cli._PIECE_FRAGMENTS])
+def test_documents_written_in_pieces_are_the_standard_librarys(tmp_path, capsys, monkeypatch,
+                                                                piece):
+    # however many fragments make a piece, --out and stdout get the same
+    # bytes, and they are json.dumps' own
+    monkeypatch.setattr(cli, "_PIECE_FRAGMENTS", piece)
+    target = tmp_path / "out.json"
+    for argv in ("protocol --mode 2 --u 1.01 --b 1 --times 0,1,2 --n-samples 100 --trials 50",
+                 "protocol --mode 1 --u 1.01 --b 1 --times 1 --n-samples 100 --trials 3",
+                 "oracle-check --a 1 --b 2 --kc 0.5 --times 0,0.5 --grid-n 128"):
+        code, text, _ = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert run_cli(capsys, *argv.split(), "--out", str(target))[:2] == (0, "")
+        assert target.read_bytes() == text.encode()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("where", ["missing-directory", "directory", "full-device"])

@@ -32,7 +32,7 @@ from localent.protocols import (
     width_from_momentum_dispersion,
 )
 import localent.protocols
-from localent.protocols import _chi2_draws
+from localent.protocols import _chi2_draws, _fit_rows, _linear_fit
 from localent.states import PairParams, momentum_dispersion, position_dispersion
 from one_trial import (
     classify_blind,
@@ -424,6 +424,35 @@ def test_fit_u_uncertainty_inflates_alpha_sigma():
     loose = fit_series(U_REF, rng_times, dx, stderr, u_stderr=0.01)
     assert loose.alpha_sigma > tight.alpha_sigma
     assert loose.alpha == tight.alpha  # only the covariance changes
+
+
+@pytest.mark.parametrize("rows", ["weighted", "unweighted", "mixed"])
+@pytest.mark.parametrize("u", [0.1, 1.01, 10.0])
+def test_u_sensitivity_matches_a_central_difference(u, rows):
+    # the closed-form d(alpha, beta)/du against a 4th-order central
+    # difference of the fit itself, on sampled series at u b = 2 whose times
+    # span the critical time; unweighted rows keep the noisy dx
+    b = 2.0 / u
+    t_c = critical_time(u, b)
+    scenario = HiddenScenario(PairParams(a=width_from_momentum_dispersion(u, b), b=b),
+                              t0=0.5 * t_c)
+    times = t_c * np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    batch = run_blind_batch(scenario, times, 1000, seed=7, trials=4)
+    weighted = {"weighted": [True] * 4, "unweighted": [False] * 4,
+                "mixed": [True, False, True, False]}[rows]
+    stderr = np.where(np.array(weighted)[:, None], batch.stderr, 0.0)
+    u_hat, dx = batch.u_hat, batch.dx_hat
+    grad = _linear_fit(u_hat, times, dx, stderr, sensitivity=True)[3]
+    h = 1e-3 * u_hat
+    fit = {k: np.stack(_fit_rows(u_hat + k * h, times, dx, stderr, np.zeros(4))[:2], axis=1)
+           for k in (-2, -1, 1, 2)}
+    central = (fit[-2] - 8.0 * fit[-1] + 8.0 * fit[1] - fit[2]) / (12.0 * h[:, None])
+    np.testing.assert_allclose(grad, central, rtol=1e-8, atol=0)
+    # the fit folds the sensitivity into the covariance as g g^T u_stderr^2
+    cov = _fit_rows(u_hat, times, dx, stderr, np.zeros(4))[2]
+    folded = cov + central[:, :, None] * central[:, None, :] * batch.u_stderr[:, None, None] ** 2
+    np.testing.assert_allclose(_fit_rows(u_hat, times, dx, stderr, batch.u_stderr)[2], folded,
+                               rtol=1e-8, atol=0)
 
 
 # --- known-origin protocol -------------------------------------------------------

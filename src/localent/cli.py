@@ -57,7 +57,7 @@ import numpy as np
 from . import __version__
 from .covariance import _eof, covariance_matrix, simon_invariant, simon_invariant_closed_form
 from .errors import DomainError, FitError, GridError, require_memory
-from .oracle import _check_bytes, _correlation_matrix, _evolve, _particle_one, initial_grid, moments
+from .oracle import _check_bytes, _correlation_matrix, _schedule, initial_grid, moments
 from .protocols import (
     ENTANGLED,
     INCONCLUSIVE,
@@ -95,7 +95,9 @@ _MESSAGES = {ArithmeticError: OUT_OF_RANGE, MemoryError: "the request does not f
 # traced runs of the memory test, whose stdout is captured in memory, peak at
 # 70-103 B a value in JSON, the least for noiseless runs, and 31-38 B in CSV
 # beside the batch's charge; the whole charge is 1.19-1.46 times the traced
-# peak in JSON and 1.40-1.45 times in CSV.
+# peak in JSON and 1.40-1.45 times in CSV.  An oracle-check row's 9 values,
+# with the columns they come from, take 82 B a value in JSON and 34 B in CSV
+# (501 times at n = 256).
 _VALUE_BYTES = {"json": 128, "csv": 64}
 # fragments that the writer joins, encodes and writes at a time.  A protocol
 # record's fragments are 32 B long on average and at most ~100 B, so a piece
@@ -499,34 +501,6 @@ ORACLE_COLUMNS = ("t", "dx_closed", "dx_grid", "rel_dx", "dp_closed", "dp_grid",
                   "norm_drift", "pass")
 
 
-def _oracle_row(grid0, moments0, buffer, t: float) -> tuple:
-    """Closed forms against quadrature of particle 1's moments at time t:
-    those of ``grid0``, ``moments0``, at t = 0, else those of ``grid0``
-    evolved into ``buffer``.  The evolved grid dies with this call, before
-    the next row overwrites its buffer."""
-    params = grid0.params
-    if t > 0:
-        grid = _evolve(grid0, t, buffer)
-        mean_x1, var_x1, mean_k1, var_k1 = _particle_one(grid)
-    else:
-        grid = grid0
-        mean_x1, var_x1 = moments0.mean_x1, moments0.var_x1
-        mean_k1, var_k1 = moments0.mean_k1, moments0.var_k1
-    dx_grid, dp_grid = math.sqrt(var_x1), math.sqrt(var_k1)
-    dx_closed = position_dispersion(t, params)
-    dp_closed = momentum_dispersion(params)
-    rel_dx = abs(dx_grid - dx_closed) / dx_closed
-    rel_dp = abs(dp_grid - dp_closed) / dp_closed
-    norm_drift = abs(grid.norm() - 1.0)
-    # a wrong sign or conjugation of the packet phase moves the centres to
-    # -k_c t and -k_c, which no width, norm or centred moment can see
-    drift = abs(mean_x1 - params.k_c * t)
-    kick = abs(mean_k1 - params.k_c)
-    passed = (rel_dx < DX_TOLERANCE and rel_dp < DX_TOLERANCE and norm_drift < NORM_TOLERANCE
-              and drift < DX_TOLERANCE * dx_closed and kick < DX_TOLERANCE * dp_closed)
-    return t, dx_closed, dx_grid, rel_dx, dp_closed, dp_grid, rel_dp, norm_drift, passed
-
-
 def cmd_oracle_check(args) -> int:
     params = PairParams(a=args.a, b=args.b, k_c=args.kc)
     times = args.times
@@ -535,18 +509,40 @@ def cmd_oracle_check(args) -> int:
     if not all(map(math.isfinite, times)):
         raise DomainError(f"measurement times must be finite, got {times}")
     grid0 = initial_grid(params, n=args.grid_n, extent=args.grid_L, t_max=max(times))
-    require_memory(_check_bytes(grid0))
+    # the grid's arrays, then the output: 9 values a time
+    require_memory(_check_bytes(grid0)
+                   + len(times) * len(ORACLE_COLUMNS) * _VALUE_BYTES[args.format])
     moments0 = moments(grid0)
-    # every evolved grid's factors, in turn
-    buffer = np.empty((grid0.n, 2 * grid0.schmidt.size), dtype=complex)
-    rows = [_oracle_row(grid0, moments0, buffer, float(t)) for t in times]
-    checks = [dict(zip(ORACLE_COLUMNS, row)) for row in rows]
+    t = np.array(times, dtype=float)
+    # particle 1's moments and the norm at each time: those of grid0 at t = 0,
+    # else of its evolution; no time past the first negative one is evolved,
+    # since that time's DomainError ends the call unless an earlier one fails
+    evolved = (t > 0) & (np.cumsum(t < 0) == 0)
+    rows = np.empty((t.size, 5))
+    rows[:] = (grid0.norm(), moments0.mean_x1, moments0.var_x1, moments0.mean_k1,
+               moments0.var_k1)
+    rows[evolved] = _schedule(grid0, t[evolved])
+    norm, mean_x1, var_x1, mean_k1, var_k1 = rows.T
+    dx_grid, dp_grid = np.sqrt(var_x1), np.sqrt(var_k1)
+    dx_closed = position_dispersion(t, params)
+    dp_closed = momentum_dispersion(params)
+    rel_dx = np.abs(dx_grid - dx_closed) / dx_closed
+    rel_dp = np.abs(dp_grid - dp_closed) / dp_closed
+    norm_drift = np.abs(norm - 1.0)
+    # a wrong sign or conjugation of the packet phase moves the centres to
+    # -k_c t and -k_c, which no width, norm or centred moment can see
+    drift = np.abs(mean_x1 - params.k_c * t)
+    kick = np.abs(mean_k1 - params.k_c)
+    passed = ((rel_dx < DX_TOLERANCE) & (rel_dp < DX_TOLERANCE) & (norm_drift < NORM_TOLERANCE)
+              & (drift < DX_TOLERANCE * dx_closed) & (kick < DX_TOLERANCE * dp_closed))
+    columns = dict(zip(ORACLE_COLUMNS, (t, dx_closed, dx_grid, rel_dx, np.full(t.size, dp_closed),
+                                        dp_grid, rel_dp, norm_drift, passed)))
     cm_delta = float(
         np.abs(_correlation_matrix(moments0).matrix - covariance_matrix(params).matrix).max()
     )
-    ok = all(check["pass"] for check in checks) and cm_delta < CM_TOLERANCE
-    results = {"checks": checks, "cm_max_abs_delta": cm_delta, "pass": ok}
-    _emit(args, _config(args), results, dict(zip(ORACLE_COLUMNS, zip(*rows))))
+    ok = bool(passed.all()) and cm_delta < CM_TOLERANCE
+    results = {"checks": _Records(columns, t.size), "cm_max_abs_delta": cm_delta, "pass": ok}
+    _emit(args, _config(args), results, columns)
     return 0 if ok else 3
 
 

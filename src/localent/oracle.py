@@ -5,17 +5,21 @@ Schmidt factors, psi = left @ right with left n x r and right r x n.  Free
 evolution is U (x) U, so it acts on each factor alone and never changes the
 rank: ``evolve`` applies the exact free propagator as a phase in Fourier
 space, with no 2-D transform and no time-stepping error.  Each grid keeps
-its factors' 1-D transforms once they are taken.  An evolution writes the
-phase times both cached spectra, side by side, into one n x 2r buffer and
-transforms it in place; the evolved factors are read-only views of that
-buffer, and ``oracle-check`` hands the same buffer to every time it
-evolves to.  The transform overwrites the phased spectra, so an evolved
-grid keeps none.  It inherits its parent's spectral power |left_k|^2
-instead: the phase has unit modulus, so that power is unchanged, and it is
-all that particle 1's wavenumber moments need of the spectra.  The t = 0
-grid is real on its support (below): its Grams are real, its right spectra
-are its left ones at -k, and its moments take one inverse transform, so a
-check at four times makes 5 1-D transform calls.
+its factors' 1-D transforms side by side, in one n x 2r array, once they
+are taken.  An evolution multiplies that array by the phase into one
+n x 2r buffer and transforms the buffer in place: one multiply and one
+inverse transform.  ``evolve`` hands out a grid whose factors are
+read-only views of a fresh buffer; the transform overwrites the phased
+spectra, so an evolved grid keeps none.  It inherits its parent's spectral
+power |left_k|^2 instead: the phase has unit modulus, so that power is
+unchanged, and it is all that particle 1's wavenumber moments need of the
+spectra.  ``oracle-check`` builds no evolved grid: ``_schedule`` evolves
+each of its times in turn into one buffer, keeps of each only its Gram
+blocks, edge rows and particle 1's position weights, and checks a group
+of times, and takes their norms and moments, in one stacked pass.  The
+t = 0 grid is real on its support (below): its Grams are real, its right
+spectra are its left ones at -k, and its moments take one inverse
+transform, so a check at four times makes 5 1-D transform calls.
 
 The factors are a Schmidt decomposition: ``left``'s columns are orthonormal
 and ``right``'s rows orthogonal, and the unitary evolution keeps both.  So
@@ -27,7 +31,7 @@ weighted by its own particle's offsets from its mean, so that the cross
 moments come out centred.  The unweighted Grams G, taken once
 per grid (the spectra's are n times them, by Parseval), give the norm
 tr(G_L G_R) and the isometry defect, the largest off-diagonal |G_ab| over
-the largest G_cc, which ``initial_grid`` and ``evolve`` hold to
+the largest G_cc, which ``initial_grid``, ``evolve`` and ``_schedule`` hold to
 ISOMETRY_LIMIT.  Every Gram of complex factors is one real product of
 their float views, with no conjugate copy: each factor is held with its n
 axis first and its r columns contiguous (``right`` as the transpose of
@@ -115,6 +119,8 @@ LEAKAGE_LIMIT = 1e-8
 ISOMETRY_LIMIT = 1e-12  # largest off-diagonal entry of a Gram over its largest diagonal one
 RESIDUAL_LIMIT = 1e-13  # relative Frobenius error of an accepted factorisation
 ROW_BLOCK = 64  # rows of the residual formed at once
+_EDGE = np.array([0, 1, -2, -1])  # the outermost two cells at each end of an axis
+_BOUNDARY = "packet reached the grid boundary at t = {t:g} (leakage {leak:.2e}); enlarge the extent"
 
 
 @dataclass(frozen=True)
@@ -130,8 +136,7 @@ class WaveGrid:
     caches the first time they are needed.  ``initial_grid`` alone sets
     ``_modes``: (U, scale, rows) with U real, left = diag(p) U on the
     support rows and 0 off them, and right = diag(scale) left^H.  An evolved
-    grid's factors are views of a buffer that ``oracle-check`` overwrites
-    at its next time, so there the grid lives only until then.
+    grid's factors are views of the buffer that ``evolve`` wrote.
     """
 
     n: int
@@ -160,24 +165,38 @@ class WaveGrid:
         return _trace(*self._grams) * self.dx * self.dx
 
     @cached_property
-    def _spectra(self) -> tuple[np.ndarray, np.ndarray]:
-        """The 1-D transforms of ``left``'s columns and ``right``'s rows,
-        taken once per grid, each held as its factor is.  At t = 0,
-        right = diag(scale) left^H, so its spectra are left's at -k,
+    def _spectrum(self) -> np.ndarray:
+        """The 1-D transforms of ``left``'s columns beside those of
+        ``right``'s rows, as one n x 2r array taken once per grid: every
+        evolution from this grid multiplies it by its phase.  At t = 0,
+        right = diag(scale) left^H, so right's spectra are left's at -k,
         conjugated and scaled, with no second transform."""
-        left_k = np.fft.fft(self.left, axis=0)
+        n, r = self.left.shape
+        both = np.empty((n, 2 * r), dtype=complex)
         if self._modes is None:
-            right_k = np.fft.fft(self.right.T, axis=0).T
+            both[:, :r] = self.left
+            both[:, r:] = self.right.T
+            np.fft.fft(both, axis=0, out=both)
         else:
-            right_k = (left_k[-np.arange(self.n)].conj() * self._modes[1]).T
-        return _read_only(left_k), _read_only(right_k)
+            np.fft.fft(self.left, axis=0, out=both[:, :r])
+            mirrored = both[-np.arange(n), :r]  # left's spectra at -k
+            np.conjugate(mirrored, out=mirrored)
+            np.multiply(mirrored, self._modes[1], out=both[:, r:])
+        return _read_only(both)
+
+    @property
+    def _spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_spectrum``'s two halves, each held as its factor is: left's
+        spectra n x r, right's r x n."""
+        r = self.left.shape[1]
+        return self._spectrum[:, :r], self._spectrum[:, r:].T
 
     @cached_property
     def _spectral_power(self) -> np.ndarray:
         """|left_k|^2, the n x r row factor of particle 1's wavenumber
         weights.  The free propagator is a phase of unit modulus in k, so
-        ``evolve`` hands it on, and an evolved grid, which keeps no spectra,
-        needs no transform for it."""
+        an evolved grid, which keeps no spectra, inherits it and needs no
+        transform for it."""
         left_k = self._spectra[0]
         power = np.square(left_k.real)
         power += np.square(left_k.imag)
@@ -219,16 +238,23 @@ def _gram(a: np.ndarray, weights=None, b: np.ndarray | None = None) -> np.ndarra
     factors R and S, S diag(w) R^H is ``_gram(R.T, w, S.T).T``.
 
     One real product of the factors' float views, whose columns are the
-    real and imaginary parts of each complex column side by side: each
-    entry is the sum of its real-real and imaginary-imaginary terms, plus i
-    times the difference of its two mixed ones.  No conjugate copy
-    is made, and the unweighted ``a^T a`` is a symmetric product."""
+    real and imaginary parts of each complex column side by side
+    (``_complex_gram``).  No conjugate copy is made, and the unweighted
+    ``a^T a`` is a symmetric product."""
     real_a = _float_view(a)
     real_b = real_a if b is None else _float_view(b)
-    block = (real_a.T if weights is None else real_a.T * weights) @ real_b
-    gram = np.empty((block.shape[0] // 2, block.shape[1] // 2), dtype=complex)
-    gram.real = block[0::2, 0::2] + block[1::2, 1::2]
-    gram.imag = block[0::2, 1::2] - block[1::2, 0::2]
+    return _complex_gram((real_a.T if weights is None else real_a.T * weights) @ real_b)
+
+
+def _complex_gram(block: np.ndarray) -> np.ndarray:
+    """The complex Grams of float-view products ``block``, (..., 2r, 2r)
+    floats to (..., r, r) complex: each entry is the sum of its real-real
+    and imaginary-imaginary terms, plus i times the difference of its two
+    mixed ones."""
+    gram = np.empty(block.shape[:-2] + (block.shape[-2] // 2, block.shape[-1] // 2),
+                    dtype=complex)
+    gram.real = block[..., 0::2, 0::2] + block[..., 1::2, 1::2]
+    gram.imag = block[..., 0::2, 1::2] - block[..., 1::2, 0::2]
     return gram
 
 
@@ -289,30 +315,52 @@ def boundary_leakage(grid: WaveGrid) -> float:
     corners they share: three sums of that small mass, where the whole mass
     minus the inner mass would cancel two sums near 1.  The rows and columns
     are diagonal sums over the other factor's cached Gram."""
-    edge = [0, 1, -2, -1]
-    left_gram, right_gram = grid._grams
-    left_edge, right_edge = grid.left[edge], grid.right[:, edge]
-    rows = _row_weights(left_edge, right_gram).sum()
-    columns = _column_weights(right_edge, left_gram).sum()
-    corner_cells = left_edge @ right_edge
-    corners = np.vdot(corner_cells, corner_cells).real
-    return float(rows + columns - corners) * grid.dx * grid.dx
+    edges = np.concatenate([grid.left[_EDGE], grid.right[:, _EDGE].T], axis=1)
+    return float(_leakage(np.stack(grid._grams), edges, grid.dx))
+
+
+def _leakage(grams: np.ndarray, edges: np.ndarray, dx: float) -> np.ndarray:
+    """``boundary_leakage`` of a stack of grids, from each grid's two Grams
+    (..., 2, r, r), left's then right's, in either orientation, and its
+    edge rows (..., 4, 2r) of [left | right^T]: the squares of the rows'
+    float view over the other factor's Gram diagonal, each entry twice (its
+    real and imaginary part), less the corner cells."""
+    r = grams.shape[-1]
+    diagonals = np.diagonal(grams, axis1=-2, axis2=-1).real[..., ::-1, :]  # right's, left's
+    weights = np.repeat(diagonals, 2, axis=-1).reshape(*grams.shape[:-3], 4 * r)
+    sides = (np.square(edges.view(np.float64)) @ weights[..., None]).sum(axis=(-2, -1))
+    cells = edges[..., :r] @ np.swapaxes(edges[..., r:], -2, -1)  # the 16 corner cells
+    corners = np.square(cells.view(np.float64)).sum(axis=(-2, -1))
+    return (sides - corners) * dx * dx
+
+
+def _isometry_defects(grams: np.ndarray) -> np.ndarray:
+    """For each Gram of a stack (..., r, r), its largest off-diagonal
+    magnitude over its largest diagonal one."""
+    r = grams.shape[-1]
+    magnitude = np.abs(grams).reshape(*grams.shape[:-2], r * r)
+    largest = magnitude[..., ::r + 1].max(axis=-1)
+    magnitude[..., ::r + 1] = 0.0
+    return magnitude.max(axis=-1) / largest
+
+
+def _raise_failure(t: float, leak: float, defects, boundary: str) -> None:
+    """Raise the grid at time t's first failure: its edge leakage above
+    LEAKAGE_LIMIT (the ``boundary`` message, formatted with t and leak),
+    then the isometry defect of its left and of its right Gram above
+    ISOMETRY_LIMIT."""
+    if not leak <= LEAKAGE_LIMIT:
+        raise GridError(boundary.format(t=t, leak=leak))
+    for defect in defects:
+        if not defect <= ISOMETRY_LIMIT:
+            raise GridError(f"Schmidt factors are not orthogonal at t = {t:g} "
+                            f"(isometry defect {defect:.2e})")
 
 
 def _checked(grid: WaveGrid, boundary: str) -> WaveGrid:
-    """``grid``, once its edge leakage is within LEAKAGE_LIMIT (else the
-    ``boundary`` message, formatted with t and leak) and its isometry
-    defect, for each Gram, within ISOMETRY_LIMIT."""
-    leak = boundary_leakage(grid)
-    if not leak <= LEAKAGE_LIMIT:
-        raise GridError(boundary.format(t=grid.t, leak=leak))
-    for gram in map(np.abs, grid._grams):
-        largest = gram.diagonal().max()
-        np.fill_diagonal(gram, 0.0)
-        defect = gram.max() / largest
-        if not defect <= ISOMETRY_LIMIT:
-            raise GridError(f"Schmidt factors are not orthogonal at t = {grid.t:g} "
-                            f"(isometry defect {defect:.2e})")
+    """``grid``, once ``_raise_failure`` finds no failure in it."""
+    _raise_failure(grid.t, boundary_leakage(grid), _isometry_defects(np.stack(grid._grams)),
+                   boundary)
     return grid
 
 
@@ -345,18 +393,21 @@ def _peak_bytes(n: int, terms: int) -> int:
 
 def _check_bytes(grid: WaveGrid) -> int:
     """Bytes that ``oracle-check`` holds at its peak past ``initial_grid``,
-    for the t = 0 ``grid`` of n points, rank r and m support rows.  An upper
-    bound, the sum of what ``moments(grid)`` and the evolutions hold at
-    their peaks; a traced run at ranks 14-180 peaks at 0.78-0.84 of it.
-    Terms: ``_vector_words``; the complex n x r factors and
-    the real m x r modes U (4nr + mr words); both cached spectra and the
-    spectral power |left_k|^2 (5nr); the evolutions' n x 2r buffer (4nr);
-    the temporaries of ``moments``, the float view of the k-weighted left
-    spectra beside k1 psi, or three complex m x r terms of the mirrored
-    k2 psi (2nr + 6mr); and the r x r Grams and their temporaries (8r^2)."""
+    for the t = 0 ``grid`` of n points, rank r and m support rows, beside
+    its output.  An upper bound, the sum of what ``moments(grid)`` and the
+    schedule of evolutions hold at their peaks; a traced run peaks at 0.4
+    of it at rank 1, where the n-vectors set the charge, and at 0.6-0.8 at
+    ranks 14-180.  Terms: ``_vector_words``; the complex n x r
+    factors and the real m x r modes U (4nr + mr words); the side-by-side
+    spectra and the spectral power |left_k|^2 (5nr); the schedule's n x 2r
+    buffer and a group of times, which ``_group_size`` keeps within another
+    4nr + 16n words (8nr + 16n); the temporaries of ``moments``, k1 psi and
+    the weighted float views of the t = 0 Grams, or three complex m x r
+    terms of the mirrored k2 psi (2nr + 6mr); and the r x r Grams and their
+    temporaries (8r^2)."""
     n, r = grid.n, grid.schmidt.size
     m = n if grid._modes is None else len(grid._modes[0])
-    return 8 * (_vector_words(n) + 15 * n * r + 7 * m * r + 8 * r * r)
+    return 8 * (_vector_words(n) + 19 * n * r + 16 * n + 7 * m * r + 8 * r * r)
 
 
 def _grid_envelope(x: np.ndarray, params: PairParams) -> tuple[np.ndarray, np.ndarray]:
@@ -410,11 +461,13 @@ def _sampled_amplitude(
         raise GridError(f"grid size must be a power of two >= 64, got {n}")
     if not math.isfinite(t_max):
         raise DomainError(f"planned evolution time t_max must be finite, got {t_max}")
-    if extent is None:
+    explicit = extent is not None
+    if not explicit:
         extent = default_extent(params, t_max)
     if not math.isfinite(extent):
         raise DomainError(f"grid extent must be finite, got {extent}")
-    if extent < 16.0 * position_dispersion(0.0, params):
+    # a finite default extent holds 16 initial position dispersions already
+    if explicit and extent < 16.0 * position_dispersion(0.0, params):
         raise GridError(
             f"extent {extent:g} is below 16 initial position dispersions; enlarge the domain"
         )
@@ -497,11 +550,16 @@ def _hermite_functions(xi: np.ndarray, terms: int) -> np.ndarray:
     functions scaled to h_0(xi) = exp(-xi^2 / 2), by the normalised
     three-term recurrence h_k = sqrt(2/k) xi h_(k-1) - sqrt((k-1)/k) h_(k-2)."""
     h = np.empty((terms, len(xi)))
-    h[0] = np.exp(-0.5 * xi * xi)
+    np.multiply(xi, -0.5, out=h[0])
+    h[0] *= xi
+    np.exp(h[0], out=h[0])
+    term = np.empty(len(xi))
     for k in range(1, terms):
-        h[k] = math.sqrt(2.0 / k) * xi * h[k - 1]
+        np.multiply(xi, math.sqrt(2.0 / k), out=h[k])
+        h[k] *= h[k - 1]
         if k > 1:
-            h[k] -= math.sqrt((k - 1) / k) * h[k - 2]
+            np.multiply(h[k - 2], math.sqrt((k - 1) / k), out=term)
+            h[k] -= term
     return h
 
 
@@ -568,7 +626,7 @@ def initial_grid(
     left = np.zeros((n, len(s)), dtype=complex)
     np.multiply(phase[rows, None], u, out=left[rows])
     right = np.zeros((n, len(s)), dtype=complex)  # held transposed, as evolve holds it
-    np.multiply(u, phase[rows, None].conj(), out=right[rows])
+    np.conjugate(left[rows], out=right[rows])  # right = diag(scale) left^H
     right[rows] *= scale
     grid = WaveGrid(n=n, extent=extent, params=params, t=0.0, left=_read_only(left),
                     right=_read_only(right.T), schmidt=_read_only(s / norm))
@@ -581,60 +639,143 @@ def evolve(grid: WaveGrid, t: float) -> WaveGrid:
 
     The phase exp(-i (k1^2 + k2^2) t / 2) is the outer product of one
     n-vector with itself, so each factor takes it alone: ``grid``'s cached
-    spectra (the 1-D transforms of ``left``'s r columns and ``right``'s r
-    rows, taken once per grid) times the phase, written side by side into
-    a fresh n x 2r buffer, then one inverse transform of that buffer in
-    place.  The evolved factors are read-only views of it, and the evolved
-    grid inherits ``grid``'s axes and spectral power |left_k|^2; it keeps
-    no spectra, so its own moments or a later evolution from it transform
-    forward again.  The Schmidt values do not change.  Unitary up to
-    roundoff, so the norm and the factors' orthogonality hold to ~1e-15
-    per call.  Raises when the evolved packet reaches the grid boundary or
-    fails the isometry check.
+    spectra (``_spectrum``: the 1-D transforms of ``left``'s r columns
+    beside those of ``right``'s r rows, taken once per grid) times the
+    phase, written into a fresh n x 2r buffer, then one inverse transform
+    of that buffer in place (``_propagate``).  The evolved factors are
+    read-only views of it, and the evolved grid inherits ``grid``'s axes
+    and spectral power |left_k|^2; it keeps no spectra, so its own moments
+    or a later evolution from it transform forward again.  The Schmidt
+    values do not change.  Unitary up to roundoff, so the norm and the
+    factors' orthogonality hold to ~1e-15 per call.  Raises when the
+    evolved packet reaches the grid boundary or fails the isometry check.
     """
-    return _evolve(grid, t, np.empty((grid.n, 2 * grid.schmidt.size), dtype=complex))
-
-
-def _evolve(grid: WaveGrid, t: float, buffer: np.ndarray) -> WaveGrid:
-    """``evolve`` into ``buffer``, an n x 2r complex array that it
-    overwrites: the evolved ``left`` is its first r columns and ``right``
-    the transpose of the last r.  A grid evolved into a buffer lives only
-    until the buffer's next use."""
     if not (math.isfinite(t) and t >= 0):
         raise DomainError(f"time step must be finite and nonnegative, got {t}")
-    k = grid.k_axis
-    e = np.exp(-1j * k * k * t / 2.0)[:, None]
-    left_k, right_k = grid._spectra
-    r = left_k.shape[1]
-    np.multiply(left_k, e, out=buffer[:, :r])
-    np.multiply(right_k.T, e, out=buffer[:, r:])
-    np.fft.ifft(buffer, axis=0, out=buffer)
-    out = WaveGrid(n=grid.n, extent=grid.extent, params=grid.params, t=grid.t + t,
+    n, r = grid.left.shape
+    buffer = np.empty((n, 2 * r), dtype=complex)
+    _propagate(grid._spectrum, _propagators(grid.k_axis, np.array([t]))[0], buffer)
+    out = WaveGrid(n=n, extent=grid.extent, params=grid.params, t=grid.t + t,
                    left=_read_only(buffer[:, :r]), right=_read_only(buffer[:, r:].T),
                    schmidt=grid.schmidt)
     # cached, filled in
-    vars(out).update(axis=grid.axis, k_axis=k, _spectral_power=grid._spectral_power)
-    return _checked(out, "packet reached the grid boundary at t = {t:g} "
-                         "(leakage {leak:.2e}); enlarge the extent")
+    vars(out).update(axis=grid.axis, k_axis=grid.k_axis, _spectral_power=grid._spectral_power)
+    return _checked(out, _BOUNDARY)
 
 
-def _weighted_moments(weights: np.ndarray, axis: np.ndarray) -> tuple[float, float]:
-    """Mean and variance of ``axis`` under a marginal's ``weights``, over
-    their own sum.  The variance is centred, sum w (x - mean)^2 / sum w:
-    E[x^2] - mean^2 would cancel once the mean dwarfs the spread."""
-    total = weights.sum()
-    mean = float(weights @ axis / total)
-    centred = axis - mean
-    return mean, float(weights @ (centred * centred) / total)
+def _propagators(k: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The free propagator's phases exp(-i k^2 t / 2) on the wavenumbers
+    ``k`` (FFT order), one row for each of ``times``, from one exponential
+    over the n/2 + 1 wavenumbers k >= 0 and the Nyquist bin: the phase at
+    -k is the one at k, bit for bit."""
+    half = len(k) // 2 + 1
+    phases = np.empty((len(times), len(k)), dtype=complex)
+    np.exp(np.multiply.outer(times, -1j * k[:half] * k[:half]) / 2.0, out=phases[:, :half])
+    phases[:, half:] = phases[:, half - 2:0:-1]
+    return phases
+
+
+def _propagate(spectrum: np.ndarray, phase: np.ndarray, buffer: np.ndarray) -> None:
+    """Write the factors that ``spectrum`` (a grid's ``_spectrum``) takes
+    under ``phase`` (a row of ``_propagators``) into ``buffer``, n x 2r:
+    left as its first r columns and right^T as its last r.  One multiply
+    and one inverse transform in place."""
+    np.multiply(spectrum, phase[:, None], out=buffer)
+    np.fft.ifft(buffer, axis=0, out=buffer)
+
+
+def _group_size(n: int, r: int) -> int:
+    """The times that ``_schedule`` evolves per stacked pass: as many as
+    keep what a group holds and what its stacked pass makes within
+    4nr + 16n words, the n x 2r buffer's and as many as the sampler's
+    n-vectors took.  Each time's phases, position weights and the pass's
+    n-vectors of its moments take 6n words; its two Gram blocks and their
+    complex Grams, magnitudes and products, 16r^2; its edge rows, 16r."""
+    return max(1, (4 * n * r + 16 * n) // (6 * n + 16 * r * r + 16 * r))
+
+
+def _schedule(grid: WaveGrid, times: np.ndarray) -> np.ndarray:
+    """The norm and particle 1's (mean_x1, var_x1, mean_k1, var_k1) of
+    ``grid`` evolved to each of ``times`` (all > 0), as one row per time.
+
+    Every time is evolved in turn into one n x 2r buffer (``_propagate``),
+    and no evolved grid is built: of each time only its two float-view Gram
+    blocks, its edge rows and particle 1's position weights are kept, and
+    the buffer is then free for the next time.  A group of times takes its
+    phases from one exponential, and one stacked pass over its blocks gives
+    each time's leakage, isometry defects, norm and moments, through the
+    helpers that ``evolve``, ``_checked`` and ``_particle_one`` use.  The
+    first failing time, in order, raises as ``evolve`` would: leakage
+    before isometry, the left Gram before the right one.  Nothing held
+    grows with the number of times past one group (``_group_size``)."""
+    n, r = grid.left.shape
+    spectrum = grid._spectrum
+    buffer = np.empty((n, 2 * r), dtype=complex)
+    floats = buffer.view(np.float64)  # left's float view beside right^T's
+    left, right = floats[:, :2 * r], floats[:, 2 * r:]
+    size = max(1, min(_group_size(n, r), len(times)))
+    blocks = np.empty((size, 2, 2 * r, 2 * r))
+    edges = np.empty((size, 4, 2 * r), dtype=complex)
+    x_weights = np.empty((size, n))
+    out = np.empty((len(times), 5))
+    for start in range(0, len(times), size):
+        group = times[start:start + size]
+        for j, phase in enumerate(_propagators(grid.k_axis, group)):
+            _propagate(spectrum, phase, buffer)
+            np.matmul(left.T, left, out=blocks[j, 0])
+            np.matmul(right.T, right, out=blocks[j, 1])
+            np.take(buffer, _EDGE, axis=0, out=edges[j], mode="wrap")
+            # particle 1's position weights, |left|^2 over right's Gram diagonal;
+            # the buffer is not read again before the next time, so it is squared
+            # whole, in place
+            diagonal = blocks[j, 1].diagonal()
+            np.square(floats, out=floats)
+            _square_weights(left, diagonal[0::2] + diagonal[1::2], out=x_weights[j])
+        g = len(group)
+        grams = _complex_gram(blocks[:g])  # right's is (right right^H)^T
+        leaks = _leakage(grams, edges[:g], grid.dx)
+        defects = _isometry_defects(grams)
+        for t, leak, pair in zip(group, leaks, defects):
+            _raise_failure(grid.t + t, leak, pair, _BOUNDARY)
+        norms = np.sum(grams[:, 0] * grams[:, 1], axis=(-2, -1)).real * grid.dx * grid.dx
+        diagonals = np.diagonal(grams[:, 1], axis1=-2, axis2=-1).real
+        out[start:start + g] = np.column_stack(
+            [norms, *_particle_one_moments(grid, x_weights[:g], diagonals)])
+    return out
+
+
+def _weighted_moments(weights: np.ndarray, axis: np.ndarray) -> tuple:
+    """Mean and variance of ``axis`` under a marginal's ``weights`` (...,
+    n), over their own sum, for each marginal of a stack.  The variance is
+    centred, sum w (x - mean)^2 / sum w: E[x^2] - mean^2 would cancel once
+    the mean dwarfs the spread."""
+    total = weights.sum(axis=-1)
+    mean = np.vecdot(weights, axis) / total
+    centred = axis - mean[..., None]
+    return mean, np.vecdot(weights, centred * centred) / total
+
+
+def _wavenumber_weights(grid: WaveGrid, diagonal: np.ndarray) -> np.ndarray:
+    """Particle 1's wavenumber weights (..., n): ``grid``'s spectral power
+    over ``diagonal`` (..., r), the diagonal of right's Gram, n times which
+    is the spectral Gram's by Parseval."""
+    return (grid.n * diagonal) @ grid._spectral_power.T
+
+
+def _particle_one_moments(grid: WaveGrid, x_weights: np.ndarray, diagonal: np.ndarray) -> tuple:
+    """(mean_x1, var_x1, mean_k1, var_k1) of ``grid``'s axes under particle
+    1's position weights ``x_weights`` (..., n), and under the wavenumber
+    weights over ``diagonal`` (..., r), the diagonal of right's Gram."""
+    k_weights = _wavenumber_weights(grid, diagonal)
+    return (*_weighted_moments(x_weights, grid.axis), *_weighted_moments(k_weights, grid.k_axis))
 
 
 def _particle_one(grid: WaveGrid) -> tuple[float, float, float, float]:
     """(mean_x1, var_x1, mean_k1, var_k1): diagonal sums of particle 1's
     factor and its spectral power over particle 2's Gram diagonals, O(n r)."""
-    mean_x1, var_x1 = _weighted_moments(_row_weights(grid.left, grid._grams[1]), grid.axis)
-    k_weights = grid._spectral_power @ grid._spectral_grams[1].diagonal().real
-    mean_k1, var_k1 = _weighted_moments(k_weights, grid.k_axis)
-    return mean_x1, var_x1, mean_k1, var_k1
+    right_gram = grid._grams[1]
+    x_weights = _row_weights(grid.left, right_gram)
+    return tuple(map(float, _particle_one_moments(grid, x_weights, right_gram.diagonal().real)))
 
 
 def moments(grid: WaveGrid) -> MomentSet:
@@ -650,38 +791,54 @@ def moments(grid: WaveGrid) -> MomentSet:
 
     At t = 0, with left = diag(p) U and right = diag(scale) left^H
     (``WaveGrid._modes``), the position Grams are real sums over the support
-    rows, and particle 2's k-weighted Gram and k2 psi are particle 1's taken
-    at k -> -k, plus the Nyquist bin, which is its own -k: no second k Gram
-    and no second inverse transform."""
+    rows, particle 2's position weights are particle 1's and its wavenumber
+    weights are particle 1's at -k, and its k-weighted Gram and k2 psi are
+    particle 1's taken at k -> -k, plus the Nyquist bin, which is its own
+    -k: no second k Gram and no second inverse transform."""
     x, k = grid.axis, grid.k_axis
     left_k, right_k = grid._spectra
     (l1, r1), (sl1, sr1) = grid._grams, grid._spectral_grams
     norm, spectral_norm = _trace(l1, r1), _trace(sl1, sr1)
-    mean_x1, var_x1, mean_k1, var_k1 = _particle_one(grid)
-    mean_x2, var_x2 = _weighted_moments(_column_weights(grid.right, l1), x)
-    mean_k2, var_k2 = _weighted_moments(_column_weights(right_k, sl1), k)
+    # left and right are 0 off the rows, so the sums over them skip the others
     rows = slice(None) if grid._modes is None else grid._modes[2]
     left, right = grid.left[rows], grid.right[:, rows]
-    x1, x2, k1, k2 = x[rows] - mean_x1, x[rows] - mean_x2, k - mean_k1, k - mean_k2
-    lk = _gram(left_k, k1)
+    k_weights = _wavenumber_weights(grid, r1.diagonal().real)
+    mean_x1, var_x1 = map(float, _weighted_moments(_row_weights(left, r1), x[rows]))
+    mean_k1, var_k1 = map(float, _weighted_moments(k_weights, k))
+    x1, k1 = x[rows] - mean_x1, k - mean_k1
     # k1 psi = k1_left @ right and k2 psi = left @ k2_right; each meets left or
-    # right, which are 0 off the rows, so only its rows are kept
-    k1_left = np.fft.ifft(left_k * k1[:, None], axis=0)[rows]
+    # right, so only its rows are kept
+    k1_left = left_k * k1[:, None]
+    lk = _gram(left_k, b=k1_left)  # left_k^H diag(k1) left_k
+    np.fft.ifft(k1_left, axis=0, out=k1_left)
+    k1_left = k1_left[rows]
     if grid._modes is None:
+        mean_x2, var_x2 = map(float, _weighted_moments(_row_weights(right.T, l1), x))
+        mean_k2, var_k2 = map(float, _weighted_moments(_row_weights(right_k.T, sl1), k))
+        x2, k2 = x[rows] - mean_x2, k - mean_k2
         lx, rx, rk = _gram(left, x1), _gram(right.T, x2).T, _gram(right_k.T, k2).T
         k2_right = np.fft.ifft(right_k.T * k2[:, None], axis=0).T
     else:
+        # right = diag(scale) left^H: particle 2's position weights are
+        # particle 1's, and its wavenumber weights are particle 1's at -k
+        mean_x2, var_x2, x2 = mean_x1, var_x1, x1
+        mean_k2, var_k2 = map(float, _weighted_moments(k_weights, k[-np.arange(grid.n)]))
         u, scale, _ = grid._modes
         lx = (u.T * x1) @ u
         scales = np.outer(scale, scale)  # right's Grams are scale (U^T diag(w) U) scale
-        rx = scales * (lx + (mean_x1 - mean_x2) * l1)
+        rx = scales * lx
         # at -k, k2's offsets are -k1 - shift, but 2 k_N more at the Nyquist bin N,
         # so rk and k2 psi follow from lk and k1_left
         shift, nyquist, k_n = mean_k1 + mean_k2, left_k[grid.n // 2], k[grid.n // 2]
         rk = scales * (2.0 * k_n * np.outer(nyquist.conj(), nyquist) - lk - shift * sl1)
         sign = 1.0 - 2.0 * (np.arange(grid.n)[rows] % 2)  # exp(2 pi i j N / n)
-        mirrored = (2.0 * k_n / grid.n) * np.outer(sign, nyquist) - k1_left - shift * left
-        k2_right = mirrored.conj().T * scale[:, None]
+        mirrored = np.outer(sign, nyquist)
+        mirrored *= 2.0 * k_n / grid.n
+        mirrored -= k1_left
+        mirrored -= shift * left
+        np.conjugate(mirrored, out=mirrored)
+        mirrored *= scale
+        k2_right = mirrored.T
     cov_x1x2 = _trace(lx, rx) / norm
     cov_k1k2 = _trace(lk, rk) / spectral_norm
     sym_x1k1 = float((x1 @ (left.conj() * k1_left)).real @ r1.diagonal().real) / norm
@@ -710,14 +867,13 @@ def numeric_covariance_matrix(grid: WaveGrid) -> CovMatrix4:
 
 def _row_weights(left: np.ndarray, right_gram: np.ndarray) -> np.ndarray:
     """sum_j |(left @ right)[i, j]|^2 for each row i, as |left|^2 times the
-    diagonal of right's Gram right right^H, one matrix-vector product for
-    the real parts and one for the imaginary parts."""
-    diagonal = right_gram.diagonal().real
-    return np.square(left.real) @ diagonal + np.square(left.imag) @ diagonal
+    diagonal of right's Gram right right^H (``_square_weights``)."""
+    return _square_weights(np.square(_float_view(left)), right_gram.diagonal().real)
 
 
-def _column_weights(right: np.ndarray, left_gram: np.ndarray) -> np.ndarray:
-    """sum_i |(left @ right)[i, j]|^2 for each column j, as the diagonal of
-    left's Gram left^H left times |right|^2, part by part as in ``_row_weights``."""
-    diagonal = left_gram.diagonal().real
-    return diagonal @ np.square(right.real) + diagonal @ np.square(right.imag)
+def _square_weights(squares: np.ndarray, diagonal: np.ndarray, out=None) -> np.ndarray:
+    """The row weights of an n x r complex factor from the squares of its
+    float view, n x 2r, over ``diagonal``, the r weights of its columns:
+    one matrix-vector product over the real and imaginary parts side by
+    side."""
+    return np.matmul(squares, np.repeat(diagonal, 2), out=out)

@@ -423,21 +423,23 @@ def test_oracle_check_transforms_each_grid_once(capsys, monkeypatch):
 
 
 def test_oracle_check_releases_each_evolved_grid(capsys, monkeypatch):
-    # every evolution overwrites the one buffer that holds the previous
-    # evolved grid's factors, so that grid must be gone by then
-    evolved = []
+    # every time is evolved into the one buffer that holds the previous
+    # time's factors, so nothing made of that time may be alive by then:
+    # each view of the buffer holds a reference to it, and the buffer's count
+    # of references is the same at the start of every time
+    references, buffers = [], []
 
-    def tracked(grid, t, buffer):
-        assert all(ref() is None for ref in evolved), "an earlier evolved grid is still alive"
-        out = real_evolve(grid, t, buffer)
-        evolved.append(weakref.ref(out))
-        return out
+    def tracked(spectrum, phase, buffer):
+        references.append(sys.getrefcount(buffer))
+        buffers.append(weakref.ref(buffer))
+        propagate(spectrum, phase, buffer)
 
-    real_evolve = localent.cli._evolve
-    monkeypatch.setattr(localent.cli, "_evolve", tracked)
+    propagate = localent.oracle._propagate
+    monkeypatch.setattr(localent.oracle, "_propagate", tracked)
     code, _, _ = run_cli(capsys, *ORACLE_ARGV)
     assert code == 0
-    assert len(evolved) == 3
+    assert len(references) == 3 and len(set(references)) == 1
+    assert all(ref() is None for ref in buffers)  # no view outlives the call either
 
 
 def _conjugated(grid):
@@ -469,13 +471,13 @@ def test_oracle_check_fails_a_conjugated_packet_phase(capsys, monkeypatch, b):
 
 @pytest.mark.parametrize("b", ["inf", "2"])
 def test_oracle_check_fails_a_packet_that_drifts_backwards(capsys, monkeypatch, b):
-    # U(-t) psi = conj(U(t) conj psi) keeps the widths, which are even in t
+    # every evolution runs U(-t): that keeps the widths, which are even in t
     # here, and the mean wavenumber; only the mean position moves, to -k_c t
-    def backwards(grid, t, buffer):
-        return _conjugated(evolve(_conjugated(grid), t, buffer))
+    def backwards(k, times):
+        return propagators(k, -times)
 
-    evolve = localent.cli._evolve
-    monkeypatch.setattr(localent.cli, "_evolve", backwards)
+    propagators = localent.oracle._propagators
+    monkeypatch.setattr(localent.oracle, "_propagators", backwards)
     assert _oracle_checks(capsys, b) == (3, False, [True, False])
 
 
@@ -494,13 +496,17 @@ def test_overflow_warnings_stay_off_stderr():
 
 
 def test_oracle_check_grid_failure_exits_3(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "oracle-check", "--a", "1", "--b", "inf", "--times", "0,2", "--grid-n", "64",
-        "--grid-L", "8",
-    )
-    assert code == 3
-    assert "error" in err
+    # the first failing time in the schedule's order decides, not its sign
+    for times, code, message in [
+        ("0,2", 3, "packet reached the grid boundary at t = 2 "),
+        ("-1,2", 2, "time must be nonnegative, got -1.0"),
+        ("2,-1", 3, "packet reached the grid boundary at t = 2 "),
+        ("0,-0.5,2", 2, "time must be nonnegative, got -0.5"),
+    ]:
+        got, out, err = run_cli(capsys, "oracle-check", "--a", "1", "--b", "inf",
+                                f"--times={times}", "--grid-n", "64", "--grid-L", "8")
+        assert (got, out) == (code, "")
+        assert err.startswith(f"error: {message}")
 
 
 def test_csv_formatting(capsys):
@@ -806,12 +812,16 @@ def test_memory_check_charges_the_traced_peak_of_a_protocol_run(capsys, monkeypa
     "extra",
     ["--a 1.2 --b 2 --kc 0.8 --times 0,0.5,1,2 --grid-n 1024",
      "--a 1.2 --b 2 --kc 0.8 --times 0,0.5,1,2 --grid-n 16384",
-     "--a 1 --b 0.125 --kc 0.5 --times 0,0.25 --grid-n 1024"],  # rank 180
+     "--a 1 --b 0.125 --kc 0.5 --times 0,0.25 --grid-n 1024",  # rank 180
+     # 501 times: the schedule holds one group of them at once, the output all
+     pytest.param("--a 1 --b 2 --kc 0.5 --grid-n 256 --times "
+                  + ",".join(f"{i / 100:g}" for i in range(501)), id="501-times")],
 )
 def test_memory_check_charges_the_traced_peak_of_an_oracle_check(capsys, monkeypatch, extra):
     # initial_grid charges its factorisation; oracle-check then charges the
-    # factors, spectra, spectral power, evolution buffer and the temporaries
-    # of moments, whose peaks come after initial_grid's
+    # factors, spectra, spectral power, the schedule's buffer and group of
+    # times, the temporaries of moments and its output, whose peaks come
+    # after initial_grid's
     charged = []
 
     def spy(module):

@@ -1,8 +1,12 @@
 """Spectral-grid oracle vs closed forms."""
 
 import dataclasses
+import itertools
+import json
 import math
+import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import localent.oracle
-from localent.cli import ORACLE_COLUMNS, _oracle_row, main
+from localent.cli import main
 from localent.covariance import (
     covariance_matrix,
     entanglement_of_formation,
@@ -28,7 +32,7 @@ from localent.oracle import (
     numeric_covariance_matrix,
 )
 from localent.oracle import ISOMETRY_LIMIT, RESIDUAL_LIMIT, _axis, _envelope_weight, _grid_envelope
-from localent.oracle import _particle_one, _row_weights, _support
+from localent.oracle import _particle_one, _row_weights, _schedule, _support
 from localent.protocols import ambiguity_time, mimic_width, width_from_momentum_dispersion
 from localent.states import PairParams, momentum_dispersion, position_dispersion
 import oracle_reference as dense
@@ -176,21 +180,27 @@ def test_factors_are_read_only_and_reconstruct_the_dense_amplitude(b, k_c):
 
 
 def test_an_oracle_check_evolves_every_time_into_one_buffer(monkeypatch, capsys):
-    factors = []
+    # one n x 2r buffer per call, whatever the number of times (the weak
+    # reference to one object is one object), and no view of it from one
+    # time alive at the next (each view holds a reference)
+    calls = []
 
-    def tracked(grid, t, buffer):
-        out = real_evolve(grid, t, buffer)
-        factors.append((out.left, out.right))
-        return out
+    def tracked(spectrum, phase, buffer):
+        calls.append((weakref.ref(buffer), buffer.shape, sys.getrefcount(buffer)))
+        propagate(spectrum, phase, buffer)
 
-    real_evolve = localent.cli._evolve
-    monkeypatch.setattr(localent.cli, "_evolve", tracked)
-    code = main(["oracle-check", "--a", "1", "--b", "2", "--kc", "0.8",
-                 "--times", "0,0.5,1,2", "--grid-n", "256"])
-    capsys.readouterr()
-    assert code == 0 and len(factors) == 3
-    for (left, right), (later_left, later_right) in zip(factors, factors[1:]):
-        assert np.shares_memory(left, later_left) and np.shares_memory(right, later_right)
+    propagate = localent.oracle._propagate
+    monkeypatch.setattr(localent.oracle, "_propagate", tracked)
+    for t_max, times in ((2.0, "0,0.5,1,2"), (4.0, ",".join(str(0.25 * i) for i in range(17)))):
+        rank = initial_grid(PairParams(a=1.0, b=2.0, k_c=0.8), n=256, t_max=t_max).schmidt.size
+        calls.clear()
+        code = main(["oracle-check", "--a", "1", "--b", "2", "--kc", "0.8",
+                     "--times", times, "--grid-n", "256"])
+        capsys.readouterr()
+        assert code == 0 and len(calls) == times.count(",")
+        first, _, references = calls[0]
+        assert all(ref is first and shape == (256, 2 * rank) and count == references
+                   for ref, shape, count in calls)
 
 
 def test_evolve_hands_out_read_only_factors_that_a_later_evolve_leaves_alone():
@@ -213,7 +223,7 @@ def test_the_handed_on_spectral_power_is_that_of_the_evolved_factors(b, n, t_max
     # spectra, but its parent's |left_k|^2 is its own, chained evolutions too
     grid0 = initial_grid(PairParams(a=1.0, b=b, k_c=0.5), n=n, t_max=t_max)
     once = evolve(grid0, t_max / 2)
-    assert "_spectra" not in vars(once)
+    assert "_spectrum" not in vars(once)
     for grid in (once, evolve(once, t_max / 2)):
         assert grid._spectral_power is grid0._spectral_power
         fresh = np.abs(np.fft.fft(grid.left, axis=0)) ** 2
@@ -608,24 +618,53 @@ def test_factored_engine_matches_the_dense_reference(a, log_ratio, k_c, n, times
     assert abs(cm_delta - reference_cm_delta) <= 2e-14 * scale
 
 
+def _dense_norm(reference) -> float:
+    """The dense engine's quadrature of |psi|^2."""
+    return float(np.sum(reference.density)) * reference.dx * reference.dx
+
+
+# the last three: unsorted, repeated and zero times, as oracle-check takes them;
+# no group of positive times reads the same backwards
 @pytest.mark.parametrize("b,n,k_c,times", [(2.0, 256, -1.3, (0.0, 0.5)),
                                            (0.5, 256, 0.0, (0.0, 0.5)),
                                            (INF, 256, 0.5, (0.0, 1.0)),
                                            (2.0, 1024, 300.0, (0.0,)),
-                                           (2.0, 2048, 300.0, (0.0,))])
-def test_oracle_row_matches_the_dense_marginals_when_the_mean_dwarfs_the_spread(b, n, k_c, times):
+                                           (2.0, 2048, 300.0, (0.0,)),
+                                           (INF, 256, -1.3, (0.5, 0.0, 1.0, 1.0, 0.0)),
+                                           (2.0, 256, 0.8, (2.0, 0.0, 0.5, 1.0, 2.0)),
+                                           (0.25, 256, 0.5, (0.5, 0.0, 0.25, 0.25, 0.0))])
+def test_oracle_row_matches_the_dense_marginals_when_the_mean_dwarfs_the_spread(
+    capsys, b, n, k_c, times
+):
     # at k_c = 300 the mean of k1 is ~270 times its spread: E[k^2] - mean^2
     # put dp_grid 5e-12 to 1.6e-11 off there, the centred variance ~1e-15
     params = PairParams(a=1.0, b=b, k_c=k_c)
-    grid0 = initial_grid(params, n=n, t_max=max(times))
-    rows = _particle_one_rows(localent.oracle, grid0, times)
     reference0 = dense.initial_grid(params, n=n, t_max=max(times))
-    _assert_rows_match(rows, _particle_one_rows(dense, reference0, times))
-    moments0, buffer = moments(grid0), np.empty((n, 2 * grid0.schmidt.size), dtype=complex)
-    for t, (dx_grid, dp_grid, _, _) in zip(times, rows):
-        row = dict(zip(ORACLE_COLUMNS, _oracle_row(grid0, moments0, buffer, t)))
-        assert (row["dx_grid"], row["dp_grid"]) == (dx_grid, dp_grid)
-        assert row["pass"]
+    reference_rows = _particle_one_rows(dense, reference0, times)
+    reference_norms = np.array([_dense_norm(dense.evolve(reference0, t) if t > 0 else reference0)
+                                for t in times])
+    # the schedule's rows: the norm and particle 1's moments at each time > 0
+    later = np.array(times) > 0
+    if later.any():
+        grid0 = initial_grid(params, n=n, t_max=max(times))
+        norm, mean_x1, var_x1, mean_k1, var_k1 = _schedule(grid0, np.array(times)[later]).T
+        rows = np.column_stack([np.sqrt(var_x1), np.sqrt(var_k1), mean_x1, mean_k1])
+        _assert_rows_match(rows, reference_rows[later])
+        np.testing.assert_allclose(norm, reference_norms[later], rtol=0.0, atol=1e-13)
+    # oracle-check's rows at every time, t = 0 and repeated times among them
+    argv = ["oracle-check", "--a", "1", "--b", repr(b), f"--kc={k_c!r}",
+            "--times", ",".join(map(repr, times)), "--grid-n", str(n)]
+    assert main(argv) == 0
+    checks = json.loads(capsys.readouterr().out)["results"]["checks"]
+    assert [check["t"] for check in checks] == list(times)
+    widths = np.array([(check["dx_grid"], check["dp_grid"]) for check in checks])
+    np.testing.assert_allclose(widths, reference_rows[:, :2], rtol=1e-12, atol=0.0)
+    drifts = np.array([check["norm_drift"] for check in checks])
+    np.testing.assert_allclose(drifts, np.abs(reference_norms - 1.0), rtol=0.0, atol=1e-13)
+    assert all(check["pass"] for check in checks)
+    for i, j in itertools.combinations(range(len(times)), 2):  # a repeated time's rows agree
+        if times[i] == times[j]:
+            assert checks[i] == checks[j]
 
 
 @pytest.mark.parametrize("ratio", [0.5, 0.8, 1.2, 2.0, 2.9])

@@ -702,6 +702,36 @@ def test_stream_keys_at_their_edges(seed, first_trial, trials):
             assert np.array_equal(draws[row], want)
 
 
+# _chi2_draws(7, 2**64 - 2, 2, 4, n), row by row, as float.hex: numpy may
+# change a Generator method's stream in a release (NEP 19), and these bits
+# are what RNG_SCHEME's label stands for.  n = 2 and 3 take the sampler's
+# shape < 1 and shape = 1 branches
+PINNED_CHI2_DRAWS = {
+    2: [["0x1.0619544380e4ap-1", "0x1.0cb32f4820538p-1", "0x1.bba7533833515p-4",
+         "0x1.15c8c0a3e0b42p-1"],
+        ["0x1.8afc50b19bf0cp+0", "0x1.0c2be8b23a746p+1", "0x1.10f992101a88dp+1",
+         "0x1.40d86e08f9a19p-1"]],
+    3: [["0x1.f26a23ca50b46p+2", "0x1.69ffcb19c4ccfp-1", "0x1.545cb16a3e3a6p-2",
+         "0x1.261bae83027b0p+2"],
+        ["0x1.36d77ce95e668p+0", "0x1.034d598998281p-8", "0x1.39217d5e0fb9cp+0",
+         "0x1.f1a3e0df24ea8p+0"]],
+    500: [["0x1.edab1bcdeb56ap+8", "0x1.f66c2bf885d55p+8", "0x1.b666b9020016ep+8",
+           "0x1.fac15a2f40c20p+8"],
+          ["0x1.a5aa92b09ff87p+8", "0x1.d7e0375a7a471p+8", "0x1.05f1b3d577002p+9",
+           "0x1.c955913bd631bp+8"]],
+    10**6: [["0x1.e82d971794c92p+19", "0x1.e85ea0d6e874fp+19", "0x1.e6ea18dbb3b41p+19",
+             "0x1.e876b16df3ca7p+19"],
+            ["0x1.e682ed6b965e8p+19", "0x1.e7b100602bbb5p+19", "0x1.e8d48f9fd16f7p+19",
+             "0x1.e75bc3ebb9f1ep+19"]],
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_CHI2_DRAWS))
+def test_chi2_stream_bits_are_pinned(n):
+    draws = _chi2_draws(7, 2**64 - 2, 2, 4, n)
+    assert [[value.hex() for value in row] for row in draws.tolist()] == PINNED_CHI2_DRAWS[n]
+
+
 def test_confidence_is_bitwise_the_clamped_scalar_erf():
     # the per-entry expression that the vectorised one replaced, clamp and all
     edges = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 8.3, -8.3, 40.0, -40.0,

@@ -567,6 +567,13 @@ def _particle_one_rows(engine, grid0, times) -> np.ndarray:
     return np.array(rows)
 
 
+def _schedule_rows(grid0, times) -> tuple[np.ndarray, np.ndarray]:
+    """``_particle_one_rows`` and the norms at the positive ``times``, as
+    ``oracle-check``'s schedule takes them in one pass."""
+    norm, mean_x1, var_x1, mean_k1, var_k1 = _schedule(grid0, np.array(times)).T
+    return np.column_stack([np.sqrt(var_x1), np.sqrt(var_k1), mean_x1, mean_k1]), norm
+
+
 def _assert_rows_match(rows: np.ndarray, reference_rows: np.ndarray) -> None:
     """Widths to 1e-12 relative, and centres to 1e-12 of the width, the
     scale on which ``oracle-check`` judges them."""
@@ -613,6 +620,9 @@ def test_factored_engine_matches_the_dense_reference(a, log_ratio, k_c, n, times
     reference0, reference_rows, reference_cm_delta = reference
     _assert_reconstructs(grid0, reference0.amplitudes)
     _assert_rows_match(rows, reference_rows)
+    later = np.array(times) > 0
+    if later.any():  # the schedule's one pass over the same times
+        _assert_rows_match(_schedule_rows(grid0, np.array(times)[later])[0], reference_rows[later])
     # relative to the largest entry, which reaches ~270 at b = a/8
     scale = max(1.0, np.abs(covariance_matrix(params).matrix).max())
     assert abs(cm_delta - reference_cm_delta) <= 2e-14 * scale
@@ -647,8 +657,7 @@ def test_oracle_row_matches_the_dense_marginals_when_the_mean_dwarfs_the_spread(
     later = np.array(times) > 0
     if later.any():
         grid0 = initial_grid(params, n=n, t_max=max(times))
-        norm, mean_x1, var_x1, mean_k1, var_k1 = _schedule(grid0, np.array(times)[later]).T
-        rows = np.column_stack([np.sqrt(var_x1), np.sqrt(var_k1), mean_x1, mean_k1])
+        rows, norm = _schedule_rows(grid0, np.array(times)[later])
         _assert_rows_match(rows, reference_rows[later])
         np.testing.assert_allclose(norm, reference_norms[later], rtol=0.0, atol=1e-13)
     # oracle-check's rows at every time, t = 0 and repeated times among them

@@ -509,15 +509,15 @@ def cmd_oracle_check(args) -> int:
     if not all(map(math.isfinite, times)):
         raise DomainError(f"measurement times must be finite, got {times}")
     grid0 = initial_grid(params, n=args.grid_n, extent=args.grid_L, t_max=max(times))
-    # the grid's arrays, then the output: 9 values a time
-    require_memory(_check_bytes(grid0)
-                   + len(times) * len(ORACLE_COLUMNS) * _VALUE_BYTES[args.format])
-    moments0 = moments(grid0)
     t = np.array(times, dtype=float)
     # particle 1's moments and the norm at each time: those of grid0 at t = 0,
     # else of its evolution; no time past the first negative one is evolved,
     # since that time's DomainError ends the call unless an earlier one fails
     evolved = (t > 0) & (np.cumsum(t < 0) == 0)
+    # the grid's arrays and the schedule's, then the output: 9 values a time
+    require_memory(_check_bytes(grid0, int(evolved.sum()))
+                   + len(times) * len(ORACLE_COLUMNS) * _VALUE_BYTES[args.format])
+    moments0 = moments(grid0)
     rows = np.empty((t.size, 5))
     rows[:] = (grid0.norm(), moments0.mean_x1, moments0.var_x1, moments0.mean_k1,
                moments0.var_k1)

@@ -391,23 +391,27 @@ def _peak_bytes(n: int, terms: int) -> int:
     return 8 * (_vector_words(n) + max(factorising, factored))
 
 
-def _check_bytes(grid: WaveGrid) -> int:
+def _check_bytes(grid: WaveGrid, count: int) -> int:
     """Bytes that ``oracle-check`` holds at its peak past ``initial_grid``,
-    for the t = 0 ``grid`` of n points, rank r and m support rows, beside
-    its output.  An upper bound, the sum of what ``moments(grid)`` and the
-    schedule of evolutions hold at their peaks; a traced run peaks at 0.4
-    of it at rank 1, where the n-vectors set the charge, and at 0.6-0.8 at
-    ranks 14-180.  Terms: ``_vector_words``; the complex n x r
-    factors and the real m x r modes U (4nr + mr words); the side-by-side
-    spectra and the spectral power |left_k|^2 (5nr); the schedule's n x 2r
-    buffer and a group of times, which ``_group_size`` keeps within another
-    4nr + 16n words (8nr + 16n); the temporaries of ``moments``, k1 psi and
-    the weighted float views of the t = 0 Grams, or three complex m x r
-    terms of the mirrored k2 psi (2nr + 6mr); and the r x r Grams and their
-    temporaries (8r^2)."""
+    for the t = 0 ``grid`` of n points, rank r and m support rows, when
+    ``_schedule`` evolves ``count`` times, beside its output.  An upper
+    bound: what the grid holds, plus the larger of what ``moments(grid)``
+    and the schedule hold at their peaks, since ``oracle-check`` takes the
+    t = 0 moments before it evolves; a traced run past ``initial_grid``
+    peaks at 0.4 of it at rank 1, where the n-vectors set the charge, and
+    at up to 0.98 at ranks 14-180.  Terms: ``_vector_words``; the complex
+    n x r factors and the real m x r modes U (4nr + mr words); the
+    side-by-side spectra and the spectral power |left_k|^2 (5nr); the r x r
+    Grams and their temporaries (8r^2); and the larger of the temporaries
+    of ``moments``, k1 psi and the weighted float views of the t = 0 Grams,
+    or three complex m x r terms of the mirrored k2 psi (2nr + 6mr), and
+    the schedule's n x 2r buffer (4nr) with the group of times it holds at
+    once (``_group_size``, each 6n + 16r^2 + 16r)."""
     n, r = grid.n, grid.schmidt.size
     m = n if grid._modes is None else len(grid._modes[0])
-    return 8 * (_vector_words(n) + 19 * n * r + 16 * n + 7 * m * r + 8 * r * r)
+    group = _group_size(n, r, count) * (6 * n + 16 * r * r + 16 * r)
+    return 8 * (_vector_words(n) + 9 * n * r + m * r + 8 * r * r
+                + max(2 * n * r + 6 * m * r, 4 * n * r + group))
 
 
 def _grid_envelope(x: np.ndarray, params: PairParams) -> tuple[np.ndarray, np.ndarray]:
@@ -461,13 +465,11 @@ def _sampled_amplitude(
         raise GridError(f"grid size must be a power of two >= 64, got {n}")
     if not math.isfinite(t_max):
         raise DomainError(f"planned evolution time t_max must be finite, got {t_max}")
-    explicit = extent is not None
-    if not explicit:
+    if extent is None:
         extent = default_extent(params, t_max)
     if not math.isfinite(extent):
         raise DomainError(f"grid extent must be finite, got {extent}")
-    # a finite default extent holds 16 initial position dispersions already
-    if explicit and extent < 16.0 * position_dispersion(0.0, params):
+    if extent < 16.0 * position_dispersion(0.0, params):
         raise GridError(
             f"extent {extent:g} is below 16 initial position dispersions; enlarge the domain"
         )
@@ -684,14 +686,15 @@ def _propagate(spectrum: np.ndarray, phase: np.ndarray, buffer: np.ndarray) -> N
     np.fft.ifft(buffer, axis=0, out=buffer)
 
 
-def _group_size(n: int, r: int) -> int:
-    """The times that ``_schedule`` evolves per stacked pass: as many as
-    keep what a group holds and what its stacked pass makes within
-    4nr + 16n words, the n x 2r buffer's and as many as the sampler's
-    n-vectors took.  Each time's phases, position weights and the pass's
-    n-vectors of its moments take 6n words; its two Gram blocks and their
-    complex Grams, magnitudes and products, 16r^2; its edge rows, 16r."""
-    return max(1, (4 * n * r + 16 * n) // (6 * n + 16 * r * r + 16 * r))
+def _group_size(n: int, r: int, count: int) -> int:
+    """The times of ``count`` that ``_schedule`` evolves per stacked pass,
+    at least 1: as many as keep what a group holds and what its stacked
+    pass makes within 4nr + 16n words, the n x 2r buffer's and as many as
+    the sampler's n-vectors took.  Each time's phases, position weights and
+    the pass's n-vectors of its moments take 6n words; its two Gram blocks
+    and their complex Grams, magnitudes and products, 16r^2; its edge rows,
+    16r."""
+    return max(1, min(count, (4 * n * r + 16 * n) // (6 * n + 16 * r * r + 16 * r)))
 
 
 def _schedule(grid: WaveGrid, times: np.ndarray) -> np.ndarray:
@@ -702,18 +705,16 @@ def _schedule(grid: WaveGrid, times: np.ndarray) -> np.ndarray:
     and no evolved grid is built: of each time only its two float-view Gram
     blocks, its edge rows and particle 1's position weights are kept, and
     the buffer is then free for the next time.  A group of times takes its
-    phases from one exponential, and one stacked pass over its blocks gives
-    each time's leakage, isometry defects, norm and moments, through the
-    helpers that ``evolve``, ``_checked`` and ``_particle_one`` use.  The
-    first failing time, in order, raises as ``evolve`` would: leakage
-    before isometry, the left Gram before the right one.  Nothing held
-    grows with the number of times past one group (``_group_size``)."""
+    phases from one exponential, and one stacked pass over its blocks
+    (``_group_rows``) gives each time's leakage, isometry defects, norm and
+    moments.  Nothing held grows with the number of times past one group
+    (``_group_size``)."""
     n, r = grid.left.shape
     spectrum = grid._spectrum
     buffer = np.empty((n, 2 * r), dtype=complex)
     floats = buffer.view(np.float64)  # left's float view beside right^T's
     left, right = floats[:, :2 * r], floats[:, 2 * r:]
-    size = max(1, min(_group_size(n, r), len(times)))
+    size = _group_size(n, r, len(times))
     blocks = np.empty((size, 2, 2 * r, 2 * r))
     edges = np.empty((size, 4, 2 * r), dtype=complex)
     x_weights = np.empty((size, n))
@@ -732,16 +733,26 @@ def _schedule(grid: WaveGrid, times: np.ndarray) -> np.ndarray:
             np.square(floats, out=floats)
             _square_weights(left, diagonal[0::2] + diagonal[1::2], out=x_weights[j])
         g = len(group)
-        grams = _complex_gram(blocks[:g])  # right's is (right right^H)^T
-        leaks = _leakage(grams, edges[:g], grid.dx)
-        defects = _isometry_defects(grams)
-        for t, leak, pair in zip(group, leaks, defects):
-            _raise_failure(grid.t + t, leak, pair, _BOUNDARY)
-        norms = np.sum(grams[:, 0] * grams[:, 1], axis=(-2, -1)).real * grid.dx * grid.dx
-        diagonals = np.diagonal(grams[:, 1], axis1=-2, axis2=-1).real
-        out[start:start + g] = np.column_stack(
-            [norms, *_particle_one_moments(grid, x_weights[:g], diagonals)])
+        out[start:start + g] = _group_rows(grid, group, blocks[:g], edges[:g], x_weights[:g])
     return out
+
+
+def _group_rows(grid: WaveGrid, times: np.ndarray, blocks: np.ndarray, edges: np.ndarray,
+                x_weights: np.ndarray) -> np.ndarray:
+    """``_schedule``'s rows for a group of ``times``, in one stacked pass
+    over what it kept of each: the float-view Gram blocks (..., 2, 2r, 2r),
+    the edge rows (..., 4, 2r) and particle 1's position weights (..., n),
+    through the helpers that ``evolve``, ``_checked`` and ``moments`` use.
+    The first failing time, in order, raises as ``evolve`` would: leakage
+    before isometry, the left Gram before the right one.  The pass's
+    temporaries die with this call, before the next group's are made."""
+    grams = _complex_gram(blocks)  # right's is (right right^H)^T
+    for t, leak, pair in zip(times, _leakage(grams, edges, grid.dx), _isometry_defects(grams)):
+        _raise_failure(grid.t + t, leak, pair, _BOUNDARY)
+    norms = np.sum(grams[:, 0] * grams[:, 1], axis=(-2, -1)).real * grid.dx * grid.dx
+    k_weights = _wavenumber_weights(grid, np.diagonal(grams[:, 1], axis1=-2, axis2=-1).real)
+    return np.column_stack([norms, *_weighted_moments(x_weights, grid.axis),
+                            *_weighted_moments(k_weights, grid.k_axis)])
 
 
 def _weighted_moments(weights: np.ndarray, axis: np.ndarray) -> tuple:
@@ -760,22 +771,6 @@ def _wavenumber_weights(grid: WaveGrid, diagonal: np.ndarray) -> np.ndarray:
     over ``diagonal`` (..., r), the diagonal of right's Gram, n times which
     is the spectral Gram's by Parseval."""
     return (grid.n * diagonal) @ grid._spectral_power.T
-
-
-def _particle_one_moments(grid: WaveGrid, x_weights: np.ndarray, diagonal: np.ndarray) -> tuple:
-    """(mean_x1, var_x1, mean_k1, var_k1) of ``grid``'s axes under particle
-    1's position weights ``x_weights`` (..., n), and under the wavenumber
-    weights over ``diagonal`` (..., r), the diagonal of right's Gram."""
-    k_weights = _wavenumber_weights(grid, diagonal)
-    return (*_weighted_moments(x_weights, grid.axis), *_weighted_moments(k_weights, grid.k_axis))
-
-
-def _particle_one(grid: WaveGrid) -> tuple[float, float, float, float]:
-    """(mean_x1, var_x1, mean_k1, var_k1): diagonal sums of particle 1's
-    factor and its spectral power over particle 2's Gram diagonals, O(n r)."""
-    right_gram = grid._grams[1]
-    x_weights = _row_weights(grid.left, right_gram)
-    return tuple(map(float, _particle_one_moments(grid, x_weights, right_gram.diagonal().real)))
 
 
 def moments(grid: WaveGrid) -> MomentSet:

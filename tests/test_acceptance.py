@@ -17,7 +17,7 @@ from localent.covariance import (
     simon_invariant,
     simon_invariant_closed_form,
 )
-from localent.oracle import _particle_one, evolve, initial_grid, numeric_covariance_matrix
+from localent.oracle import evolve, initial_grid, moments, numeric_covariance_matrix
 from localent.protocols import (
     HiddenScenario,
     ambiguity_time,
@@ -104,7 +104,8 @@ def test_criterion_4_oracle_agreement():
         assert cm_delta < 1e-4
         for t in (0.0, 0.5, 1.0, 2.0):
             grid = evolve(grid0, t) if t > 0 else grid0
-            _, var_x1, _, var_k1 = _particle_one(grid)
+            spreads = moments(grid)
+            var_x1, var_k1 = spreads.var_x1, spreads.var_k1
             rel_dx = abs(math.sqrt(var_x1) / position_dispersion(t, params) - 1.0)
             rel_dp = abs(math.sqrt(var_k1) / momentum_dispersion(params) - 1.0)
             drift = abs(grid.norm() - 1.0)
@@ -148,12 +149,12 @@ def test_criterion_6_mimicry_uniqueness():
     # grid oracle reproduces the same matching
     entangled = PairParams(a=width_from_momentum_dispersion(u, b), b=b)
     grid_ent = initial_grid(entangled, n=512, t_max=0.0)
-    _, var_x1, _, var_k1 = _particle_one(grid_ent)
-    target_x, target_k = math.sqrt(var_x1), math.sqrt(var_k1)
+    spreads = moments(grid_ent)
+    target_x, target_k = math.sqrt(spreads.var_x1), math.sqrt(spreads.var_k1)
     grid_sep = initial_grid(PairParams(a=a_prime, b=INF), n=512, t_max=1.1 * t_match)
-    assert abs(math.sqrt(_particle_one(grid_sep)[3]) / target_k - 1.0) < 1e-4
+    assert abs(math.sqrt(moments(grid_sep).var_k1) / target_k - 1.0) < 1e-4
     for factor, should_match in ((0.9, False), (1.0, True), (1.1, False)):
-        dx = math.sqrt(_particle_one(evolve(grid_sep, factor * t_match))[1])
+        dx = math.sqrt(moments(evolve(grid_sep, factor * t_match)).var_x1)
         rel = abs(dx / target_x - 1.0)
         assert (rel < 1e-4) if should_match else (rel > 1e-2)
     print(

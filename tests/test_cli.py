@@ -812,6 +812,7 @@ def test_memory_check_charges_the_traced_peak_of_a_protocol_run(capsys, monkeypa
     "extra",
     ["--a 1.2 --b 2 --kc 0.8 --times 0,0.5,1,2 --grid-n 1024",
      "--a 1.2 --b 2 --kc 0.8 --times 0,0.5,1,2 --grid-n 16384",
+     "--a 1 --b 0.25 --kc 0.5 --times 0,0.25,0.5 --grid-n 1024",
      "--a 1 --b 0.125 --kc 0.5 --times 0,0.25 --grid-n 1024",  # rank 180
      # 501 times: the schedule holds one group of them at once, the output all
      pytest.param("--a 1 --b 2 --kc 0.5 --grid-n 256 --times "

@@ -32,7 +32,7 @@ from localent.oracle import (
     numeric_covariance_matrix,
 )
 from localent.oracle import ISOMETRY_LIMIT, RESIDUAL_LIMIT, _axis, _envelope_weight, _grid_envelope
-from localent.oracle import _particle_one, _row_weights, _schedule, _support
+from localent.oracle import _row_weights, _schedule, _support
 from localent.protocols import ambiguity_time, mimic_width, width_from_momentum_dispersion
 from localent.states import PairParams, momentum_dispersion, position_dispersion
 import oracle_reference as dense
@@ -415,9 +415,19 @@ def _momentum_weights(grid: WaveGrid) -> np.ndarray:
     return _row_weights(grid._spectra[0], grid._spectral_grams[1])
 
 
+def _particle_one(engine, grid) -> tuple[float, float, float, float]:
+    """(mean_x1, var_x1, mean_k1, var_k1) of ``grid`` through ``engine``:
+    the dense engine's sampled marginals, or the factored engine's
+    ``moments``, which ``oracle-check`` takes at t = 0."""
+    if engine is dense:
+        return dense._particle_one(grid)
+    m = moments(grid)
+    return m.mean_x1, m.var_x1, m.mean_k1, m.var_k1
+
+
 def _widths(grid: WaveGrid) -> tuple[float, float]:
     """The spreads of x1 and k1, as ``oracle-check`` takes them."""
-    _, var_x1, _, var_k1 = _particle_one(grid)
+    _, var_x1, _, var_k1 = _particle_one(localent.oracle, grid)
     return math.sqrt(var_x1), math.sqrt(var_k1)
 
 
@@ -557,12 +567,12 @@ def test_diagonal_sums_match_the_dense_reference_at_high_rank(b, n, t_max, k_c):
 
 
 def _particle_one_rows(engine, grid0, times) -> np.ndarray:
-    """(dx_grid, dp_grid, mean_x1, mean_k1) at each time, as ``oracle-check``
-    takes them, through ``engine``'s functions."""
+    """(dx_grid, dp_grid, mean_x1, mean_k1) at each time, through
+    ``engine``'s functions."""
     rows = []
     for t in times:
         grid = engine.evolve(grid0, t) if t > 0 else grid0
-        mean_x1, var_x1, mean_k1, var_k1 = engine._particle_one(grid)
+        mean_x1, var_x1, mean_k1, var_k1 = _particle_one(engine, grid)
         rows.append((math.sqrt(var_x1), math.sqrt(var_k1), mean_x1, mean_k1))
     return np.array(rows)
 
@@ -649,14 +659,17 @@ def test_oracle_row_matches_the_dense_marginals_when_the_mean_dwarfs_the_spread(
     # at k_c = 300 the mean of k1 is ~270 times its spread: E[k^2] - mean^2
     # put dp_grid 5e-12 to 1.6e-11 off there, the centred variance ~1e-15
     params = PairParams(a=1.0, b=b, k_c=k_c)
+    grid0 = initial_grid(params, n=n, t_max=max(times))
     reference0 = dense.initial_grid(params, n=n, t_max=max(times))
     reference_rows = _particle_one_rows(dense, reference0, times)
     reference_norms = np.array([_dense_norm(dense.evolve(reference0, t) if t > 0 else reference0)
                                 for t in times])
+    # the engine's widths and centres at every time: moments(grid0) at t = 0,
+    # which oracle-check reads there, else those of each evolved grid
+    _assert_rows_match(_particle_one_rows(localent.oracle, grid0, times), reference_rows)
     # the schedule's rows: the norm and particle 1's moments at each time > 0
     later = np.array(times) > 0
     if later.any():
-        grid0 = initial_grid(params, n=n, t_max=max(times))
         rows, norm = _schedule_rows(grid0, np.array(times)[later])
         _assert_rows_match(rows, reference_rows[later])
         np.testing.assert_allclose(norm, reference_norms[later], rtol=0.0, atol=1e-13)

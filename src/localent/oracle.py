@@ -1,25 +1,23 @@
 """Brute-force validation on a two-dimensional spectral grid, in factored form.
 
 The t = 0 two-particle amplitude on an n x n grid is factorised once into
-Schmidt factors, psi = left @ right with left n x r and right r x n.  Free
-evolution is U (x) U, so it acts on each factor alone and never changes the
-rank: ``evolve`` applies the exact free propagator as a phase in Fourier
-space, with no 2-D transform and no time-stepping error.  Each grid keeps
-its factors' 1-D transforms side by side, in one n x 2r array, once they
-are taken.  An evolution multiplies that array by the phase into one
-n x 2r buffer and transforms the buffer in place: one multiply and one
-inverse transform.  ``evolve`` hands out a grid whose factors are
-read-only views of a fresh buffer; the transform overwrites the phased
-spectra, so an evolved grid keeps none.  It inherits its parent's spectral
-power |left_k|^2 instead: the phase has unit modulus, so that power is
-unchanged, and it is all that particle 1's wavenumber moments need of the
-spectra.  ``oracle-check`` builds no evolved grid: ``_schedule`` evolves
-each of its times in turn into one buffer, keeps of each only its Gram
-blocks, edge rows and particle 1's position weights, and checks a group
-of times, and takes their norms and moments, in one stacked pass.  The
-t = 0 grid is real on its support (below): its Grams are real, its right
-spectra are its left ones at -k, and its moments take one inverse
-transform, so a check at four times makes 5 1-D transform calls.
+Schmidt factors, psi = left @ right with left n x r and right r x n; that
+t = 0 grid is the only ``WaveGrid``.  Free evolution is U (x) U, so it acts
+on each factor alone and never changes the rank: the exact free propagator
+is a phase in Fourier space, with no 2-D transform and no time-stepping
+error.  The grid keeps its factors' 1-D transforms side by side, in one
+n x 2r array, once they are taken.  ``_schedule``, the one evolution,
+multiplies that array by each time's phase into one n x 2r buffer and
+transforms the buffer in place: one multiply and one inverse transform a
+time.  Of each time it keeps only the buffer's Gram blocks, edge rows and
+particle 1's position weights, and it checks a group of times, and takes
+their norms and particle 1's moments, in one stacked pass.  The phase has
+unit modulus, so particle 1's spectral power |left_k|^2 is the t = 0
+grid's at every time, and it is all that particle 1's wavenumber moments
+need of the spectra.  The t = 0 grid is real on its support (below): its
+Grams are real, its right spectra are its left ones at -k, and its moments
+take one inverse transform, so a check at four times makes 5 1-D
+transform calls.
 
 The factors are a Schmidt decomposition: ``left``'s columns are orthonormal
 and ``right``'s rows orthogonal, and the unitary evolution keeps both.  So
@@ -31,11 +29,12 @@ weighted by its own particle's offsets from its mean, so that the cross
 moments come out centred.  The unweighted Grams G, taken once
 per grid (the spectra's are n times them, by Parseval), give the norm
 tr(G_L G_R) and the isometry defect, the largest off-diagonal |G_ab| over
-the largest G_cc, which ``initial_grid``, ``evolve`` and ``_schedule`` hold to
-ISOMETRY_LIMIT.  Every Gram of complex factors is one real product of
-their float views, with no conjugate copy: each factor is held with its n
-axis first and its r columns contiguous (``right`` as the transpose of
-such an array), so that view is free.  A diagonal sum drops the terms
+the largest G_cc, which ``initial_grid`` and ``_schedule`` hold to
+ISOMETRY_LIMIT.  Every Gram of complex factors, each evolved time's and
+the t = 0 wavenumber-weighted ones, is one real product of their float
+views, with no conjugate copy: each factor is held with its n axis first
+and its r columns contiguous (``right`` as the transpose of such an
+array), so that view is free.  A diagonal sum drops the terms
 A_ab G_ba, a != b, of one factor's Gram A weighted by w and the other's G;
 |A_ab| <= (B_aa + B_bb) / 2 for B weighted by |w|, so together they weigh
 at most (r - 1) ISOMETRY_LIMIT max_c G_cc tr(B), which over all the rows or
@@ -109,10 +108,7 @@ __all__ = [
     "MomentSet",
     "default_extent",
     "initial_grid",
-    "boundary_leakage",
-    "evolve",
     "moments",
-    "numeric_covariance_matrix",
 ]
 
 LEAKAGE_LIMIT = 1e-8
@@ -125,7 +121,7 @@ _BOUNDARY = "packet reached the grid boundary at t = {t:g} (leakage {leak:.2e});
 
 @dataclass(frozen=True)
 class WaveGrid:
-    """Discretized two-particle wavefunction at one instant, as Schmidt
+    """The discretized two-particle wavefunction at t = 0, as Schmidt
     factors: psi(x1_i, x2_j) = (left @ right)[i, j].
 
     ``left`` (n x r) holds particle 1's modes as columns and ``right``
@@ -133,20 +129,20 @@ class WaveGrid:
     ``schmidt`` holds the r Schmidt coefficients of the sampled state: the
     singular values of psi times dx, whose squares sum to its norm.  All
     three are read-only, and so are the axes, spectra and Grams that a grid
-    caches the first time they are needed.  ``initial_grid`` alone sets
-    ``_modes``: (U, scale, rows) with U real, left = diag(p) U on the
-    support rows and 0 off them, and right = diag(scale) left^H.  An evolved
-    grid's factors are views of the buffer that ``evolve`` wrote.
+    caches the first time they are needed.  ``_modes`` is (U, scale, rows)
+    with U real, left = diag(p) U on the support rows and 0 off them, and
+    right = diag(scale) left^H; every Gram, spectrum and moment of the grid
+    is taken through it.  Later times are never held as a grid: ``_schedule``
+    evolves this one.
     """
 
     n: int
     extent: float
     params: PairParams
-    t: float
     left: np.ndarray
     right: np.ndarray
     schmidt: np.ndarray
-    _modes: tuple | None = field(default=None, init=False, repr=False)
+    _modes: tuple = field(repr=False)
 
     @property
     def dx(self) -> float:
@@ -168,20 +164,15 @@ class WaveGrid:
     def _spectrum(self) -> np.ndarray:
         """The 1-D transforms of ``left``'s columns beside those of
         ``right``'s rows, as one n x 2r array taken once per grid: every
-        evolution from this grid multiplies it by its phase.  At t = 0,
-        right = diag(scale) left^H, so right's spectra are left's at -k,
-        conjugated and scaled, with no second transform."""
+        evolution multiplies it by its phase.  right = diag(scale) left^H,
+        so right's spectra are left's at -k, conjugated and scaled, with no
+        second transform."""
         n, r = self.left.shape
         both = np.empty((n, 2 * r), dtype=complex)
-        if self._modes is None:
-            both[:, :r] = self.left
-            both[:, r:] = self.right.T
-            np.fft.fft(both, axis=0, out=both)
-        else:
-            np.fft.fft(self.left, axis=0, out=both[:, :r])
-            mirrored = both[-np.arange(n), :r]  # left's spectra at -k
-            np.conjugate(mirrored, out=mirrored)
-            np.multiply(mirrored, self._modes[1], out=both[:, r:])
+        np.fft.fft(self.left, axis=0, out=both[:, :r])
+        mirrored = both[-np.arange(n), :r]  # left's spectra at -k
+        np.conjugate(mirrored, out=mirrored)
+        np.multiply(mirrored, self._modes[1], out=both[:, r:])
         return _read_only(both)
 
     @property
@@ -195,8 +186,8 @@ class WaveGrid:
     def _spectral_power(self) -> np.ndarray:
         """|left_k|^2, the n x r row factor of particle 1's wavenumber
         weights.  The free propagator is a phase of unit modulus in k, so
-        an evolved grid, which keeps no spectra, inherits it and needs no
-        transform for it."""
+        it is also that of every time ``_schedule`` evolves to, which needs
+        no transform for it."""
         left_k = self._spectra[0]
         power = np.square(left_k.real)
         power += np.square(left_k.imag)
@@ -205,10 +196,8 @@ class WaveGrid:
     @cached_property
     def _grams(self) -> tuple[np.ndarray, np.ndarray]:
         """The unweighted Grams left^H left and right right^H: the norm and
-        the isometry.  At t = 0 they are real: G = U^T U over the support
-        rows, and diag(scale) G diag(scale)."""
-        if self._modes is None:
-            return _read_only(_gram(self.left)), _read_only(_gram(self.right.T).T)
+        the isometry.  They are real: G = U^T U over the support rows, and
+        diag(scale) G diag(scale)."""
         u, scale, _ = self._modes
         gram = u.T @ u
         return _read_only(gram), _read_only(scale[:, None] * gram * scale)
@@ -232,18 +221,15 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _gram(a: np.ndarray, weights=None, b: np.ndarray | None = None) -> np.ndarray:
-    """The r x r matrix a^H diag(weights) b of n x r complex factors; no
-    ``weights`` means all ones, and ``b`` defaults to ``a``.  For r x n
-    factors R and S, S diag(w) R^H is ``_gram(R.T, w, S.T).T``.
+def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The r x r matrix a^H b of n x r complex factors.  For r x n factors
+    R and S, S R^H is ``_gram(R.T, S.T).T``.
 
     One real product of the factors' float views, whose columns are the
     real and imaginary parts of each complex column side by side
-    (``_complex_gram``).  No conjugate copy is made, and the unweighted
-    ``a^T a`` is a symmetric product."""
-    real_a = _float_view(a)
-    real_b = real_a if b is None else _float_view(b)
-    return _complex_gram((real_a.T if weights is None else real_a.T * weights) @ real_b)
+    (``_complex_gram``), so each factor's columns must be contiguous.  No
+    conjugate copy is made."""
+    return _complex_gram(a.view(np.float64).T @ b.view(np.float64))
 
 
 def _complex_gram(block: np.ndarray) -> np.ndarray:
@@ -256,14 +242,6 @@ def _complex_gram(block: np.ndarray) -> np.ndarray:
     gram.real = block[..., 0::2, 0::2] + block[..., 1::2, 1::2]
     gram.imag = block[..., 0::2, 1::2] - block[..., 1::2, 0::2]
     return gram
-
-
-def _float_view(factor: np.ndarray) -> np.ndarray:
-    """An n x r complex factor as n x 2r floats: a view when its columns
-    are contiguous, as the grids hold them, else a contiguous copy."""
-    if factor.strides[1] != factor.itemsize:
-        factor = np.ascontiguousarray(factor)
-    return factor.view(np.float64)
 
 
 def _trace(left_gram: np.ndarray, right_gram: np.ndarray) -> float:
@@ -308,23 +286,17 @@ def default_extent(params: PairParams, t_max: float = 0.0) -> float:
     return max(16.0 * spread_now, 16.0 * spread_later + 2.0 * drift)
 
 
-def boundary_leakage(grid: WaveGrid) -> float:
-    """Probability mass in the outermost two cells along each edge.
+def _leakage(grams: np.ndarray, edges: np.ndarray, dx: float) -> np.ndarray:
+    """The probability mass in the outermost two cells along each edge, of
+    each of a stack of amplitudes, from its two Grams (..., 2, r, r),
+    left's then right's, in either orientation, and its edge rows
+    (..., 4, 2r) of [left | right^T].
 
     The mass of the edge rows plus that of the edge columns, less the
     corners they share: three sums of that small mass, where the whole mass
     minus the inner mass would cancel two sums near 1.  The rows and columns
-    are diagonal sums over the other factor's cached Gram."""
-    edges = np.concatenate([grid.left[_EDGE], grid.right[:, _EDGE].T], axis=1)
-    return float(_leakage(np.stack(grid._grams), edges, grid.dx))
-
-
-def _leakage(grams: np.ndarray, edges: np.ndarray, dx: float) -> np.ndarray:
-    """``boundary_leakage`` of a stack of grids, from each grid's two Grams
-    (..., 2, r, r), left's then right's, in either orientation, and its
-    edge rows (..., 4, 2r) of [left | right^T]: the squares of the rows'
-    float view over the other factor's Gram diagonal, each entry twice (its
-    real and imaginary part), less the corner cells."""
+    are the squares of the edge rows' float view over the other factor's
+    Gram diagonal, each entry twice (its real and imaginary part)."""
     r = grams.shape[-1]
     diagonals = np.diagonal(grams, axis1=-2, axis2=-1).real[..., ::-1, :]  # right's, left's
     weights = np.repeat(diagonals, 2, axis=-1).reshape(*grams.shape[:-3], 4 * r)
@@ -355,13 +327,6 @@ def _raise_failure(t: float, leak: float, defects, boundary: str) -> None:
         if not defect <= ISOMETRY_LIMIT:
             raise GridError(f"Schmidt factors are not orthogonal at t = {t:g} "
                             f"(isometry defect {defect:.2e})")
-
-
-def _checked(grid: WaveGrid, boundary: str) -> WaveGrid:
-    """``grid``, once ``_raise_failure`` finds no failure in it."""
-    _raise_failure(grid.t, boundary_leakage(grid), _isometry_defects(np.stack(grid._grams)),
-                   boundary)
-    return grid
 
 
 def _vector_words(n: int) -> int:
@@ -407,8 +372,7 @@ def _check_bytes(grid: WaveGrid, count: int) -> int:
     or three complex m x r terms of the mirrored k2 psi (2nr + 6mr), and
     the schedule's n x 2r buffer (4nr) with the group of times it holds at
     once (``_group_size``, each 6n + 16r^2 + 16r)."""
-    n, r = grid.n, grid.schmidt.size
-    m = n if grid._modes is None else len(grid._modes[0])
+    n, r, m = grid.n, grid.schmidt.size, len(grid._modes[0])
     group = _group_size(n, r, count) * (6 * n + 16 * r * r + 16 * r)
     return 8 * (_vector_words(n) + 9 * n * r + m * r + 8 * r * r
                 + max(2 * n * r + 6 * m * r, 4 * n * r + group))
@@ -615,7 +579,8 @@ def initial_grid(
     evolutions the caller plans.  The renormalization factor must stay within
     1e-4 of unity, otherwise the grid is rejected as under-resolved.  Raises
     MemoryError, before allocating, when the factorisation's peak exceeds
-    the physical memory.
+    the physical memory, and raises GridError when the sampled packet
+    reaches the grid's edges or its factors fail the isometry check.
     """
     x, phase, envelope, weight, extent = _sampled_amplitude(params, n, extent, t_max)
     rows, outside = _support(*envelope, weight)
@@ -627,42 +592,17 @@ def initial_grid(
     scale = s / (norm * (extent / n))
     left = np.zeros((n, len(s)), dtype=complex)
     np.multiply(phase[rows, None], u, out=left[rows])
-    right = np.zeros((n, len(s)), dtype=complex)  # held transposed, as evolve holds it
+    right = np.zeros((n, len(s)), dtype=complex)  # held transposed, as the schedule holds it
     np.conjugate(left[rows], out=right[rows])  # right = diag(scale) left^H
     right[rows] *= scale
-    grid = WaveGrid(n=n, extent=extent, params=params, t=0.0, left=_read_only(left),
-                    right=_read_only(right.T), schmidt=_read_only(s / norm))
-    vars(grid)["_modes"] = _read_only(u), _read_only(scale), rows
-    return _checked(grid, "initial packet touches the boundary (leakage {leak:.2e})")
-
-
-def evolve(grid: WaveGrid, t: float) -> WaveGrid:
-    """Advance the wavefunction by time t with the exact free propagator.
-
-    The phase exp(-i (k1^2 + k2^2) t / 2) is the outer product of one
-    n-vector with itself, so each factor takes it alone: ``grid``'s cached
-    spectra (``_spectrum``: the 1-D transforms of ``left``'s r columns
-    beside those of ``right``'s r rows, taken once per grid) times the
-    phase, written into a fresh n x 2r buffer, then one inverse transform
-    of that buffer in place (``_propagate``).  The evolved factors are
-    read-only views of it, and the evolved grid inherits ``grid``'s axes
-    and spectral power |left_k|^2; it keeps no spectra, so its own moments
-    or a later evolution from it transform forward again.  The Schmidt
-    values do not change.  Unitary up to roundoff, so the norm and the
-    factors' orthogonality hold to ~1e-15 per call.  Raises when the
-    evolved packet reaches the grid boundary or fails the isometry check.
-    """
-    if not (math.isfinite(t) and t >= 0):
-        raise DomainError(f"time step must be finite and nonnegative, got {t}")
-    n, r = grid.left.shape
-    buffer = np.empty((n, 2 * r), dtype=complex)
-    _propagate(grid._spectrum, _propagators(grid.k_axis, np.array([t]))[0], buffer)
-    out = WaveGrid(n=n, extent=grid.extent, params=grid.params, t=grid.t + t,
-                   left=_read_only(buffer[:, :r]), right=_read_only(buffer[:, r:].T),
-                   schmidt=grid.schmidt)
-    # cached, filled in
-    vars(out).update(axis=grid.axis, k_axis=grid.k_axis, _spectral_power=grid._spectral_power)
-    return _checked(out, _BOUNDARY)
+    grid = WaveGrid(n=n, extent=extent, params=params, left=_read_only(left),
+                    right=_read_only(right.T), schmidt=_read_only(s / norm),
+                    _modes=(_read_only(u), _read_only(scale), rows))
+    grams = np.stack(grid._grams)
+    leak = float(_leakage(grams, np.concatenate([left[_EDGE], right[_EDGE]], axis=1), grid.dx))
+    _raise_failure(0.0, leak, _isometry_defects(grams),
+                   "initial packet touches the boundary (leakage {leak:.2e})")
+    return grid
 
 
 def _propagators(k: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -702,7 +642,7 @@ def _schedule(grid: WaveGrid, times: np.ndarray) -> np.ndarray:
     ``grid`` evolved to each of ``times`` (all > 0), as one row per time.
 
     Every time is evolved in turn into one n x 2r buffer (``_propagate``),
-    and no evolved grid is built: of each time only its two float-view Gram
+    and no grid is built for it: of each time only its two float-view Gram
     blocks, its edge rows and particle 1's position weights are kept, and
     the buffer is then free for the next time.  A group of times takes its
     phases from one exponential, and one stacked pass over its blocks
@@ -742,13 +682,13 @@ def _group_rows(grid: WaveGrid, times: np.ndarray, blocks: np.ndarray, edges: np
     """``_schedule``'s rows for a group of ``times``, in one stacked pass
     over what it kept of each: the float-view Gram blocks (..., 2, 2r, 2r),
     the edge rows (..., 4, 2r) and particle 1's position weights (..., n),
-    through the helpers that ``evolve``, ``_checked`` and ``moments`` use.
-    The first failing time, in order, raises as ``evolve`` would: leakage
-    before isometry, the left Gram before the right one.  The pass's
-    temporaries die with this call, before the next group's are made."""
+    through the helpers that ``initial_grid`` and ``moments`` use.  The
+    first failing time, in order, raises: leakage before isometry, the left
+    Gram before the right one.  The pass's temporaries die with this call,
+    before the next group's are made."""
     grams = _complex_gram(blocks)  # right's is (right right^H)^T
     for t, leak, pair in zip(times, _leakage(grams, edges, grid.dx), _isometry_defects(grams)):
-        _raise_failure(grid.t + t, leak, pair, _BOUNDARY)
+        _raise_failure(t, leak, pair, _BOUNDARY)
     norms = np.sum(grams[:, 0] * grams[:, 1], axis=(-2, -1)).real * grid.dx * grid.dx
     k_weights = _wavenumber_weights(grid, np.diagonal(grams[:, 1], axis1=-2, axis2=-1).real)
     return np.column_stack([norms, *_weighted_moments(x_weights, grid.axis),
@@ -775,27 +715,26 @@ def _wavenumber_weights(grid: WaveGrid, diagonal: np.ndarray) -> np.ndarray:
 
 def moments(grid: WaveGrid) -> MomentSet:
     """All first/second moments: positions from the factors, wavenumbers from
-    their cached 1-D transforms (taken afresh for an evolved grid, which
-    keeps none), and symmetrized position-wavenumber cross terms via
-    Re <psi| x (k psi)> (the real part is exactly the symmetrized product).
-    Each quantity of one particle is a diagonal sum over the other factor's
-    Gram; each cross term is the trace of two r x r Grams, each weighted by
-    its own particle's offsets x - mean or k - mean, so no product of means
-    cancels where a mean dwarfs the spread.  k1 psi takes one inverse
-    transform of the left spectra.
+    their cached 1-D transforms, and symmetrized position-wavenumber cross
+    terms via Re <psi| x (k psi)> (the real part is exactly the symmetrized
+    product).  Each quantity of one particle is a diagonal sum over the
+    other factor's Gram; each cross term is the trace of two r x r Grams,
+    each weighted by its own particle's offsets x - mean or k - mean, so no
+    product of means cancels where a mean dwarfs the spread.  k1 psi takes
+    one inverse transform of the left spectra.
 
-    At t = 0, with left = diag(p) U and right = diag(scale) left^H
+    With left = diag(p) U and right = diag(scale) left^H
     (``WaveGrid._modes``), the position Grams are real sums over the support
     rows, particle 2's position weights are particle 1's and its wavenumber
     weights are particle 1's at -k, and its k-weighted Gram and k2 psi are
     particle 1's taken at k -> -k, plus the Nyquist bin, which is its own
     -k: no second k Gram and no second inverse transform."""
     x, k = grid.axis, grid.k_axis
-    left_k, right_k = grid._spectra
+    left_k = grid._spectra[0]
     (l1, r1), (sl1, sr1) = grid._grams, grid._spectral_grams
     norm, spectral_norm = _trace(l1, r1), _trace(sl1, sr1)
     # left and right are 0 off the rows, so the sums over them skip the others
-    rows = slice(None) if grid._modes is None else grid._modes[2]
+    u, scale, rows = grid._modes
     left, right = grid.left[rows], grid.right[:, rows]
     k_weights = _wavenumber_weights(grid, r1.diagonal().real)
     mean_x1, var_x1 = map(float, _weighted_moments(_row_weights(left, r1), x[rows]))
@@ -804,42 +743,34 @@ def moments(grid: WaveGrid) -> MomentSet:
     # k1 psi = k1_left @ right and k2 psi = left @ k2_right; each meets left or
     # right, so only its rows are kept
     k1_left = left_k * k1[:, None]
-    lk = _gram(left_k, b=k1_left)  # left_k^H diag(k1) left_k
+    lk = _gram(left_k, k1_left)  # left_k^H diag(k1) left_k
     np.fft.ifft(k1_left, axis=0, out=k1_left)
     k1_left = k1_left[rows]
-    if grid._modes is None:
-        mean_x2, var_x2 = map(float, _weighted_moments(_row_weights(right.T, l1), x))
-        mean_k2, var_k2 = map(float, _weighted_moments(_row_weights(right_k.T, sl1), k))
-        x2, k2 = x[rows] - mean_x2, k - mean_k2
-        lx, rx, rk = _gram(left, x1), _gram(right.T, x2).T, _gram(right_k.T, k2).T
-        k2_right = np.fft.ifft(right_k.T * k2[:, None], axis=0).T
-    else:
-        # right = diag(scale) left^H: particle 2's position weights are
-        # particle 1's, and its wavenumber weights are particle 1's at -k
-        mean_x2, var_x2, x2 = mean_x1, var_x1, x1
-        mean_k2, var_k2 = map(float, _weighted_moments(k_weights, k[-np.arange(grid.n)]))
-        u, scale, _ = grid._modes
-        lx = (u.T * x1) @ u
-        scales = np.outer(scale, scale)  # right's Grams are scale (U^T diag(w) U) scale
-        rx = scales * lx
-        # at -k, k2's offsets are -k1 - shift, but 2 k_N more at the Nyquist bin N,
-        # so rk and k2 psi follow from lk and k1_left
-        shift, nyquist, k_n = mean_k1 + mean_k2, left_k[grid.n // 2], k[grid.n // 2]
-        rk = scales * (2.0 * k_n * np.outer(nyquist.conj(), nyquist) - lk - shift * sl1)
-        sign = 1.0 - 2.0 * (np.arange(grid.n)[rows] % 2)  # exp(2 pi i j N / n)
-        mirrored = np.outer(sign, nyquist)
-        mirrored *= 2.0 * k_n / grid.n
-        mirrored -= k1_left
-        mirrored -= shift * left
-        np.conjugate(mirrored, out=mirrored)
-        mirrored *= scale
-        k2_right = mirrored.T
+    # right = diag(scale) left^H: particle 2's position weights are
+    # particle 1's, and its wavenumber weights are particle 1's at -k
+    mean_x2, var_x2, x2 = mean_x1, var_x1, x1
+    mean_k2, var_k2 = map(float, _weighted_moments(k_weights, k[-np.arange(grid.n)]))
+    lx = (u.T * x1) @ u
+    scales = np.outer(scale, scale)  # right's Grams are scale (U^T diag(w) U) scale
+    rx = scales * lx
+    # at -k, k2's offsets are -k1 - shift, but 2 k_N more at the Nyquist bin N,
+    # so rk and k2 psi follow from lk and k1_left
+    shift, nyquist, k_n = mean_k1 + mean_k2, left_k[grid.n // 2], k[grid.n // 2]
+    rk = scales * (2.0 * k_n * np.outer(nyquist.conj(), nyquist) - lk - shift * sl1)
+    sign = 1.0 - 2.0 * (np.arange(grid.n)[rows] % 2)  # exp(2 pi i j N / n)
+    mirrored = np.outer(sign, nyquist)
+    mirrored *= 2.0 * k_n / grid.n
+    mirrored -= k1_left
+    mirrored -= shift * left
+    np.conjugate(mirrored, out=mirrored)
+    mirrored *= scale
+    k2_right = mirrored.T
     cov_x1x2 = _trace(lx, rx) / norm
     cov_k1k2 = _trace(lk, rk) / spectral_norm
     sym_x1k1 = float((x1 @ (left.conj() * k1_left)).real @ r1.diagonal().real) / norm
     sym_x2k2 = float(l1.diagonal().real @ ((k2_right * right.conj()) @ x2).real) / norm
-    sym_x1k2 = _trace(lx, _gram(right.T, b=k2_right.T).T) / norm
-    sym_x2k1 = _trace(_gram(left, b=k1_left), rx) / norm
+    sym_x1k2 = _trace(lx, _gram(right.T, k2_right.T).T) / norm
+    sym_x2k1 = _trace(_gram(left, k1_left), rx) / norm
     return MomentSet(mean_x1, mean_x2, mean_k1, mean_k2, var_x1, var_x2, cov_x1x2,
                      var_k1, var_k2, cov_k1k2, sym_x1k1, sym_x1k2, sym_x2k1, sym_x2k2)
 
@@ -854,16 +785,10 @@ def _correlation_matrix(m: MomentSet) -> CovMatrix4:
     return CovMatrix4.from_matrix(g)
 
 
-def numeric_covariance_matrix(grid: WaveGrid) -> CovMatrix4:
-    """Correlation matrix by quadrature, in the same doubled convention as
-    the analytic construction (entries are 2x the symmetrized covariances)."""
-    return _correlation_matrix(moments(grid))
-
-
 def _row_weights(left: np.ndarray, right_gram: np.ndarray) -> np.ndarray:
     """sum_j |(left @ right)[i, j]|^2 for each row i, as |left|^2 times the
     diagonal of right's Gram right right^H (``_square_weights``)."""
-    return _square_weights(np.square(_float_view(left)), right_gram.diagonal().real)
+    return _square_weights(np.square(left.view(np.float64)), right_gram.diagonal().real)
 
 
 def _square_weights(squares: np.ndarray, diagonal: np.ndarray, out=None) -> np.ndarray:

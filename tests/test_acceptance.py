@@ -17,7 +17,7 @@ from localent.covariance import (
     simon_invariant,
     simon_invariant_closed_form,
 )
-from localent.oracle import evolve, initial_grid, moments, numeric_covariance_matrix
+from localent.oracle import _correlation_matrix, _schedule, initial_grid, moments
 from localent.protocols import (
     HiddenScenario,
     ambiguity_time,
@@ -97,18 +97,19 @@ def test_criterion_4_oracle_agreement():
     for a, b in ((1.0, INF), (1.0, 2.0), (2.0, 2.0)):
         params = PairParams(a=a, b=b)
         grid0 = initial_grid(params, n=512, t_max=2.0)
-        cm_delta = float(
-            np.abs(numeric_covariance_matrix(grid0).matrix - covariance_matrix(params).matrix).max()
-        )
+        spreads = moments(grid0)
+        cm_delta = float(np.abs(_correlation_matrix(spreads).matrix
+                                - covariance_matrix(params).matrix).max())
         worst_cm = max(worst_cm, cm_delta)
         assert cm_delta < 1e-4
-        for t in (0.0, 0.5, 1.0, 2.0):
-            grid = evolve(grid0, t) if t > 0 else grid0
-            spreads = moments(grid)
-            var_x1, var_k1 = spreads.var_x1, spreads.var_k1
+        # t = 0 from the grid's moments, later times from one schedule pass
+        rows = [(grid0.norm(), spreads.var_x1, spreads.var_k1)]
+        rows += [(norm, var_x1, var_k1) for norm, _, var_x1, _, var_k1
+                 in _schedule(grid0, np.array([0.5, 1.0, 2.0]))]
+        for t, (norm, var_x1, var_k1) in zip((0.0, 0.5, 1.0, 2.0), rows):
             rel_dx = abs(math.sqrt(var_x1) / position_dispersion(t, params) - 1.0)
             rel_dp = abs(math.sqrt(var_k1) / momentum_dispersion(params) - 1.0)
-            drift = abs(grid.norm() - 1.0)
+            drift = abs(norm - 1.0)
             worst_dx = max(worst_dx, rel_dx)
             worst_dp = max(worst_dp, rel_dp)
             worst_norm = max(worst_norm, drift)
@@ -153,9 +154,10 @@ def test_criterion_6_mimicry_uniqueness():
     target_x, target_k = math.sqrt(spreads.var_x1), math.sqrt(spreads.var_k1)
     grid_sep = initial_grid(PairParams(a=a_prime, b=INF), n=512, t_max=1.1 * t_match)
     assert abs(math.sqrt(moments(grid_sep).var_k1) / target_k - 1.0) < 1e-4
-    for factor, should_match in ((0.9, False), (1.0, True), (1.1, False)):
-        dx = math.sqrt(moments(evolve(grid_sep, factor * t_match)).var_x1)
-        rel = abs(dx / target_x - 1.0)
+    factors = ((0.9, False), (1.0, True), (1.1, False))
+    var_x1 = _schedule(grid_sep, np.array([factor for factor, _ in factors]) * t_match)[:, 2]
+    for (factor, should_match), var in zip(factors, var_x1):
+        rel = abs(math.sqrt(var) / target_x - 1.0)
         assert (rel < 1e-4) if should_match else (rel > 1e-2)
     print(
         f"PASS criterion 6: mimicry unique at t = {t_match:.6f} "

@@ -502,6 +502,8 @@ def test_oracle_check_grid_failure_exits_3(capsys):
         ("-1,2", 2, "time must be nonnegative, got -1.0"),
         ("2,-1", 3, "packet reached the grid boundary at t = 2 "),
         ("0,-0.5,2", 2, "time must be nonnegative, got -0.5"),
+        # three times to a stacked group here: the first leak is in the third
+        ("0.1,0.2,0.25,0.1,0.2,0.25,0.25,2,0.5", 3, "packet reached the grid boundary at t = 2 "),
     ]:
         got, out, err = run_cli(capsys, "oracle-check", "--a", "1", "--b", "inf",
                                 f"--times={times}", "--grid-n", "64", "--grid-L", "8")

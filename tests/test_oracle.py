@@ -21,18 +21,10 @@ from localent.covariance import (
     simon_invariant,
 )
 from localent.errors import DomainError, GridError
-from localent.oracle import (
-    MomentSet,
-    WaveGrid,
-    boundary_leakage,
-    default_extent,
-    evolve,
-    initial_grid,
-    moments,
-    numeric_covariance_matrix,
-)
+from localent.oracle import MomentSet, WaveGrid, default_extent, initial_grid, moments
 from localent.oracle import ISOMETRY_LIMIT, RESIDUAL_LIMIT, _axis, _envelope_weight, _grid_envelope
-from localent.oracle import _row_weights, _schedule, _support
+from localent.oracle import _EDGE, _correlation_matrix, _gram, _leakage, _propagate, _propagators
+from localent.oracle import _row_weights, _schedule, _support, _wavenumber_weights
 from localent.protocols import ambiguity_time, mimic_width, width_from_momentum_dispersion
 from localent.states import PairParams, momentum_dispersion, position_dispersion
 import oracle_reference as dense
@@ -41,10 +33,18 @@ from oracle_reference import reference_moments
 INF = math.inf
 
 
+def _edge_leakage(left: np.ndarray, right: np.ndarray, dx: float) -> float:
+    """The mass in the outermost two cells along each edge of left @ right,
+    through the package's ``_leakage``."""
+    grams = np.stack([left.conj().T @ left, right @ right.conj().T])
+    edges = np.concatenate([left[_EDGE], right[:, _EDGE].T], axis=1)
+    return float(_leakage(grams, edges, dx))
+
+
 def test_grid_norm_and_leakage():
     grid = initial_grid(PairParams(a=1.0, b=2.0), n=512, extent=20.0)
     assert abs(grid.norm() - 1.0) < 1e-6
-    assert boundary_leakage(grid) < 1e-8
+    assert _edge_leakage(grid.left, grid.right, grid.dx) < 1e-8
 
 
 def test_leakage_is_the_direct_sum_over_the_edge_cells():
@@ -56,7 +56,8 @@ def test_leakage_is_the_direct_sum_over_the_edge_cells():
     cells = edge[:, None] | edge[None, :]
     direct = float(np.sum(np.abs((grid.left @ grid.right)[cells]) ** 2)) * grid.dx * grid.dx
     assert 0.0 < direct < 1e-12
-    assert boundary_leakage(grid) == pytest.approx(direct, rel=1e-12, abs=0.0)
+    assert _edge_leakage(grid.left, grid.right, grid.dx) == pytest.approx(direct, rel=1e-12,
+                                                                           abs=0.0)
 
 
 def test_grid_validation():
@@ -108,6 +109,30 @@ def _amplitudes(grid: WaveGrid) -> np.ndarray:
     return grid.left @ grid.right
 
 
+def _evolved(grid0: WaveGrid, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """``grid0``'s factors (left, right) at time t, as ``_schedule`` writes
+    them: the package's ``_propagate`` into a fresh n x 2r buffer, whose two
+    halves are views of them."""
+    n, r = grid0.left.shape
+    buffer = np.empty((n, 2 * r), dtype=complex)
+    _propagate(grid0._spectrum, _propagators(grid0.k_axis, np.array([t]))[0], buffer)
+    return buffer[:, :r], buffer[:, r:].T
+
+
+def _evolved_weights(grid0: WaveGrid, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Particle 1's position and wavenumber weights at time t, as
+    ``_schedule`` takes them: |left|^2, and the t = 0 spectral power, each
+    over the diagonal of right's Gram."""
+    left, right = _evolved(grid0, t)
+    right_gram = _gram(right.T, right.T).T
+    return _row_weights(left, right_gram), _wavenumber_weights(grid0, right_gram.diagonal().real)
+
+
+def _schedule_row(grid0: WaveGrid, t: float) -> np.ndarray:
+    """(norm, mean_x1, var_x1, mean_k1, var_k1) at time t > 0, from ``_schedule``."""
+    return _schedule(grid0, np.array([t]))[0]
+
+
 def test_separable_grid_factorizes():
     params = PairParams(a=1.0, b=INF, k_c=0.4)
     psi = dense.initial_grid(params, n=256, extent=16.0).amplitudes
@@ -129,26 +154,27 @@ def test_packet_center_shift_is_pure_phase():
 
 def test_evolve_zero_time_is_identity():
     grid = initial_grid(PairParams(a=1.0, b=2.0), n=256, extent=20.0)
-    evolved = evolve(grid, 0.0)
-    assert np.max(np.abs(_amplitudes(evolved) - _amplitudes(grid))) < 1e-14
+    left, right = _evolved(grid, 0.0)
+    assert np.max(np.abs(left @ right - _amplitudes(grid))) < 1e-14
 
 
 def test_evolution_unitary():
     grid = initial_grid(PairParams(a=1.0, b=2.0), n=512, t_max=2.0)
-    for t in (0.5, 1.0, 2.0):
-        assert abs(evolve(grid, t).norm() - 1.0) < 1e-10
+    norms = _schedule(grid, np.array([0.5, 1.0, 2.0]))[:, 0]
+    assert np.all(np.abs(norms - 1.0) < 1e-10)
 
 
 def test_evolution_detects_boundary_hit():
     # extent passes the t = 0 gate but cannot contain the spread packet
     grid = initial_grid(PairParams(a=1.0, b=INF), n=256, extent=8.0)
-    with pytest.raises(GridError):
-        evolve(grid, 2.0)
+    with pytest.raises(GridError, match="packet reached the grid boundary at t = 2 "):
+        _schedule(grid, np.array([2.0]))
 
 
-def _assert_reconstructs(grid: WaveGrid, reference: np.ndarray) -> None:
-    """The factors give ``reference`` to within the factorisation's residual limit."""
-    miss = np.linalg.norm(_amplitudes(grid) - reference)
+def _assert_reconstructs(amplitudes: np.ndarray, reference: np.ndarray) -> None:
+    """Factors' ``amplitudes`` give ``reference`` to within the
+    factorisation's residual limit."""
+    miss = np.linalg.norm(amplitudes - reference)
     assert miss <= 1e-13 * np.linalg.norm(reference)
 
 
@@ -158,25 +184,28 @@ def test_factorised_cached_evolution_is_exact(b, k_c):
     grid0 = initial_grid(params, n=256, t_max=4.0)
     reference0 = dense.initial_grid(params, n=256, t_max=4.0)
     for t in (0.5, 2.0):
-        evolved = evolve(grid0, t)
+        left, right = _evolved(grid0, t)
         reference = dense.evolve(reference0, t)
-        _assert_reconstructs(evolved, reference.amplitudes)
-        np.testing.assert_array_equal(evolved.schmidt, grid0.schmidt)  # U (x) U keeps them
-        twice = evolve(evolved, t)  # evolving an evolved grid
-        _assert_reconstructs(twice, dense.evolve(reference, t).amplitudes)
+        _assert_reconstructs(left @ right, reference.amplitudes)
+        # U (x) U keeps the Schmidt values
+        schmidt = np.linalg.svd(left @ right, compute_uv=False)[:grid0.schmidt.size] * grid0.dx
+        np.testing.assert_allclose(schmidt, grid0.schmidt, rtol=0.0, atol=1e-13)
+        # one step to 2t against the dense engine's two steps of t
+        left, right = _evolved(grid0, 2.0 * t)
+        _assert_reconstructs(left @ right, dense.evolve(reference, t).amplitudes)
 
 
 @pytest.mark.parametrize("b,k_c", [(2.0, 0.5), (INF, 0.0), (0.7, -1.0)])
 def test_factors_are_read_only_and_reconstruct_the_dense_amplitude(b, k_c):
     params = PairParams(a=1.0, b=b, k_c=k_c)
     grid0 = initial_grid(params, n=128, t_max=1.0)
-    _assert_reconstructs(grid0, dense.initial_grid(params, n=128, t_max=1.0).amplitudes)
+    _assert_reconstructs(_amplitudes(grid0),
+                         dense.initial_grid(params, n=128, t_max=1.0).amplitudes)
     rank = grid0.schmidt.size
     assert grid0.left.shape == (128, rank) and grid0.right.shape == (rank, 128)
-    for grid in (grid0, evolve(grid0, 1.0)):
-        for factor in (grid.left, grid.right, grid.schmidt):
-            with pytest.raises(ValueError):
-                factor[0] = 0.0
+    for factor in (grid0.left, grid0.right, grid0.schmidt, *grid0._modes[:2]):
+        with pytest.raises(ValueError):
+            factor[0] = 0.0
 
 
 def test_an_oracle_check_evolves_every_time_into_one_buffer(monkeypatch, capsys):
@@ -203,31 +232,15 @@ def test_an_oracle_check_evolves_every_time_into_one_buffer(monkeypatch, capsys)
                    for ref, shape, count in calls)
 
 
-def test_evolve_hands_out_read_only_factors_that_a_later_evolve_leaves_alone():
-    grid0 = initial_grid(PairParams(a=1.0, b=2.0, k_c=0.5), n=256, t_max=2.0)
-    first = evolve(grid0, 1.0)
-    left, right = first.left.copy(), first.right.copy()
-    second = evolve(grid0, 2.0)
-    assert not np.shares_memory(first.left, second.left)
-    np.testing.assert_array_equal(first.left, left)
-    np.testing.assert_array_equal(first.right, right)
-    for factor in (first.left, first.right):
-        with pytest.raises(ValueError):
-            factor[0, 0] = 0.0
-
-
 @pytest.mark.parametrize("b,n,t_max", [(INF, 256, 1.0), (2.0, 256, 1.0), (0.25, 512, 0.5),
                                        (0.125, 1024, 0.25)])
 def test_the_handed_on_spectral_power_is_that_of_the_evolved_factors(b, n, t_max):
-    # the propagator is a phase of unit modulus in k: an evolved grid keeps no
-    # spectra, but its parent's |left_k|^2 is its own, chained evolutions too
+    # the propagator is a phase of unit modulus in k: the schedule transforms
+    # no evolved factor forward, and the t = 0 |left_k|^2 is that of every time
     grid0 = initial_grid(PairParams(a=1.0, b=b, k_c=0.5), n=n, t_max=t_max)
-    once = evolve(grid0, t_max / 2)
-    assert "_spectrum" not in vars(once)
-    for grid in (once, evolve(once, t_max / 2)):
-        assert grid._spectral_power is grid0._spectral_power
-        fresh = np.abs(np.fft.fft(grid.left, axis=0)) ** 2
-        assert np.max(np.abs(grid._spectral_power - fresh)) <= 1e-14 * np.max(fresh)
+    for t in (t_max / 2, t_max):
+        fresh = np.abs(np.fft.fft(_evolved(grid0, t)[0], axis=0)) ** 2
+        assert np.max(np.abs(grid0._spectral_power - fresh)) <= 1e-14 * np.max(fresh)
 
 
 @pytest.mark.parametrize("b,n,t_max", [(INF, 256, 1.0), (2.0, 256, 1.0), (0.25, 512, 0.5),
@@ -235,12 +248,15 @@ def test_the_handed_on_spectral_power_is_that_of_the_evolved_factors(b, n, t_max
 def test_the_real_view_grams_match_the_complex_products(b, n, t_max):
     # 2e-15 of the largest entry: against a long-double product, complex
     # matmul's Grams err by up to 5.6e-16 here, the real ones by up to 1.2e-15
+    # the t = 0 Grams, real sums over U, and the schedule's float-view Grams
+    # of each evolved time's factors
     grid0 = initial_grid(PairParams(a=1.0, b=b, k_c=0.5), n=n, t_max=t_max)
-    once = evolve(grid0, t_max / 2)
-    rebuilt = dataclasses.replace(once, left=once.left.copy(), right=once.right.copy())
-    for grid in (grid0, once, evolve(once, t_max / 2), dataclasses.replace(grid0), rebuilt):
-        left, right = grid.left, grid.right
-        for gram, direct in zip(grid._grams, (left.conj().T @ left, right @ right.conj().T)):
+    pairs = [(grid0._grams, (grid0.left, grid0.right))]
+    for t in (t_max / 2, t_max):
+        left, right = _evolved(grid0, t)
+        pairs.append(((_gram(left, left), _gram(right.T, right.T).T), (left, right)))
+    for grams, (left, right) in pairs:
+        for gram, direct in zip(grams, (left.conj().T @ left, right @ right.conj().T)):
             assert np.max(np.abs(gram - direct)) <= 2e-15 * np.max(np.abs(direct))
 
 
@@ -433,35 +449,38 @@ def _widths(grid: WaveGrid) -> tuple[float, float]:
 
 @pytest.mark.parametrize("b,k_c", [(2.0, 0.5), (INF, -1.3), (0.5, 0.0)])
 def test_cached_spectra_give_the_marginals_of_fresh_transforms(b, k_c):
-    # the t = 0 grid derives its right spectra from its left ones; an evolved
-    # grid transforms its own factors afresh
+    # the t = 0 grid derives its right spectra from its left ones; the
+    # schedule weighs the t = 0 spectral power by each time's right Gram
     grid0 = initial_grid(PairParams(a=1.0, b=b, k_c=k_c), n=256, t_max=2.0)
-    once = evolve(grid0, 1.0)
-    for grid in (grid0, once, evolve(once, 1.0)):
-        phi = np.fft.fft(grid.left, axis=0) @ np.fft.fft(grid.right, axis=1)
+    cases = [(_momentum_weights(grid0), (grid0.left, grid0.right))]
+    cases += [(_evolved_weights(grid0, t)[1], _evolved(grid0, t)) for t in (1.0, 2.0)]
+    for weights, (left, right) in cases:
+        phi = np.fft.fft(left, axis=0) @ np.fft.fft(right, axis=1)
         fresh = np.sum(np.abs(phi) ** 2, axis=1)
-        assert np.max(np.abs(_momentum_weights(grid) - fresh)) <= 1e-13 * np.max(fresh)
+        assert np.max(np.abs(weights - fresh)) <= 1e-13 * np.max(fresh)
 
 
 @pytest.mark.parametrize("b,k_c", [(2.0, 0.5), (INF, -1.3), (0.25, 0.0)])
 def test_parseval_spectral_grams_match_the_grams_of_the_spectra(b, k_c):
+    # at t = 0, the cached spectra's; at each later time, those of the evolved
+    # factors, whose Grams the schedule takes n times for the spectra's
     grid0 = initial_grid(PairParams(a=1.0, b=b, k_c=k_c), n=512, t_max=1.0)
-    once = evolve(grid0, 0.5)
-    for grid in (grid0, once, evolve(once, 0.5)):
-        left_k, right_k = grid._spectra
-        for parseval, direct in zip(grid._spectral_grams,
-                                    (left_k.conj().T @ left_k, right_k @ right_k.conj().T)):
+    cases = [(grid0._spectral_grams, grid0._spectra)]
+    for t in (0.5, 1.0):
+        left, right = _evolved(grid0, t)
+        cases.append(((grid0.n * _gram(left, left), grid0.n * _gram(right.T, right.T).T),
+                      (np.fft.fft(left, axis=0), np.fft.fft(right, axis=1))))
+    for grams, (left_k, right_k) in cases:
+        for parseval, direct in zip(grams, (left_k.conj().T @ left_k, right_k @ right_k.conj().T)):
             assert np.max(np.abs(parseval - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
-def test_grid_axes_are_cached_read_only_and_handed_on():
-    grid0 = initial_grid(PairParams(a=1.0, b=2.0, k_c=0.5), n=256, t_max=1.0)
-    evolved = evolve(grid0, 1.0)
-    for grid in (grid0, evolved):
-        np.testing.assert_array_equal(grid.axis, _axis(grid.n, grid.extent))
-        np.testing.assert_array_equal(grid.k_axis, 2.0 * math.pi * np.fft.fftfreq(grid.n, grid.dx))
-        assert not grid.axis.flags.writeable and not grid.k_axis.flags.writeable
-    assert evolved.axis is grid0.axis and evolved.k_axis is grid0.k_axis
+def test_grid_axes_are_cached_and_read_only():
+    grid = initial_grid(PairParams(a=1.0, b=2.0, k_c=0.5), n=256, t_max=1.0)
+    np.testing.assert_array_equal(grid.axis, _axis(grid.n, grid.extent))
+    np.testing.assert_array_equal(grid.k_axis, 2.0 * math.pi * np.fft.fftfreq(grid.n, grid.dx))
+    assert not grid.axis.flags.writeable and not grid.k_axis.flags.writeable
+    assert grid.axis is grid.axis and grid.k_axis is grid.k_axis
 
 
 # b = 2, k_c = 25 at n = 64 puts ~2% of the spectral weight in the Nyquist
@@ -472,8 +491,6 @@ def test_grid_axes_are_cached_read_only_and_handed_on():
 def test_the_real_t0_path_matches_the_complex_computation(b, k_c, n, t_max):
     params = PairParams(a=1.0, b=b, k_c=k_c)
     grid = initial_grid(params, n=n, t_max=t_max)
-    complex_grid = dataclasses.replace(grid)  # the same factors, with no real modes
-    assert grid._modes is not None and complex_grid._modes is None
     left, right = grid.left, grid.right
     grams = left.conj().T @ left, right @ right.conj().T
     spectra = np.fft.fft(left, axis=0), np.fft.fft(right, axis=1)
@@ -483,7 +500,8 @@ def test_the_real_t0_path_matches_the_complex_computation(b, k_c, n, t_max):
         weights = np.abs(spectra[0]) ** 2 @ grams[1].diagonal().real
         assert weights[n // 2] > 1e-2 * weights.sum()
     scale = max(1.0, np.abs(covariance_matrix(params).matrix).max())
-    got, want = moments(grid), moments(complex_grid)
+    # the dense engine's complex moments of the whole sampled amplitude
+    got, want = moments(grid), reference_moments(dense.initial_grid(params, n=n, t_max=t_max))
     for field in dataclasses.fields(MomentSet):
         value, reference = getattr(got, field.name), getattr(want, field.name)
         assert abs(value - reference) <= 1e-13 * scale, field.name
@@ -497,7 +515,7 @@ def test_centred_cross_moments_match_the_closed_form_where_the_mean_dwarfs_the_s
     params = PairParams(a=1.0, b=2.0, k_c=k_c)
     grid = initial_grid(params, n=2048, extent=1.5 * default_extent(params))
     analytic = covariance_matrix(params).matrix
-    delta = np.abs(numeric_covariance_matrix(grid).matrix - analytic).max()
+    delta = np.abs(_correlation_matrix(moments(grid)).matrix - analytic).max()
     assert delta <= 1e-13 * max(1.0, np.abs(analytic).max())
 
 
@@ -518,10 +536,10 @@ def test_a_four_time_oracle_check_makes_5_transform_calls(monkeypatch, capsys):
     assert sorted(calls) == ["fft"] + ["ifft"] * 4
 
 
-def _isometry_defects(grid: WaveGrid) -> list[float]:
+def _isometry_defects(left: np.ndarray, right: np.ndarray) -> list[float]:
     """Each Gram's largest off-diagonal magnitude over its largest diagonal entry."""
     defects = []
-    for gram in (grid.left.conj().T @ grid.left, grid.right @ grid.right.conj().T):
+    for gram in (left.conj().T @ left, right @ right.conj().T):
         off = np.abs(gram - np.diag(gram.diagonal()))
         defects.append(off.max() / np.abs(gram.diagonal()).max())
     return defects
@@ -533,19 +551,29 @@ def _isometry_defects(grid: WaveGrid) -> list[float]:
 def test_isometry_defect_is_at_roundoff_at_every_rank(b, n, t_max, rank):
     grid0 = initial_grid(PairParams(a=1.0, b=b, k_c=0.5), n=n, t_max=t_max)
     assert grid0.schmidt.size == pytest.approx(rank, rel=0.05)
-    once = evolve(grid0, t_max / 2)
-    for grid in (grid0, once, evolve(once, t_max / 2)):
-        assert max(_isometry_defects(grid)) <= 1e-14
+    for left, right in ((grid0.left, grid0.right), _evolved(grid0, t_max / 2),
+                        _evolved(grid0, t_max)):
+        assert max(_isometry_defects(left, right)) <= 1e-14
 
 
-def test_a_right_factor_that_is_not_orthogonal_fails_the_isometry_check():
+def test_a_right_factor_that_is_not_orthogonal_fails_the_isometry_check(monkeypatch):
+    # every evolution skews right's second row towards its first
     grid = initial_grid(PairParams(a=1.0, b=2.0, k_c=0.5), n=256, t_max=1.0)
-    right = grid.right.copy()
+    r = grid.schmidt.size
+
+    def skewed(spectrum, phase, buffer):
+        propagate(spectrum, phase, buffer)
+        buffer[:, r + 1] += 1e-6 * buffer[:, r]
+
+    propagate = localent.oracle._propagate
+    monkeypatch.setattr(localent.oracle, "_propagate", skewed)
+    left, right = _evolved(grid, 0.5)
+    assert max(_isometry_defects(left, right)) <= 1e-14
+    right = right.copy()
     right[1] += 1e-6 * right[0]
-    skewed = dataclasses.replace(grid, right=right)
-    assert max(_isometry_defects(skewed)) > ISOMETRY_LIMIT
+    assert max(_isometry_defects(left, right)) > ISOMETRY_LIMIT
     with pytest.raises(GridError, match="isometry defect"):
-        evolve(skewed, 0.5)
+        _schedule(grid, np.array([0.5]))
 
 
 @pytest.mark.parametrize("b,n,t_max,k_c", [(0.25, 256, 0.5, 0.5), (0.15, 512, 0.25, -1.3),
@@ -555,33 +583,37 @@ def test_diagonal_sums_match_the_dense_reference_at_high_rank(b, n, t_max, k_c):
     grid0 = initial_grid(params, n=n, t_max=t_max)
     assert grid0.schmidt.size >= 50
     reference0 = dense.initial_grid(params, n=n, t_max=t_max)
-    pairs = ((grid0, reference0), (evolve(grid0, t_max), dense.evolve(reference0, t_max)))
-    for grid, reference in pairs:
-        axis, reference_density = dense.position_marginal(reference)
-        np.testing.assert_array_equal(grid.axis, axis)
-        reference_weights = np.sum(reference.spectral_density, axis=1)  # FFT order
-        for density, want in ((_position_density(grid), reference_density),
-                              (_momentum_weights(grid), reference_weights)):
-            assert np.max(np.abs(density - want)) <= 1e-13 * np.max(density)
-        _assert_moments_match(moments(grid), reference_moments(reference))
+    reference = dense.evolve(reference0, t_max)
+    x_weights, k_weights = _evolved_weights(grid0, t_max)
+    cases = (((_position_density(grid0), _momentum_weights(grid0)), reference0),
+             ((x_weights * grid0.dx, k_weights), reference))
+    for (position_density, momentum_weights), want in cases:
+        axis, reference_density = dense.position_marginal(want)
+        np.testing.assert_array_equal(grid0.axis, axis)
+        reference_weights = np.sum(want.spectral_density, axis=1)  # FFT order
+        for density, wanted in ((position_density, reference_density),
+                                (momentum_weights, reference_weights)):
+            assert np.max(np.abs(density - wanted)) <= 1e-13 * np.max(density)
+    _assert_moments_match(moments(grid0), reference_moments(reference0))
+    _assert_schedule_matches(grid0, t_max, reference)
 
 
 def _particle_one_rows(engine, grid0, times) -> np.ndarray:
     """(dx_grid, dp_grid, mean_x1, mean_k1) at each time, through
-    ``engine``'s functions."""
-    rows = []
-    for t in times:
-        grid = engine.evolve(grid0, t) if t > 0 else grid0
-        mean_x1, var_x1, mean_k1, var_k1 = _particle_one(engine, grid)
-        rows.append((math.sqrt(var_x1), math.sqrt(var_k1), mean_x1, mean_k1))
-    return np.array(rows)
-
-
-def _schedule_rows(grid0, times) -> tuple[np.ndarray, np.ndarray]:
-    """``_particle_one_rows`` and the norms at the positive ``times``, as
-    ``oracle-check``'s schedule takes them in one pass."""
-    norm, mean_x1, var_x1, mean_k1, var_k1 = _schedule(grid0, np.array(times)).T
-    return np.column_stack([np.sqrt(var_x1), np.sqrt(var_k1), mean_x1, mean_k1]), norm
+    ``engine``'s functions: the dense engine evolves a grid to each time,
+    and the package takes t = 0 from ``moments(grid0)`` and every later time
+    from one ``_schedule`` pass, as ``oracle-check`` does."""
+    if engine is dense:
+        moments_at = [dense._particle_one(dense.evolve(grid0, t) if t > 0 else grid0)
+                      for t in times]
+    else:
+        later = np.array(times) > 0
+        moments_at = np.empty((len(times), 4))
+        moments_at[:] = _particle_one(engine, grid0)
+        if later.any():
+            moments_at[later] = _schedule(grid0, np.array(times)[later])[:, 1:]
+    mean_x1, var_x1, mean_k1, var_k1 = np.array(moments_at).T
+    return np.column_stack([np.sqrt(var_x1), np.sqrt(var_k1), mean_x1, mean_k1])
 
 
 def _assert_rows_match(rows: np.ndarray, reference_rows: np.ndarray) -> None:
@@ -596,7 +628,9 @@ def _oracle_check(engine, params: PairParams, n: int, times: list[float]):
     ``oracle-check`` computes them, through ``engine``'s functions."""
     grid0 = engine.initial_grid(params, n=n, t_max=max(times))
     analytic = covariance_matrix(params).matrix
-    cm_delta = np.abs(engine.numeric_covariance_matrix(grid0).matrix - analytic).max()
+    numeric = (dense.numeric_covariance_matrix(grid0) if engine is dense
+               else _correlation_matrix(moments(grid0)))
+    cm_delta = np.abs(numeric.matrix - analytic).max()
     return grid0, _particle_one_rows(engine, grid0, times), cm_delta
 
 
@@ -628,11 +662,8 @@ def test_factored_engine_matches_the_dense_reference(a, log_ratio, k_c, n, times
         return
     grid0, rows, cm_delta = factored
     reference0, reference_rows, reference_cm_delta = reference
-    _assert_reconstructs(grid0, reference0.amplitudes)
+    _assert_reconstructs(_amplitudes(grid0), reference0.amplitudes)
     _assert_rows_match(rows, reference_rows)
-    later = np.array(times) > 0
-    if later.any():  # the schedule's one pass over the same times
-        _assert_rows_match(_schedule_rows(grid0, np.array(times)[later])[0], reference_rows[later])
     # relative to the largest entry, which reaches ~270 at b = a/8
     scale = max(1.0, np.abs(covariance_matrix(params).matrix).max())
     assert abs(cm_delta - reference_cm_delta) <= 2e-14 * scale
@@ -665,13 +696,12 @@ def test_oracle_row_matches_the_dense_marginals_when_the_mean_dwarfs_the_spread(
     reference_norms = np.array([_dense_norm(dense.evolve(reference0, t) if t > 0 else reference0)
                                 for t in times])
     # the engine's widths and centres at every time: moments(grid0) at t = 0,
-    # which oracle-check reads there, else those of each evolved grid
+    # which oracle-check reads there, else the schedule's rows
     _assert_rows_match(_particle_one_rows(localent.oracle, grid0, times), reference_rows)
-    # the schedule's rows: the norm and particle 1's moments at each time > 0
+    # the schedule's norm at each time > 0
     later = np.array(times) > 0
     if later.any():
-        rows, norm = _schedule_rows(grid0, np.array(times)[later])
-        _assert_rows_match(rows, reference_rows[later])
+        norm = _schedule(grid0, np.array(times)[later])[:, 0]
         np.testing.assert_allclose(norm, reference_norms[later], rtol=0.0, atol=1e-13)
     # oracle-check's rows at every time, t = 0 and repeated times among them
     argv = ["oracle-check", "--a", "1", "--b", repr(b), f"--kc={k_c!r}",
@@ -708,18 +738,45 @@ def _assert_moments_match(got, want):
         assert abs(value - reference) <= 1e-12 * max(1.0, abs(reference)), field.name
 
 
+def _assert_schedule_matches(grid0: WaveGrid, t: float, reference) -> None:
+    """The schedule's norm and particle 1's moments at time t match those of
+    the dense engine's grid ``reference`` there, as ``_assert_moments_match``
+    holds each moment."""
+    norm, *particle_one = _schedule_row(grid0, t)
+    want = reference_moments(reference)
+    for value, name in zip(particle_one, ("mean_x1", "var_x1", "mean_k1", "var_k1")):
+        reference_value = getattr(want, name)
+        assert abs(value - reference_value) <= 1e-12 * max(1.0, abs(reference_value)), name
+    assert abs(norm - _dense_norm(reference)) <= 1e-12
+
+
+def _chirped(grid: WaveGrid, reference, kappa: float):
+    """Both engines' grids of psi exp(i kappa (x1^2 - x2^2)): the chirp is a
+    unit-modulus phase on left and its conjugate on right, so the package's
+    grid keeps right = diag(scale) left^H and its real modes."""
+    chirp = np.exp(1j * kappa * grid.axis**2)
+    chirped = dataclasses.replace(grid, left=grid.left * chirp[:, None],
+                                  right=grid.right * chirp.conj())
+    amplitudes = reference.amplitudes * chirp[:, None] * chirp.conj()
+    return chirped, dataclasses.replace(reference, amplitudes=amplitudes)
+
+
 @pytest.mark.parametrize("n", [128, 256])
 @pytest.mark.parametrize("b", [2.0, INF])
 @pytest.mark.parametrize("k_c", [0.0, -1.3])
 def test_moments_match_full_grid_reference(n, b, k_c):
     params = PairParams(a=1.0, b=b, k_c=k_c)
     grid0 = initial_grid(params, n=n, t_max=0.7)
-    evolved = evolve(grid0, 0.7)
     reference0 = dense.initial_grid(params, n=n, t_max=0.7)
-    for grid, reference in ((grid0, reference0), (evolved, dense.evolve(reference0, 0.7))):
-        _assert_moments_match(moments(grid), reference_moments(reference))
-    # the cross terms are ~0 at t = 0; only the evolved grid exercises them
-    assert abs(moments(evolved).sym_x1k1) > 0.1
+    _assert_moments_match(moments(grid0), reference_moments(reference0))
+    _assert_schedule_matches(grid0, 0.7, dense.evolve(reference0, 0.7))
+    # the cross terms are ~0 at t = 0; opposite chirps on the two particles
+    # make sym_x1k1 and sym_x2k2 0.2 and, at b = 2, the other two 0.04
+    chirped, reference = _chirped(grid0, reference0, 0.5)
+    got = moments(chirped)
+    _assert_moments_match(got, reference_moments(reference))
+    for name in ("sym_x1k1", "sym_x2k2") + (("sym_x1k2", "sym_x2k1") if b < INF else ()):
+        assert abs(getattr(got, name)) > 0.03, name
 
 
 @pytest.mark.parametrize("bad", [math.nan, INF])
@@ -729,9 +786,6 @@ def test_non_finite_grid_inputs_raise(bad):
         initial_grid(params, n=128, extent=bad)
     with pytest.raises(DomainError, match="t_max"):
         initial_grid(params, n=128, t_max=bad)
-    grid = initial_grid(params, n=128, t_max=1.0)
-    with pytest.raises(DomainError, match="time step"):
-        evolve(grid, bad)
     # a finite t_max too large for the default extent to stay finite
     with pytest.raises(DomainError, match="extent"):
         initial_grid(params, n=128, t_max=1e300)
@@ -742,14 +796,14 @@ def test_nan_amplitudes_fail_the_leakage_guard():
     left = grid.left.copy()
     left[0, 0] = math.nan
     with pytest.raises(GridError, match="leakage nan"):
-        evolve(dataclasses.replace(grid, left=left), 0.5)
+        _schedule(dataclasses.replace(grid, left=left), np.array([0.5]))
 
 
 def test_quadrature_dispersion_examples():
     sep = initial_grid(PairParams(a=1.0, b=INF), n=512, t_max=1.0)
-    assert _widths(evolve(sep, 1.0))[0] == pytest.approx(math.sqrt(5.0) / 2.0, abs=1e-4)
+    assert math.sqrt(_schedule_row(sep, 1.0)[2]) == pytest.approx(math.sqrt(5.0) / 2.0, abs=1e-4)
     ent = initial_grid(PairParams(a=1.0, b=2.0), n=512, t_max=1.0)
-    assert _widths(evolve(ent, 1.0))[0] == pytest.approx(1.20761472884912, abs=1e-4)
+    assert math.sqrt(_schedule_row(ent, 1.0)[2]) == pytest.approx(1.20761472884912, abs=1e-4)
 
 
 def marginal_excess_kurtosis(axis: np.ndarray, density: np.ndarray) -> float:
@@ -767,21 +821,24 @@ def test_oracle_matches_closed_forms(a, b):
     params = PairParams(a=a, b=b)
     grid0 = initial_grid(params, n=512, t_max=2.0)
     for t in (0.0, 0.5, 1.0, 2.0):
-        grid = evolve(grid0, t) if t > 0 else grid0
-        dx, dp = _widths(grid)
+        if t > 0:
+            norm, _, var_x1, _, var_k1 = _schedule_row(grid0, t)
+            dx, dp = math.sqrt(var_x1), math.sqrt(var_k1)
+            density = _evolved_weights(grid0, t)[0] * grid0.dx
+        else:
+            (dx, dp), norm, density = _widths(grid0), grid0.norm(), _position_density(grid0)
         assert abs(dx / position_dispersion(t, params) - 1.0) < 1e-3
         assert abs(dp / momentum_dispersion(params) - 1.0) < 1e-3
-        assert abs(marginal_excess_kurtosis(grid.axis, _position_density(grid))) < 1e-3
-        assert abs(grid.norm() - 1.0) < 1e-10
+        assert abs(marginal_excess_kurtosis(grid0.axis, density)) < 1e-3
+        assert abs(norm - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
 def test_marginal_density_is_gaussian_pointwise(t):
     params = PairParams(a=1.0, b=2.0)
     grid = initial_grid(params, n=512, t_max=1.0)
-    if t > 0:
-        grid = evolve(grid, t)
-    x, dens = grid.axis, _position_density(grid)
+    x = grid.axis
+    dens = _evolved_weights(grid, t)[0] * grid.dx if t > 0 else _position_density(grid)
     sigma = position_dispersion(t, params)
     z = (x - params.k_c * t) / sigma
     reference = np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
@@ -816,7 +873,7 @@ def test_moment_set_cauchy_schwarz():
 
 def test_numeric_covariance_matrix():
     params = PairParams(a=1.0, b=2.0)
-    numeric = numeric_covariance_matrix(initial_grid(params, n=512, extent=24.0))
+    numeric = _correlation_matrix(moments(initial_grid(params, n=512, extent=24.0)))
     analytic = covariance_matrix(params)
     assert numeric.A[0, 0] == pytest.approx(0.4166667, abs=1e-4)
     assert np.abs(numeric.matrix - analytic.matrix).max() < 1e-4
@@ -825,7 +882,8 @@ def test_numeric_covariance_matrix():
 
 
 def test_numeric_covariance_matrix_separable():
-    numeric = numeric_covariance_matrix(initial_grid(PairParams(a=1.0, b=INF), n=512, extent=16.0))
+    numeric = _correlation_matrix(moments(initial_grid(PairParams(a=1.0, b=INF), n=512,
+                                                       extent=16.0)))
     assert np.abs(numeric.C).max() < 1e-6
 
 
@@ -853,9 +911,10 @@ def test_mimicry_on_the_grid():
     grid_sep = initial_grid(mimic, n=512, t_max=1.5 * t_match)
     assert abs(_widths(grid_sep)[1] / target_k - 1.0) < 1e-4  # holds at all times
 
-    for factor, should_match in [(0.5, False), (0.9, False), (1.0, True), (1.1, False), (1.5, False)]:
-        evolved = evolve(grid_sep, factor * t_match)
-        rel = abs(_widths(evolved)[0] / target_x - 1.0)
+    factors = [(0.5, False), (0.9, False), (1.0, True), (1.1, False), (1.5, False)]
+    var_x1 = _schedule(grid_sep, np.array([factor for factor, _ in factors]) * t_match)[:, 2]
+    for (factor, should_match), var in zip(factors, var_x1):
+        rel = abs(math.sqrt(var) / target_x - 1.0)
         if should_match:
             assert rel < 1e-4
         else:
@@ -866,11 +925,10 @@ def test_variances_independent_of_packet_center():
     resting = moments(initial_grid(PairParams(a=1.0, b=2.0, k_c=0.0), n=256, extent=24.0))
     drifting_params = PairParams(a=1.0, b=2.0, k_c=1.5)
     grid = initial_grid(drifting_params, n=256, extent=24.0, t_max=0.0)
-    evolved = evolve(grid, 0.5)
-    m = moments(evolved)
+    _, mean_x1, var_x1, _, _ = _schedule_row(grid, 0.5)
     # mean follows the drift, spread does not depend on k_c
-    assert m.mean_x1 == pytest.approx(0.75, abs=1e-6)
-    assert abs(math.sqrt(m.var_x1) - position_dispersion(0.5, drifting_params)) < 1e-8
+    assert mean_x1 == pytest.approx(0.75, abs=1e-6)
+    assert abs(math.sqrt(var_x1) - position_dispersion(0.5, drifting_params)) < 1e-8
 
 
 def test_default_extent_covers_evolution():
@@ -878,5 +936,5 @@ def test_default_extent_covers_evolution():
     extent = default_extent(params, t_max=2.0)
     assert extent >= 16.0 * position_dispersion(2.0, params)
     grid = initial_grid(params, n=512, t_max=2.0)
-    evolved = evolve(grid, 2.0)  # packet must stay inside
-    assert boundary_leakage(evolved) < 1e-8
+    left, right = _evolved(grid, 2.0)  # packet must stay inside
+    assert _edge_leakage(left, right, grid.dx) < 1e-8

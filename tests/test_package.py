@@ -31,10 +31,14 @@ CLOSED_FORMS_REMOVED = {
 MARGINALS_REMOVED = ("position_marginal", "momentum_marginal", "marginal_sigma")
 # names that only tests called: Simon's verdict type, whose I >= 0 is wrong
 # where I rounds to 0, the symplectic form and the physicality check (now
-# private), and the dense amplitude, which tests/oracle_reference.py holds
+# private), the dense amplitude, which tests/oracle_reference.py holds, and
+# the oracle's second evolution path and its wrappers: oracle-check evolves
+# only through its schedule and reads its correlation matrix from the t = 0
+# moments
 ONLY_TESTS_CALLED = {
     "covariance": ("SimonResult", "J_BLOCK", "symplectic_form", "check_physical"),
     "states": ("initial_amplitude",),
+    "oracle": ("evolve", "boundary_leakage", "numeric_covariance_matrix"),
 }
 
 

@@ -2,7 +2,9 @@
 
 The t = 0 two-particle amplitude on an n x n grid is factorised once into
 Schmidt factors, psi = left @ right with left n x r and right r x n; that
-t = 0 grid is the only ``WaveGrid``.  Free evolution is U (x) U, so it acts
+t = 0 grid is the only ``WaveGrid``.  It stores neither factor, only one
+record of both (below), and each of its uses builds what it needs from
+that record.  Free evolution is U (x) U, so it acts
 on each factor alone and never changes the rank: the exact free propagator
 is a phase in Fourier space, with no 2-D transform and no time-stepping
 error.  The grid keeps its factors' 1-D transforms side by side, in one
@@ -32,8 +34,8 @@ tr(G_L G_R) and the isometry defect, the largest off-diagonal |G_ab| over
 the largest G_cc, which ``initial_grid`` and ``_schedule`` hold to
 ISOMETRY_LIMIT.  Every Gram of complex factors, each evolved time's and
 the t = 0 wavenumber-weighted ones, is one real product of their float
-views, with no conjugate copy: each factor is held with its n axis first
-and its r columns contiguous (``right`` as the transpose of such an
+views, with no conjugate copy: each factor is laid out with its n axis
+first and its r columns contiguous (``right`` as the transpose of such an
 array), so that view is free.  A diagonal sum drops the terms
 A_ab G_ba, a != b, of one factor's Gram A weighted by w and the other's G;
 |A_ab| <= (B_aa + B_bb) / 2 for B weighted by |w|, so together they weigh
@@ -81,10 +83,13 @@ envelope, summed over blocks of rows, plus the bound outside S is at most
 too, since |p_i| = 1; nothing past this step uses the Hermite structure.
 The weakest modes are then dropped while the total error stays within
 half that limit.  Nothing is random, and no array of the factorisation is
-larger than O(n r).  The t = 0 grid keeps U and c S: |p_i| = 1, so every
-position Gram is a real sum over the support rows, and right = c S left^H
-makes its spectra and k-weighted Gram left's at -k, but for the Nyquist
-bin, which is its own -k and is added on its own.
+larger than O(n r).  The t = 0 grid keeps U, c S and p on the support
+rows, and no n x r copy of either factor: |p_i| = 1, so every position
+Gram is a real sum over the support rows; its spectra are those of
+diag(p) U, written into the zero-padded half of the spectrum array and
+transformed in place; and right = c S left^H makes right's spectra and
+k-weighted Gram left's at -k, but for the Nyquist bin, which is its own -k
+and is added on its own.
 
 Conventions: psi[i, j] = psi(x1_i, x2_j) on the uniform axis [-L/2, L/2)
 with n points; wavenumbers follow numpy's FFT ordering.
@@ -122,25 +127,26 @@ _BOUNDARY = "packet reached the grid boundary at t = {t:g} (leakage {leak:.2e});
 @dataclass(frozen=True)
 class WaveGrid:
     """The discretized two-particle wavefunction at t = 0, as Schmidt
-    factors: psi(x1_i, x2_j) = (left @ right)[i, j].
+    factors: psi(x1_i, x2_j) = (left @ right)[i, j], with left (n x r)
+    holding particle 1's modes as columns and right (r x n) particle 2's as
+    rows, weighted by the singular values.
 
-    ``left`` (n x r) holds particle 1's modes as columns and ``right``
-    (r x n) particle 2's as rows, weighted by the singular values.
-    ``schmidt`` holds the r Schmidt coefficients of the sampled state: the
-    singular values of psi times dx, whose squares sum to its norm.  All
-    three are read-only, and so are the axes, spectra and Grams that a grid
-    caches the first time they are needed.  ``_modes`` is (U, scale, rows)
-    with U real, left = diag(p) U on the support rows and 0 off them, and
-    right = diag(scale) left^H; every Gram, spectrum and moment of the grid
-    is taken through it.  Later times are never held as a grid: ``_schedule``
-    evolves this one.
+    Neither factor is stored.  ``_modes`` is the one record of them,
+    (U, scale, rows, phase): the real modes U (m x r, orthonormal columns)
+    on the m support ``rows``, the per-mode scale, and the packet phase p on
+    those rows, with left = diag(p) U on the rows and 0 off them and
+    right = diag(scale) left^H.  Every Gram, spectrum and moment of the grid
+    is taken from it.  ``schmidt`` holds the r Schmidt coefficients of the
+    sampled state: the singular values of psi times dx, whose squares sum to
+    its norm.  The record's arrays and ``schmidt`` are read-only, and so are
+    the axes, spectra and Grams that a grid caches the first time they are
+    needed.  Later times are never held as a grid: ``_schedule`` evolves
+    this one.
     """
 
     n: int
     extent: float
     params: PairParams
-    left: np.ndarray
-    right: np.ndarray
     schmidt: np.ndarray
     _modes: tuple = field(repr=False)
 
@@ -164,23 +170,30 @@ class WaveGrid:
     def _spectrum(self) -> np.ndarray:
         """The 1-D transforms of ``left``'s columns beside those of
         ``right``'s rows, as one n x 2r array taken once per grid: every
-        evolution multiplies it by its phase.  right = diag(scale) left^H,
-        so right's spectra are left's at -k, conjugated and scaled, with no
-        second transform."""
-        n, r = self.left.shape
-        both = np.empty((n, 2 * r), dtype=complex)
-        np.fft.fft(self.left, axis=0, out=both[:, :r])
-        mirrored = both[-np.arange(n), :r]  # left's spectra at -k
-        np.conjugate(mirrored, out=mirrored)
-        np.multiply(mirrored, self._modes[1], out=both[:, r:])
+        evolution multiplies it by its phase.  diag(p) U is written into the
+        zero-padded left half, which is transformed in place.
+        right = diag(scale) left^H, so right's spectra are left's at -k,
+        conjugated and scaled, with no second transform; the mirror is
+        written in blocks of rows whose source and target do not overlap,
+        so numpy makes no temporary copy of the source."""
+        u, scale, rows, phase = self._modes
+        n, r, h = self.n, scale.size, self.n // 2
+        both = np.zeros((n, 2 * r), dtype=complex)
+        left, right = both[:, :r], both[:, r:]
+        np.multiply(phase[:, None], u, out=left[rows])
+        np.fft.fft(left, axis=0, out=left)
+        # right's row k takes left's row n - k; k = 0 and the Nyquist bin h are their own
+        for source, target in ((left[::h], right[::h]), (left[:h:-1], right[1:h]),
+                               (left[h - 1:0:-1], right[h + 1:])):
+            np.conjugate(source, out=target)
+        right *= scale
         return _read_only(both)
 
     @property
     def _spectra(self) -> tuple[np.ndarray, np.ndarray]:
         """``_spectrum``'s two halves, each held as its factor is: left's
         spectra n x r, right's r x n."""
-        r = self.left.shape[1]
-        return self._spectrum[:, :r], self._spectrum[:, r:].T
+        return self._spectrum[:, :self.schmidt.size], self._spectrum[:, self.schmidt.size:].T
 
     @cached_property
     def _spectral_power(self) -> np.ndarray:
@@ -198,7 +211,7 @@ class WaveGrid:
         """The unweighted Grams left^H left and right right^H: the norm and
         the isometry.  They are real: G = U^T U over the support rows, and
         diag(scale) G diag(scale)."""
-        u, scale, _ = self._modes
+        u, scale = self._modes[:2]
         gram = u.T @ u
         return _read_only(gram), _read_only(scale[:, None] * gram * scale)
 
@@ -347,13 +360,11 @@ def _peak_bytes(n: int, terms: int) -> int:
     numpy's copy of them in its QR, or Q beside the residual's skeleton and
     two row blocks, or beside the skeleton and u = QW (2mr + max(mc,
     2 ROW_BLOCK m) words), and R and the r x r arrays of the ``eigh``
-    (4cr).  After it: u, the two zero-padded complex n x c factors
-    (mc + 4nc), and the real c x c Grams beside their temporaries and the
-    isometry check's copy (4c^2)."""
+    (4cr).  What the grid keeps after it, u, the phase on the rows and the
+    real c x c Grams beside their temporaries and the isometry check's copy
+    (mc + 2m + 4c^2), is less."""
     r, c = terms, min(n, terms)
-    factorising = 2 * n * r + max(n * c, 2 * ROW_BLOCK * n) + 4 * c * r
-    factored = 5 * n * c + 4 * c * c
-    return 8 * (_vector_words(n) + max(factorising, factored))
+    return 8 * (_vector_words(n) + 2 * n * r + max(n * c, 2 * ROW_BLOCK * n) + 4 * c * r)
 
 
 def _check_bytes(grid: WaveGrid, count: int) -> int:
@@ -363,19 +374,20 @@ def _check_bytes(grid: WaveGrid, count: int) -> int:
     bound: what the grid holds, plus the larger of what ``moments(grid)``
     and the schedule hold at their peaks, since ``oracle-check`` takes the
     t = 0 moments before it evolves; a traced run past ``initial_grid``
-    peaks at 0.4 of it at rank 1, where the n-vectors set the charge, and
-    at up to 0.98 at ranks 14-180.  Terms: ``_vector_words``; the complex
-    n x r factors and the real m x r modes U (4nr + mr words); the
+    peaks at 0.54 of it at rank 1, where the n-vectors set the charge, and
+    at 0.84-0.89 at ranks 14-180.  Terms: ``_vector_words``; the real
+    m x r modes U and the phase on the rows (mr + 2m words); the
     side-by-side spectra and the spectral power |left_k|^2 (5nr); the r x r
     Grams and their temporaries (8r^2); and the larger of the temporaries
     of ``moments``, k1 psi and the weighted float views of the t = 0 Grams,
-    or three complex m x r terms of the mirrored k2 psi (2nr + 6mr), and
-    the schedule's n x 2r buffer (4nr) with the group of times it holds at
-    once (``_group_size``, each 6n + 16r^2 + 16r)."""
+    or the support blocks of left and right beside three complex m x r
+    terms of the mirrored k2 psi (2nr + 10mr), and the schedule's n x 2r
+    buffer (4nr) with the group of times it holds at once (``_group_size``,
+    each 6n + 16r^2 + 16r)."""
     n, r, m = grid.n, grid.schmidt.size, len(grid._modes[0])
     group = _group_size(n, r, count) * (6 * n + 16 * r * r + 16 * r)
-    return 8 * (_vector_words(n) + 9 * n * r + m * r + 8 * r * r
-                + max(2 * n * r + 6 * m * r, 4 * n * r + group))
+    return 8 * (_vector_words(n) + 5 * n * r + m * r + 2 * m + 8 * r * r
+                + max(2 * n * r + 10 * m * r, 4 * n * r + group))
 
 
 def _grid_envelope(x: np.ndarray, params: PairParams) -> tuple[np.ndarray, np.ndarray]:
@@ -453,10 +465,12 @@ def _sampled_amplitude(
 
 
 def _residual(hankel: np.ndarray, toeplitz: np.ndarray, skeleton: np.ndarray) -> float:
-    """||H * T - skeleton^T @ skeleton||_F, formed ROW_BLOCK rows at a time
+    """||H * T - skeleton @ skeleton^T||_F, formed ROW_BLOCK rows at a time
     from the blocks on and left of the diagonal: each block of E is the
     product of the views' blocks, written into one reused buffer beside the
-    one that holds its miss, so E is never formed whole."""
+    one that holds its miss, so E is never formed whole.  ``skeleton`` is
+    n x r with its rows contiguous, so each block's product is one BLAS
+    call at every rank, r = 1 included, with no copy of either operand."""
     n = len(hankel)
     total = 0.0
     buffers = np.empty((2, ROW_BLOCK * n))  # one row block of E and its miss
@@ -465,7 +479,7 @@ def _residual(hankel: np.ndarray, toeplitz: np.ndarray, skeleton: np.ndarray) ->
         shape = (stop - start, stop)
         envelope, miss = (buffer[:shape[0] * stop].reshape(shape) for buffer in buffers)
         np.multiply(hankel[start:stop, :stop], toeplitz[start:stop, :stop], out=envelope)
-        np.matmul(skeleton[:, start:stop].T, skeleton[:, :stop], out=miss)
+        np.dot(skeleton[start:stop], skeleton[:stop].T, out=miss)
         miss -= envelope
         block = miss[:, start:]  # the diagonal block, counted once
         total += 2.0 * np.vdot(miss, miss) - np.vdot(block, block)
@@ -544,7 +558,7 @@ def _schmidt_factors(
     (``_support`` gives both), and is added to the block's exact squared
     residual.  The factors are Mehler's for ``params`` (module docstring),
     accepted only through the exact residual of the skeleton
-    (W sqrt(s))^T Q^T against the views, so views that ``params`` does not
+    Q W diag(sqrt(s)) against the views, so views that ``params`` does not
     describe raise.  r is not clipped to the rows: past them, the tail
     modes still carry weight.  Since u = Q W is orthonormal, the error of
     keeping its first columns is sqrt(residual^2 + outside + sum of the
@@ -556,7 +570,7 @@ def _schmidt_factors(
     core = (triangle * (math.sqrt(1.0 - q * q) * q ** np.arange(terms))) @ triangle.T
     s, w = np.linalg.eigh(core)
     s, w = np.maximum(s[::-1], 0.0), w[:, ::-1]  # descending; roundoff may dip below 0
-    residual = _residual(hankel[rows, rows], toeplitz[rows, rows], (w * np.sqrt(s)).T @ basis.T)
+    residual = _residual(hankel[rows, rows], toeplitz[rows, rows], basis @ (w * np.sqrt(s)))
     if not residual * residual <= limit2 - outside:
         raise GridError("no factorisation of the amplitude meets the residual limit")
     # dropped[r] is the weight beyond the first r values; half the limit is
@@ -590,16 +604,17 @@ def initial_grid(
     # it has E's singular values over ||E|| dx; both factors are 0 off the rows
     norm = math.sqrt(weight)
     scale = s / (norm * (extent / n))
-    left = np.zeros((n, len(s)), dtype=complex)
-    np.multiply(phase[rows, None], u, out=left[rows])
-    right = np.zeros((n, len(s)), dtype=complex)  # held transposed, as the schedule holds it
-    np.conjugate(left[rows], out=right[rows])  # right = diag(scale) left^H
-    right[rows] *= scale
-    grid = WaveGrid(n=n, extent=extent, params=params, left=_read_only(left),
-                    right=_read_only(right.T), schmidt=_read_only(s / norm),
-                    _modes=(_read_only(u), _read_only(scale), rows))
+    phase = phase[rows].copy()
+    grid = WaveGrid(n=n, extent=extent, params=params, schmidt=_read_only(s / norm),
+                    _modes=(_read_only(u), _read_only(scale), rows, _read_only(phase)))
+    # the edge rows of [left | right^T], 0 where the support does not reach them
+    at = _EDGE % n - rows.start
+    inside = (at >= 0) & (at < len(u))
+    edges = np.zeros((len(_EDGE), 2 * len(s)), dtype=complex)
+    edges[inside, :len(s)] = phase[at[inside], None] * u[at[inside]]
+    edges[:, len(s):] = edges[:, :len(s)].conj() * scale
     grams = np.stack(grid._grams)
-    leak = float(_leakage(grams, np.concatenate([left[_EDGE], right[_EDGE]], axis=1), grid.dx))
+    leak = float(_leakage(grams, edges, grid.dx))
     _raise_failure(0.0, leak, _isometry_defects(grams),
                    "initial packet touches the boundary (leakage {leak:.2e})")
     return grid
@@ -649,7 +664,7 @@ def _schedule(grid: WaveGrid, times: np.ndarray) -> np.ndarray:
     (``_group_rows``) gives each time's leakage, isometry defects, norm and
     moments.  Nothing held grows with the number of times past one group
     (``_group_size``)."""
-    n, r = grid.left.shape
+    n, r = grid.n, grid.schmidt.size
     spectrum = grid._spectrum
     buffer = np.empty((n, 2 * r), dtype=complex)
     floats = buffer.view(np.float64)  # left's float view beside right^T's
@@ -734,8 +749,9 @@ def moments(grid: WaveGrid) -> MomentSet:
     (l1, r1), (sl1, sr1) = grid._grams, grid._spectral_grams
     norm, spectral_norm = _trace(l1, r1), _trace(sl1, sr1)
     # left and right are 0 off the rows, so the sums over them skip the others
-    u, scale, rows = grid._modes
-    left, right = grid.left[rows], grid.right[:, rows]
+    u, scale, rows, phase = grid._modes
+    left = phase[:, None] * u
+    right = (left.conj() * scale).T
     k_weights = _wavenumber_weights(grid, r1.diagonal().real)
     mean_x1, var_x1 = map(float, _weighted_moments(_row_weights(left, r1), x[rows]))
     mean_k1, var_k1 = map(float, _weighted_moments(k_weights, k))

@@ -443,8 +443,10 @@ def test_oracle_check_releases_each_evolved_grid(capsys, monkeypatch):
 
 
 def _conjugated(grid):
-    """The grid of conj(psi), whose packet moves with -k_c."""
-    return dataclasses.replace(grid, left=grid.left.conj(), right=grid.right.conj())
+    """The grid of conj(psi), whose packet moves with -k_c: the conjugate
+    packet phase on the support rows."""
+    u, scale, rows, phase = grid._modes
+    return dataclasses.replace(grid, _modes=(u, scale, rows, phase.conj()))
 
 
 def _oracle_checks(capsys, b: str):

@@ -44,7 +44,7 @@ def _edge_leakage(left: np.ndarray, right: np.ndarray, dx: float) -> float:
 def test_grid_norm_and_leakage():
     grid = initial_grid(PairParams(a=1.0, b=2.0), n=512, extent=20.0)
     assert abs(grid.norm() - 1.0) < 1e-6
-    assert _edge_leakage(grid.left, grid.right, grid.dx) < 1e-8
+    assert _edge_leakage(*_factors(grid), grid.dx) < 1e-8
 
 
 def test_leakage_is_the_direct_sum_over_the_edge_cells():
@@ -54,10 +54,9 @@ def test_leakage_is_the_direct_sum_over_the_edge_cells():
     edge = np.zeros(grid.n, dtype=bool)
     edge[[0, 1, -2, -1]] = True
     cells = edge[:, None] | edge[None, :]
-    direct = float(np.sum(np.abs((grid.left @ grid.right)[cells]) ** 2)) * grid.dx * grid.dx
+    direct = float(np.sum(np.abs(_amplitudes(grid)[cells]) ** 2)) * grid.dx * grid.dx
     assert 0.0 < direct < 1e-12
-    assert _edge_leakage(grid.left, grid.right, grid.dx) == pytest.approx(direct, rel=1e-12,
-                                                                           abs=0.0)
+    assert _edge_leakage(*_factors(grid), grid.dx) == pytest.approx(direct, rel=1e-12, abs=0.0)
 
 
 def test_grid_validation():
@@ -105,15 +104,26 @@ def test_initial_grid_takes_4n_exponentials_and_no_random_numbers(monkeypatch):
     assert sum(sizes) <= 4 * n + m
 
 
+def _factors(grid: WaveGrid) -> tuple[np.ndarray, np.ndarray]:
+    """``grid``'s Schmidt factors, left (n x r) and right (r x n), from its
+    record: left = diag(p) U on the support rows and 0 off them, and
+    right = diag(scale) left^H."""
+    u, scale, rows, phase = grid._modes
+    left = np.zeros((grid.n, scale.size), dtype=complex)
+    left[rows] = phase[:, None] * u
+    return left, left.conj().T * scale[:, None]
+
+
 def _amplitudes(grid: WaveGrid) -> np.ndarray:
-    return grid.left @ grid.right
+    left, right = _factors(grid)
+    return left @ right
 
 
 def _evolved(grid0: WaveGrid, t: float) -> tuple[np.ndarray, np.ndarray]:
     """``grid0``'s factors (left, right) at time t, as ``_schedule`` writes
     them: the package's ``_propagate`` into a fresh n x 2r buffer, whose two
     halves are views of them."""
-    n, r = grid0.left.shape
+    n, r = grid0.n, grid0.schmidt.size
     buffer = np.empty((n, 2 * r), dtype=complex)
     _propagate(grid0._spectrum, _propagators(grid0.k_axis, np.array([t]))[0], buffer)
     return buffer[:, :r], buffer[:, r:].T
@@ -140,7 +150,8 @@ def test_separable_grid_factorizes():
     outer = np.outer(psi[:, center], psi[center, :]) / psi[center, center]
     assert np.max(np.abs(psi - outer)) < 1e-10
     grid = initial_grid(params, n=256, extent=16.0)
-    assert grid.left.shape == (256, 1) and grid.right.shape == (1, 256)
+    left, right = _factors(grid)
+    assert left.shape == (256, 1) and right.shape == (1, 256)
     assert grid.schmidt.tolist() == pytest.approx([1.0], abs=1e-12)
 
 
@@ -202,10 +213,29 @@ def test_factors_are_read_only_and_reconstruct_the_dense_amplitude(b, k_c):
     _assert_reconstructs(_amplitudes(grid0),
                          dense.initial_grid(params, n=128, t_max=1.0).amplitudes)
     rank = grid0.schmidt.size
-    assert grid0.left.shape == (128, rank) and grid0.right.shape == (rank, 128)
-    for factor in (grid0.left, grid0.right, grid0.schmidt, *grid0._modes[:2]):
+    left, right = _factors(grid0)
+    assert left.shape == (128, rank) and right.shape == (rank, 128)
+    u, scale, _, phase = grid0._modes
+    for factor in (grid0.schmidt, u, scale, phase):
         with pytest.raises(ValueError):
             factor[0] = 0.0
+
+
+def test_the_grid_stores_no_n_by_r_copy_of_its_factors():
+    # one record of U, the scale, the support rows and the phase on them;
+    # after the t = 0 moments and an evolution, the grid's only complex n x r
+    # words are the two halves of its spectrum
+    assert not {"left", "right"} & {field.name for field in dataclasses.fields(WaveGrid)}
+    grid = initial_grid(PairParams(a=1.0, b=2.0, k_c=0.5), n=256, t_max=1.0)
+    moments(grid)
+    _schedule(grid, np.array([0.5, 1.0]))
+    n, r = grid.n, grid.schmidt.size
+    held = [item for value in vars(grid).values()
+            for item in (value if isinstance(value, tuple) else (value,))]
+    arrays = [item for item in held if isinstance(item, np.ndarray)]
+    assert r > 1 and any(array is grid._spectrum for array in arrays)
+    assert [array.shape for array in arrays
+            if np.iscomplexobj(array) and array.shape in ((n, r), (r, n))] == []
 
 
 def test_an_oracle_check_evolves_every_time_into_one_buffer(monkeypatch, capsys):
@@ -251,7 +281,7 @@ def test_the_real_view_grams_match_the_complex_products(b, n, t_max):
     # the t = 0 Grams, real sums over U, and the schedule's float-view Grams
     # of each evolved time's factors
     grid0 = initial_grid(PairParams(a=1.0, b=b, k_c=0.5), n=n, t_max=t_max)
-    pairs = [(grid0._grams, (grid0.left, grid0.right))]
+    pairs = [(grid0._grams, _factors(grid0))]
     for t in (t_max / 2, t_max):
         left, right = _evolved(grid0, t)
         pairs.append(((_gram(left, left), _gram(right.T, right.T).T), (left, right)))
@@ -309,7 +339,9 @@ def test_initial_grid_factors_vanish_off_the_support():
     off = np.ones(grid.n, dtype=bool)
     off[rows] = False
     assert off.sum() > grid.n / 2
-    assert not grid.left[off].any() and not grid.right[:, off].any()
+    assert grid._modes[2] == rows and len(grid._modes[0]) == rows.stop - rows.start
+    left, right = _factors(grid)
+    assert not left[off].any() and not right[:, off].any()
 
 
 def test_factorisation_refuses_a_bound_outside_the_rows_above_the_limit():
@@ -368,16 +400,16 @@ def test_memory_check_charges_the_traced_peak_at_high_rank(monkeypatch):
         tracemalloc.stop()
     assert grid.schmidt.size > 100
     capacity = 128  # below the rank
-    # beyond four n x 128 arrays of floats: the rank terms, the complex n x r
-    # factors (4nr words) among them, set the peak
+    # beyond four n x 128 arrays of floats: the rank terms, the sampled
+    # functions, Q and the residual's skeleton among them, set the peak
     assert max(charged) >= peak > 8 * (n * capacity + 3 * n * capacity)
 
 
 @pytest.mark.parametrize("b,n,t_max", [(2.0, 1024, 2.0), (0.15, 1024, 0.25), (1 / 6.7, 256, 0.0)])
 def test_memory_check_charges_the_traced_peak_on_the_support(monkeypatch, b, n, t_max):
     # with room for the evolution, the factorisation runs on a support of
-    # m < n rows but the factors are n x r; at n = 256 the factors beside
-    # the leakage check's Grams set the charge
+    # m < n rows, which the charge, made before the support is known, takes
+    # as all n
     charged = []
     require_memory = localent.oracle.require_memory
 
@@ -397,8 +429,8 @@ def test_memory_check_charges_the_traced_peak_on_the_support(monkeypatch, b, n, 
 
 
 def test_initial_grid_peaks_below_a_quarter_of_one_envelope():
-    # E is never formed whole: the residual's row blocks and the n x r
-    # factors set the peak, not a dense n x n float64 array (8 n^2 bytes)
+    # E is never formed whole: the residual's row blocks and the rank terms
+    # set the peak, not a dense n x n float64 array (8 n^2 bytes)
     n = 1024
     initial_grid(PairParams(a=1.0, b=2.0), n=64)  # numpy's one-time imports, untraced
     tracemalloc.start()
@@ -422,7 +454,7 @@ def test_envelope_weight_in_o_n_matches_the_dense_sum(b):
 
 def _position_density(grid: WaveGrid) -> np.ndarray:
     """Particle 1's position marginal on ``grid.axis``: its row weights times dx."""
-    return _row_weights(grid.left, grid._grams[1]) * grid.dx
+    return _row_weights(_factors(grid)[0], grid._grams[1]) * grid.dx
 
 
 def _momentum_weights(grid: WaveGrid) -> np.ndarray:
@@ -452,7 +484,7 @@ def test_cached_spectra_give_the_marginals_of_fresh_transforms(b, k_c):
     # the t = 0 grid derives its right spectra from its left ones; the
     # schedule weighs the t = 0 spectral power by each time's right Gram
     grid0 = initial_grid(PairParams(a=1.0, b=b, k_c=k_c), n=256, t_max=2.0)
-    cases = [(_momentum_weights(grid0), (grid0.left, grid0.right))]
+    cases = [(_momentum_weights(grid0), _factors(grid0))]
     cases += [(_evolved_weights(grid0, t)[1], _evolved(grid0, t)) for t in (1.0, 2.0)]
     for weights, (left, right) in cases:
         phi = np.fft.fft(left, axis=0) @ np.fft.fft(right, axis=1)
@@ -491,7 +523,7 @@ def test_grid_axes_are_cached_and_read_only():
 def test_the_real_t0_path_matches_the_complex_computation(b, k_c, n, t_max):
     params = PairParams(a=1.0, b=b, k_c=k_c)
     grid = initial_grid(params, n=n, t_max=t_max)
-    left, right = grid.left, grid.right
+    left, right = _factors(grid)
     grams = left.conj().T @ left, right @ right.conj().T
     spectra = np.fft.fft(left, axis=0), np.fft.fft(right, axis=1)
     for derived, direct in zip(grid._grams + grid._spectra, grams + spectra):
@@ -551,7 +583,7 @@ def _isometry_defects(left: np.ndarray, right: np.ndarray) -> list[float]:
 def test_isometry_defect_is_at_roundoff_at_every_rank(b, n, t_max, rank):
     grid0 = initial_grid(PairParams(a=1.0, b=b, k_c=0.5), n=n, t_max=t_max)
     assert grid0.schmidt.size == pytest.approx(rank, rel=0.05)
-    for left, right in ((grid0.left, grid0.right), _evolved(grid0, t_max / 2),
+    for left, right in (_factors(grid0), _evolved(grid0, t_max / 2),
                         _evolved(grid0, t_max)):
         assert max(_isometry_defects(left, right)) <= 1e-14
 
@@ -753,10 +785,11 @@ def _assert_schedule_matches(grid0: WaveGrid, t: float, reference) -> None:
 def _chirped(grid: WaveGrid, reference, kappa: float):
     """Both engines' grids of psi exp(i kappa (x1^2 - x2^2)): the chirp is a
     unit-modulus phase on left and its conjugate on right, so the package's
-    grid keeps right = diag(scale) left^H and its real modes."""
+    grid keeps right = diag(scale) left^H and its real modes, and only the
+    phase on its support rows takes the chirp."""
     chirp = np.exp(1j * kappa * grid.axis**2)
-    chirped = dataclasses.replace(grid, left=grid.left * chirp[:, None],
-                                  right=grid.right * chirp.conj())
+    u, scale, rows, phase = grid._modes
+    chirped = dataclasses.replace(grid, _modes=(u, scale, rows, phase * chirp[rows]))
     amplitudes = reference.amplitudes * chirp[:, None] * chirp.conj()
     return chirped, dataclasses.replace(reference, amplitudes=amplitudes)
 
@@ -793,10 +826,12 @@ def test_non_finite_grid_inputs_raise(bad):
 
 def test_nan_amplitudes_fail_the_leakage_guard():
     grid = initial_grid(PairParams(a=1.0, b=2.0), n=128, t_max=1.0)
-    left = grid.left.copy()
-    left[0, 0] = math.nan
-    with pytest.raises(GridError, match="leakage nan"):
-        _schedule(dataclasses.replace(grid, left=left), np.array([0.5]))
+    u, scale, rows, phase = grid._modes
+    bad_u, bad_phase = u.copy(), phase.copy()
+    bad_u[0, 0] = bad_phase[0] = math.nan  # on the first support row
+    for modes in ((bad_u, scale, rows, phase), (u, scale, rows, bad_phase)):
+        with pytest.raises(GridError, match="leakage nan"):
+            _schedule(dataclasses.replace(grid, _modes=modes), np.array([0.5]))
 
 
 def test_quadrature_dispersion_examples():

@@ -189,19 +189,13 @@ class WaveGrid:
         right *= scale
         return _read_only(both)
 
-    @property
-    def _spectra(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_spectrum``'s two halves, each held as its factor is: left's
-        spectra n x r, right's r x n."""
-        return self._spectrum[:, :self.schmidt.size], self._spectrum[:, self.schmidt.size:].T
-
     @cached_property
     def _spectral_power(self) -> np.ndarray:
         """|left_k|^2, the n x r row factor of particle 1's wavenumber
         weights.  The free propagator is a phase of unit modulus in k, so
         it is also that of every time ``_schedule`` evolves to, which needs
         no transform for it."""
-        left_k = self._spectra[0]
+        left_k = self._spectrum[:, :self.schmidt.size]
         power = np.square(left_k.real)
         power += np.square(left_k.imag)
         return _read_only(power)
@@ -214,13 +208,6 @@ class WaveGrid:
         u, scale = self._modes[:2]
         gram = u.T @ u
         return _read_only(gram), _read_only(scale[:, None] * gram * scale)
-
-    @cached_property
-    def _spectral_grams(self) -> tuple[np.ndarray, np.ndarray]:
-        """The unweighted Grams of the spectra, n times ``_grams`` by
-        Parseval: each spectrum is the unnormalised DFT of its factor."""
-        left, right = self._grams
-        return _read_only(self.n * left), _read_only(self.n * right)
 
 
 def _axis(n: int, extent: float) -> np.ndarray:
@@ -351,20 +338,19 @@ def _vector_words(n: int) -> int:
     return 16 * n + 2 * np.getbufsize()
 
 
-def _peak_bytes(n: int, terms: int) -> int:
-    """Bytes alive at ``initial_grid``'s peak when it factorises with
-    r = ``terms`` Hermite functions (``_mehler``).  Charged before the
-    support is known: the m support rows are taken as all n.  E is never
-    formed whole, so no term is n x n.  Throughout: ``_vector_words``.  While
-    factorising, with c = min(m, r) columns of Q: the sampled functions and
-    numpy's copy of them in its QR, or Q beside the residual's skeleton and
-    two row blocks, or beside the skeleton and u = QW (2mr + max(mc,
-    2 ROW_BLOCK m) words), and R and the r x r arrays of the ``eigh``
-    (4cr).  What the grid keeps after it, u, the phase on the rows and the
-    real c x c Grams beside their temporaries and the isometry check's copy
-    (mc + 2m + 4c^2), is less."""
-    r, c = terms, min(n, terms)
-    return 8 * (_vector_words(n) + 2 * n * r + max(n * c, 2 * ROW_BLOCK * n) + 4 * c * r)
+def _peak_bytes(n: int, m: int, terms: int) -> int:
+    """Bytes alive at ``initial_grid``'s peak when it factorises the n-point
+    grid's m support rows with r = ``terms`` Hermite functions
+    (``_mehler``).  E is never formed whole, so no term is n x n.
+    Throughout: ``_vector_words``.  While factorising, with c = min(m, r)
+    columns of Q: the sampled functions and numpy's copy of them in its QR,
+    or Q beside the residual's skeleton and two row blocks, or beside the
+    skeleton and u = QW (2mr + max(mc, 2 ROW_BLOCK m) words), and R and the
+    r x r arrays of the ``eigh`` (4cr).  What the grid keeps after it, u,
+    the phase on the rows and the real c x c Grams beside their temporaries
+    and the isometry check's copy (mc + 2m + 4c^2), is less."""
+    r, c = terms, min(m, terms)
+    return 8 * (_vector_words(n) + 2 * m * r + max(m * c, 2 * ROW_BLOCK * m) + 4 * c * r)
 
 
 def _check_bytes(grid: WaveGrid, count: int) -> int:
@@ -435,7 +421,7 @@ def _sampled_amplitude(
     renormalization factor it gives must stay within 1e-4 of unity.  Raises
     before any allocation when the grid is invalid or its n-vectors exceed
     the physical memory, and before the factorisation when the grid
-    under-resolves the state or the factorisation's peak exceeds it.
+    under-resolves the state.
     """
     if n < 64 or n & (n - 1):
         raise GridError(f"grid size must be a power of two >= 64, got {n}")
@@ -460,7 +446,6 @@ def _sampled_amplitude(
         raise GridError(
             f"grid under-resolves the state (renormalization factor {factor:.6f})"
         )
-    require_memory(_peak_bytes(n, _mehler(params)[2]))
     return x, phase, envelope, weight, extent
 
 
@@ -592,12 +577,14 @@ def initial_grid(
     ``t_max`` feeds the default extent so the packet still fits after the
     evolutions the caller plans.  The renormalization factor must stay within
     1e-4 of unity, otherwise the grid is rejected as under-resolved.  Raises
-    MemoryError, before allocating, when the factorisation's peak exceeds
-    the physical memory, and raises GridError when the sampled packet
-    reaches the grid's edges or its factors fail the isometry check.
+    MemoryError, before it factorises, when the factorisation's peak on the
+    support rows exceeds the physical memory, and raises GridError when the
+    sampled packet reaches the grid's edges or its factors fail the
+    isometry check.
     """
     x, phase, envelope, weight, extent = _sampled_amplitude(params, n, extent, t_max)
     rows, outside = _support(*envelope, weight)
+    require_memory(_peak_bytes(n, rows.stop - rows.start, _mehler(params)[2]))
     u, s = _schmidt_factors(params, x, *envelope, weight, rows, outside)
     # a diagonal unitary keeps singular values: psi / c = diag(p) E diag(conj p)
     # has E's Schmidt factors with the phase moved onto them, and renormalized
@@ -743,17 +730,22 @@ def moments(grid: WaveGrid) -> MomentSet:
     rows, particle 2's position weights are particle 1's and its wavenumber
     weights are particle 1's at -k, and its k-weighted Gram and k2 psi are
     particle 1's taken at k -> -k, plus the Nyquist bin, which is its own
-    -k: no second k Gram and no second inverse transform."""
-    x, k = grid.axis, grid.k_axis
-    left_k = grid._spectra[0]
-    (l1, r1), (sl1, sr1) = grid._grams, grid._spectral_grams
-    norm, spectral_norm = _trace(l1, r1), _trace(sl1, sr1)
-    # left and right are 0 off the rows, so the sums over them skip the others
+    -k: no second k Gram and no second inverse transform.  No unweighted
+    spectral Gram is formed either: by Parseval the spectra's are n times
+    the factors' Grams, and n is a power of two, so their trace is n^2 times
+    the norm and the shift term of right's k-weighted Gram is (shift n)
+    times left's Gram, bit for bit."""
+    x, k, n = grid.axis, grid.k_axis, grid.n
     u, scale, rows, phase = grid._modes
+    left_k = grid._spectrum[:, :scale.size]
+    l1, r1 = grid._grams
+    norm = _trace(l1, r1)
+    # left and right are 0 off the rows, so the sums over them skip the others
     left = phase[:, None] * u
     right = (left.conj() * scale).T
     k_weights = _wavenumber_weights(grid, r1.diagonal().real)
-    mean_x1, var_x1 = map(float, _weighted_moments(_row_weights(left, r1), x[rows]))
+    x_weights = _square_weights(np.square(left.view(np.float64)), r1.diagonal().real)
+    mean_x1, var_x1 = map(float, _weighted_moments(x_weights, x[rows]))
     mean_k1, var_k1 = map(float, _weighted_moments(k_weights, k))
     x1, k1 = x[rows] - mean_x1, k - mean_k1
     # k1 psi = k1_left @ right and k2 psi = left @ k2_right; each meets left or
@@ -765,24 +757,24 @@ def moments(grid: WaveGrid) -> MomentSet:
     # right = diag(scale) left^H: particle 2's position weights are
     # particle 1's, and its wavenumber weights are particle 1's at -k
     mean_x2, var_x2, x2 = mean_x1, var_x1, x1
-    mean_k2, var_k2 = map(float, _weighted_moments(k_weights, k[-np.arange(grid.n)]))
+    mean_k2, var_k2 = map(float, _weighted_moments(k_weights, k[-np.arange(n)]))
     lx = (u.T * x1) @ u
     scales = np.outer(scale, scale)  # right's Grams are scale (U^T diag(w) U) scale
     rx = scales * lx
     # at -k, k2's offsets are -k1 - shift, but 2 k_N more at the Nyquist bin N,
     # so rk and k2 psi follow from lk and k1_left
-    shift, nyquist, k_n = mean_k1 + mean_k2, left_k[grid.n // 2], k[grid.n // 2]
-    rk = scales * (2.0 * k_n * np.outer(nyquist.conj(), nyquist) - lk - shift * sl1)
-    sign = 1.0 - 2.0 * (np.arange(grid.n)[rows] % 2)  # exp(2 pi i j N / n)
+    shift, nyquist, k_n = mean_k1 + mean_k2, left_k[n // 2], k[n // 2]
+    rk = scales * (2.0 * k_n * np.outer(nyquist.conj(), nyquist) - lk - (shift * n) * l1)
+    sign = 1.0 - 2.0 * (np.arange(n)[rows] % 2)  # exp(2 pi i j N / n)
     mirrored = np.outer(sign, nyquist)
-    mirrored *= 2.0 * k_n / grid.n
+    mirrored *= 2.0 * k_n / n
     mirrored -= k1_left
     mirrored -= shift * left
     np.conjugate(mirrored, out=mirrored)
     mirrored *= scale
     k2_right = mirrored.T
     cov_x1x2 = _trace(lx, rx) / norm
-    cov_k1k2 = _trace(lk, rk) / spectral_norm
+    cov_k1k2 = _trace(lk, rk) / (n * n * norm)  # over the spectra's trace
     sym_x1k1 = float((x1 @ (left.conj() * k1_left)).real @ r1.diagonal().real) / norm
     sym_x2k2 = float(l1.diagonal().real @ ((k2_right * right.conj()) @ x2).real) / norm
     sym_x1k2 = _trace(lx, _gram(right.T, k2_right.T).T) / norm
@@ -799,12 +791,6 @@ def _correlation_matrix(m: MomentSet) -> CovMatrix4:
                         [m.cov_x1x2, m.sym_x2k1, m.var_x2, m.sym_x2k2],
                         [m.sym_x1k2, m.cov_k1k2, m.sym_x2k2, m.var_k2]])
     return CovMatrix4.from_matrix(g)
-
-
-def _row_weights(left: np.ndarray, right_gram: np.ndarray) -> np.ndarray:
-    """sum_j |(left @ right)[i, j]|^2 for each row i, as |left|^2 times the
-    diagonal of right's Gram right right^H (``_square_weights``)."""
-    return _square_weights(np.square(left.view(np.float64)), right_gram.diagonal().real)
 
 
 def _square_weights(squares: np.ndarray, diagonal: np.ndarray, out=None) -> np.ndarray:

@@ -24,7 +24,7 @@ from localent.errors import DomainError, GridError
 from localent.oracle import MomentSet, WaveGrid, default_extent, initial_grid, moments
 from localent.oracle import ISOMETRY_LIMIT, RESIDUAL_LIMIT, _axis, _envelope_weight, _grid_envelope
 from localent.oracle import _EDGE, _correlation_matrix, _gram, _leakage, _propagate, _propagators
-from localent.oracle import _row_weights, _schedule, _support, _wavenumber_weights
+from localent.oracle import _schedule, _square_weights, _support, _trace, _wavenumber_weights
 from localent.protocols import ambiguity_time, mimic_width, width_from_momentum_dispersion
 from localent.states import PairParams, momentum_dispersion, position_dispersion
 import oracle_reference as dense
@@ -134,8 +134,9 @@ def _evolved_weights(grid0: WaveGrid, t: float) -> tuple[np.ndarray, np.ndarray]
     ``_schedule`` takes them: |left|^2, and the t = 0 spectral power, each
     over the diagonal of right's Gram."""
     left, right = _evolved(grid0, t)
-    right_gram = _gram(right.T, right.T).T
-    return _row_weights(left, right_gram), _wavenumber_weights(grid0, right_gram.diagonal().real)
+    diagonal = _gram(right.T, right.T).T.diagonal().real
+    x_weights = _square_weights(np.square(left.view(np.float64)), diagonal)
+    return x_weights, _wavenumber_weights(grid0, diagonal)
 
 
 def _schedule_row(grid0: WaveGrid, t: float) -> np.ndarray:
@@ -408,8 +409,8 @@ def test_memory_check_charges_the_traced_peak_at_high_rank(monkeypatch):
 @pytest.mark.parametrize("b,n,t_max", [(2.0, 1024, 2.0), (0.15, 1024, 0.25), (1 / 6.7, 256, 0.0)])
 def test_memory_check_charges_the_traced_peak_on_the_support(monkeypatch, b, n, t_max):
     # with room for the evolution, the factorisation runs on a support of
-    # m < n rows, which the charge, made before the support is known, takes
-    # as all n
+    # m < n rows, and the charge, made once the support is known, sizes it
+    # by those m rows: taken as all n, it was ~2.5 times the peak at n = 1024
     charged = []
     require_memory = localent.oracle.require_memory
 
@@ -426,6 +427,8 @@ def test_memory_check_charges_the_traced_peak_on_the_support(monkeypatch, b, n, 
     finally:
         tracemalloc.stop()
     assert max(charged) >= peak
+    if n == 1024:
+        assert max(charged) <= 2 * peak
 
 
 def test_initial_grid_peaks_below_a_quarter_of_one_envelope():
@@ -454,13 +457,16 @@ def test_envelope_weight_in_o_n_matches_the_dense_sum(b):
 
 def _position_density(grid: WaveGrid) -> np.ndarray:
     """Particle 1's position marginal on ``grid.axis``: its row weights times dx."""
-    return _row_weights(_factors(grid)[0], grid._grams[1]) * grid.dx
+    left = _factors(grid)[0]
+    return _square_weights(np.square(left.view(np.float64)), grid._grams[1].diagonal()) * grid.dx
 
 
 def _momentum_weights(grid: WaveGrid) -> np.ndarray:
     """Particle 1's unnormalised momentum marginal in FFT order, from the
-    row weights of the cached spectra."""
-    return _row_weights(grid._spectra[0], grid._spectral_grams[1])
+    row weights of the cached left spectra over the diagonal of right's
+    spectral Gram, n times right's Gram by Parseval."""
+    left_k = grid._spectrum[:, :grid.schmidt.size]
+    return _square_weights(np.square(left_k.view(np.float64)), grid.n * grid._grams[1].diagonal())
 
 
 def _particle_one(engine, grid) -> tuple[float, float, float, float]:
@@ -497,7 +503,9 @@ def test_parseval_spectral_grams_match_the_grams_of_the_spectra(b, k_c):
     # at t = 0, the cached spectra's; at each later time, those of the evolved
     # factors, whose Grams the schedule takes n times for the spectra's
     grid0 = initial_grid(PairParams(a=1.0, b=b, k_c=k_c), n=512, t_max=1.0)
-    cases = [(grid0._spectral_grams, grid0._spectra)]
+    r = grid0.schmidt.size
+    cases = [(tuple(grid0.n * gram for gram in grid0._grams),
+              (grid0._spectrum[:, :r], grid0._spectrum[:, r:].T))]
     for t in (0.5, 1.0):
         left, right = _evolved(grid0, t)
         cases.append(((grid0.n * _gram(left, left), grid0.n * _gram(right.T, right.T).T),
@@ -505,6 +513,20 @@ def test_parseval_spectral_grams_match_the_grams_of_the_spectra(b, k_c):
     for grams, (left_k, right_k) in cases:
         for parseval, direct in zip(grams, (left_k.conj().T @ left_k, right_k @ right_k.conj().T)):
             assert np.max(np.abs(parseval - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("b", [INF, 2.0, 0.25])
+@pytest.mark.parametrize("k_c", [-1.3, 0.0, 0.5, 300.0])
+def test_spectral_grams_scale_by_n_bit_for_bit(b, k_c):
+    # moments takes the spectra's trace as n^2 norm and their shift term as
+    # (shift n) l1: the grid size is a power of two, so both are, bit for bit,
+    # what the spectral Grams n l1 and n r1 give
+    grid = initial_grid(PairParams(a=1.0, b=b, k_c=k_c), n=256)
+    n, (l1, r1) = grid.n, grid._grams
+    assert _trace(n * l1, n * r1) == n * n * _trace(l1, r1)
+    m = moments(grid)
+    for shift in (m.mean_k1 + m.mean_k2, 1.0 / 3.0, -0.7):
+        np.testing.assert_array_equal(shift * (n * l1), (shift * n) * l1, strict=True)
 
 
 def test_grid_axes_are_cached_and_read_only():
@@ -526,7 +548,9 @@ def test_the_real_t0_path_matches_the_complex_computation(b, k_c, n, t_max):
     left, right = _factors(grid)
     grams = left.conj().T @ left, right @ right.conj().T
     spectra = np.fft.fft(left, axis=0), np.fft.fft(right, axis=1)
-    for derived, direct in zip(grid._grams + grid._spectra, grams + spectra):
+    r = grid.schmidt.size
+    halves = grid._spectrum[:, :r], grid._spectrum[:, r:].T
+    for derived, direct in zip(grid._grams + halves, grams + spectra):
         assert np.max(np.abs(derived - direct)) <= 1e-14 * np.max(np.abs(direct))
     if k_c == 25.0:
         weights = np.abs(spectra[0]) ** 2 @ grams[1].diagonal().real

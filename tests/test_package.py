@@ -42,6 +42,12 @@ ONLY_TESTS_CALLED = {
 }
 
 
+# what the oracle's t = 0 grid derived twice: its spectra's Grams (n times
+# its Grams), a view of its spectrum's two halves, and a wrapper of
+# _square_weights with one caller
+DERIVED_REMOVED = {"WaveGrid": ("_spectra", "_spectral_grams"), "oracle": ("_row_weights",)}
+
+
 @pytest.mark.parametrize("layer", ["states", "covariance", "protocols", "oracle"])
 def test_every_exported_name_resolves(layer):
     module = importlib.import_module(f"localent.{layer}")
@@ -93,6 +99,14 @@ def test_names_only_tests_called_are_gone(layer):
         assert not hasattr(module, name), name
         assert not hasattr(localent, name), name
         assert name not in module.__all__
+
+
+def test_derived_copies_of_the_oracle_grid_are_gone():
+    oracle = importlib.import_module("localent.oracle")
+    for name in DERIVED_REMOVED["WaveGrid"]:
+        assert not hasattr(oracle.WaveGrid, name), name
+    for name in DERIVED_REMOVED["oracle"]:
+        assert not hasattr(oracle, name), name
 
 
 def test_readme_library_example_runs():

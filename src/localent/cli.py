@@ -19,8 +19,9 @@ non-finite entries in one pass.  No record is formatted on its own: the
 text of the record's shape is split at its column leaves once, and the
 records are appended as one interleaving of those literal pieces with the
 column texts.  Every command hands its CSV table over as
-columns, and the table is written column by column: each float column is
-checked once and formatted in one pass.
+columns: each column is checked once, before any of the table is written,
+and the table is then rendered and written ``_PIECE_FRAGMENTS`` rows at a
+time, each block by one %-format.
 ``eof-surface`` evaluates its whole grid as arrays.
 
 ``--out`` is rewritten in place: the file is opened without truncation,
@@ -33,7 +34,15 @@ device such as ``/dev/null`` is written and not cut.
 The argument parsers are built once per process, on the first ``main``
 call.  A call that starts with a subcommand's name is parsed by that
 subcommand's parser alone; anything else (no arguments, an unknown name,
-``-h``) goes through the top-level parser.
+``-h``) goes through the top-level parser.  A subcommand's argv whose
+tokens are all its options in full, as ``--opt value`` or ``--opt=value``,
+with values that their types and choices accept, is read straight off that
+parser's option table: the namespace is argparse's, key order included, at
+a fraction of argparse's cost.  Any other argv (an abbreviation, an unknown
+option, ``-h``, a missing value or required option, a value refused) is
+argparse's to parse, so help, usage and errors are its own.  A value of an
+option with a type that begins with ``-``, such as ``--times -1,2``, is
+read as ``--times=-1,2``, where argparse would take it for an option.
 
 Exit codes: 0 ok, 2 domain violation, a result that is not finite, a
 request that does not fit in memory or an ``--out`` that cannot be written,
@@ -286,13 +295,22 @@ def _config(args, **resolved) -> dict:
 
 
 def _csv_text(columns: dict) -> str:
-    """The CSV table of equal-length ``columns``: a header, then a line per row.
+    """The CSV table of equal-length ``columns``: the join of :func:`_csv_pieces`."""
+    return "".join(_csv_pieces(columns))
+
+
+def _csv_pieces(columns: dict):
+    """The CSV table of equal-length ``columns`` (a header, then a line per
+    row) as an iterator of text pieces.
 
     A float column is checked for non-finite entries once and written with
     ``%.9g``, as ``_fmt`` writes a float, and an int column with ``%d``.  The
     cells of any other column (bool, None, floats among None, or a list of
     ints that numpy holds as floats because their range spans int64 and
-    uint64) take ``_fmt``'s text.  One %-format renders the whole table.
+    uint64) take ``_fmt``'s text.  Every check is made before this returns.
+    Each piece is ``_PIECE_FRAGMENTS`` rows, rendered by one %-format as it
+    is drawn, but the first, which holds the header too and is rendered at
+    once.
     """
     specs, cells = [], []
     for column in columns.values():
@@ -314,28 +332,31 @@ def _csv_text(columns: dict) -> str:
     for j, values in enumerate(cells):
         table[:, j] = values
     line = ",".join(specs) + "\n"
-    return ",".join(columns) + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
+    step = _PIECE_FRAGMENTS
+    blocks = (table[i:i + step] for i in range(0, max(len(table), 1), step))
+    texts = ((line * len(block)) % tuple(block.ravel().tolist()) for block in blocks)
+    return itertools.chain([",".join(columns) + "\n" + next(texts)], texts)
 
 
 def _emit(args, config: dict, results, columns: dict | None, rng: str | None = None) -> None:
     """JSON envelope, or the CSV table of ``columns`` (None: JSON only, and
     the command has refused CSV before doing any work), to ``--out`` or
-    stdout.  The whole text is rendered first, so any DomainError comes
-    before a byte is written; the JSON fragments are then joined, encoded
-    and written ``_PIECE_FRAGMENTS`` at a time, and the CSV table as one
-    piece."""
+    stdout.  Every value is checked first, so any DomainError comes before a
+    byte is written.  The JSON text is rendered whole, and its fragments are
+    then joined, encoded and written ``_PIECE_FRAGMENTS`` at a time; the CSV
+    table is rendered and written ``_PIECE_FRAGMENTS`` rows at a time."""
     if args.format == "json":
         metadata = {"seed": getattr(args, "seed", None), "version": __version__}
         if rng is not None:
             metadata["rng"] = rng
         payload = {"config": config, "results": results, "metadata": metadata}
         fragments = _fragments(payload, end="\n")
+        # the document is rendered: what is left is joining and writing it
+        pieces = ("".join(fragments[i:i + _PIECE_FRAGMENTS])
+                  for i in range(0, len(fragments), _PIECE_FRAGMENTS))
     else:
-        fragments = [_csv_text(columns)]
+        pieces = _csv_pieces(columns)
         print(f"config: {_dumps(config, indent=None)}", file=sys.stderr)
-    # the document is rendered: what is left is joining and writing it
-    pieces = ("".join(fragments[i:i + _PIECE_FRAGMENTS])
-              for i in range(0, len(fragments), _PIECE_FRAGMENTS))
     if args.out:
         try:
             _write_over(args.out, map(str.encode, pieces))
@@ -623,6 +644,48 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _walk(parser: argparse.ArgumentParser, command: str, argv: list) -> argparse.Namespace | None:
+    """``parser.parse_args(argv, Namespace(command=command))``, read off the
+    parser's own option table, for an argv of its options in full, each
+    given as ``--opt value`` or ``--opt=value`` (a flag alone) with a value
+    that its type and choices accept; None for any other argv, which is
+    argparse's to parse or to report.  A value of an option with a type
+    that begins with ``-`` goes to the type, unless it is an option string,
+    where argparse would take it for an option."""
+    table = parser._option_string_actions
+    given = {}
+    tokens = iter(argv)
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        action = table.get(name)
+        if isinstance(action, argparse._StoreConstAction) and not eq:
+            given[action.dest] = action.const
+            continue
+        if type(action) is not argparse._StoreAction or action.nargs is not None:
+            return None  # unknown, abbreviated, -h, -- or an explicit flag value
+        if not eq:
+            text = next(tokens, None)
+        if text is None or text in table or action.type is None and text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):  # argparse's to report
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+    # the defaults in argparse's order: the command, the options, the parser's
+    values = {"command": command}
+    for action in parser._actions:
+        if action.default is not argparse.SUPPRESS:  # -h has no value
+            if action.dest not in given and (
+                    action.required or action.type and isinstance(action.default, str)):
+                return None
+            values[action.dest] = action.default
+    values.update({**parser._defaults, **values, **given})  # new keys, the parser's, go last
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _parser()
@@ -630,7 +693,8 @@ def main(argv=None) -> int:
     if command is None:  # no arguments, an unknown command or a leading option
         args = parser.parse_args(argv)
     else:  # the namespace the top-level parser would hand its subparser
-        args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        args = (_walk(command, argv[0], argv[1:])
+                or command.parse_args(argv[1:], argparse.Namespace(command=argv[0])))
     try:
         # overflowing intermediates end in a non-finite result, which exits 2
         # through _emit: numpy's warnings about them would only be noise

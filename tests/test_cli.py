@@ -1,5 +1,6 @@
 """Command-line interface: values, formats, determinism and exit codes."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -1218,6 +1219,45 @@ def test_csv_writer_rejects_non_finite_numbers(bad):
             cli._csv_text({"n": [1, 2], "x": column})
 
 
+@pytest.mark.parametrize("rows, pieces", [(0, 1), (1, 1), (511, 1), (512, 1), (513, 2), (1025, 3)])
+def test_csv_table_is_rendered_in_blocks_of_rows(rows, pieces):
+    # the bytes of one %-format over the whole table, a piece per block of rows
+    columns = {"i": np.arange(rows), "x": np.linspace(-1.0, 1.0, rows),
+               "c": [None if i % 3 else i * 0.5 for i in range(rows)]}
+    lines = ["i,x,c"] + [",".join(map(cli._fmt, row))
+                         for row in zip(range(rows), np.linspace(-1.0, 1.0, rows).tolist(),
+                                        columns["c"])]
+    got = list(cli._csv_pieces(columns))
+    assert len(got) == pieces
+    assert "".join(got) == "\n".join(lines) + "\n"
+    assert got[0].startswith("i,x,c\n")
+
+
+def test_csv_table_is_checked_before_a_piece_is_drawn():
+    columns = {"x": np.append(np.zeros(2 * cli._PIECE_FRAGMENTS), np.nan)}
+    with pytest.raises(DomainError):
+        cli._csv_pieces(columns)
+
+
+def test_large_csv_table_is_written_in_pieces(tmp_path, capsys, monkeypatch):
+    argv = ["eof-surface", "--a-steps", "30", "--b-steps", "30"]  # 900 rows: two pieces
+    code, text, _ = run_cli(capsys, *argv)
+    assert code == 0 and text.count("\n") == 901
+    target = tmp_path / "surface.csv"
+    target.write_text("x" * 100_000)
+    write, sizes = os.write, []
+
+    def counting_write(fd, data):
+        sizes.append(len(data))
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", counting_write)
+    assert run_cli(capsys, *argv, "--out", str(target))[:2] == (0, "")
+    monkeypatch.undo()
+    assert len(sizes) == 2
+    assert target.read_bytes() == text.encode()
+
+
 def _reference_trials(batch, mode: int) -> list[dict]:
     """The per-trial dicts the protocol command built before it wrote its
     trials column by column."""
@@ -1377,3 +1417,230 @@ def test_parser_survives_an_argparse_exit(capsys):
     code, payload = run_json(capsys, "simon", "--a", "1", "--b", "2")
     assert code == 0
     assert payload["results"]["separable"] is False
+
+
+# --- the walk over well-formed argv ------------------------------------------------
+
+
+def _outcome(run, argv):
+    """(exit code, stdout, stderr) of ``run(argv)``, an argparse exit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _argparse_main(argv):
+    """``main`` with every argv parsed by argparse: by the subcommand's
+    parser, as the top-level parser would hand it over."""
+    command = build_parser().commands[argv[0]]
+    args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    with np.errstate(all="ignore"):
+        try:
+            return args.func(args)
+        except tuple(cli.EXIT_CODES) as exc:
+            kind = next(kind for kind in cli.EXIT_CODES if isinstance(exc, kind))
+            print(f"error: {cli._MESSAGES.get(kind, exc)}", file=sys.stderr)
+            return cli.EXIT_CODES[kind]
+
+
+def _respelled(argv: list) -> list:
+    """``argv``, of options in full, with each value of an option with a type
+    that begins with ``-`` joined to its option as ``--opt=value``."""
+    table = build_parser().commands[argv[0]]._option_string_actions
+    out, tokens = argv[:1], iter(argv[1:])
+    for token in tokens:
+        action = table[token]
+        if action.nargs == 0:
+            out.append(token)
+            continue
+        value = next(tokens)
+        out += [f"{token}={value}"] if action.type and value.startswith("-") else [token, value]
+    return out
+
+
+_NEGATIVE_VALUES = [
+    "protocol --mode 2 --u 1.01 --b 1 --times -1,2 --noiseless",
+    "protocol --mode 2 --u 1.01 --b 1 --kc -1e5 --noiseless",
+    "protocol --mode 2 --u 1.01 --b -inf --noiseless",
+    "protocol --mode 2 --a -1e5 --b 1 --noiseless",
+    "protocol --mode 1 --u 1.01 --b 1 --times -1,2 --noiseless",
+    "protocol --mode 1 --u 1.01 --b 1 --t0 -1e-3 --noiseless",
+    "protocol --mode 1 --u -1e5 --b 1 --noiseless",
+    "oracle-check --a 1 --b inf --times -1,2 --grid-n 64 --grid-L 8",
+    "oracle-check --a 1 --b 2 --kc -1e5 --grid-n 64",
+    "oracle-check --a 1 --b -inf --grid-n 64",
+    "oracle-check --a 1 --b 2 --kc -5e-1 --times 0,0.5 --grid-n 128 --grid-L 12",
+]
+
+
+@pytest.mark.parametrize("argv", _NEGATIVE_VALUES)
+def test_negative_values_read_as_their_equals_spelling(argv):
+    spaced = argv.split()
+    joined = _respelled(spaced)
+    assert joined != spaced
+    got = _outcome(main, spaced)
+    assert got == _outcome(main, joined)
+    assert "usage:" not in got[2]
+    assert got[0] in (0, 2, 3)
+
+
+def test_negative_time_exits_2_naming_it():
+    code, out, err = _outcome(main, _NEGATIVE_VALUES[0].split())
+    assert (code, out) == (2, "")
+    assert err.startswith("error: time must be nonnegative")
+
+
+@pytest.mark.parametrize("option", ["--out", "--format"])
+def test_untyped_options_keep_argparses_rule_for_negative_values(option):
+    argv = ["simon", "--a", "1", "--b", "2", option, "-1,2"]  # no Python's negative number
+    assert _outcome(main, argv) == _outcome(_argparse_main, argv)
+    assert "expected one argument" in _outcome(main, argv)[2]
+
+
+def test_well_formed_argv_reaches_no_argparse_parse(tmp_path, capsys, monkeypatch):
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counting_parse(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse)
+    lines = [shlex.split(line)[1:] for line in _readme_cli_lines()]
+    lines += [  # each subcommand with every option given
+        ["eof-surface", "--a-min", "1", "--a-max", "2", "--a-steps", "3", "--b-min", "1",
+         "--b-max=2", "--b-steps", "3", "--format", "json", "--out", "full.out"],
+        ["simon", "--a", "1", "--b", "2", "--format", "csv", "--out", "full.out"],
+        ["dispersion-curve", "--u", "1", "--b", "2", "--t-min", "0", "--t-max", "1",
+         "--t-steps", "3", "--offset", "0.5", "--format", "json", "--out", "full.out"],
+        ["protocol", "--mode", "2", "--a", "1", "--u", "1.01", "--b", "1", "--kc=0.5",
+         "--t0", "0.5", "--times", "0,1,2", "--n-samples", "100", "--trials", "2",
+         "--threshold-sigmas", "3", "--noiseless", "--seed", "1", "--format", "csv",
+         "--out", "full.out"],
+        ["oracle-check", "--a", "1", "--b", "2", "--kc", "0.5", "--times", "0,0.5",
+         "--grid-n", "64", "--grid-L", "12", "--format", "csv", "--out", "full.out"],
+    ]
+    for argv in lines:
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / Path(argv[at]).name)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+    assert len(lines) >= 12
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [f"{command} -h" for command in ("eof-surface", "simon", "dispersion-curve", "protocol",
+                                     "oracle-check")]
+    + [
+        "simon --a 1 --b 2 --bogus 3",
+        "simon --a 1 --b 2 --form csv",
+        "simon --a 1",
+        "simon --a x --b 2",
+        "protocol --mode 3 --a 1 --b 2",
+    ],
+)
+def test_other_subcommand_argv_is_argparses(argv):
+    assert _outcome(main, argv.split()) == _outcome(_argparse_main, argv.split())
+
+
+_OPTIONS = {
+    name: [action for action in command._actions if action.option_strings]
+    for name, command in build_parser().commands.items()
+}
+_VALUE_POOL = st.one_of(
+    st.floats().map(repr),
+    st.integers(-5, 5).map(str),
+    st.sampled_from(("inf", "-inf", "nan", "", "-1", "-1e5", "-1,2", "1,2", "0,nan", "-h",
+                     "--a", "--", "csv", "json", "3")),
+)
+
+
+@st.composite
+def _walk_argv(draw):
+    """A subcommand, its argv, the argv with each value of an option with a
+    type that begins with ``-`` spelled ``--opt=value`` (None where a token
+    is not one of the options in full), and whether such a token is there:
+    an abbreviation, an unknown option, ``-h``, an option with no value, or
+    a required option missing."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    table = build_parser().commands[command]._option_string_actions
+    named = [action for action in _OPTIONS[command] if action.dest != "help"]
+    required = [action for action in named if action.required]
+    picks = required + draw(st.lists(st.sampled_from(named), max_size=5))
+    kind = draw(st.sampled_from(("none",) * 5 + ("abbreviation", "unknown", "missing", "help",
+                                                 "unrequired")))
+    if kind == "unrequired" and required:  # no value for a required option
+        gone = draw(st.sampled_from(required))
+        picks = [action for action in picks if action is not gone]
+    items, plain = [], []  # the argv's items, each an option with its value
+    for action in draw(st.permutations(picks)):
+        option = action.option_strings[0]
+        if action.nargs == 0:
+            items.append([option])
+            plain.append(option)
+            continue
+        valid = st.sampled_from([str(choice) for choice in action.choices or range(4)])
+        value = draw(st.one_of(valid, _VALUE_POOL))
+        typed_negative = action.type is not None and value.startswith("-")
+        if draw(st.booleans()):
+            items.append([option, value])
+            plain += [f"{option}={value}"] if typed_negative else [option, value]
+        else:
+            items.append([f"{option}={value}"])
+            plain.append(f"{option}={value}")
+    stray = [] if kind == "unrequired" and required else None
+    if kind == "abbreviation":
+        option = draw(st.sampled_from([option for option in table if len(option) > 3]))
+        stray = option[:draw(st.integers(3, len(option) - 1))]
+        stray = None if stray in table else [stray + "=1"]
+    elif kind in ("unknown", "help"):
+        stray = ["--bogus" if kind == "unknown" else "-h"]
+    if stray:
+        items.insert(draw(st.integers(0, len(items))), stray)
+    argv = [token for item in items for token in item]
+    if kind == "missing":
+        option = draw(st.sampled_from(named))
+        argv.append(option.option_strings[0])
+        plain.append(option.option_strings[0])
+        stray = [] if option.nargs != 0 else None  # a flag needs no value
+    return command, argv, plain if stray is None else None, stray is not None
+
+
+def _same(got, want) -> bool:
+    if isinstance(want, float) and math.isnan(want):
+        return isinstance(got, float) and math.isnan(got)
+    if isinstance(want, (list, tuple)):
+        return (type(got) is type(want) and len(got) == len(want)
+                and all(map(_same, got, want)))
+    return type(got) is type(want) and got == want
+
+
+@given(drawn=_walk_argv())
+@settings(max_examples=600, deadline=None)
+def test_walk_gives_argparses_namespace(drawn):
+    command, argv, plain, malformed = drawn
+    got = cli._walk(cli._parser().commands[command], command, argv)
+    if malformed:
+        assert got is None
+    if got is None:
+        return
+    assert plain is not None
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            want = build_parser().parse_args([command, *plain])
+        except SystemExit:
+            pytest.fail(f"argparse refuses {plain}: {err.getvalue()}")
+    assert list(vars(got)) == list(vars(want))
+    for key, value in vars(want).items():
+        if key == "func":
+            assert vars(got)[key] is getattr(cli, value.__name__)
+        else:
+            assert _same(vars(got)[key], value), key

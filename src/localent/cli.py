@@ -15,13 +15,13 @@ document is ever built; a shorter document takes one join.  ``protocol`` trials
 are rendered column by column straight from the batch arrays, each column
 once, even where the record holds it at two leaves, and by the cheapest
 exact path for its dtype; the float columns of a batch are checked for
-non-finite entries in one pass.  No record is formatted on its own: the
-text of the record's shape is split at its column leaves once, and the
-records are appended as one interleaving of those literal pieces with the
-column texts.  Every command hands its CSV table over as
-columns: each column is checked once, before any of the table is written,
-and the table is then rendered and written ``_PIECE_FRAGMENTS`` rows at a
-time, each block by one %-format.
+non-finite entries and written by ``float.__repr__`` in one pass.  No
+record is formatted on its own: the text of the record's shape is split at
+its column leaves once, and the records are appended as one interleaving of
+those literal pieces with the column texts.  Every command hands its CSV
+table over as columns: each column is checked once, before any of the table
+is written, and the table is then rendered and written ``_PIECE_FRAGMENTS``
+rows at a time, each block by one %-format.
 ``eof-surface`` evaluates its whole grid as arrays.
 
 ``--out`` is rewritten in place: the file is opened without truncation,
@@ -42,7 +42,8 @@ a fraction of argparse's cost.  Any other argv (an abbreviation, an unknown
 option, ``-h``, a missing value or required option, a value refused) is
 argparse's to parse, so help, usage and errors are its own.  A value of an
 option with a type that begins with ``-``, such as ``--times -1,2``, is
-read as ``--times=-1,2``, where argparse would take it for an option.
+read as ``--times=-1,2``, where argparse would take it for an option.  A
+``--opt=value`` value is taken verbatim: ``--out=--`` names a file ``--``.
 
 Exit codes: 0 ok, 2 domain violation, a result that is not finite, a
 request that does not fit in memory or an ``--out`` that cannot be written,
@@ -185,12 +186,8 @@ def _write(value, indent: str | None, pad: str, out: list, columns: list | None)
     """Append the text of ``value`` (as ``_dumps`` writes it) to ``out`` as
     fragments, to be joined later.  ``pad`` is the indent of the value's own
     line, and ``columns`` collects the columns of a ``_Records`` skeleton.
-    A scalar member of a container is written with its key or separator as
-    one fragment."""
-    if isinstance(value, np.ndarray):  # a column of a _Records skeleton
-        columns.append(value)
-        out.append(_SLOT)
-        return
+    A scalar or column member of a container is written with its key and
+    the bracket or separator before it as one fragment."""
     if not isinstance(value, (dict, list, tuple, _Records)):
         text = _scalar(value)
         if text is None:
@@ -206,21 +203,24 @@ def _write(value, indent: str | None, pad: str, out: list, columns: list | None)
     else:
         opening, sep, closing = f"\n{inner}", f",\n{inner}", f"\n{pad}"
     keyed = isinstance(value, dict)
-    out.append(("{" if keyed else "[") + opening)
+    head = ("{" if keyed else "[") + opening
     if isinstance(value, _Records):
+        out.append(head)
         _write_records(value, indent, inner, sep, out)
     else:
-        for i, item in enumerate(value.items() if keyed else value):
-            head = sep if i else ""
+        for item in value.items() if keyed else value:
             if keyed:
                 key, item = item
                 head = f"{head}{encode_basestring_ascii(key)}: "
-            text = _scalar(item)
-            if text is None:
+            if isinstance(item, np.ndarray):  # a column of a _Records skeleton
+                columns.append(item)
+                out.append(head + _SLOT)
+            elif (text := _scalar(item)) is not None:
+                out.append(head + text)
+            else:
                 out.append(head)
                 _write(item, indent, inner, out, columns)
-            else:
-                out.append(head + text)
+            head = sep
     out.append(closing + ("}" if keyed else "]"))
 
 
@@ -229,17 +229,22 @@ def _write_records(records: _Records, indent: str | None, pad: str, sep: str, ou
     interleaving: the skeleton's text is split at its column leaves once,
     and each record is its literal pieces alternating with its column
     texts.  A column object that appears at several leaves is rendered
-    once, and the float columns are checked for non-finite entries at
-    once."""
+    once.  The float columns are checked for non-finite entries and written
+    by ``float.__repr__`` in one pass over their concatenation."""
     fragments: list[str] = []
     columns: list[np.ndarray] = []
     _write(records.skeleton, indent, pad, fragments, columns)
     pieces = "".join(fragments).split(_SLOT)
     unique = {id(column): column for column in columns}
     floats = [column for column in unique.values() if column.dtype.kind == "f"]
-    if floats and not np.isfinite(np.concatenate(floats)).all():
-        raise DomainError(OUT_OF_RANGE)
-    texts = {key: _column_texts(column) for key, column in unique.items()}
+    texts = {key: _column_texts(column) for key, column in unique.items()
+             if column.dtype.kind != "f"}
+    if floats:
+        values = np.concatenate(floats)
+        if not np.isfinite(values).all():
+            raise DomainError(OUT_OF_RANGE)
+        flat = map(float.__repr__, values.tolist())  # each column's texts, in turn
+        texts.update((id(column), list(itertools.islice(flat, column.size))) for column in floats)
     last = pieces[-1]
     pieces[-1] = last + sep
     # piece, column, piece, ..., column, piece + sep: one record per zip step
@@ -251,22 +256,14 @@ def _write_records(records: _Records, indent: str | None, pad: str, sep: str, ou
 
 
 def _column_texts(column: np.ndarray) -> list[str]:
-    """The JSON texts of a column, each by the cheapest exact path: a float
-    column, whose entries the caller has checked to be finite, is written
-    by ``float.__repr__`` as a whole, a string column by the string
-    encoder, and any other column entry by entry."""
+    """The JSON texts of a column that is not a float column, each by the
+    cheapest exact path: a string column by the string encoder, any other
+    column entry by entry."""
     values = column.tolist()
-    if column.dtype.kind == "f":
-        return list(map(float.__repr__, values))
     if column.dtype.kind == "U":
         return list(map(encode_basestring_ascii, values))
     return [text if (text := _scalar(value)) is not None else _dumps(value, None)
             for value in values]
-
-
-def _inf_str(value: float):
-    """JSON has no infinity: echo it as the string "inf"."""
-    return "inf" if math.isinf(value) else value
 
 
 def _parse_b(text: str) -> float:
@@ -289,8 +286,8 @@ def _config(args, **resolved) -> dict:
     """The parsed options but the output routing, with ``resolved`` values."""
     config = {key: resolved.get(key, value) for key, value in vars(args).items()
               if key not in ("format", "out", "func")}
-    if "b" in config:
-        config["b"] = _inf_str(config["b"])
+    if "b" in config:  # JSON has no infinity: echo it as the string "inf"
+        config["b"] = "inf" if math.isinf(config["b"]) else config["b"]
     return config
 
 
@@ -450,7 +447,7 @@ def cmd_dispersion_curve(args) -> int:
 
 def _verdict_columns(batch) -> dict:
     b_hat = batch.b_hat.astype(object)
-    b_hat[np.isinf(batch.b_hat)] = "inf"  # as _inf_str
+    b_hat[np.isinf(batch.b_hat)] = "inf"  # as _config echoes b
     return {"classification": batch.classification, "b_hat": b_hat,
             "confidence": batch.confidence}
 
@@ -477,7 +474,7 @@ def cmd_protocol(args) -> int:
                    + args.trials * values * _VALUE_BYTES[args.format])
     run = {"n_samples": args.n_samples, "seed": args.seed, "trials": args.trials,
            "noiseless": args.noiseless}
-    columns = None  # mode 1 has no CSV rendering
+    columns = None  # JSON only: mode 1 has no CSV rendering
     if args.mode == 1:
         if args.format == "csv":  # refused before the batch runs, not after
             raise DomainError(f"command {args.command!r} has no CSV rendering")
@@ -504,12 +501,13 @@ def cmd_protocol(args) -> int:
             "series": [{"t": t, "dx_hat": batch.dx_hat[:, j], "stderr": batch.stderr[:, j],
                         "n_samples": batch.n_samples} for j, t in enumerate(t_list)],
         }
-        trials, n_times = batch.dx_hat.shape
-        columns = {"trial": np.repeat(np.arange(trials), n_times),
-                   "t": np.tile(batch.times, trials), "dx_hat": batch.dx_hat.ravel(),
-                   "stderr": batch.stderr.ravel(), "n_samples": [batch.n_samples] * trials * n_times}
-    summary = {label: int(np.count_nonzero(batch.classification == label))
-               for label in (SEPARABLE, ENTANGLED, INCONCLUSIVE)}
+        if args.format == "csv":  # JSON renders the trial skeleton alone
+            columns = {"trial": np.repeat(np.arange(args.trials), n_times),
+                       "t": np.tile(batch.times, args.trials), "dx_hat": batch.dx_hat.ravel(),
+                       "stderr": batch.stderr.ravel(),
+                       "n_samples": [batch.n_samples] * batch.dx_hat.size}
+    labels = batch.classification.tolist()
+    summary = {label: labels.count(label) for label in (SEPARABLE, ENTANGLED, INCONCLUSIVE)}
     config = _config(args, a=a)
     del config["u"]  # echoed as the width it implies
     # the trial skeleton's array leaves are the batch columns, one entry per trial
@@ -649,9 +647,12 @@ def _walk(parser: argparse.ArgumentParser, command: str, argv: list) -> argparse
     parser's own option table, for an argv of its options in full, each
     given as ``--opt value`` or ``--opt=value`` (a flag alone) with a value
     that its type and choices accept; None for any other argv, which is
-    argparse's to parse or to report.  A value of an option with a type
-    that begins with ``-`` goes to the type, unless it is an option string,
-    where argparse would take it for an option."""
+    argparse's to parse or to report.  A value given as a separate token
+    that begins with ``-`` goes to the option's type, unless it is an option
+    string, where argparse would take it for an option; an untyped option
+    refuses it, as argparse does.  A ``--opt=value`` value is taken
+    verbatim, so ``--out=--`` names a file ``--``, which argparse would
+    drop."""
     table = parser._option_string_actions
     given = {}
     tokens = iter(argv)
@@ -663,10 +664,10 @@ def _walk(parser: argparse.ArgumentParser, command: str, argv: list) -> argparse
             continue
         if type(action) is not argparse._StoreAction or action.nargs is not None:
             return None  # unknown, abbreviated, -h, -- or an explicit flag value
-        if not eq:
+        if not eq:  # only a separate token can be taken for an option
             text = next(tokens, None)
-        if text is None or text in table or action.type is None and text.startswith("-"):
-            return None
+            if text is None or text in table or action.type is None and text.startswith("-"):
+                return None
         try:
             value = text if action.type is None else action.type(text)
         except (argparse.ArgumentTypeError, TypeError, ValueError):  # argparse's to report

@@ -30,18 +30,13 @@ against lives with the tests, in ``tests/born_reference.py``.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, FitError, require_memory
-from .states import (
-    PairParams,
-    _dispersion_curve,
-    _fourth_power,
-    momentum_dispersion,
-    position_dispersion,
-)
+from .states import PairParams, _curve_constants, _dispersion_curve, _fourth_power
 
 __all__ = [
     "SEPARABLE",
@@ -68,6 +63,8 @@ __all__ = [
 SEPARABLE = "separable"
 ENTANGLED = "entangled"
 INCONCLUSIVE = "inconclusive"
+# the verdict labels by code: 0 inconclusive, 1 separable, 2 entangled
+_LABELS = np.array([INCONCLUSIVE, SEPARABLE, ENTANGLED])
 
 # Random streams: trial k of seed s draws from Philox with key words (s, k),
 # one chi-square(n - 1) variate per sub-ensemble.
@@ -238,14 +235,13 @@ def _verdicts(z, entangled, separable, alpha, u) -> tuple[np.ndarray, np.ndarray
 
     Entangled trials invert their alpha into b; the others report b = inf.
     """
+    code = np.where(entangled, 2, separable)
     confidence = _confidence(z)
-    classification = np.where(entangled, ENTANGLED, np.where(separable, SEPARABLE, INCONCLUSIVE))
-    confidence = np.where(entangled, confidence, np.where(separable, 1.0 - confidence, 0.0))
-    b_hat = np.full(z.shape, math.inf)
-    b_hat[entangled] = entanglement_width_from_alpha(alpha[entangled], u[entangled])
-    if not np.isfinite(b_hat[entangled]).all():
+    confidence = code.choose((0.0, 1.0 - confidence, confidence))
+    b_hat = np.where(entangled, _width_from_alpha(alpha, u), math.inf)
+    if not (np.isfinite(b_hat) == entangled).all():
         raise DomainError("b_hat must be finite exactly for entangled verdicts")
-    return classification, b_hat, confidence
+    return _LABELS[code], b_hat, confidence
 
 
 def _known_origin_verdicts(u, t_known, dx, stderr, u_stderr, tolerance_sigmas):
@@ -260,10 +256,13 @@ def _known_origin_verdicts(u, t_known, dx, stderr, u_stderr, tolerance_sigmas):
     """
     if not tolerance_sigmas > 0:  # NaN fails too
         raise DomainError(f"tolerance must be a positive number of sigmas, got {tolerance_sigmas}")
-    predicted = _dispersion_curve(u, 1.0, t_known)
+    if not t_known >= 0:  # NaN fails too
+        raise DomainError(f"time must be nonnegative, got {t_known}")
     spread = 4.0 * u**4 * t_known * t_known
+    root = np.sqrt(1.0 + spread)
+    predicted = root / (2.0 * u)  # the separable curve, bit for bit as _dispersion_curve
     # d predicted / du, which carries the sampling error of u into sigma
-    slope = (spread - 1.0) / (2.0 * u * u * np.sqrt(1.0 + spread))
+    slope = (spread - 1.0) / (2.0 * u * u * root)
     sigma = np.maximum(np.hypot(stderr, slope * u_stderr), 1e-12 * np.maximum(1.0, dx))
     z = (dx - predicted) / sigma
     separable = np.abs(z) <= tolerance_sigmas
@@ -292,7 +291,7 @@ def _linear_fit(u: np.ndarray, t: np.ndarray, dx: np.ndarray, stderr: np.ndarray
     u = u[:, None]
     u4 = u**4
     z = (2.0 * u * dx) ** 2 - 4.0 * u4 * t * t
-    weighted = np.all(stderr > 0, axis=1)
+    weighted = (stderr > 0).all(axis=1)
     sigma_z = 8.0 * u * u * dx * stderr  # first-order error propagation of the squaring
     with np.errstate(divide="ignore"):
         w = np.where(weighted[:, None], 1.0 / (sigma_z * sigma_z), 1.0)
@@ -304,7 +303,7 @@ def _linear_fit(u: np.ndarray, t: np.ndarray, dx: np.ndarray, stderr: np.ndarray
     # eigenvalue of its Gram matrix over the root of the determinant
     s2 = s_tt + s0 * t_mean * t_mean
     lam_max = 0.5 * (s0 + s2) + np.hypot(0.5 * (s0 - s2), s0 * t_mean)
-    if not np.all(lam_max <= _MAX_CONDITION * np.sqrt(s0 * s_tt)):
+    if not (lam_max <= _MAX_CONDITION * np.sqrt(s0 * s_tt)).all():
         raise FitError("measurement times too close together: fit is ill conditioned")
 
     def solve(y):  # (c0, c1) of the weighted normal equations for right-hand side y
@@ -355,11 +354,11 @@ def _fit_rows(u, t, dx, stderr, u_stderr):
     """
     if t.size < 3:
         raise FitError(f"need at least 3 measurement times, got {t.size}")
-    alpha, beta, cov, grad = _linear_fit(u, t, dx, stderr, np.any(u_stderr > 0))
+    alpha, beta, cov, grad = _linear_fit(u, t, dx, stderr, (u_stderr > 0).any())
     if grad is not None:
         cov = cov + grad[:, :, None] * grad[:, None, :] * (u_stderr * u_stderr)[:, None, None]
     model_dx = _dispersion_curve(u[:, None], alpha[:, None], np.abs(t + beta[:, None]))
-    residual_rms = np.sqrt(np.mean((model_dx - dx) ** 2, axis=1))
+    residual_rms = np.sqrt(((model_dx - dx) ** 2).sum(axis=1) / t.size)  # np.mean's bits
     return alpha, beta, cov, residual_rms
 
 
@@ -372,13 +371,19 @@ def entanglement_width_from_alpha(alpha: float, u: float) -> float:
     """
     alpha = np.asarray(alpha, dtype=float)
     u = np.asarray(u, dtype=float)
-    if not np.all(u > 0):
+    if not (u > 0).all():
         raise DomainError(f"momentum dispersion u must be positive, got {u}")
-    if not np.all(alpha >= 1.0):  # NaN fails too
+    if not (alpha >= 1.0).all():  # NaN fails too
         raise DomainError(f"alpha must be >= 1 to invert, got {alpha}")
-    with np.errstate(divide="ignore"):  # alpha = 1 gives b = inf
-        b = np.sqrt(np.sqrt(alpha / (u**4 * (alpha - 1.0))))
+    b = _width_from_alpha(alpha, u)
     return b if b.ndim else float(b)
+
+
+def _width_from_alpha(alpha: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The b of :func:`entanglement_width_from_alpha`, entry by entry and
+    unchecked: an alpha below 1 gives NaN."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # alpha = 1 gives b = inf
+        return np.sqrt(np.sqrt(alpha / (u**4 * (alpha - 1.0))))
 
 
 def _blind_verdicts(u, alpha, alpha_sigma, threshold_sigmas):
@@ -398,37 +403,36 @@ def _blind_verdicts(u, alpha, alpha_sigma, threshold_sigmas):
 # --- simulation drivers --------------------------------------------------------
 
 
-def _lists(state):
-    """``state`` with every numpy array in it, at any depth, as a list."""
-    if isinstance(state, dict):
-        return {name: _lists(value) for name, value in state.items()}
-    return state.tolist() if isinstance(state, np.ndarray) else state
+# each thread's Generator over a Philox, made on the thread's first draw
+_streams = threading.local()
 
 
 def _chi2_draws(seed: int, first_trial: int, trials: int, size: int, n: int) -> np.ndarray:
     """(trials, size) chi-square(n - 1) variates; row k comes from the stream
-    of trial first_trial + k alone, so it never depends on the batch.
+    of trial first_trial + k alone, so it never depends on the batch, on what
+    the thread drew before or on what other threads draw.
 
-    One Philox serves the whole batch: before each row its state is reset to
-    the fresh stream ``Philox(key=seed + ((first_trial + k) << 64))`` would
-    start from (counter 0, key words (seed, first_trial + k), empty buffer).
-    The reset assigns one dict, taken from a fresh Philox's own state with
-    its arrays as lists of ints: the setter reads the same words from a
-    list, so the bits are the same, in less than half the time.  Each row
-    is drawn as gamma((n - 1) / 2) variates straight into the batch, which
-    is then doubled once: numpy's chisquare(df) is exactly
-    2 standard_gamma(df / 2), so the bits are those of chisquare(n - 1).
+    Each thread keeps one Philox and its Generator.  Before each row, the
+    Philox is reset to the fresh stream
+    ``Philox(key=seed + ((first_trial + k) << 64))`` would start from
+    (counter 0, key words (seed, first_trial + k), an empty buffer) by
+    assigning one literal state dict of ints, so no generator is built
+    per batch.  Each row is drawn as gamma((n - 1) / 2) variates straight
+    into the batch, which is then doubled once: numpy's chisquare(df) is
+    exactly 2 standard_gamma(df / 2), so the bits are those of
+    chisquare(n - 1).
     """
     draws = np.empty((trials, size))
-    bit_generator = np.random.Philox(0)  # an integer seed reads no OS entropy
-    generator = np.random.Generator(bit_generator)
-    fresh = _lists(bit_generator.state)  # counter 0 and an empty buffer
-    key = fresh["state"]["key"]  # written in place, read by each state assignment
-    key[0] = seed
+    generator = getattr(_streams, "generator", None)
+    if generator is None:  # an integer seed reads no OS entropy
+        generator = _streams.generator = np.random.Generator(np.random.Philox(0))
+    key = [seed, 0]  # written in place, read by each state assignment
+    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     shape = (n - 1) / 2
     for row in range(trials):
         key[1] = first_trial + row
-        bit_generator.state = fresh
+        generator.bit_generator.state = fresh
         generator.standard_gamma(shape, out=draws[row])
     draws *= 2.0
     return draws
@@ -447,18 +451,17 @@ def _trial_dispersions(scenario, times, n, seed, first_trial, trials, noiseless)
     if not noiseless:
         if n < 2:
             raise DomainError(f"need at least 2 samples, got {n}")
-        if np.any(times < 0):
+        if (times < 0).any():
             raise DomainError(f"measurement time must be nonnegative, got {times.min()}")
     require_memory(_batch_bytes(trials, times.size))
-    params = scenario.params
-    u = momentum_dispersion(params)
+    u, alpha = _curve_constants(scenario.params)
     if math.isfinite(u) and math.isinf(_fourth_power(u)):
         # from u ~ 1.16e77, alpha is below double precision beside 4 u^4 t^2
         raise OverflowError(f"u^4 is outside the float range at u = {u}")
-    sigma = np.concatenate([[u], position_dispersion(times + scenario.t0, params)])
+    sigma = np.concatenate([[u], _dispersion_curve(u, alpha, times + scenario.t0)])
     if noiseless:
-        dx = np.tile(sigma, (trials, 1))
-        stderr = np.zeros_like(dx)
+        stderr = np.zeros((trials, sigma.size))
+        dx = sigma + stderr  # sigma in every row
     else:
         dx = sigma * np.sqrt(_chi2_draws(seed, first_trial, trials, sigma.size, n) / (n - 1))
         stderr = dx / math.sqrt(2.0 * (n - 1))
@@ -530,7 +533,7 @@ def run_blind_batch(
     times = np.array(times, dtype=float)
     if not np.isfinite(times).all():
         raise DomainError(f"measurement times must be finite, got {times.tolist()}")
-    if np.any(np.diff(times) <= 0):
+    if (times[1:] <= times[:-1]).any():
         raise DomainError("measurement times must be strictly increasing")
     u_hat, u_stderr, dx_hat, stderr = _trial_dispersions(
         scenario, times, n_samples, seed, first_trial, trials, noiseless

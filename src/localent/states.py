@@ -101,7 +101,7 @@ def _dispersion_curve(u: float, alpha: float, t):
         dx = np.hypot(math.sqrt(max(alpha, 0.0)) / (2.0 * u), u * t)
     else:
         dx = np.sqrt(np.maximum(radicand, 0.0)) / (2.0 * u)
-    return dx if np.ndim(dx) else float(dx)
+    return dx if dx.ndim else float(dx)
 
 
 def position_dispersion(t: float | np.ndarray, params: PairParams) -> float | np.ndarray:
@@ -113,15 +113,20 @@ def position_dispersion(t: float | np.ndarray, params: PairParams) -> float | np
     of u = momentum_dispersion(params) this is the protocols' curve with
     constant term f1^2 / f2.
     """
-    f1 = entanglement_factor(1, params)
-    f2 = entanglement_factor(2, params)
-    return _dispersion_curve(momentum_dispersion(params), f1 * f1 / f2, t)
+    return _dispersion_curve(*_curve_constants(params), t)
 
 
 def momentum_dispersion(params: PairParams) -> float:
     """Standard deviation of particle 1's momentum; constant under free evolution."""
+    return _curve_constants(params)[0]
+
+
+def _curve_constants(params: PairParams) -> tuple[float, float]:
+    """(u, f1^2 / f2): the momentum dispersion sqrt(f1) / a and the constant
+    term of the position-dispersion curve."""
     f1 = entanglement_factor(1, params)
-    return math.sqrt(f1) / params.a
+    f2 = entanglement_factor(2, params)
+    return math.sqrt(f1) / params.a, f1 * f1 / f2
 
 
 def _prefactor(params: PairParams) -> float:

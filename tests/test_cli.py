@@ -766,7 +766,7 @@ def _never_called(*args, **kwargs):
         ("protocol --mode 2 --a 1 --b 2 --trials 200000000000000",
          "localent.protocols._chi2_draws"),
         ("protocol --mode 1 --a 1 --b 2 --trials 400000000000000 --noiseless",
-         "localent.protocols.np.tile"),
+         "localent.protocols.np.zeros"),
     ],
 )
 def test_oversize_request_is_refused_before_allocating(capsys, monkeypatch, argv, allocator):
@@ -1501,6 +1501,17 @@ def test_untyped_options_keep_argparses_rule_for_negative_values(option):
     assert "expected one argument" in _outcome(main, argv)[2]
 
 
+@pytest.mark.parametrize("name", ["--", "-x"])
+def test_equals_joined_out_value_is_taken_verbatim(tmp_path, capsys, monkeypatch, name):
+    # only a separate token can be taken for an option: --out=-- names a
+    # file "--", where argparse would drop the "--" and write to stdout
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "simon", "--a", "1", "--b", "2", f"--out={name}")
+    assert (code, out, err) == (0, "", "")
+    assert (tmp_path / name).read_text() == run_cli(capsys, "simon", "--a", "1", "--b", "2")[1]
+    assert [path.name for path in tmp_path.iterdir()] == [name]
+
+
 def test_well_formed_argv_reaches_no_argparse_parse(tmp_path, capsys, monkeypatch):
     calls = []
     parse = argparse.ArgumentParser.parse_known_args
@@ -1623,6 +1634,8 @@ def _same(got, want) -> bool:
 
 
 @given(drawn=_walk_argv())
+@example(drawn=("simon", ["--a", "1", "--b", "2", "--out=--"],
+                ["--a", "1", "--b", "2", "--out=--"], False))
 @settings(max_examples=600, deadline=None)
 def test_walk_gives_argparses_namespace(drawn):
     command, argv, plain, malformed = drawn
@@ -1639,8 +1652,12 @@ def test_walk_gives_argparses_namespace(drawn):
         except SystemExit:
             pytest.fail(f"argparse refuses {plain}: {err.getvalue()}")
     assert list(vars(got)) == list(vars(want))
+    outs = [token for token in argv if token == "--out" or token.startswith("--out=")]
     for key, value in vars(want).items():
         if key == "func":
             assert vars(got)[key] is getattr(cli, value.__name__)
+        elif key == "out" and outs[-1:] == ["--out=--"]:
+            # the one intended difference: argparse drops an explicit "--"
+            assert (vars(got)[key], value) == ("--", [])
         else:
             assert _same(vars(got)[key], value), key

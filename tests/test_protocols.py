@@ -1,7 +1,10 @@
 """Measurement protocols: curves, timing, estimation, fits and verdicts."""
 
 import decimal
+import functools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -626,6 +629,54 @@ def test_trials_are_bit_identical_whatever_the_batch(trial):
     assert (one.u_hat, one.dx_hat) == (known.u_hat[trial - start], known.dx_hat[trial - start])
 
 
+def _batch_bits(seed, first_trial):
+    """The bytes of every array of a blind and a known-origin batch."""
+    scenario = entangled_scenario(t0=0.5)
+    run = {"seed": seed, "first_trial": first_trial, "trials": 40}
+    batches = (run_blind_batch(scenario, [0.0, 0.6, 1.2], 10_000, **run),
+               run_known_origin_batch(scenario, 0.6, 10_000, **run))
+    return [np.asarray(value).tobytes() for batch in batches for value in vars(batch).values()]
+
+
+def _run_threads(targets):
+    threads = [threading.Thread(target=target) for target in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+
+
+def test_batches_are_bit_identical_whatever_their_thread_drew_before_or_beside():
+    # each thread keeps one generator.  The reference is each batch alone in
+    # a fresh thread; then more threads than cores run every batch at once,
+    # in turns, with the interpreter switching threads as often as it can
+    keys = [(7, 0), (7, 5), (2**64 - 1, 2**32), (123_456_789, 40), (0, 2**64 - 40),
+            (1, 1), (99, 7), (2**63, 3)]
+    alone, results = [None] * len(keys), [None] * len(keys)
+
+    def reference(index):
+        alone[index] = _batch_bits(*keys[index])
+
+    def worker(index):
+        turns = keys[index:] + keys[:index]
+        results[index] = [(key, _batch_bits(*key)) for key in turns + turns]
+
+    for index in range(len(keys)):
+        _run_threads([functools.partial(reference, index)])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _run_threads([functools.partial(worker, index) for index in range(len(keys))])
+    finally:
+        sys.setswitchinterval(interval)
+    for runs in results:
+        assert len(runs) == 2 * len(keys)
+        for key, bits in runs:
+            assert bits == alone[keys.index(key)], key
+    assert [_batch_bits(*key) for key in keys] == alone  # this thread has drawn before
+
+
 @pytest.mark.parametrize("noiseless", [False, True])
 def test_param_cov_off_diagonals_are_bitwise_equal(noiseless):
     # the CLI renders one of them for both leaves
@@ -640,6 +691,8 @@ def test_noiseless_batches_draw_nothing(monkeypatch):
     def no_streams(*args, **kwargs):
         raise AssertionError("a noiseless run drew random numbers")
 
+    # a fresh per-thread store: a batch that draws has to build its generator
+    monkeypatch.setattr(localent.protocols, "_streams", threading.local())
     monkeypatch.setattr(np.random, "Philox", no_streams)
     blind = run_blind_batch(entangled_scenario(t0=1.0), [0.0, 0.5, 1.0], 0, trials=3,
                             noiseless=True)

@@ -266,12 +266,6 @@ def _column_texts(column: np.ndarray) -> list[str]:
             for value in values]
 
 
-def _parse_b(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
 def _parse_times(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip() != ""]
 
@@ -289,11 +283,6 @@ def _config(args, **resolved) -> dict:
     if "b" in config:  # JSON has no infinity: echo it as the string "inf"
         config["b"] = "inf" if math.isinf(config["b"]) else config["b"]
     return config
-
-
-def _csv_text(columns: dict) -> str:
-    """The CSV table of equal-length ``columns``: the join of :func:`_csv_pieces`."""
-    return "".join(_csv_pieces(columns))
 
 
 def _csv_pieces(columns: dict):
@@ -428,10 +417,9 @@ def cmd_dispersion_curve(args) -> int:
         raise DomainError(f"production offset --offset must be finite, got {args.offset}")
     dx_sep = predicted_dispersion_separable(args.u, times)
     # the entangled pair exists only from the offset on; None (empty cell) before
-    offset = args.offset if args.offset > 0 else 0.0
-    dx_ent = predicted_dispersion_entangled(args.u, args.b, np.maximum(times - offset, 0.0))
+    dx_ent = predicted_dispersion_entangled(args.u, args.b, np.maximum(times - args.offset, 0.0))
     dx_ent = dx_ent.astype(object)
-    dx_ent[~(times >= offset)] = None
+    dx_ent[~(times >= args.offset)] = None
     crossing = None
     if args.offset > 0:
         found = crossing_times(args.u, args.b, args.offset)
@@ -593,12 +581,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simon", help="separability invariant, general and closed form")
     p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=_parse_b, required=True, help="positive float or 'inf'")
+    p.add_argument("--b", type=float, required=True, help="positive float or 'inf'")
     common(p, "json", cmd_simon)
 
     p = sub.add_parser("dispersion-curve", help="separable vs entangled dispersion curves")
     p.add_argument("--u", type=float, required=True)
-    p.add_argument("--b", type=_parse_b, required=True)
+    p.add_argument("--b", type=float, required=True)
     p.add_argument("--t-min", type=float, default=0.0)
     p.add_argument("--t-max", type=float, default=5.0)
     p.add_argument("--t-steps", type=int, default=101)
@@ -612,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", type=int, choices=(1, 2), required=True)
     p.add_argument("--a", type=float, default=None, help="source packet width")
     p.add_argument("--u", type=float, default=None, help="alternative: momentum dispersion")
-    p.add_argument("--b", type=_parse_b, required=True)
+    p.add_argument("--b", type=float, required=True)
     p.add_argument("--kc", type=float, default=0.0)
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--times", type=_parse_times, default=DEFAULT_TIMES,
@@ -626,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="closed forms vs spectral-grid quadrature")
     p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=_parse_b, required=True)
+    p.add_argument("--b", type=float, required=True)
     p.add_argument("--kc", type=float, default=0.0)
     p.add_argument("--times", type=_parse_times, default=DEFAULT_TIMES)
     p.add_argument("--grid-n", type=int, default=512)

@@ -45,31 +45,29 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class CovMatrix4:
-    """Two-mode correlation matrix in block form [[A, C], [C^T, B]]."""
+    """Two-mode correlation matrix gamma = [[A, C], [C^T, B]], held once as a
+    read-only 4x4 copy of ``matrix``; the blocks are views of it."""
 
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
+    matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("A", "B", "C"):
-            block = getattr(self, name)
-            if np.asarray(block).shape != (2, 2):
-                raise DomainError(f"block {name} must be 2x2")
-
-    @classmethod
-    def from_matrix(cls, gamma: np.ndarray) -> "CovMatrix4":
-        gamma = np.asarray(gamma, dtype=float)
+        gamma = np.array(self.matrix, dtype=float)
         if gamma.shape != (4, 4):
             raise DomainError("correlation matrix must be 4x4")
-        return cls(A=gamma[:2, :2].copy(), B=gamma[2:, 2:].copy(), C=gamma[:2, 2:].copy())
+        gamma.flags.writeable = False
+        object.__setattr__(self, "matrix", gamma)
 
     @property
-    def matrix(self) -> np.ndarray:
-        gamma = np.empty((4, 4))
-        gamma[:2, :2], gamma[:2, 2:] = self.A, self.C
-        gamma[2:, :2], gamma[2:, 2:] = self.C.T, self.B
-        return gamma
+    def A(self) -> np.ndarray:
+        return self.matrix[:2, :2]
+
+    @property
+    def B(self) -> np.ndarray:
+        return self.matrix[2:, 2:]
+
+    @property
+    def C(self) -> np.ndarray:
+        return self.matrix[:2, 2:]
 
 
 def _det2(m: np.ndarray) -> float:
@@ -88,9 +86,10 @@ def covariance_matrix(params: PairParams) -> CovMatrix4:
     f1 = entanglement_factor(1, params)
     f2 = entanglement_factor(2, params)
     inv_b2 = 1.0 / (params.b * params.b)  # exactly 0.0 for the separable state
-    A = np.diag([a2 * f1 / (2.0 * f2), 2.0 * f1 / a2])
-    C = np.diag([a2 * a2 * inv_b2 / (2.0 * f2), -2.0 * inv_b2])
-    return CovMatrix4(A=A, B=A.copy(), C=C)
+    x, p = a2 * f1 / (2.0 * f2), 2.0 * f1 / a2
+    cx, cp = a2 * a2 * inv_b2 / (2.0 * f2), -2.0 * inv_b2
+    return CovMatrix4(np.array([[x, 0.0, cx, 0.0], [0.0, p, 0.0, cp],
+                                [cx, 0.0, x, 0.0], [0.0, cp, 0.0, p]]))
 
 
 def _check_physical(cm: CovMatrix4) -> None:

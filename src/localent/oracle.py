@@ -790,7 +790,7 @@ def _correlation_matrix(m: MomentSet) -> CovMatrix4:
                         [m.sym_x1k1, m.var_k1, m.sym_x2k1, m.cov_k1k2],
                         [m.cov_x1x2, m.sym_x2k1, m.var_x2, m.sym_x2k2],
                         [m.sym_x1k2, m.cov_k1k2, m.sym_x2k2, m.var_k2]])
-    return CovMatrix4.from_matrix(g)
+    return CovMatrix4(g)
 
 
 def _square_weights(squares: np.ndarray, diagonal: np.ndarray, out=None) -> np.ndarray:

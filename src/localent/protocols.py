@@ -247,7 +247,7 @@ def _verdicts(z, entangled, separable, alpha, u) -> tuple[np.ndarray, np.ndarray
 def _known_origin_verdicts(u, t_known, dx, stderr, u_stderr, tolerance_sigmas):
     """(predicted, z, verdict arrays) of protocol 1 for arrays of trials.
 
-    Each dx is compared with the separable prediction at t_known.  Within
+    Each dx is compared with the separable prediction at t_known >= 0.  Within
     tolerance -> separable.  Above -> entangled, with b from the implied
     alpha = (2 u dx)^2 - 4 u^4 t^2.  Below the separable floor (implied
     alpha < 1) -> inconclusive, since no source in the family gives such a
@@ -256,8 +256,6 @@ def _known_origin_verdicts(u, t_known, dx, stderr, u_stderr, tolerance_sigmas):
     """
     if not tolerance_sigmas > 0:  # NaN fails too
         raise DomainError(f"tolerance must be a positive number of sigmas, got {tolerance_sigmas}")
-    if not t_known >= 0:  # NaN fails too
-        raise DomainError(f"time must be nonnegative, got {t_known}")
     spread = 4.0 * u**4 * t_known * t_known
     root = np.sqrt(1.0 + spread)
     predicted = root / (2.0 * u)  # the separable curve, bit for bit as _dispersion_curve
@@ -448,11 +446,10 @@ def _trial_dispersions(scenario, times, n, seed, first_trial, trials, noiseless)
         raise DomainError(f"number of trials must be nonnegative, got {trials}")
     if not 0 <= first_trial <= (1 << 64) - trials:
         raise DomainError(f"trial indices must lie in [0, 2^64), got first trial {first_trial}")
-    if not noiseless:
-        if n < 2:
-            raise DomainError(f"need at least 2 samples, got {n}")
-        if (times < 0).any():
-            raise DomainError(f"measurement time must be nonnegative, got {times.min()}")
+    if not noiseless and n < 2:
+        raise DomainError(f"need at least 2 samples, got {n}")
+    if (times < 0).any():
+        raise DomainError(f"time must be nonnegative, got {times.min()}")
     require_memory(_batch_bytes(trials, times.size))
     u, alpha = _curve_constants(scenario.params)
     if math.isfinite(u) and math.isinf(_fourth_power(u)):
@@ -528,7 +525,8 @@ def run_blind_batch(
     Each trial estimates u from a momentum sub-ensemble and the dispersion
     from one sub-ensemble per time, then fits and classifies; all trials run
     as arrays.  Raises DomainError unless 0 <= seed < 2^64, the trial
-    indices are nonnegative and the times are finite and strictly increasing.
+    indices are nonnegative and the lab times are finite, nonnegative and
+    strictly increasing, for exact series too.
     """
     times = np.array(times, dtype=float)
     if not np.isfinite(times).all():

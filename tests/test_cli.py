@@ -76,6 +76,17 @@ def test_simon_accepts_inf(capsys):
     assert payload["results"]["separable"] is True
 
 
+@pytest.mark.parametrize("command", [["simon", "--a", "1"], ["dispersion-curve", "--u", "1.2"],
+                                     ["protocol", "--mode", "2", "--u", "1.2"],
+                                     ["oracle-check", "--a", "1"]])
+def test_b_is_read_as_every_other_float_option(command):
+    for spelling in ("inf", " INF ", "Infinity", "+infinity"):
+        assert build_parser().parse_args([*command, "--b", spelling]).b == math.inf
+    code, out, err = _outcome(main, [*command, "--b", "wide"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --b: invalid float value: 'wide'\n")
+
+
 def test_simon_a2_b2(capsys):
     code, payload = run_json(capsys, "simon", "--a", "2", "--b", "2")
     assert code == 0
@@ -285,6 +296,20 @@ def test_dispersion_curve_holds_where_u_to_the_fourth_overflows(capsys):
     code, out, _ = run_cli(capsys, "dispersion-curve", "--u", "1e78", "--b", "1", "--t-steps", "3")
     assert (code, out) == (0, "t,dx_separable,dx_entangled\n0,5e-79,5e-79\n"
                               "2.5,2.5e+78,2.5e+78\n5,5e+78,5e+78\n")
+
+
+@pytest.mark.parametrize("offset", [-2.5, -1.0, -0.3, 0.0, 0.3, 1.0, 2.5])
+def test_dispersion_curve_shifts_the_entangled_curve_by_the_offset(capsys, offset):
+    # a pair produced before lab zero (a negative offset) has aged -offset by t = 0
+    code, payload = run_json(capsys, "dispersion-curve", "--u", "1.2", "--b", "2",
+                             "--t-max", "4", "--t-steps", "9", f"--offset={offset}")
+    assert code == 0
+    for row in payload["results"]["rows"]:
+        if row["t"] < offset:  # before production, and only then
+            assert row["dx_entangled"] is None
+        else:
+            assert row["dx_entangled"] == predicted_dispersion_entangled(1.2, 2.0, row["t"] - offset)
+    assert (payload["results"]["crossing"] is None) == (offset <= 0)
 
 
 @pytest.mark.parametrize("u", [1e-3, 0.7, 1.01, 3.0, 1e20, 1e60, 1e76])
@@ -1209,14 +1234,14 @@ def test_csv_writer_matches_fmt(columns):
              for name, (cells, as_array) in zip(names, columns)}
     lines = [",".join(names)]
     lines += [",".join(map(cli._fmt, row)) for row in zip(*(cells for cells, _ in columns))]
-    assert cli._csv_text(table) == "\n".join(lines) + "\n"
+    assert "".join(cli._csv_pieces(table)) == "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_csv_writer_rejects_non_finite_numbers(bad):
     for column in (np.array([0.5, bad]), [0.5, bad], [None, bad]):
         with pytest.raises(DomainError):
-            cli._csv_text({"n": [1, 2], "x": column})
+            cli._csv_pieces({"n": [1, 2], "x": column})
 
 
 @pytest.mark.parametrize("rows, pieces", [(0, 1), (1, 1), (511, 1), (512, 1), (513, 2), (1025, 3)])

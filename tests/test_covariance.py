@@ -29,7 +29,7 @@ SWEEP_B = [0.5, 1.0, 2.0, 10.0, 100.0]
 
 def scaled(cm: CovMatrix4, s1: float, s2: float) -> CovMatrix4:
     scale = np.diag([s1, 1.0 / s1, s2, 1.0 / s2])
-    return CovMatrix4.from_matrix(scale @ cm.matrix @ scale.T)
+    return CovMatrix4(scale @ cm.matrix @ scale.T)
 
 
 def test_block_values_a1_b2():
@@ -52,6 +52,36 @@ def test_separable_blocks():
     assert np.all(cm.C == 0.0)
 
 
+def _block_gamma(params):
+    """The family's gamma as diagonal blocks [[A, C], [C^T, A]], entry by entry
+    as the closed forms give them."""
+    a2, r = params.a * params.a, params.a / params.b
+    f1, f2 = 1.0 + r * r, 1.0 + 2.0 * r * r
+    inv_b2 = 1.0 / (params.b * params.b)
+    A = np.diag([a2 * f1 / (2.0 * f2), 2.0 * f1 / a2])
+    C = np.diag([a2 * a2 * inv_b2 / (2.0 * f2), -2.0 * inv_b2])
+    return np.block([[A, C], [C.T, A]])
+
+
+@given(a=st.floats(1e-3, 1e3), b=st.one_of(st.floats(1e-3, 1e3), st.just(INF)))
+@example(a=1.0, b=INF)  # the cross block's -0.0
+@settings(max_examples=200, deadline=None)
+def test_gamma_is_one_read_only_array_with_its_blocks_as_views(a, b):
+    params = PairParams(a=a, b=b)
+    cm = covariance_matrix(params)
+    assert cm.matrix.tobytes() == _block_gamma(params).tobytes()  # -0.0 included
+    assert not cm.matrix.flags.writeable
+    for block, rows, cols in ((cm.A, 0, 0), (cm.B, 2, 2), (cm.C, 0, 2)):
+        assert block.base is cm.matrix
+        assert block.tobytes() == cm.matrix[rows:rows + 2, cols:cols + 2].tobytes()
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+    given_matrix = cm.matrix.copy()
+    copy = CovMatrix4(given_matrix)
+    given_matrix[0, 0] = 7.0  # the copy keeps its own entries
+    assert copy.matrix.tobytes() == cm.matrix.tobytes()
+
+
 def test_covariance_matrix_is_physical():
     for a in SWEEP_A:
         for b in SWEEP_B + [INF]:
@@ -66,7 +96,7 @@ def test_covariance_matrix_is_physical_over_the_family():
 
 
 def test_check_physical_rejects_sub_vacuum():
-    bad = CovMatrix4(A=np.diag([0.1, 0.1]), B=np.diag([0.1, 0.1]), C=np.zeros((2, 2)))
+    bad = CovMatrix4(np.diag([0.1, 0.1, 0.1, 0.1]))
     with pytest.raises(DomainError):
         _check_physical(bad)
     with pytest.raises(DomainError):  # simon_invariant validates by default

@@ -807,6 +807,23 @@ def test_non_finite_times_are_domain_errors(bad, noiseless):
         run_known_origin_batch(separable_scenario(), bad, 100, noiseless=noiseless)
 
 
+@given(t=st.floats(-3.0, 3.0), t0=st.floats(0.0, 3.0, exclude_min=True))
+@settings(max_examples=60, deadline=None)
+def test_noiseless_batches_refuse_the_lab_times_their_sampled_twins_refuse(t, t0):
+    # the pair has aged t + t0 by lab time t, but a lab time before the
+    # observer's first measurement is refused, exact series or not
+    scenario = entangled_scenario(t0=t0)
+    for run, when in ((run_blind_batch, [t, t + 0.5, t + 1.0]), (run_known_origin_batch, t)):
+        refusals = []
+        for noiseless in (False, True):
+            try:
+                run(scenario, when, 100, noiseless=noiseless)
+                refusals.append(None)
+            except DomainError as exc:
+                refusals.append(str(exc))
+        assert refusals == [f"time must be nonnegative, got {t}" if t < 0 else None] * 2
+
+
 def test_batches_reject_what_no_campaign_measures():
     for times in ([1.0, 1.0, 2.0], [0.0, 2.0, 1.0]):
         with pytest.raises(DomainError, match="strictly increasing"):

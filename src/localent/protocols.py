@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FitError, require_memory
-from .states import PairParams, _curve_constants, _dispersion_curve, _fourth_power
+from .states import PairParams, _curve_constants, _dispersion_curve, _power
 
 __all__ = [
     "SEPARABLE",
@@ -125,15 +125,16 @@ def predicted_dispersion_separable(u: float, t: float | np.ndarray) -> float | n
 
 def _inverse_ub4(u: float, b: float) -> float:
     """w = (u b)^-4 after checking u > 0, b > 0 and u*b > 1; exactly 0 once
-    u*b is past the float range, and at b = inf."""
+    u*b is past the float range, and at b = inf.  The one test of u and b that
+    every closed form and the width run, so a pair gets one answer."""
     if not u > 0:
         raise DomainError(f"momentum dispersion u must be positive, got {u}")
-    if not b > 0:
-        raise DomainError(f"anticorrelation width b must be positive, got {b}")
+    if not b > 0:  # NaN fails too
+        raise DomainError(f"anticorrelation width b must be positive (or math.inf), got {b}")
     ub = u * b
     if not ub > 1.0:
         raise DomainError(f"protocol requires u*b > 1, got u*b = {ub}")
-    return ub**-4
+    return _power(ub, -4)
 
 
 def entangled_alpha(u: float, b: float) -> float:
@@ -156,11 +157,15 @@ def predicted_dispersion_entangled(
 
 
 def width_from_momentum_dispersion(u: float, b: float = math.inf) -> float:
-    """Packet width a reproducing momentum dispersion u at anticorrelation b."""
-    if not u > 0:
-        raise DomainError(f"momentum dispersion u must be positive, got {u}")
-    if not b > 0:  # NaN fails too
-        raise DomainError(f"anticorrelation width b must be positive (or math.inf), got {b}")
+    """Packet width a reproducing momentum dispersion u at anticorrelation b:
+    1 / sqrt(u^2 - 1/b^2), and 1/u at b = inf.
+
+    The pair passes the u*b > 1 test of the closed forms first; the rounded
+    u^2 - 1/b^2 can still be <= 0 a few ulps past u*b = 1, which is refused.
+    """
+    _inverse_ub4(u, b)
+    if math.isinf(b):  # also where u^2 over- or underflows
+        return 1.0 / u
     inv_a2 = u * u - 1.0 / (b * b)
     if inv_a2 <= 0:
         raise DomainError(f"no packet width gives u = {u} at b = {b} (needs u*b > 1)")
@@ -179,10 +184,8 @@ def critical_time(u: float, b: float) -> float:
 
 def mimic_width(u: float) -> float:
     """Packet width 1/u of the separable state whose momentum marginal matches
-    an entangled source of momentum dispersion u."""
-    if not u > 0:
-        raise DomainError(f"momentum dispersion u must be positive, got {u}")
-    return 1.0 / u
+    an entangled source of momentum dispersion u: the width at b = inf."""
+    return width_from_momentum_dispersion(u)
 
 
 def ambiguity_time(u: float, b: float) -> float:
@@ -205,17 +208,15 @@ def crossing_times(u: float, b: float, offset: float) -> CrossingTimes:
 
     Solves 1 + 4 u^4 t^2 = alpha + 4 u^4 (t - offset)^2 for the lab clock and
     also reports the same instant on a clock starting at the entangled pair's
-    production.  Where u^4 overflows (u from ~1.16e77) the lab time is taken
-    as (alpha - 1) / (8 u^4 offset) + offset / 2.
+    production.  Where u^4 overflows (u from ~1.16e77) the lab time is its
+    limit offset / 2.
     """
     if not offset > 0:  # NaN fails too
         raise DomainError(f"production offset must be positive, got {offset}")
     alpha = entangled_alpha(u, b)
-    u4 = _fourth_power(u)
-    if math.isinf(u4):
-        t_lab = (alpha - 1.0) / (8.0 * u4 * offset) + 0.5 * offset
-    else:
-        t_lab = (alpha - 1.0 + 4.0 * u4 * offset * offset) / (8.0 * u4 * offset)
+    u4 = _power(u, 4)
+    t_lab = (0.5 * offset if math.isinf(u4)
+             else (alpha - 1.0 + 4.0 * u4 * offset * offset) / (8.0 * u4 * offset))
     return CrossingTimes(lab=t_lab, entangled_clock=t_lab - offset)
 
 
@@ -256,7 +257,7 @@ def _known_origin_verdicts(u, t_known, dx, stderr, u_stderr, tolerance_sigmas):
     """
     if not tolerance_sigmas > 0:  # NaN fails too
         raise DomainError(f"tolerance must be a positive number of sigmas, got {tolerance_sigmas}")
-    spread = 4.0 * u**4 * t_known * t_known
+    spread = 4.0 * _power(u, 4) * t_known * t_known
     root = np.sqrt(1.0 + spread)
     predicted = root / (2.0 * u)  # the separable curve, bit for bit as _dispersion_curve
     # d predicted / du, which carries the sampling error of u into sigma
@@ -287,7 +288,7 @@ def _linear_fit(u: np.ndarray, t: np.ndarray, dx: np.ndarray, stderr: np.ndarray
     None otherwise (see :func:`_fit_rows`).
     """
     u = u[:, None]
-    u4 = u**4
+    u4 = _power(u, 4)
     z = (2.0 * u * dx) ** 2 - 4.0 * u4 * t * t
     weighted = (stderr > 0).all(axis=1)
     sigma_z = 8.0 * u * u * dx * stderr  # first-order error propagation of the squaring
@@ -325,10 +326,10 @@ def _linear_fit(u: np.ndarray, t: np.ndarray, dx: np.ndarray, stderr: np.ndarray
     if not sensitivity:
         return alpha, beta, cov, None
     del z, zc, resid  # so the sensitivity's arrays do not add to the fit's peak
-    dc0, dc1, _ = solve(8.0 * u * dx * dx - 16.0 * u**3 * t * t)  # dz/du
-    u = u[:, 0]
-    dbeta = gain * dc1 - 4.0 * beta / u
-    dalpha = dc0 - 16.0 * u**3 * beta * beta - 8.0 * u4[:, 0] * beta * dbeta
+    u3 = _power(u, 3)
+    dc0, dc1, _ = solve(8.0 * u * dx * dx - 16.0 * u3 * t * t)  # dz/du
+    dbeta = gain * dc1 - 4.0 * beta / u[:, 0]
+    dalpha = dc0 - 16.0 * u3[:, 0] * beta * beta - 8.0 * u4[:, 0] * beta * dbeta
     return alpha, beta, cov, np.stack([dalpha, dbeta], axis=1)
 
 
@@ -381,7 +382,7 @@ def _width_from_alpha(alpha: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The b of :func:`entanglement_width_from_alpha`, entry by entry and
     unchecked: an alpha below 1 gives NaN."""
     with np.errstate(divide="ignore", invalid="ignore"):  # alpha = 1 gives b = inf
-        return np.sqrt(np.sqrt(alpha / (u**4 * (alpha - 1.0))))
+        return np.sqrt(np.sqrt(alpha / (_power(u, 4) * (alpha - 1.0))))
 
 
 def _blind_verdicts(u, alpha, alpha_sigma, threshold_sigmas):
@@ -452,7 +453,7 @@ def _trial_dispersions(scenario, times, n, seed, first_trial, trials, noiseless)
         raise DomainError(f"time must be nonnegative, got {times.min()}")
     require_memory(_batch_bytes(trials, times.size))
     u, alpha = _curve_constants(scenario.params)
-    if math.isfinite(u) and math.isinf(_fourth_power(u)):
+    if math.isfinite(u) and math.isinf(_power(u, 4)):
         # from u ~ 1.16e77, alpha is below double precision beside 4 u^4 t^2
         raise OverflowError(f"u^4 is outside the float range at u = {u}")
     sigma = np.concatenate([[u], _dispersion_curve(u, alpha, times + scenario.t0)])

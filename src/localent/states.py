@@ -19,6 +19,7 @@ quadrature on a spectral grid.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,13 +72,22 @@ def entanglement_factor(n: int, params: PairParams) -> float:
     return 1.0 + n * r * r
 
 
-def _fourth_power(u):
-    """``u**4``, but inf where a float's ``u**4`` raises OverflowError
-    (from u ~ 1.16e77)."""
-    try:
-        return u**4
-    except OverflowError:
-        return math.inf
+def _power(u, n: int):
+    """u**n by libm's pow: a float for a scalar u, an array of u's shape for
+    an array, taken entry by entry; inf where it overflows (u**4 from
+    u ~ 1.16e77).
+
+    numpy's array ``**`` may run its own SIMD pow instead, whose last bit
+    follows the CPU that numpy dispatches to.
+    """
+    if isinstance(u, np.ndarray):
+        flat = u.ravel().tolist()
+        with suppress(OverflowError):  # else an entry is past the float range
+            return np.fromiter(map(math.pow, flat, [float(n)] * u.size), float, u.size).reshape(u.shape)
+        return np.array([_power(x, n) for x in flat]).reshape(u.shape)
+    with suppress(OverflowError):
+        return math.pow(u, n)
+    return math.inf
 
 
 def _dispersion_curve(u: float, alpha: float, t):
@@ -95,7 +105,7 @@ def _dispersion_curve(u: float, alpha: float, t):
         raise DomainError(f"time must be nonnegative, got {float(np.extract(~(t >= 0), t)[0])}")
     # huge t spreads to inf, as float arithmetic does; an infinite u4 at t = 0 is NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        u4 = _fourth_power(u)
+        u4 = _power(u, 4)
         radicand = alpha + 4.0 * u4 * t * t
     if isinstance(u4, float) and math.isinf(u4):  # a scalar u from ~1.16e77
         dx = np.hypot(math.sqrt(max(alpha, 0.0)) / (2.0 * u), u * t)

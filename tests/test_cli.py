@@ -330,6 +330,17 @@ def test_dispersion_curve_domain_violation_exits_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [["protocol", "--mode", "1", "--noiseless"],
+                                  ["protocol", "--mode", "2", "--noiseless"],
+                                  ["protocol", "--mode", "2", "--n-samples", "100"],
+                                  ["dispersion-curve"]])
+def test_the_u_times_b_boundary_gets_one_answer_on_every_command(capsys, argv):
+    # u*b rounds to 1.0 although u^2 - 1/b^2 rounds to 3.6e-15 > 0
+    code, out, err = run_cli(capsys, *argv, "--u", "4.783690154056197",
+                             "--b", "0.20904363949075544")
+    assert (code, out, err) == (2, "", "error: protocol requires u*b > 1, got u*b = 1.0\n")
+
+
 def test_protocol_mode2_noiseless_entangled(capsys):
     code, payload = run_json(
         capsys,
@@ -521,6 +532,44 @@ def test_overflow_warnings_stay_off_stderr():
     assert done.returncode == 2
     assert done.stdout == ""
     assert re.fullmatch(r"error: [^\n]*\n", done.stderr)
+
+
+def _avx512_dispatch_targets() -> list[str]:
+    """numpy's dispatch targets that take AVX-512 on this CPU."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # pragma: no cover
+        return []
+    return [name for name in __cpu_dispatch__
+            if ("AVX512" in name or name == "X86_V4") and __cpu_features__.get(name)]
+
+
+def test_protocol_bytes_do_not_follow_numpys_avx512_dispatch():
+    targets = _avx512_dispatch_targets()
+    if not targets:
+        pytest.skip("numpy dispatches no AVX-512 loop on this CPU")
+    argvs = [
+        ["protocol", "--mode", "1", "--u", "1.01", "--b", "1", "--times", "1",
+         "--n-samples", "100", "--trials", "50"],
+        ["protocol", "--mode", "2", "--u", "1.01", "--b", "1", "--times", "0,1,2",
+         "--n-samples", "100", "--trials", "50"],
+        ["protocol", "--mode", "2", "--u", "1.7", "--b", "2", "--t0", "0.3",
+         "--times", "0,0.5,1", "--noiseless"],
+        ["protocol", "--mode", "1", "--u", "1.01", "--b", "inf", "--t0", "0.5",
+         "--times", "1", "--n-samples", "1000", "--trials", "200", "--seed", "3"],
+    ]
+    script = ("from localent.cli import main\n"
+              f"for argv in {argvs!r}:\n    assert main(argv) == 0\n")
+    src = str(Path(localent.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {key: value for key, value in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"}
+    default, plain = (
+        subprocess.run([sys.executable, "-c", script], env=dict(env, PYTHONPATH=path, **extra),
+                       capture_output=True, check=True).stdout
+        for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)})
+    )
+    assert default.count(b'"rng": "philox-chi2-v1"') == len(argvs)
+    assert default == plain
 
 
 def test_oracle_check_grid_failure_exits_3(capsys):

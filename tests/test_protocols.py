@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from born_reference import (
@@ -266,6 +266,38 @@ def test_inversion_round_trip_large_ub(ub):
     assert abs(recovered - b) / b <= bound
 
 
+def test_width_at_b_inf_is_the_mimic_width_over_the_whole_float_range():
+    # u*u over- or underflows past u ~ 1.34e154 and below ~1.5e-154
+    u = np.exp(np.random.default_rng(3).uniform(math.log(1e-300), math.log(1e300), 20_000))
+    for value in [1e-300, 1e-162, 1.35e154, 1e300, *u.tolist()]:
+        assert width_from_momentum_dispersion(value, INF) == 1.0 / value == mimic_width(value)
+
+
+def _refusal(function, u, b):
+    try:
+        function(u, b)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+@given(u=st.floats(min_value=1e-2, max_value=1e2), steps=st.integers(-4, 4))
+@example(u=4.783690154056197, steps=0)  # b = 0.20904363949075544: u*b rounds to 1
+@example(u=0.5199664643832801, steps=1)  # u*b > 1, but u^2 - 1/b^2 rounds to 0
+@settings(max_examples=300, deadline=None)
+def test_one_u_times_b_gate_near_its_boundary(u, steps):
+    b = 1.0 / u
+    for _ in range(abs(steps)):
+        b = math.nextafter(b, INF if steps > 0 else 0.0)
+    closed_forms = [_refusal(f, u, b) for f in (entangled_alpha, critical_time, ambiguity_time)]
+    width = _refusal(width_from_momentum_dispersion, u, b)
+    if not u * b > 1.0:  # every function refuses, with the one gate's message
+        assert closed_forms == [width] * 3 == [f"protocol requires u*b > 1, got u*b = {u * b}"] * 3
+    else:  # every function accepts, but where the width's own radicand rounds to <= 0
+        assert closed_forms == [None] * 3
+        assert (width is None) == (u * u - 1.0 / (b * b) > 0)
+
+
 # --- sampling and estimation ----------------------------------------------------
 
 
@@ -472,6 +504,18 @@ def test_known_origin_noiseless_entangled_round_trip():
     verdict = classify_known_origin(U_REF, 1.0, dx, 0.0)
     assert verdict.classification == "entangled"
     assert verdict.b_hat == pytest.approx(1.0, rel=1e-10)
+
+
+@given(u=st.floats(min_value=1e-2, max_value=1e2), t=st.floats(min_value=0.0, max_value=3.0))
+@example(u=88.47008308622115, t=1.600592224082503)  # numpy's AVX-512 u**4 is an ulp off here
+@settings(max_examples=300, deadline=None)
+def test_noiseless_separable_known_origin_trials_sit_exactly_on_the_curve(u, t):
+    # the trial's sigma and the verdict's prediction take u^4 by the one pow
+    scenario = HiddenScenario(PairParams(a=mimic_width(u), b=INF))
+    batch = run_known_origin_batch(scenario, t, n_samples=2, trials=3, noiseless=True)
+    assert batch.z.tolist() == [0.0] * 3
+    assert batch.dx_hat.tolist() == batch.predicted_separable.tolist()
+    assert batch.classification.tolist() == ["separable"] * 3
 
 
 def test_known_origin_inconclusive_below_floor():

@@ -12,6 +12,7 @@ from localent.states import (
     PairParams,
     entanglement_factor,
     momentum_dispersion,
+    _power,
     position_dispersion,
 )
 from oracle_reference import envelope, initial_amplitude
@@ -155,3 +156,22 @@ def test_parameter_validation():
     # separability is the kernel's verdict, 1 - nu > 0 iff entangled
     assert _pt_eigenvalue(1.0, INF)[1] == 0.0
     assert _pt_eigenvalue(1.0, 5.0)[1] > 0.0
+
+
+def _pow_or_inf(x: float, n: int) -> float:
+    try:
+        return x**n  # Python's float ** is libm's pow
+    except OverflowError:
+        return math.inf
+
+
+def test_power_is_libms_pow_entry_by_entry():
+    u = np.exp(np.random.default_rng(4).uniform(-250.0, 250.0, (50, 3)))
+    u[7, 1], u[0, 0] = 1e78, 0.0  # u^4 past the float range, and zero
+    for n in (3, 4):
+        want = [[_pow_or_inf(x, n) for x in row] for row in u.tolist()]
+        assert sum(row.count(math.inf) for row in want) > 1
+        assert _power(u, n).tolist() == want
+        assert _power(u[:, :1], n).tolist() == [row[:1] for row in want]
+        assert [_power(x, n) for x in u.ravel().tolist()] == sum(want, [])
+    assert _power(np.array(2.0), 4).shape == ()
